@@ -21,14 +21,12 @@ def main():
     ap.add_argument("--sigma", type=float, default=1.0)
     ap.add_argument("--epsilon", type=float, default=0.02)
     ap.add_argument("--trials", type=int, default=200)
-    ap.add_argument("--threads", type=int, default=4)
     ap.add_argument("--n-list", type=int, nargs="+",
                     default=[256, 512, 1024, 2048, 4096, 8192, 16384])
     args = ap.parse_args()
 
     plan, series = experiments.bernoulli_scan(
-        args.K, args.sigma, args.epsilon, args.n_list, args.trials, args.seed,
-        workers=args.threads)
+        args.K, args.sigma, args.epsilon, args.n_list, args.trials, args.seed)
     alpha = alpha_exponent(args.K, args.sigma)
     print(f"K={args.K} sigma={args.sigma} eps={args.epsilon} "
           f"delta={plan.delta:.6f} zeta={plan.zeta:.6f} alpha={alpha:.6f}")

@@ -19,7 +19,6 @@ def main():
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--sigma", type=float, default=1.0)
     ap.add_argument("--trials", type=int, default=100)
-    ap.add_argument("--threads", type=int, default=4)
     ap.add_argument("--n-list", type=int, nargs="+",
                     default=[128, 256, 512, 1024, 2048, 4096])
     ap.add_argument("--K-list", type=float, nargs="+",
@@ -27,8 +26,7 @@ def main():
     args = ap.parse_args()
 
     rows = experiments.phase_scan(args.K_list, args.sigma, "two_point",
-                                  args.n_list, args.trials, args.seed,
-                                  workers=args.threads)
+                                  args.n_list, args.trials, args.seed)
     with open(args.out, "w") as fh:
         fh.write("K,slope,slope_stderr,r_squared,alpha\n")
         for r in rows:

@@ -2,7 +2,7 @@
 transport, Monte Carlo oracles, rate fits, mutual-information blow-up,
 concentration events, tail tightness, and the functional-inequality probes.
 
-Each criterion is a function (quick, seed, workers) -> AcceptanceResult.
+Each criterion is a function (quick, seed) -> AcceptanceResult.
 `quick` trades statistical resolution for runtime (the full suite targets the
 per-criterion budgets; quick mode finishes in well under two minutes); the
 assertions themselves are identical.
@@ -48,7 +48,7 @@ def _random_mixture(rng, n_atoms: int, sigma: float) -> SmoothedMixture:
     return SmoothedMixture(AtomicDistribution.from_weights(locs, w), sigma)
 
 
-def check_1_closed_form_transport(quick=False, seed=20260823, workers=None):
+def check_1_closed_form_transport(quick=False, seed=20260823):
     t0 = time.time()
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -61,7 +61,7 @@ def check_1_closed_form_transport(quick=False, seed=20260823, workers=None):
                    f"max |error| = {worst:.3e} (tol 1e-6)", t0)
 
 
-def check_2_mc_coupling_oracle(quick=False, seed=20260823, workers=None):
+def check_2_mc_coupling_oracle(quick=False, seed=20260823):
     t0 = time.time()
     rng = np.random.default_rng(seed)
     pairs = 6 if quick else 20
@@ -85,7 +85,7 @@ def check_2_mc_coupling_oracle(quick=False, seed=20260823, workers=None):
                    f"{pairs} pairs, worst |z| = {worst_z:.2f} (limit 4)", t0)
 
 
-def check_3_crossing_bound(quick=False, seed=20260823, workers=None):
+def check_3_crossing_bound(quick=False, seed=20260823):
     t0 = time.time()
     rng = np.random.default_rng(seed)
     target = 150 if quick else 1000
@@ -112,7 +112,7 @@ def check_3_crossing_bound(quick=False, seed=20260823, workers=None):
                    f" min margin {worst:.3e}", t0)
 
 
-def check_4_parametric_rate(quick=False, seed=20260823, workers=None):
+def check_4_parametric_rate(quick=False, seed=20260823):
     t0 = time.time()
     p = constructions.bernoulli_two_point(2.0, 0.5)
     n_list = [128, 512, 2048, 8192] if quick else [128, 256, 512, 1024, 2048, 4096, 8192]
@@ -120,7 +120,7 @@ def check_4_parametric_rate(quick=False, seed=20260823, workers=None):
     children = np.random.SeedSequence(seed).spawn(len(n_list))
     pts = []
     for n, c in zip(n_list, children):
-        r = experiments.mc_expected_w2sq(p, 1.0, n, trials, c, workers=workers)
+        r = experiments.mc_expected_w2sq(p, 1.0, n, trials, c)
         pts.append((n, r.estimate, r.stderr, r.trials))
     fit = experiments.fit_rate(experiments.RateSeries(points=tuple(pts)))
     ok = abs(fit.slope - (-1.0)) <= 0.15
@@ -129,14 +129,14 @@ def check_4_parametric_rate(quick=False, seed=20260823, workers=None):
                    f"(want -1.0 +- 0.15)", t0)
 
 
-def check_5_nonparametric_rate(quick=False, seed=20260823, workers=None):
+def check_5_nonparametric_rate(quick=False, seed=20260823):
     t0 = time.time()
     alpha = tail_bounds.alpha_exponent(2.0, 1.0)
     n_list = ([2 ** 10, 2 ** 12, 2 ** 14, 2 ** 16] if quick
               else [2 ** k for k in range(10, 17)])
     trials = 60 if quick else 200
     plan, series = experiments.bernoulli_scan(2.0, 1.0, 0.02, n_list, trials,
-                                              seed, workers=workers)
+                                              seed)
     fit = experiments.fit_rate(series)
     lo, hi = -0.46, -alpha + 0.1
     ok = lo <= fit.slope <= hi
@@ -148,7 +148,7 @@ def check_5_nonparametric_rate(quick=False, seed=20260823, workers=None):
                    f"event regime (estimated anyway)", t0)
 
 
-def check_6_chi2_mi_phase(quick=False, seed=20260823, workers=None):
+def check_6_chi2_mi_phase(quick=False, seed=20260823):
     t0 = time.time()
     # (a) K < sigma: truncation stability
     p_small = constructions.bernoulli_two_point(2.0, 0.5)
@@ -169,7 +169,7 @@ def check_6_chi2_mi_phase(quick=False, seed=20260823, workers=None):
                    f"{max(parts[3:]):.4f}] vs floor {floor:.4f}", t0)
 
 
-def check_7_soft_covering(quick=False, seed=20260823, workers=None):
+def check_7_soft_covering(quick=False, seed=20260823):
     t0 = time.time()
     trials = 50 if quick else 200
     n_list = [256, 1024, 4096]
@@ -185,7 +185,7 @@ def check_7_soft_covering(quick=False, seed=20260823, workers=None):
             lam = 2.0 - 1.0 / math.log(n)
             I = divergences.renyi_mutual_information(p, 1.0, lam).value
             bound = divergences.soft_covering_kl_bound(I, lam, n)
-            r = experiments.mc_expected_kl(p, 1.0, n, trials, c, workers=workers)
+            r = experiments.mc_expected_kl(p, 1.0, n, trials, c)
             pts.append((n, r.estimate, r.stderr, r.trials))
             if r.estimate > bound + 3.0 * r.stderr:
                 ok = False
@@ -200,7 +200,7 @@ def check_7_soft_covering(quick=False, seed=20260823, workers=None):
                    "E[KL] <= bound + 3SE everywhere)", t0)
 
 
-def check_8_weighted_concentration(quick=False, seed=20260823, workers=None):
+def check_8_weighted_concentration(quick=False, seed=20260823):
     t0 = time.time()
     reps = 100 if quick else 500
     std = _single_atom(0.0, 1.0)
@@ -211,7 +211,7 @@ def check_8_weighted_concentration(quick=False, seed=20260823, workers=None):
                    f"(limit 0.1), bound {rep.bound:.2f}", t0)
 
 
-def check_9_tail_density_tightness(quick=False, seed=20260823, workers=None):
+def check_9_tail_density_tightness(quick=False, seed=20260823):
     t0 = time.time()
     K = 2.0
     beta = tail_bounds.beta_exponent(K)
@@ -228,7 +228,7 @@ def check_9_tail_density_tightness(quick=False, seed=20260823, workers=None):
                    "; ".join(msgs) + f" (want {beta} +- {0.1 * beta:.3f})", t0)
 
 
-def check_10_berry_esseen(quick=False, seed=20260823, workers=None):
+def check_10_berry_esseen(quick=False, seed=20260823):
     t0 = time.time()
     reps = 400 if quick else 2000
     p_h = math.exp(-9.0 / 8.0)
@@ -240,7 +240,7 @@ def check_10_berry_esseen(quick=False, seed=20260823, workers=None):
                    f"{fr.band:.4f}", t0)
 
 
-def check_11_lsi_divergence(quick=False, seed=20260823, workers=None):
+def check_11_lsi_divergence(quick=False, seed=20260823):
     t0 = time.time()
     vals = [functional_ineq.lsi_lower_bound(h, 2.0, 1.0).lsi_lower
             for h in (5.0, 10.0, 15.0, 20.0)]
@@ -252,7 +252,7 @@ def check_11_lsi_divergence(quick=False, seed=20260823, workers=None):
                    f"{['%.1f' % r for r in ratios]} (want >= 2)", t0)
 
 
-def check_12_t2_divergence(quick=False, seed=20260823, workers=None):
+def check_12_t2_divergence(quick=False, seed=20260823):
     t0 = time.time()
     probes = [functional_ineq.t2_lower_bound(h, 2.0, 1.0, 0.1)
               for h in (10.0, 20.0, 30.0)]
@@ -264,7 +264,7 @@ def check_12_t2_divergence(quick=False, seed=20260823, workers=None):
                    f"(methods {[p.method for p in probes]})", t0)
 
 
-def check_13_subgaussianity(quick=False, seed=20260823, workers=None):
+def check_13_subgaussianity(quick=False, seed=20260823):
     t0 = time.time()
     alphas = np.linspace(-3.0, 3.0, 61)
     c = constructions.chi2_admissible_c(2.0)
@@ -282,7 +282,7 @@ def check_13_subgaussianity(quick=False, seed=20260823, workers=None):
                    f"{tails.max_slack:.2e}", t0)
 
 
-def check_14_exponent_identities(quick=False, seed=20260823, workers=None):
+def check_14_exponent_identities(quick=False, seed=20260823):
     t0 = time.time()
     Ks = np.geomspace(0.05, 20.0, 50)
     worst = 0.0
@@ -318,6 +318,6 @@ CRITERIA = [
 DEFAULT_SEED = 20260823
 
 
-def run_all(quick: bool = False, seed: int = DEFAULT_SEED,
-            workers: int | None = None) -> list[AcceptanceResult]:
-    return [f(quick=quick, seed=seed, workers=workers) for f in CRITERIA]
+def run_all(quick: bool = False,
+            seed: int = DEFAULT_SEED) -> list[AcceptanceResult]:
+    return [f(quick=quick, seed=seed) for f in CRITERIA]

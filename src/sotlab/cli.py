@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import sys
 
 import click
@@ -150,12 +149,6 @@ def _resolve_seed(cli_seed, cfg: dict, required: bool):
     return None
 
 
-def _resolve_threads(threads):
-    if threads is not None:
-        return max(1, int(threads))
-    return max(1, int(os.environ.get("SOT_THREADS", "1")))
-
-
 def _common(f):
     f = click.option("--config", "config_path", type=str, default=None,
                      help="JSON config file")(f)
@@ -163,8 +156,6 @@ def _common(f):
                      help="output file (CSV unless noted); stdout if omitted")(f)
     f = click.option("--seed", type=int, default=None, help="RNG seed "
                      "(overrides the config's seed)")(f)
-    f = click.option("--threads", type=int, default=None,
-                     help="worker threads (default: env SOT_THREADS or 1)")(f)
     return f
 
 
@@ -174,17 +165,15 @@ def main():
     """Numerical laboratory for smoothed-empirical-measure convergence."""
 
 
-def _run(command, body, config_path, out_path, seed, threads,
-         seed_required):
+def _run(command, body, config_path, out_path, seed, seed_required):
     cfg, cfg_hash = _load_config(config_path)
     try:
         rseed = _resolve_seed(seed, cfg, required=seed_required)
-        workers = _resolve_threads(threads)
         plan = body(cfg)        # validation phase: raises ConfigError only
     except ConfigError as exc:
         _fail_config(str(exc))
     try:
-        columns, rows, meta = plan(rseed, workers)
+        columns, rows, meta = plan(rseed)
     except Exception as exc:
         _fail_numeric(str(exc))
     _write_csv(out_path, command, rseed, cfg_hash, columns, rows, meta)
@@ -195,7 +184,7 @@ def _run(command, body, config_path, out_path, seed, threads,
 
 @main.command()
 @_common
-def construct(config_path, out_path, seed, threads):
+def construct(config_path, out_path, seed):
     """Build a named distribution; emit its atoms (and schedule) as JSON."""
     cfg, cfg_hash = _load_config(config_path)
     try:
@@ -223,7 +212,7 @@ def construct(config_path, out_path, seed, threads):
 
 @main.command()
 @_common
-def w2(config_path, out_path, seed, threads):
+def w2(config_path, out_path, seed):
     """Exact quantile-coupling W2^2 between two smoothed mixtures."""
     def body(cfg):
         A, _ = _build_distribution(_get(cfg, "A", dict), "A")
@@ -233,18 +222,18 @@ def w2(config_path, out_path, seed, threads):
         sb = _get(cfg, "sigma_b", float, required=False, default=sa)
         tol = _get(cfg, "tol", float, required=False, default=1e-9)
 
-        def run(rseed, workers):
+        def run(rseed):
             ev = transport.w2_squared(SmoothedMixture(A, sa),
                                       SmoothedMixture(B, sb), tol=tol)
             return (["w2sq", "tail_bound", "quad_error", "n_eval"],
                     [(ev.total, ev.tail_bound, ev.quad_error, ev.n_eval)], {})
         return run
-    _run("w2", body, config_path, out_path, seed, threads, seed_required=False)
+    _run("w2", body, config_path, out_path, seed, seed_required=False)
 
 
 @main.command("mi-probe")
 @_common
-def mi_probe(config_path, out_path, seed, threads):
+def mi_probe(config_path, out_path, seed):
     """Chi-square or Renyi mutual information across the Gaussian channel."""
     def body(cfg):
         dist, _ = _build_distribution(_get(cfg, "dist", dict), "dist")
@@ -254,7 +243,7 @@ def mi_probe(config_path, out_path, seed, threads):
         radius = _get(cfg, "truncation_radius", float, required=False)
         tol = _get(cfg, "tol", float, required=False, default=1e-9)
 
-        def run(rseed, workers):
+        def run(rseed):
             if kind == "chi2":
                 est = divergences.chi2_mutual_information(dist, sigma, radius, tol)
             else:
@@ -267,13 +256,13 @@ def mi_probe(config_path, out_path, seed, threads):
                     "quadrature_error": est.quadrature_error}
             return ["k", "location", "part"], rows, meta
         return run
-    _run("mi-probe", body, config_path, out_path, seed, threads,
+    _run("mi-probe", body, config_path, out_path, seed,
          seed_required=False)
 
 
 @main.command("rate-scan")
 @_common
-def rate_scan(config_path, out_path, seed, threads):
+def rate_scan(config_path, out_path, seed):
     """Monte Carlo n-sweep and log-log rate fit; writes <out>.fit.json too."""
     def body(cfg):
         family = _get(cfg, "family", str,
@@ -288,11 +277,11 @@ def rate_scan(config_path, out_path, seed, threads):
         h = _get(cfg, "h", float, required=False, default=2.0)
         epsilon = _get(cfg, "epsilon", float, required=False, default=0.02)
 
-        def run(rseed, workers):
+        def run(rseed):
             meta = {"family": family, "K": K, "sigma": sigma}
             if family == "bernoulli":
                 plan, series = experiments.bernoulli_scan(
-                    K, sigma, epsilon, n_list, trials, rseed, tol, workers)
+                    K, sigma, epsilon, n_list, trials, rseed, tol)
                 rows = [("w2",) + q for q in series.points]
                 rows += [("w2sq",) + q for q in plan.w2sq_series.points]
                 fit = experiments.fit_rate(series)
@@ -305,7 +294,7 @@ def rate_scan(config_path, out_path, seed, threads):
                 mc = (experiments.mc_expected_kl if family == "kl"
                       else experiments.mc_expected_w2sq)
                 for n, c in zip(sorted(n_list), children):
-                    r = mc(p, sigma, n, trials, c, workers=workers)
+                    r = mc(p, sigma, n, trials, c)
                     pts.append((n, r.estimate, r.stderr, r.trials))
                 series = experiments.RateSeries(points=tuple(pts))
                 fit = experiments.fit_rate(series)
@@ -323,13 +312,13 @@ def rate_scan(config_path, out_path, seed, threads):
                     fh.write("\n")
             return ["metric", "n", "estimate", "stderr", "trials"], rows, meta
         return run
-    _run("rate-scan", body, config_path, out_path, seed, threads,
+    _run("rate-scan", body, config_path, out_path, seed,
          seed_required=True)
 
 
 @main.command("concentration")
 @_common
-def concentration_cmd(config_path, out_path, seed, threads):
+def concentration_cmd(config_path, out_path, seed):
     """Weighted CDF statistic replications or gap-event frequencies."""
     def body(cfg):
         mode = _get(cfg, "mode", str,
@@ -346,7 +335,7 @@ def concentration_cmd(config_path, out_path, seed, threads):
                 dist = AtomicDistribution.from_weights(np.array([0.0]),
                                                        np.array([1.0]))
 
-            def run(rseed, workers):
+            def run(rseed):
                 rep = concentration.weighted_cdf_concentration(
                     SmoothedMixture(dist, sigma), n, delta, reps, rseed)
                 rows = [(i, s, rep.bound, s > rep.bound)
@@ -361,7 +350,7 @@ def concentration_cmd(config_path, out_path, seed, threads):
             n = _get(cfg, "n", int)
             reps = _get(cfg, "replications", int)
 
-            def run(rseed, workers):
+            def run(rseed):
                 fr = concentration.berry_esseen_event_frequency(
                     h, K, sigma, n, reps, rseed)
                 return _frequency_rows(fr)
@@ -373,13 +362,13 @@ def concentration_cmd(config_path, out_path, seed, threads):
         reps = _get(cfg, "replications", int)
         n = _get(cfg, "n", int, required=False)
 
-        def run(rseed, workers):
+        def run(rseed):
             dist, schedule = constructions.w2_hard_example(K, sigma, k_max)
             fr = concentration.schedule_gap_dominance(schedule, dist, sigma, k,
                                                       reps, rseed, n=n)
             return _frequency_rows(fr)
         return run
-    _run("concentration", body, config_path, out_path, seed, threads,
+    _run("concentration", body, config_path, out_path, seed,
          seed_required=True)
 
 
@@ -396,7 +385,7 @@ def _frequency_rows(fr):
 
 @main.command("tail-probe")
 @_common
-def tail_probe(config_path, out_path, seed, threads):
+def tail_probe(config_path, out_path, seed):
     """Tail-mass vs smoothed-density envelope constants on an r-grid."""
     def body(cfg):
         dist, _ = _build_distribution(_get(cfg, "dist", dict), "dist")
@@ -409,7 +398,7 @@ def tail_probe(config_path, out_path, seed, threads):
         points = _get(cfg, "r_points", int, required=False, default=101)
         profile = SubgaussianProfile(K=K)
 
-        def run(rseed, workers):
+        def run(rseed):
             grid = np.linspace(r_min, r_max, points)
             if kind == "upper":
                 rep = tail_bounds.tail_density_inequality_probe(
@@ -427,13 +416,13 @@ def tail_probe(config_path, out_path, seed, threads):
                      "passed": rep.passed, "beta": rep.beta,
                      "epsilon": epsilon})
         return run
-    _run("tail-probe", body, config_path, out_path, seed, threads,
+    _run("tail-probe", body, config_path, out_path, seed,
          seed_required=False)
 
 
 @main.command("lsi-probe")
 @_common
-def lsi_probe(config_path, out_path, seed, threads):
+def lsi_probe(config_path, out_path, seed):
     """Log-Sobolev constant lower bounds along an h-grid."""
     def body(cfg):
         K = _get(cfg, "K", float)
@@ -444,7 +433,7 @@ def lsi_probe(config_path, out_path, seed, threads):
         x1 = _get(cfg, "x1", float, required=False)
         x2 = _get(cfg, "x2", float, required=False)
 
-        def run(rseed, workers):
+        def run(rseed):
             rows = []
             for h in h_list:
                 pr = functional_ineq.lsi_lower_bound(float(h), K, sigma, x1, x2)
@@ -452,13 +441,13 @@ def lsi_probe(config_path, out_path, seed, threads):
                              pr.lsi_lower))
             return (["h", "q1", "q2", "q3", "q4", "q5", "bound"], rows, {})
         return run
-    _run("lsi-probe", body, config_path, out_path, seed, threads,
+    _run("lsi-probe", body, config_path, out_path, seed,
          seed_required=False)
 
 
 @main.command("t2-probe")
 @_common
-def t2_probe(config_path, out_path, seed, threads):
+def t2_probe(config_path, out_path, seed):
     """Transportation-inequality W2^2/KL ratios along an h-grid."""
     def body(cfg):
         K = _get(cfg, "K", float)
@@ -468,34 +457,29 @@ def t2_probe(config_path, out_path, seed, threads):
         if not h_list or not all(isinstance(h, (int, float)) for h in h_list):
             raise ConfigError("h_list", "expected a list of numbers")
 
-        def run(rseed, workers):
+        def run(rseed):
             rows = []
             for h in h_list:
                 pr = functional_ineq.t2_lower_bound(float(h), K, sigma, delta)
                 rows.append((pr.h, pr.q_h, pr.w2sq, pr.kl, pr.ratio, pr.method))
             return (["h", "q_h", "w2sq", "kl", "ratio", "method"], rows, {})
         return run
-    _run("t2-probe", body, config_path, out_path, seed, threads,
+    _run("t2-probe", body, config_path, out_path, seed,
          seed_required=False)
 
 
 @main.command()
-@click.option("--config", "config_path", type=str, default=None,
-              help="unused; accepted for interface uniformity")
 @click.option("--out", "out_path", type=str, default=None,
               help="optional CSV results file")
 @click.option("--seed", type=int, default=None,
               help=f"RNG seed (default {acceptance.DEFAULT_SEED})")
-@click.option("--threads", type=int, default=None,
-              help="worker threads (default: env SOT_THREADS or 1)")
 @click.option("--quick", is_flag=True, default=False,
               help="reduced statistical resolution, same assertions")
-def accept(config_path, out_path, seed, threads, quick):
+def accept(out_path, seed, quick):
     """Run the full acceptance suite; exit 0 iff every criterion passes."""
     rseed = seed if seed is not None else acceptance.DEFAULT_SEED
-    workers = _resolve_threads(threads)
     try:
-        results = acceptance.run_all(quick=quick, seed=rseed, workers=workers)
+        results = acceptance.run_all(quick=quick, seed=rseed)
     except Exception as exc:
         _fail_numeric(str(exc))
     width = max(len(r.name) for r in results)

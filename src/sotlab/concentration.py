@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .dist_core import (AtomicDistribution, EmpiricalMeasure, SmoothedMixture,
-                        _as_generator)
+                        seed_sequence)
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def weighted_cdf_concentration(F: SmoothedMixture, n: int, delta: float,
     if replications < 1:
         raise ValueError("replications must be >= 1")
     bound = weighted_concentration_bound(n, delta)
-    children = np.random.SeedSequence(_seed_entropy(seed)).spawn(replications)
+    children = seed_sequence(seed).spawn(replications)
     stats = [weighted_cdf_statistic(F, F.sample(n, np.random.default_rng(c)))
              for c in children]
     stats = np.asarray(stats)
@@ -114,12 +114,6 @@ def weighted_cdf_concentration(F: SmoothedMixture, n: int, delta: float,
                                bound=bound, violated=bool(violations[-1]),
                                violation_rate=float(np.mean(violations)),
                                statistics=tuple(float(s) for s in stats))
-
-
-def _seed_entropy(seed):
-    if isinstance(seed, np.random.SeedSequence):
-        return seed.entropy
-    return int(seed)
 
 
 def _frequency_pass(hits: int, replications: int, level: float):
@@ -157,7 +151,7 @@ def berry_esseen_event_frequency(h: float, K: float, sigma: float, n: int,
     thr = math.exp(-h * h / (4.0 * K * K)) / math.sqrt(18.0 * n)
     # gap >= thr  <=>  p^ - p <= thr / factor (factor negative)
     cut = thr / factor
-    children = np.random.SeedSequence(_seed_entropy(seed)).spawn(replications)
+    children = seed_sequence(seed).spawn(replications)
     hits = 0
     for c in children:
         count = np.random.default_rng(c).binomial(n, p_h)
@@ -206,7 +200,7 @@ def schedule_gap_dominance(schedule, p: AtomicDistribution, sigma: float,
     weights = p.weights()
     weights = weights / weights.sum()   # guard residual rounding for multinomial
     gap_cut = 0.5 * math.sqrt(p_next / n)
-    children = np.random.SeedSequence(_seed_entropy(seed)).spawn(replications)
+    children = seed_sequence(seed).spawn(replications)
     hits = 0
     for c in children:
         counts = np.random.default_rng(c).multinomial(n, weights)

@@ -16,6 +16,10 @@ from scipy.special import erfc, log_ndtr, logsumexp, ndtr
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
+# log-mass clipped from each tail of a smoothed mixture by the W2 and
+# divergence quadrature windows
+LOG_MASS_EPS = math.log(1e-30)
+
 # cap on (#grid points) x (#atoms) per vectorized block, to bound peak memory
 _BLOCK_BUDGET = 4_000_000
 
@@ -201,14 +205,20 @@ class EmpiricalMeasure:
         return np.searchsorted(self.samples, t, side="right") / self.n
 
 
+def seed_sequence(seed) -> np.random.SeedSequence:
+    """The one way a seed enters sotlab: a SeedSequence is returned as is
+    (spawn_key included); an integer seeds a new root sequence."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    if seed is None:
+        raise ValueError("an explicit seed is required")
+    return np.random.SeedSequence(int(seed))
+
+
 def _as_generator(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
-    if seed is None:
-        raise ValueError("an explicit seed is required")
-    return np.random.default_rng(int(seed))
+    return np.random.default_rng(seed_sequence(seed))
 
 
 @dataclass(frozen=True)
@@ -420,25 +430,6 @@ class SmoothedMixture:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SmoothedMixture":
         return cls(AtomicDistribution.from_json_obj(obj), float(obj["sigma"]))
-
-
-# -- module-level operation entry points ------------------------------------------
-
-
-def mixture_log_pdf(m: SmoothedMixture, t):
-    return m.log_pdf(t)
-
-
-def mixture_cdf(m: SmoothedMixture, t):
-    return m.cdf(t)
-
-
-def mixture_quantile(m: SmoothedMixture, u):
-    return m.quantile(u)
-
-
-def sample(m_or_p, n: int, seed) -> EmpiricalMeasure:
-    return m_or_p.sample(n, seed)
 
 
 @dataclass(frozen=True)

@@ -16,17 +16,15 @@ import numpy as np
 from scipy.special import logsumexp
 
 from ._quad import adaptive_simpson
-from .dist_core import AtomicDistribution, SmoothedMixture, LOG_SQRT_2PI, log1mexp
+from .dist_core import (LOG_MASS_EPS, LOG_SQRT_2PI, AtomicDistribution,
+                        SmoothedMixture, log1mexp)
 
-LOG_MASS_EPS = math.log(1e-30)
 
-
-def _window(A: SmoothedMixture, B: SmoothedMixture,
-            log_mass_eps: float = LOG_MASS_EPS):
-    lo = min(float(A.quantile_from_log_mass(np.array([log_mass_eps]))[0]),
-             float(B.quantile_from_log_mass(np.array([log_mass_eps]))[0]))
-    hi = max(float(A.quantile_from_log_mass(np.array([log_mass_eps]), upper=True)[0]),
-             float(B.quantile_from_log_mass(np.array([log_mass_eps]), upper=True)[0]))
+def _window(A: SmoothedMixture, B: SmoothedMixture):
+    lo = min(float(A.quantile_from_log_mass(np.array([LOG_MASS_EPS]))[0]),
+             float(B.quantile_from_log_mass(np.array([LOG_MASS_EPS]))[0]))
+    hi = max(float(A.quantile_from_log_mass(np.array([LOG_MASS_EPS]), upper=True)[0]),
+             float(B.quantile_from_log_mass(np.array([LOG_MASS_EPS]), upper=True)[0]))
     return lo, hi
 
 

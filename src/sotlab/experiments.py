@@ -6,21 +6,18 @@ protocols: the adaptive two-point scan whose displacement h grows with n (the
 lower-bound construction for K > sigma) and the phase scan across the K = sigma
 boundary.
 
-Trials are independent tasks with seeds spawned from one splittable root; the
-reduction is ordered by trial index, so a (config, seed) pair always produces
-the same floats regardless of worker count.
+Trials are independent tasks with seeds spawned from one splittable root and
+run in trial order, so a (config, seed) pair always produces the same floats.
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import constructions, divergences, transport
-from .dist_core import AtomicDistribution, SmoothedMixture
+from .dist_core import AtomicDistribution, SmoothedMixture, seed_sequence
 
 
 @dataclass(frozen=True)
@@ -59,49 +56,32 @@ class MCResult:
         return iter((self.estimate, self.stderr))
 
 
-def default_workers() -> int:
-    return max(1, int(os.environ.get("SOT_THREADS", "1")))
+# Early stop of the trial loop: after at least MIN_TRIALS trials, at each
+# CHUNK-trial boundary, stop once the relative standard error is below REL_STOP.
+MIN_TRIALS = 50
+REL_STOP = 0.02
+CHUNK = 25
 
 
-def _root_seed(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(int(seed))
-
-
-def _run_trials(per_trial, trials: int, seed, workers: int | None,
-                min_trials: int = 50, rel_stop: float = 0.02,
-                chunk: int = 25) -> np.ndarray:
-    """Run up to `trials` seeded tasks, stopping at a chunk boundary once the
-    relative standard error drops below `rel_stop`. Deterministic per seed."""
+def _run_trials(per_trial, trials: int, seed) -> np.ndarray:
+    """Run up to `trials` seeded tasks in trial order, stopping at a chunk
+    boundary once the relative standard error drops below REL_STOP."""
     if trials < 2:
         raise ValueError("trials must be >= 2")
-    children = _root_seed(seed).spawn(trials)
-    workers = workers or default_workers()
     values: list[float] = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        idx = 0
-        while idx < trials:
-            batch = list(enumerate(children[idx:idx + chunk], start=idx))
-            values.extend(pool.map(_guarded(per_trial), batch))
-            idx += len(batch)
-            if idx >= min_trials:
-                arr = np.asarray(values)
-                est = float(arr.mean())
-                se = float(arr.std(ddof=1)) / math.sqrt(arr.size)
-                if est > 0.0 and se / est < rel_stop:
-                    break
-    return np.asarray(values)
-
-
-def _guarded(per_trial):
-    def run(task):
-        i, child = task
+    for i, child in enumerate(seed_sequence(seed).spawn(trials)):
         try:
-            return per_trial(np.random.default_rng(child))
+            values.append(per_trial(np.random.default_rng(child)))
         except Exception as exc:
             raise RuntimeError(f"trial {i} failed: {exc}") from exc
-    return run
+        done = len(values)
+        if done >= MIN_TRIALS and done % CHUNK == 0:
+            arr = np.asarray(values)
+            est = float(arr.mean())
+            se = float(arr.std(ddof=1)) / math.sqrt(arr.size)
+            if est > 0.0 and se / est < REL_STOP:
+                break
+    return np.asarray(values)
 
 
 def _summarize(values: np.ndarray) -> MCResult:
@@ -112,8 +92,7 @@ def _summarize(values: np.ndarray) -> MCResult:
 
 
 def mc_w2sq_values(p: AtomicDistribution, sigma: float, n: int, trials: int,
-                   seed, tol: float = 1e-8,
-                   workers: int | None = None) -> np.ndarray:
+                   seed, tol: float = 1e-8) -> np.ndarray:
     """Per-trial W2^2(P_n * N(0, sigma^2), P * N(0, sigma^2)) values."""
     truth = SmoothedMixture(p, sigma)
 
@@ -122,18 +101,16 @@ def mc_w2sq_values(p: AtomicDistribution, sigma: float, n: int, trials: int,
         return transport.w2_squared(SmoothedMixture(emp, sigma), truth,
                                     tol=tol).total
 
-    return _run_trials(one, trials, seed, workers)
+    return _run_trials(one, trials, seed)
 
 
 def mc_expected_w2sq(p: AtomicDistribution, sigma: float, n: int, trials: int,
-                     seed, tol: float = 1e-8,
-                     workers: int | None = None) -> MCResult:
-    return _summarize(mc_w2sq_values(p, sigma, n, trials, seed, tol, workers))
+                     seed, tol: float = 1e-8) -> MCResult:
+    return _summarize(mc_w2sq_values(p, sigma, n, trials, seed, tol))
 
 
 def mc_expected_kl(p: AtomicDistribution, sigma: float, n: int, trials: int,
-                   seed, tol: float = 1e-10,
-                   workers: int | None = None) -> MCResult:
+                   seed, tol: float = 1e-10) -> MCResult:
     """Mean and stderr of KL(P_n * N || P * N) over seeded trials."""
     truth = SmoothedMixture(p, sigma)
 
@@ -142,7 +119,7 @@ def mc_expected_kl(p: AtomicDistribution, sigma: float, n: int, trials: int,
         return divergences.kl_divergence(SmoothedMixture(emp, sigma), truth,
                                          tol=tol)
 
-    return _summarize(_run_trials(one, trials, seed, workers))
+    return _summarize(_run_trials(one, trials, seed))
 
 
 def fit_rate(series: RateSeries) -> RateFit:
@@ -250,7 +227,7 @@ def scan_h(n: int, K: float, sigma: float, delta: float) -> float:
 
 
 def bernoulli_scan(K: float, sigma: float, epsilon: float, n_list, trials: int,
-                   seed, tol: float = 1e-8, workers: int | None = None):
+                   seed, tol: float = 1e-8):
     """Adaptive two-point scan: at each n the displacement h(n) is tuned so
     the smoothed-W2 error decays at the slow rate n^(-alpha-eps).
 
@@ -266,7 +243,7 @@ def bernoulli_scan(K: float, sigma: float, epsilon: float, n_list, trials: int,
     if delta >= min(0.5, 1.0 - 1.0 / (2.0 * K * K * z)):
         raise ValueError("epsilon too large: delta violates its admissible range")
     n_list = sorted(int(n) for n in n_list)
-    children = _root_seed(seed).spawn(len(n_list))
+    children = seed_sequence(seed).spawn(len(n_list))
     records = []
     w_points = []
     wsq_points = []
@@ -277,7 +254,7 @@ def bernoulli_scan(K: float, sigma: float, epsilon: float, n_list, trials: int,
         records.append(ScanRecord(n=n, h=h, t=t, p_h=p_h,
                                   feasible=bool(n * p_h >= 128.0)))
         p = constructions.bernoulli_two_point(h, K)
-        vals = mc_w2sq_values(p, sigma, n, trials, child, tol, workers)
+        vals = mc_w2sq_values(p, sigma, n, trials, child, tol)
         w = _summarize(np.sqrt(vals))
         wsq = _summarize(vals)
         w_points.append((n, w.estimate, w.stderr, w.trials))
@@ -289,8 +266,7 @@ def bernoulli_scan(K: float, sigma: float, epsilon: float, n_list, trials: int,
 
 
 def phase_scan(K_list, sigma: float, family: str, n_list, trials: int, seed,
-               epsilon: float = 0.02, h: float = 2.0, tol: float = 1e-8,
-               workers: int | None = None):
+               epsilon: float = 0.02, h: float = 2.0, tol: float = 1e-8):
     """Fitted E[W2^2] log-log slope for each K across the K = sigma boundary.
 
     family 'two_point' holds the displacement fixed at `h`; family 'bernoulli'
@@ -300,7 +276,7 @@ def phase_scan(K_list, sigma: float, family: str, n_list, trials: int, seed,
     if family not in ("two_point", "bernoulli"):
         raise ValueError("family must be 'two_point' or 'bernoulli'")
     K_list = list(K_list)
-    children = _root_seed(seed).spawn(max(len(K_list), 1))
+    children = seed_sequence(seed).spawn(max(len(K_list), 1))
     table = []
     for K, child in zip(K_list, children):
         if family == "two_point":
@@ -308,12 +284,12 @@ def phase_scan(K_list, sigma: float, family: str, n_list, trials: int, seed,
             grand = child.spawn(len(list(n_list)))
             pts = []
             for n, c in zip(sorted(int(v) for v in n_list), grand):
-                r = mc_expected_w2sq(p, sigma, n, trials, c, tol, workers)
+                r = mc_expected_w2sq(p, sigma, n, trials, c, tol)
                 pts.append((n, r.estimate, r.stderr, r.trials))
             fit = fit_rate(RateSeries(points=tuple(pts)))
         else:
             plan, _ = bernoulli_scan(K, sigma, epsilon, n_list, trials, child,
-                                     tol, workers)
+                                     tol)
             fit = fit_rate(plan.w2sq_series)
         table.append({"K": float(K), "slope": fit.slope,
                       "slope_stderr": fit.slope_stderr,

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import QuadratureError, adaptive_simpson
-from .dist_core import SmoothedMixture, SubgaussianProfile, EmpiricalMeasure
-
-LOG_MASS_EPS = math.log(1e-30)
+from .dist_core import (LOG_MASS_EPS, EmpiricalMeasure, SmoothedMixture,
+                        SubgaussianProfile)
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,6 @@ def _breakpoints(A: SmoothedMixture, B: SmoothedMixture, lo: float, hi: float):
 
 
 def w2_squared(A: SmoothedMixture, B: SmoothedMixture, tol: float = 1e-9,
-               log_mass_eps: float = LOG_MASS_EPS,
                with_noise_bound: bool = False) -> TransportEvaluation:
     """Squared Wasserstein-2 distance between two smoothed mixtures.
 
@@ -92,10 +90,10 @@ def w2_squared(A: SmoothedMixture, B: SmoothedMixture, tol: float = 1e-9,
     """
     if B.base.n_atoms > A.base.n_atoms:
         A, B = B, A
-    lo = float(A.quantile_from_log_mass(np.array([log_mass_eps]), upper=False)[0])
-    hi = float(A.quantile_from_log_mass(np.array([log_mass_eps]), upper=True)[0])
-    b_lo = float(B.quantile_from_log_mass(np.array([log_mass_eps]), upper=False)[0])
-    b_hi = float(B.quantile_from_log_mass(np.array([log_mass_eps]), upper=True)[0])
+    lo = float(A.quantile_from_log_mass(np.array([LOG_MASS_EPS]), upper=False)[0])
+    hi = float(A.quantile_from_log_mass(np.array([LOG_MASS_EPS]), upper=True)[0])
+    b_lo = float(B.quantile_from_log_mass(np.array([LOG_MASS_EPS]), upper=False)[0])
+    b_hi = float(B.quantile_from_log_mass(np.array([LOG_MASS_EPS]), upper=True)[0])
 
     def integrand(t):
         T, _ = _transport_map(A, B, t)

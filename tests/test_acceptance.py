@@ -7,15 +7,14 @@ from sotlab import acceptance
 
 @pytest.mark.parametrize("fn", acceptance.CRITERIA, ids=lambda f: f.__name__)
 def test_criterion_full(fn):
-    result = fn(quick=False, seed=acceptance.DEFAULT_SEED, workers=4)
+    result = fn(quick=False, seed=acceptance.DEFAULT_SEED)
     assert result.passed, \
         f"criterion {result.criterion} ({result.name}): {result.detail}"
 
 
 def test_quick_suite_under_two_minutes():
     start = time.monotonic()
-    results = acceptance.run_all(quick=True, seed=acceptance.DEFAULT_SEED,
-                                 workers=4)
+    results = acceptance.run_all(quick=True, seed=acceptance.DEFAULT_SEED)
     elapsed = time.monotonic() - start
     assert all(r.passed for r in results), [
         (r.criterion, r.detail) for r in results if not r.passed]

@@ -144,6 +144,6 @@ def test_tail_probe(runner, tmp_path):
 
 
 def test_accept_quick(runner):
-    res = runner.invoke(main, ["accept", "--quick", "--threads", "4"])
+    res = runner.invoke(main, ["accept", "--quick"])
     assert res.exit_code == 0, res.output
     assert "14/14 criteria passed" in res.output

@@ -57,6 +57,23 @@ def test_berry_esseen_event():
     assert fr.frequency == fr2.frequency
 
 
+def test_sibling_seed_sequences_give_different_statistics(std_normal):
+    # children spawned from one root differ only in their spawn_key
+    a, b = np.random.SeedSequence(7).spawn(2)
+    fa = conc.berry_esseen_event_frequency(3.0, 2.0, 1.0, 800, 50, a)
+    fb = conc.berry_esseen_event_frequency(3.0, 2.0, 1.0, 800, 50, b)
+    assert fa.frequency != fb.frequency
+    a, b = np.random.SeedSequence(7).spawn(2)
+    ra = conc.weighted_cdf_concentration(std_normal, 64, 0.1, 3, a)
+    rb = conc.weighted_cdf_concentration(std_normal, 64, 0.1, 3, b)
+    assert ra.statistics != rb.statistics
+    # an integer seed and its root sequence are the same seed
+    r7 = conc.weighted_cdf_concentration(std_normal, 64, 0.1, 3, 7)
+    root = conc.weighted_cdf_concentration(std_normal, 64, 0.1, 3,
+                                           np.random.SeedSequence(7))
+    assert r7.statistics == root.statistics
+
+
 def test_berry_esseen_guards():
     with pytest.raises(ValueError):
         conc.berry_esseen_event_frequency(0.5, 2.0, 1.0, 10_000, 10, 1)

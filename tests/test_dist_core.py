@@ -8,8 +8,7 @@ from scipy.special import log_ndtr
 
 from sotlab.dist_core import (AtomicDistribution, EmpiricalMeasure,
                               SmoothedMixture, gaussian_tail_bound_check,
-                              log1mexp, logdiffexp, mixture_cdf,
-                              mixture_log_pdf, mixture_quantile)
+                              log1mexp, logdiffexp, seed_sequence)
 
 from conftest import random_mixture
 
@@ -102,6 +101,14 @@ def test_sampling_deterministic(rng):
         m.sample(100, None)
 
 
+def test_seed_sequence_keeps_spawn_key():
+    child = np.random.SeedSequence(7).spawn(2)[1]
+    assert seed_sequence(child) is child
+    assert seed_sequence(7).entropy == 7 and seed_sequence(7).spawn_key == ()
+    with pytest.raises(ValueError):
+        seed_sequence(None)
+
+
 def test_atomic_validation():
     with pytest.raises(ValueError):
         AtomicDistribution.from_weights(np.array([1.0, 0.0]),
@@ -118,14 +125,6 @@ def test_empirical_measure_cdf():
     assert e.n == 3
     np.testing.assert_allclose(e.cdf(np.array([0.0, 1.0, 2.5, 5.0])),
                                [0.0, 1 / 3, 2 / 3, 1.0])
-
-
-def test_module_level_wrappers(std_normal):
-    t = np.array([0.5])
-    assert mixture_log_pdf(std_normal, t)[0] == std_normal.log_pdf(t)[0]
-    assert mixture_cdf(std_normal, t)[0] == std_normal.cdf(t)[0]
-    u = np.array([0.3])
-    assert mixture_quantile(std_normal, u)[0] == std_normal.quantile(u)[0]
 
 
 def test_gaussian_tail_bound():

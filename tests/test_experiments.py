@@ -53,10 +53,10 @@ def test_point_mass_trivials():
     assert kl.estimate <= 1e-10
 
 
-def test_mc_values_deterministic_and_workers_agree():
+def test_mc_values_deterministic():
     p = cons.bernoulli_two_point(2.0, 2.0)
-    v1 = exp.mc_w2sq_values(p, 1.0, 64, 8, 11, workers=1)
-    v2 = exp.mc_w2sq_values(p, 1.0, 64, 8, 11, workers=4)
+    v1 = exp.mc_w2sq_values(p, 1.0, 64, 8, 11)
+    v2 = exp.mc_w2sq_values(p, 1.0, 64, 8, 11)
     np.testing.assert_array_equal(v1, v2)
     assert np.all(v1 > 0)
 
@@ -100,7 +100,7 @@ def test_bernoulli_scan_plan():
 def test_phase_scan():
     assert exp.phase_scan([], 1.0, "two_point", (64, 128, 256), 8, 3) == []
     rows = exp.phase_scan([0.7], 1.0, "two_point", (128, 512, 2048), 60, 3,
-                          h=1.0, workers=4)
+                          h=1.0)
     assert len(rows) == 1
     assert -1.2 <= rows[0]["slope"] <= -0.7   # K < sigma: parametric regime
     with pytest.raises(ValueError):
