@@ -82,7 +82,9 @@ def _build_distribution(obj, path: str):
     if "atoms" in obj:
         try:
             return AtomicDistribution.from_json_obj(obj), None
-        except (ValueError, KeyError, TypeError) as exc:
+        except KeyError as exc:
+            raise ConfigError(f"{path}.atoms", f"missing key {exc}")
+        except (ValueError, TypeError) as exc:
             raise ConfigError(f"{path}.atoms", str(exc))
     family = _get(obj, "family", str, path=path,
                   choices={"two_point", "chi2_hard", "w2_schedule"})

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -82,6 +83,19 @@ def test_w2_csv_metadata(runner, tmp_path):
     assert lines[3].startswith("# config_sha256:")
     assert lines[4] == "w2sq,tail_bound,quad_error,n_eval"
     assert float(lines[5].split(",")[0]) > 0
+
+
+def test_w2_inline_atoms(runner, tmp_path):
+    golden = Path(__file__).parent / "golden" / "w2_inline_atoms.json"
+    res = runner.invoke(main, ["w2", "--config", str(golden)])
+    assert res.exit_code == 0, res.output
+    assert float(res.output.splitlines()[5].split(",")[0]) > 0
+    cfg = write_cfg(tmp_path, "c.json",
+                    {"A": {"atoms": [{"location": 0.0, "log_weight": 0.0}]},
+                     "B": {"atoms": [{"x": 1.0, "logw": 0.0}]}})
+    res = runner.invoke(main, ["w2", "--config", cfg])
+    assert res.exit_code == 2
+    assert "A.atoms: missing key 'x'" in res.output
 
 
 def test_rate_scan_deterministic(runner, tmp_path):

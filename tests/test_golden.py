@@ -2,12 +2,11 @@
 CLI at a fixed seed, and the sha256 of each output file must equal the
 recorded value. Any moved float, header or metadata line shows up here.
 
-After a change that is meant to move outputs, print the new hashes with
-`PYTHONPATH=src python tests/test_golden.py` and say in CHANGES.md why they
-moved.
+A failing case prints the new hashes next to the recorded ones; after a
+change that is meant to move outputs, record them and say in CHANGES.md why
+they moved.
 """
 import hashlib
-import tempfile
 from pathlib import Path
 
 import pytest
@@ -60,7 +59,7 @@ def _sha(path: Path):
 
 def run_case(name: str, workdir: Path):
     """Run one golden config; return (sha256 of --out, sha256 of .fit.json)."""
-    out = workdir / (name + ".out")
+    out = workdir / "out"
     res = CliRunner().invoke(main, [CASES[name][0], "--config",
                                     str(GOLDEN / name), "--out", str(out),
                                     "--seed", str(SEED)])
@@ -77,9 +76,3 @@ def test_golden_output(name, tmp_path):
     _, want_out, want_fit = CASES[name]
     assert run_case(name, tmp_path) == (want_out, want_fit)
 
-
-if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(CASES):
-            got = run_case(name, Path(tmp))
-            print(f"{name}: {got}")
