@@ -10,9 +10,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .dist_core import AtomicDistribution, SmoothedMixture, log1mexp
+from .dist_core import AtomicDistribution, SmoothedMixture, log1mexp, logsumexp
 
 _LOG_MIN_WEIGHT = math.log(1e-300)
 

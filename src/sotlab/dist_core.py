@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc, log_ndtr, logsumexp, ndtr
+from scipy.special import erfc, log_ndtr, ndtr
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -22,6 +22,33 @@ LOG_MASS_EPS = math.log(1e-30)
 
 # cap on (#grid points) x (#atoms) per vectorized block, to bound peak memory
 _BLOCK_BUDGET = 4_000_000
+
+
+def logsumexp(a, axis=None):
+    """scipy.special.logsumexp(a, axis) for real input, without scipy's
+    array-API dispatch. It runs scipy 1.17's operations in the same order, so
+    the bits are the same: the ties at the max are split off as
+    log1p(s/m) + log(m) + max, and where that is not finite the result is
+    log(sum(exp(a)))."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    axes = tuple(range(a.ndim)) if axis is None else axis
+    # np.add/np.maximum.reduce are what np.sum/np.max call, minus a wrapper
+    a_max = np.maximum.reduce(a, axis=axes, keepdims=True)
+    ties = a == a_max
+    m = np.add.reduce(ties, axis=axes, dtype=float, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.exp(a - a_max)
+        e[ties] = 0.0
+        # scipy keeps s where s == 0; s / m is the same there, as m >= 1
+        # wherever the max is not NaN
+        s = np.add.reduce(e, axis=axes, keepdims=True) / m
+        out = np.log1p(s) + np.log(m) + a_max
+    bad = ~np.isfinite(out)
+    if bad.any():
+        with np.errstate(divide="ignore", over="ignore"):
+            out[bad] = np.log(np.add.reduce(np.exp(a), axis=axes, keepdims=True))[bad]
+    out = out.squeeze(axis=axes)
+    return out[()] if out.ndim == 0 else out
 
 
 def log1mexp(x):
@@ -206,10 +233,14 @@ class EmpiricalMeasure:
 
 
 def seed_sequence(seed) -> np.random.SeedSequence:
-    """The one way a seed enters sotlab: a SeedSequence is returned as is
-    (spawn_key included); an integer seeds a new root sequence."""
+    """The one way a seed enters sotlab: a SeedSequence is copied (entropy,
+    spawn_key, pool size and children spawned so far), so spawning from the
+    result never advances the caller's object; an integer seeds a new root
+    sequence."""
     if isinstance(seed, np.random.SeedSequence):
-        return seed
+        return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key,
+                                      pool_size=seed.pool_size,
+                                      n_children_spawned=seed.n_children_spawned)
     if seed is None:
         raise ValueError("an explicit seed is required")
     return np.random.SeedSequence(int(seed))

@@ -13,11 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from ._quad import adaptive_simpson
 from .dist_core import (LOG_MASS_EPS, LOG_SQRT_2PI, AtomicDistribution,
-                        SmoothedMixture, log1mexp)
+                        SmoothedMixture, log1mexp, logsumexp)
 
 
 def _window(A: SmoothedMixture, B: SmoothedMixture):

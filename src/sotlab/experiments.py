@@ -8,6 +8,8 @@ boundary.
 
 Trials are independent tasks with seeds spawned from one splittable root and
 run in trial order, so a (config, seed) pair always produces the same floats.
+An empirical measure of a finite-support P only reweights P's atoms, so
+trials repeat; each MC call evaluates every distinct empirical measure once.
 """
 from __future__ import annotations
 
@@ -91,17 +93,32 @@ def _summarize(values: np.ndarray) -> MCResult:
                     values=tuple(float(v) for v in values))
 
 
+def _per_distinct_measure(p: AtomicDistribution, n: int, value):
+    """Trial function: draw P_n from the trial's generator and return
+    value(P_n), evaluated once per distinct P_n (keyed by its exact bytes)
+    for the life of the returned function."""
+    seen: dict = {}
+
+    def one(rng):
+        emp = p.sample(n, rng).to_atomic()
+        key = (emp.locations.tobytes(), emp.log_weights.tobytes())
+        if key not in seen:
+            seen[key] = value(emp)
+        return seen[key]
+
+    return one
+
+
 def mc_w2sq_values(p: AtomicDistribution, sigma: float, n: int, trials: int,
                    seed, tol: float = 1e-8) -> np.ndarray:
     """Per-trial W2^2(P_n * N(0, sigma^2), P * N(0, sigma^2)) values."""
     truth = SmoothedMixture(p, sigma)
 
-    def one(rng):
-        emp = p.sample(n, rng).to_atomic()
+    def w2sq(emp):
         return transport.w2_squared(SmoothedMixture(emp, sigma), truth,
                                     tol=tol).total
 
-    return _run_trials(one, trials, seed)
+    return _run_trials(_per_distinct_measure(p, n, w2sq), trials, seed)
 
 
 def mc_expected_w2sq(p: AtomicDistribution, sigma: float, n: int, trials: int,
@@ -114,12 +131,11 @@ def mc_expected_kl(p: AtomicDistribution, sigma: float, n: int, trials: int,
     """Mean and stderr of KL(P_n * N || P * N) over seeded trials."""
     truth = SmoothedMixture(p, sigma)
 
-    def one(rng):
-        emp = p.sample(n, rng).to_atomic()
+    def kl(emp):
         return divergences.kl_divergence(SmoothedMixture(emp, sigma), truth,
                                          tol=tol)
 
-    return _summarize(_run_trials(one, trials, seed))
+    return _summarize(_run_trials(_per_distinct_measure(p, n, kl), trials, seed))
 
 
 def fit_rate(series: RateSeries) -> RateFit:

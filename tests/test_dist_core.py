@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import special
 from scipy.special import log_ndtr
 
 from sotlab.dist_core import (AtomicDistribution, EmpiricalMeasure,
                               SmoothedMixture, gaussian_tail_bound_check,
-                              log1mexp, logdiffexp, seed_sequence)
+                              log1mexp, logdiffexp, logsumexp, seed_sequence)
 
 from conftest import random_mixture
 
@@ -24,6 +26,26 @@ def test_log1mexp_and_logdiffexp():
     got = logdiffexp(la, lb)
     assert got[1] == -math.inf
     assert math.isclose(math.exp(got[0]), 1.0 - math.exp(-1.0), rel_tol=1e-12)
+
+
+# magnitudes up to 800, infinities, and a few repeated values so rows tie at
+# their max; rows may be one column wide
+lse_rows = hnp.arrays(
+    float, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=9),
+    elements=st.one_of(st.floats(-800.0, 800.0),
+                       st.sampled_from([-math.inf, math.inf, 0.0, 2.5, -745.0])))
+
+
+@settings(max_examples=400, deadline=None)
+@given(lse_rows, st.integers(0, 8), st.booleans())
+def test_logsumexp_matches_scipy_bitwise(a, row, blank_row):
+    if blank_row:
+        a[row % a.shape[0]] = -math.inf
+    for axis in (1, None):
+        want = np.asarray(special.logsumexp(a, axis=axis))
+        got = np.asarray(logsumexp(a, axis=axis))
+        assert got.shape == want.shape
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 @settings(max_examples=25, deadline=None)
@@ -106,7 +128,12 @@ def test_sampling_deterministic(rng):
 
 def test_seed_sequence_keeps_spawn_key():
     child = np.random.SeedSequence(7).spawn(2)[1]
-    assert seed_sequence(child) is child
+    child.spawn(3)
+    copy = seed_sequence(child)
+    assert copy is not child
+    assert (copy.entropy, copy.spawn_key, copy.pool_size, copy.n_children_spawned) \
+        == (child.entropy, child.spawn_key, child.pool_size, 3)
+    assert copy.spawn(1)[0].spawn_key == child.spawn(1)[0].spawn_key
     assert seed_sequence(7).entropy == 7 and seed_sequence(7).spawn_key == ()
     with pytest.raises(ValueError):
         seed_sequence(None)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from sotlab import constructions as cons
+from sotlab import divergences, transport
 from sotlab import experiments as exp
-from sotlab.dist_core import AtomicDistribution
+from sotlab.dist_core import AtomicDistribution, SmoothedMixture
 
 
 def point_mass():
@@ -59,6 +60,71 @@ def test_mc_values_deterministic():
     v2 = exp.mc_w2sq_values(p, 1.0, 64, 8, 11)
     np.testing.assert_array_equal(v1, v2)
     assert np.all(v1 > 0)
+
+
+def test_mc_values_leave_a_seed_sequence_unspawned():
+    p = cons.bernoulli_two_point(2.0, 2.0)
+    ss = np.random.SeedSequence(11)
+    v1 = exp.mc_w2sq_values(p, 1.0, 64, 8, ss)
+    v2 = exp.mc_w2sq_values(p, 1.0, 64, 8, ss)
+    np.testing.assert_array_equal(v1, v2)
+    assert ss.n_children_spawned == 0
+
+
+def _uncached_trials(p, sigma, n, trials, seed, value):
+    """The MC loop with no cache: value(P_n * N) on every trial's own draw.
+    Also returns the distinct empirical measures the trials drew."""
+    keys = []
+
+    def one(rng):
+        emp = p.sample(n, rng).to_atomic()
+        keys.append((emp.locations.tobytes(), emp.log_weights.tobytes()))
+        return value(SmoothedMixture(emp, sigma))
+
+    return exp._run_trials(one, trials, seed), len(set(keys))
+
+
+def _counted(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("h, K, n, trials, seed, stops_early", [
+    (2.0, 2.0, 8, 40, 11, False),     # 9 possible counts: trials repeat
+    (2.0, 0.5, 16, 75, 3, True),      # no trial sees the spike: se = 0 at 50
+])
+def test_w2_cache_matches_uncached_trials(monkeypatch, h, K, n, trials, seed,
+                                          stops_early):
+    p = cons.bernoulli_two_point(h, K)
+    truth = SmoothedMixture(p, 1.0)
+    want, distinct = _uncached_trials(
+        p, 1.0, n, trials, seed,
+        lambda A: transport.w2_squared(A, truth, tol=1e-8).total)
+    calls = _counted(monkeypatch, transport, "w2_squared")
+    got = exp.mc_w2sq_values(p, 1.0, n, trials, seed)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert len(calls) == distinct < got.size
+    assert (got.size < trials) == stops_early
+
+
+def test_kl_cache_matches_uncached_trials(monkeypatch):
+    p = cons.bernoulli_two_point(2.0, 2.0)
+    truth = SmoothedMixture(p, 1.0)
+    want, distinct = _uncached_trials(
+        p, 1.0, 8, 30, 5,
+        lambda A: divergences.kl_divergence(A, truth, tol=1e-10))
+    calls = _counted(monkeypatch, divergences, "kl_divergence")
+    got = exp.mc_expected_kl(p, 1.0, 8, 30, 5)
+    assert np.array(got.values).view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert got.trials == want.size == 30
+    assert len(calls) == distinct < got.trials
 
 
 def test_expected_w2sq_decreases_with_n():
