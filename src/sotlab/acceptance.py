@@ -117,12 +117,8 @@ def check_4_parametric_rate(quick=False, seed=20260823):
     p = constructions.bernoulli_two_point(2.0, 0.5)
     n_list = [128, 512, 2048, 8192] if quick else [128, 256, 512, 1024, 2048, 4096, 8192]
     trials = 60 if quick else 200
-    children = np.random.SeedSequence(seed).spawn(len(n_list))
-    pts = []
-    for n, c in zip(n_list, children):
-        r = experiments.mc_expected_w2sq(p, 1.0, n, trials, c)
-        pts.append((n, r.estimate, r.stderr, r.trials))
-    fit = experiments.fit_rate(experiments.RateSeries(points=tuple(pts)))
+    fit = experiments.fit_rate(experiments.rate_series(
+        experiments.mc_expected_w2sq, p, 1.0, n_list, trials, seed))
     ok = abs(fit.slope - (-1.0)) <= 0.15
     return _result(4, "parametric E[W2^2] rate (K < sigma)", ok,
                    f"slope = {fit.slope:.4f} +- {fit.slope_stderr:.4f} "
@@ -179,19 +175,17 @@ def check_7_soft_covering(quick=False, seed=20260823):
                            children[0]),
                           (constructions.bernoulli_two_point(2.0, 2.0), "K>sigma",
                            children[1])]:
-        grand = child.spawn(len(n_list))
-        pts = []
-        for n, c in zip(n_list, grand):
+        series = experiments.rate_series(experiments.mc_expected_kl, p, 1.0,
+                                         n_list, trials, child)
+        for n, kl, se, _ in series.points:
             lam = 2.0 - 1.0 / math.log(n)
             I = divergences.renyi_mutual_information(p, 1.0, lam).value
             bound = divergences.soft_covering_kl_bound(I, lam, n)
-            r = experiments.mc_expected_kl(p, 1.0, n, trials, c)
-            pts.append((n, r.estimate, r.stderr, r.trials))
-            if r.estimate > bound + 3.0 * r.stderr:
+            if kl > bound + 3.0 * se:
                 ok = False
-                msgs.append(f"{tag} n={n}: E[KL] {r.estimate:.3e} > bound "
+                msgs.append(f"{tag} n={n}: E[KL] {kl:.3e} > bound "
                             f"{bound:.3e} + 3SE")
-        fit = experiments.fit_rate(experiments.RateSeries(points=tuple(pts)))
+        fit = experiments.fit_rate(series)
         if not (-1.25 <= fit.slope <= -0.80):
             ok = False
         msgs.append(f"{tag} slope {fit.slope:.3f}")

@@ -7,7 +7,6 @@ through log_ndtr / erfc rather than 1 - ndtr.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -176,13 +175,6 @@ class AtomicDistribution:
         logw = np.array([a["logw"] for a in atoms], dtype=float)
         order = np.argsort(locs)
         return cls(locs[order], logw[order])
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
-    @classmethod
-    def from_json(cls, s: str) -> "AtomicDistribution":
-        return cls.from_json_obj(json.loads(s))
 
 
 @dataclass(frozen=True)

@@ -88,7 +88,9 @@ def _run_trials(per_trial, trials: int, seed) -> np.ndarray:
 
 def _summarize(values: np.ndarray) -> MCResult:
     est = float(values.mean())
-    se = float(values.std(ddof=1)) / math.sqrt(values.size)
+    # equal values have stderr exactly 0; std() of them can round to ~1e-22
+    se = (0.0 if np.all(values == values[0])
+          else float(values.std(ddof=1)) / math.sqrt(values.size))
     return MCResult(estimate=est, stderr=se, trials=int(values.size),
                     values=tuple(float(v) for v in values))
 
@@ -138,11 +140,26 @@ def mc_expected_kl(p: AtomicDistribution, sigma: float, n: int, trials: int,
     return _summarize(_run_trials(_per_distinct_measure(p, n, kl), trials, seed))
 
 
+def rate_series(mc, p: AtomicDistribution, sigma: float, n_list, trials: int,
+                seed, tol: float | None = None) -> RateSeries:
+    """Run `mc` (mc_expected_w2sq or mc_expected_kl) at each n of `n_list`
+    in increasing order, each n with its own child of `seed`; `tol` goes to
+    every call, and None keeps the estimator's default."""
+    ns = sorted(int(n) for n in n_list)
+    kw = {} if tol is None else {"tol": tol}
+    pts = []
+    for n, child in zip(ns, seed_sequence(seed).spawn(len(ns))):
+        r = mc(p, sigma, n, trials, child, **kw)
+        pts.append((n, r.estimate, r.stderr, r.trials))
+    return RateSeries(points=tuple(pts))
+
+
 def fit_rate(series: RateSeries) -> RateFit:
     """Weighted least squares of log(estimate) on log(n).
 
     Weights are 1/(stderr/estimate)^2, the inverse variance of log(estimate)
-    to first order; exact points (stderr 0) get a large capped weight.
+    to first order. A point with stderr 0 (every trial gave the same value)
+    has no such variance, so it is an error rather than an infinite weight.
     """
     pts = series.points
     if len(pts) < 3:
@@ -150,9 +167,13 @@ def fit_rate(series: RateSeries) -> RateFit:
     bad = [i for i, q in enumerate(pts) if q[1] <= 0.0]
     if bad:
         raise ValueError(f"nonpositive estimates at indices {bad}")
+    exact = [q[0] for q in pts if q[2] == 0.0]
+    if exact:
+        raise ValueError(f"stderr 0 at n = {exact}: every trial gave the same "
+                         "value, so the fit has no weight for it")
     x = np.log([q[0] for q in pts])
     y = np.log([q[1] for q in pts])
-    rel = np.array([max(q[2] / q[1], 1e-12) for q in pts])
+    rel = np.array([q[2] / q[1] for q in pts])
     w = 1.0 / rel ** 2
     sw = w.sum()
     xbar = (w * x).sum() / sw
@@ -297,12 +318,8 @@ def phase_scan(K_list, sigma: float, family: str, n_list, trials: int, seed,
     for K, child in zip(K_list, children):
         if family == "two_point":
             p = constructions.bernoulli_two_point(h, K)
-            grand = child.spawn(len(list(n_list)))
-            pts = []
-            for n, c in zip(sorted(int(v) for v in n_list), grand):
-                r = mc_expected_w2sq(p, sigma, n, trials, c, tol)
-                pts.append((n, r.estimate, r.stderr, r.trials))
-            fit = fit_rate(RateSeries(points=tuple(pts)))
+            fit = fit_rate(rate_series(mc_expected_w2sq, p, sigma, n_list,
+                                       trials, child, tol))
         else:
             plan, _ = bernoulli_scan(K, sigma, epsilon, n_list, trials, child,
                                      tol)

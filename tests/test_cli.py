@@ -114,6 +114,32 @@ def test_rate_scan_deterministic(runner, tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("family", ["kl", "two_point"])
+def test_rate_scan_tol_reaches_estimator(runner, tmp_path, family):
+    rows = []
+    for extra in ({}, {"tol": 1e-4}):
+        cfg = write_cfg(tmp_path, "c.json",
+                        {"family": family, "K": 2.0, "h": 2.0,
+                         "n_list": [64, 128, 256], "trials": 4, **extra})
+        res = runner.invoke(main, ["rate-scan", "--config", cfg, "--seed", "7"])
+        assert res.exit_code == 0, res.output
+        rows.append([l for l in res.output.splitlines()
+                     if not l.startswith("#")])
+    assert rows[0][0] == rows[1][0] == "metric,n,estimate,stderr,trials"
+    assert rows[0][1:] != rows[1][1:]
+
+
+def test_rate_scan_zero_stderr_exits_3(runner, tmp_path):
+    # every trial at n = 64 and n = 256 draws no h-atom, so those points have
+    # stderr 0 and cannot be weighted in the rate fit
+    cfg = write_cfg(tmp_path, "c.json",
+                    {"family": "kl", "K": 0.5, "h": 2.0,
+                     "n_list": [64, 128, 256], "trials": 4})
+    res = runner.invoke(main, ["rate-scan", "--config", cfg, "--seed", "7"])
+    assert res.exit_code == 3
+    assert "numeric failure: stderr 0 at n = [64, 256]" in res.output
+
+
 def test_cli_seed_overrides_config(runner, tmp_path):
     cfg = write_cfg(tmp_path, "c.json",
                     {"family": "two_point", "K": 2.0, "h": 2.0,
@@ -155,6 +181,16 @@ def test_tail_probe(runner, tmp_path):
     res = runner.invoke(main, ["tail-probe", "--config", cfg])
     assert res.exit_code == 0
     assert "# M_hat:" in res.output
+
+
+@pytest.mark.parametrize("K", [0.0, -1.0])
+def test_tail_probe_nonpositive_K_exits_2(runner, tmp_path, K):
+    cfg = write_cfg(tmp_path, "c.json",
+                    {"dist": {"family": "two_point", "h": 4.0, "K": 2.0},
+                     "K": K, "epsilon": 0.1, "kind": "upper", "r_max": 8.0})
+    res = runner.invoke(main, ["tail-probe", "--config", cfg])
+    assert res.exit_code == 2
+    assert "config error at K: K must be positive" in res.output
 
 
 def test_accept_quick(runner):

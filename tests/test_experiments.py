@@ -47,6 +47,16 @@ def test_fit_rate_guards():
     assert "1" in str(ei.value)
 
 
+def test_zero_stderr_point_is_an_error():
+    # numpy's std(ddof=1) of these 60 equal values is 8.5e-22, not 0
+    res = exp._summarize(np.full(60, 2.47347511858429e-06))
+    assert res.stderr == 0.0
+    series = exp.RateSeries(points=((64, 1.0, 0.0, 4), (128, 0.5, 0.1, 4),
+                                    (256, 0.25, 0.0, 4)))
+    with pytest.raises(ValueError, match=r"stderr 0 at n = \[64, 256\]"):
+        exp.fit_rate(series)
+
+
 def test_point_mass_trivials():
     res = exp.mc_expected_w2sq(point_mass(), 1.0, 32, 8, 7)
     assert res.estimate <= 1e-12
