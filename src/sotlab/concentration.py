@@ -58,13 +58,9 @@ def weighted_concentration_bound(n: int, delta: float) -> float:
     return 16.0 / math.sqrt(n) * math.log(2.0 * n / delta)
 
 
-def _statistic_grid(F: SmoothedMixture, samples: np.ndarray, n: int) -> np.ndarray:
-    pts = np.sort(samples)
-    mids = 0.5 * (pts[:-1] + pts[1:]) if pts.size > 1 else np.empty(0)
-    anchors = F.quantile(np.arange(1, 2 * n) / (2.0 * n))
-    lo = min(pts[0], anchors[0]) - 1.0
-    hi = max(pts[-1], anchors[-1]) + 1.0
-    return np.unique(np.concatenate([pts, mids, anchors, [lo, hi]]))
+def _anchors(F: SmoothedMixture, n: int) -> np.ndarray:
+    """The quantile anchors {F^{-1}(k/2n) : k = 1 .. 2n-1}."""
+    return F.quantile(np.arange(1, 2 * n) / (2.0 * n))
 
 
 def weighted_cdf_statistic(F: SmoothedMixture, sample, n: int | None = None) -> float:
@@ -79,14 +75,24 @@ def weighted_cdf_statistic(F: SmoothedMixture, sample, n: int | None = None) -> 
     if isinstance(sample, EmpiricalMeasure):
         if n is None:
             n = sample.n
-        pts_src = sample.samples
     elif isinstance(sample, SmoothedMixture):
         if n is None:
             raise ValueError("n is required for a smoothed-mixture sample")
-        pts_src = sample.base.locations
     else:
         raise TypeError("sample must be an EmpiricalMeasure or SmoothedMixture")
-    grid = _statistic_grid(F, np.asarray(pts_src, dtype=float), n)
+    return _statistic(F, sample, n, _anchors(F, n))
+
+
+def _statistic(F: SmoothedMixture, sample, n: int, anchors: np.ndarray) -> float:
+    """weighted_cdf_statistic with its quantile anchors given."""
+    if isinstance(sample, EmpiricalMeasure):
+        pts = np.sort(sample.samples)
+    else:
+        pts = np.sort(sample.base.locations)
+    mids = 0.5 * (pts[:-1] + pts[1:]) if pts.size > 1 else np.empty(0)
+    lo = min(pts[0], anchors[0]) - 1.0
+    hi = max(pts[-1], anchors[-1]) + 1.0
+    grid = np.unique(np.concatenate([pts, mids, anchors, [lo, hi]]))
     Ft = F.cdf(grid)
     if isinstance(sample, EmpiricalMeasure):
         right = np.searchsorted(sample.samples, grid, side="right") / n
@@ -105,8 +111,9 @@ def weighted_cdf_concentration(F: SmoothedMixture, n: int, delta: float,
     if replications < 1:
         raise ValueError("replications must be >= 1")
     bound = weighted_concentration_bound(n, delta)
+    anchors = _anchors(F, n)
     children = seed_sequence(seed).spawn(replications)
-    stats = [weighted_cdf_statistic(F, F.sample(n, np.random.default_rng(c)))
+    stats = [_statistic(F, F.sample(n, np.random.default_rng(c)), n, anchors)
              for c in children]
     stats = np.asarray(stats)
     violations = stats > bound

@@ -19,6 +19,10 @@ LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # divergence quadrature windows
 LOG_MASS_EPS = math.log(1e-30)
 
+# a log F or log S below this is the smaller of the two: F + S = 1, and the
+# log-space error of either is ~1e-15
+_LOG_HALF_DECIDED = math.log(0.5) - 1e-6
+
 # cap on (#grid points) x (#atoms) per vectorized block, to bound peak memory
 _BLOCK_BUDGET = 4_000_000
 
@@ -251,6 +255,11 @@ class SmoothedMixture:
     Density, CDF, survival function and their logs are evaluated per atom in
     log-space; the quantile solver inverts log-mass directly so that tail
     quantiles keep full relative precision.
+
+    Side rule: cdf, sf and the W2 transport map use whichever of log F and
+    log S is smaller at a point (log F on ties). The kernel evaluates log F
+    at points at or below the base mean and log S above it, and the other
+    side only where that first value is not below log(1/2) - 1e-6.
     """
 
     base: AtomicDistribution
@@ -294,15 +303,42 @@ class SmoothedMixture:
     def log_sf(self, t):
         return self._atom_logsum(t, "sf")
 
+    def _log_sides(self, t):
+        """(lower, lc, ls) for points t, with lower == (log_cdf(t) <=
+        log_sf(t)) bit for bit.
+
+        Each point first gets one side: log F if t <= the base mean, else
+        log S. A value below log(1/2) - 1e-6 is the smaller side (F + S = 1
+        and the log-space error is ~1e-15), so the other side is evaluated
+        only where the first value is not below that cut, NaN included.
+        Where it was skipped it holds 0 (log 1), which lies above the
+        evaluated side and so orders the pair as the full evaluation would;
+        the side that lower selects is always evaluated.
+        """
+        t = np.asarray(t, dtype=float)
+        lc = np.zeros(t.shape)
+        ls = np.zeros(t.shape)
+        below = t <= self.base.mean()
+        above = ~below
+        if np.any(below):
+            lc[below] = self.log_cdf(t[below])
+        if np.any(above):
+            ls[above] = self.log_sf(t[above])
+        undecided = ~(np.minimum(lc, ls) < _LOG_HALF_DECIDED)
+        for side, log_side, on in ((ls, self.log_sf, below),
+                                   (lc, self.log_cdf, above)):
+            todo = on & undecided
+            if np.any(todo):
+                side[todo] = log_side(t[todo])
+        return lc <= ls, lc, ls
+
     def cdf(self, t):
         """F(t), with erfc-level relative accuracy in the lower tail."""
-        lc = self.log_cdf(t)
-        ls = self.log_sf(t)
-        return np.where(lc <= ls, np.exp(lc), -np.expm1(ls))
+        lower, lc, ls = self._log_sides(t)
+        return np.where(lower, np.exp(lc), -np.expm1(ls))
 
     def sf(self, t):
-        lc = self.log_cdf(t)
-        ls = self.log_sf(t)
+        _, lc, ls = self._log_sides(t)
         return np.where(ls <= lc, np.exp(ls), -np.expm1(lc))
 
     # -- quantiles -------------------------------------------------------------

@@ -38,26 +38,19 @@ class TransportEvaluation:
 
 
 def _transport_map(A: SmoothedMixture, B: SmoothedMixture, t: np.ndarray):
-    """T(t) = F_B^{-1}(F_A(t)) plus a bound on its numerical error.
+    """T(t) = F_B^{-1}(F_A(t)), with the side each t was inverted on and its
+    log-mass.
 
     Inverts on the better-conditioned side of B (CDF below A's median mass,
     survival above), so deep-tail transport keeps relative mass accuracy.
     """
-    la = A.log_cdf(t)
-    ls = A.log_sf(t)
-    lower = la <= ls
+    lower, la, ls = A._log_sides(t)
     T = np.empty(t.shape, dtype=float)
     if np.any(lower):
         T[lower] = B.quantile_from_log_mass(la[lower], upper=False)
     if np.any(~lower):
         T[~lower] = B.quantile_from_log_mass(ls[~lower], upper=True)
-    # solver stops at |log-mass residual| <= 1e-13 or an absolute bracket;
-    # translate both into a displacement error bound
-    log_mass = np.where(lower, la, ls)
-    with np.errstate(over="ignore"):
-        dT = 1e-13 * np.exp(np.minimum(log_mass - B.log_pdf(T), 700.0)) \
-            + 1e-13 * (1.0 + np.abs(T))
-    return T, dT
+    return T, lower, np.where(lower, la, ls)
 
 
 def _breakpoints(A: SmoothedMixture, B: SmoothedMixture, lo: float, hi: float):
@@ -96,7 +89,7 @@ def w2_squared(A: SmoothedMixture, B: SmoothedMixture, tol: float = 1e-9,
     b_hi = float(B.quantile_from_log_mass(np.array([LOG_MASS_EPS]), upper=True)[0])
 
     def integrand(t):
-        T, _ = _transport_map(A, B, t)
+        T = _transport_map(A, B, t)[0]
         return np.exp(A.log_pdf(t)) * (T - t) ** 2
 
     res = adaptive_simpson(integrand, _breakpoints(A, B, lo, hi), tol)
@@ -113,7 +106,12 @@ def w2_squared(A: SmoothedMixture, B: SmoothedMixture, tol: float = 1e-9,
     noise = 0.0
     if with_noise_bound:
         grid = np.linspace(lo, hi, 257)
-        T, dT = _transport_map(A, B, grid)
+        T, _, log_mass = _transport_map(A, B, grid)
+        # the solver stops at |log-mass residual| <= 1e-13 or an absolute
+        # bracket; translate both into a displacement error bound
+        with np.errstate(over="ignore"):
+            dT = 1e-13 * np.exp(np.minimum(log_mass - B.log_pdf(T), 700.0)) \
+                + 1e-13 * (1.0 + np.abs(T))
         dens = np.exp(A.log_pdf(grid))
         point = dens * (2.0 * np.abs(T - grid) * dT + dT * dT)
         noise = 4.0 * float(np.trapezoid(point, grid))
@@ -181,7 +179,7 @@ def displacement_bound_check(P: SmoothedMixture, Q: SmoothedMixture,
     L = float(np.max(np.abs(P.cdf(grid) - Q.cdf(grid))))
     rho_floor = float(np.exp(np.min(P.log_pdf(grid))))
     delta = L / rho_floor if rho_floor > 0 else math.inf
-    T, _ = _transport_map(P, Q, np.array([float(t)]))
+    T = _transport_map(P, Q, np.array([float(t)]))[0]
     disp = float(abs(T[0] - t))
     if delta > h:
         return DisplacementReport(False, L, rho_floor, delta, disp, False)
@@ -224,7 +222,7 @@ def truncation_bound_check(P_profile: SubgaussianProfile,
     K2, C2 = Q_profile.K, Q_profile.C
     k1t = K1 * math.sqrt(2.0 * math.log(2.0 * C1))
     x = np.asarray(x_grid, dtype=float)
-    T, _ = _transport_map(P, Q, x)
+    T = _transport_map(P, Q, x)[0]
     s = np.abs(x) + 2.0 + k1t
     k2t = K2 * s + K2 * np.sqrt(np.maximum(2.0 * np.log(4.0 * s * C2), 0.0))
     bound = 2.0 * np.abs(x) + 2.0 + k1t + k2t

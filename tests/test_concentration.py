@@ -39,6 +39,19 @@ def test_weighted_concentration_rate(std_normal):
     assert rep.statistics == rep2.statistics
 
 
+def test_concentration_statistics_match_single_calls():
+    """The anchors solved once per call give each replication the statistic
+    a call of its own gives, bit for bit."""
+    F = SmoothedMixture(AtomicDistribution.from_weights(
+        np.array([-1.0, 0.5, 3.0]), np.array([0.2, 0.5, 0.3])), 0.8)
+    rep = conc.weighted_cdf_concentration(F, 96, 0.1, 6, 17)
+    children = np.random.SeedSequence(17).spawn(6)
+    want = [conc.weighted_cdf_statistic(F, F.sample(96, np.random.default_rng(c)))
+            for c in children]
+    assert np.array(rep.statistics).view(np.int64).tolist() == \
+        np.array(want).view(np.int64).tolist()
+
+
 def test_smoothed_sample_variant(std_normal):
     emp = std_normal.sample(64, 9).to_atomic()
     s = conc.weighted_cdf_statistic(std_normal, SmoothedMixture(emp, 1.0),

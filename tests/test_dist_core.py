@@ -11,6 +11,7 @@ from scipy.special import log_ndtr
 from sotlab.dist_core import (AtomicDistribution, EmpiricalMeasure,
                               SmoothedMixture, gaussian_tail_bound_check,
                               log1mexp, logdiffexp, logsumexp, seed_sequence)
+from sotlab.transport import _transport_map
 
 from conftest import random_mixture
 
@@ -81,6 +82,51 @@ def test_translation_equivariance(m, c):
     u = np.array([0.05, 0.3, 0.5, 0.9])
     np.testing.assert_allclose(shifted.quantile(u), m.quantile(u) + c,
                                rtol=0, atol=1e-9 * (1 + abs(c)))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64).tolist()
+
+
+# 1-64 atoms spread over a range that grows with their count, so most
+# mixtures have a mean away from their median
+wide_mixtures = st.builds(
+    lambda seed, n, sigma: random_mixture(np.random.default_rng(seed), n,
+                                          sigma, span=max(4.0, n / 4.0)),
+    st.integers(0, 10_000), st.integers(1, 64), st.floats(0.3, 2.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_mixtures, mixtures,
+       st.lists(st.floats(-1.0, 1.0), min_size=0, max_size=12))
+def test_one_sided_log_mass_matches_both_sides_bitwise(m, B, offsets):
+    """cdf, sf and the transport map's side and T equal the formulas that
+    evaluate log F and log S at every point."""
+    locs, s = m.base.locations, m.sigma
+    centers = np.array([m.base.mean(), m.median()])
+    t = np.concatenate([
+        centers, np.nextafter(centers, -np.inf), np.nextafter(centers, np.inf),
+        centers - 1e-7 * s, centers + 1e-7 * s, [centers.mean()],
+        [locs[0] - 38.0 * s, locs[0] - 12.0 * s, locs[-1] + 12.0 * s,
+         locs[-1] + 38.0 * s],
+        centers[0] + np.asarray(offsets) * (locs[-1] - locs[0] + 12.0 * s)])
+    # a scalar gives a 0-d array, as before; NaN gets both sides
+    for x in (t, t.reshape(-1, 1), float(centers[0]), np.array([np.nan, 0.0])):
+        lc, ls = m.log_cdf(x), m.log_sf(x)
+        got_cdf, got_sf = m.cdf(x), m.sf(x)
+        assert np.shape(got_cdf) == np.shape(got_sf) == np.shape(x)
+        assert _bits(got_cdf) == _bits(np.where(lc <= ls, np.exp(lc),
+                                                -np.expm1(ls)))
+        assert _bits(got_sf) == _bits(np.where(ls <= lc, np.exp(ls),
+                                               -np.expm1(lc)))
+    lc, ls = m.log_cdf(t), m.log_sf(t)
+    lower = lc <= ls
+    want_T = np.empty(t.shape)
+    want_T[lower] = B.quantile_from_log_mass(lc[lower], upper=False)
+    want_T[~lower] = B.quantile_from_log_mass(ls[~lower], upper=True)
+    T, got_lower, _ = _transport_map(m, B, t)
+    assert got_lower.tolist() == lower.tolist()
+    assert _bits(T) == _bits(want_T)
 
 
 def test_duplicate_atom_merge_preserves_density():
