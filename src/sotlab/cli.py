@@ -53,7 +53,7 @@ def _load_config(path: str) -> tuple[dict, str]:
 
 
 def _get(cfg: dict, field: str, typ, required: bool = True, default=None,
-         choices=None, path: str = ""):
+         choices=None, minimum=None, path: str = ""):
     loc = f"{path}.{field}" if path else field
     if field not in cfg:
         if required:
@@ -67,6 +67,8 @@ def _get(cfg: dict, field: str, typ, required: bool = True, default=None,
                                f"got {type(v).__name__}")
     if choices is not None and v not in choices:
         raise ConfigError(loc, f"must be one of {sorted(choices)}")
+    if minimum is not None and v < minimum:
+        raise ConfigError(loc, f"must be >= {minimum}")
     return v
 
 
@@ -257,7 +259,7 @@ def rate_scan(cfg, seed, out_path):
     n_list = _get(cfg, "n_list", list)
     if not n_list or not all(isinstance(n, int) and n > 1 for n in n_list):
         raise ConfigError("n_list", "expected a list of integers > 1")
-    trials = _get(cfg, "trials", int, required=False, default=200)
+    trials = _get(cfg, "trials", int, required=False, default=200, minimum=2)
     # the estimator's own default: mc_expected_kl's, or mc_expected_w2sq's
     tol = _get(cfg, "tol", float, required=False,
                default=1e-10 if family == "kl" else 1e-8)
@@ -296,9 +298,9 @@ def concentration_cmd(cfg, seed, out_path):
     """Weighted CDF statistic replications or gap-event frequencies."""
     mode = _get(cfg, "mode", str, choices={"weighted", "berry_esseen", "gap"})
     if mode == "weighted":
-        n = _get(cfg, "n", int)
+        n = _get(cfg, "n", int, minimum=1)
         delta = _get(cfg, "delta", float)
-        reps = _get(cfg, "replications", int)
+        reps = _get(cfg, "replications", int, minimum=1)
         dist_cfg = _get(cfg, "dist", dict, required=False)
         sigma = _sigma(cfg)
         if dist_cfg is not None:
@@ -317,7 +319,7 @@ def concentration_cmd(cfg, seed, out_path):
         K = _get(cfg, "K", float)
         sigma = _sigma(cfg)
         n = _get(cfg, "n", int)
-        reps = _get(cfg, "replications", int)
+        reps = _get(cfg, "replications", int, minimum=1)
         fr = concentration.berry_esseen_event_frequency(h, K, sigma, n, reps,
                                                         seed)
     else:
@@ -325,7 +327,7 @@ def concentration_cmd(cfg, seed, out_path):
         sigma = _sigma(cfg)
         k_max = _get(cfg, "k_max", int, required=False, default=4)
         k = _get(cfg, "k", int)
-        reps = _get(cfg, "replications", int)
+        reps = _get(cfg, "replications", int, minimum=1)
         n = _get(cfg, "n", int, required=False)
         dist, schedule = constructions.w2_hard_example(K, sigma, k_max)
         fr = concentration.schedule_gap_dominance(schedule, dist, sigma, k,
@@ -349,7 +351,8 @@ def tail_probe(cfg, seed, out_path):
     kind = _get(cfg, "kind", str, choices={"upper", "lower"})
     r_min = _get(cfg, "r_min", float, required=False, default=0.0)
     r_max = _get(cfg, "r_max", float)
-    points = _get(cfg, "r_points", int, required=False, default=101)
+    points = _get(cfg, "r_points", int, required=False, default=101,
+                  minimum=1)
     try:
         profile = SubgaussianProfile(K=K)
     except ValueError as exc:

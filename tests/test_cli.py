@@ -193,6 +193,26 @@ def test_tail_probe_nonpositive_K_exits_2(runner, tmp_path, K):
     assert "config error at K: K must be positive" in res.output
 
 
+@pytest.mark.parametrize("command,cfg,field", [
+    ("rate-scan", {"family": "two_point", "K": 2.0, "h": 2.0,
+                   "n_list": [64, 128, 256], "trials": 1}, "trials"),
+    ("tail-probe", {"dist": {"family": "two_point", "h": 4.0, "K": 2.0},
+                    "K": 2.0, "epsilon": 0.1, "kind": "upper", "r_max": 8.0,
+                    "r_points": -1}, "r_points"),
+    ("concentration", {"mode": "weighted", "n": 0, "delta": 0.1,
+                       "replications": 3}, "n"),
+    ("concentration", {"mode": "berry_esseen", "h": 3.0, "K": 2.0, "n": 800,
+                       "replications": 0}, "replications"),
+], ids=["rate_scan_trials", "tail_probe_r_points", "weighted_n",
+        "replications"])
+def test_out_of_range_value_exits_2(runner, tmp_path, command, cfg, field):
+    res = runner.invoke(main, [command, "--config",
+                               write_cfg(tmp_path, "c.json", cfg),
+                               "--seed", "1"])
+    assert res.exit_code == 2
+    assert f"config error at {field}: must be >= " in res.output
+
+
 def test_accept_quick(runner):
     res = runner.invoke(main, ["accept", "--quick"])
     assert res.exit_code == 0, res.output
