@@ -11,6 +11,7 @@ field), 3 numeric failures inside a computation.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -83,6 +84,13 @@ def _h_list(cfg: dict) -> list:
     return [float(h) for h in h_list]
 
 
+def _n_list(cfg: dict) -> list:
+    n_list = _get(cfg, "n_list", list)
+    if not n_list or not all(isinstance(n, int) and n > 1 for n in n_list):
+        raise ConfigError("n_list", "expected a list of integers > 1")
+    return n_list
+
+
 def _build_distribution(obj, path: str):
     """Distribution spec: either inline atoms or a named construction."""
     if not isinstance(obj, dict):
@@ -131,6 +139,10 @@ def _csv_text(command: str, seed, cfg_hash: str, columns: list, rows: list,
     lines.append(",".join(columns))
     lines += [",".join(_fmt(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def _json_text(obj: dict) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _write(out: str | None, text: str):
@@ -188,8 +200,7 @@ def _subcommand(name: str, seed_required: bool):
             if isinstance(result, dict):
                 head = {"version": __version__, "command": name,
                         "seed": rseed, "config_sha256": cfg_hash}
-                text = json.dumps({**head, **result}, indent=2,
-                                  sort_keys=True) + "\n"
+                text = _json_text({**head, **result})
             else:
                 text = _csv_text(name, rseed, cfg_hash, *result)
             _write(out_path, text)
@@ -252,13 +263,12 @@ def mi_probe(cfg, seed, out_path):
 
 @_subcommand("rate-scan", seed_required=True)
 def rate_scan(cfg, seed, out_path):
-    """Monte Carlo n-sweep and log-log rate fit; writes <out>.fit.json too."""
+    """Monte Carlo n-sweep and log-log rate fit; writes <out>.fit.json too,
+    and <out>.plan.json (the per-n h, t, p_h, feasible) for bernoulli."""
     family = _get(cfg, "family", str, choices={"two_point", "bernoulli", "kl"})
     K = _get(cfg, "K", float)
     sigma = _sigma(cfg)
-    n_list = _get(cfg, "n_list", list)
-    if not n_list or not all(isinstance(n, int) and n > 1 for n in n_list):
-        raise ConfigError("n_list", "expected a list of integers > 1")
+    n_list = _n_list(cfg)
     trials = _get(cfg, "trials", int, required=False, default=200, minimum=2)
     # the estimator's own default: mc_expected_kl's, or mc_expected_w2sq's
     tol = _get(cfg, "tol", float, required=False,
@@ -266,6 +276,7 @@ def rate_scan(cfg, seed, out_path):
     h = _get(cfg, "h", float, required=False, default=2.0)
     epsilon = _get(cfg, "epsilon", float, required=False, default=0.02)
     meta = {"family": family, "K": K, "sigma": sigma}
+    plan = None
     if family == "bernoulli":
         plan, series = experiments.bernoulli_scan(K, sigma, epsilon, n_list,
                                                   trials, seed, tol)
@@ -285,12 +296,29 @@ def rate_scan(cfg, seed, out_path):
     meta.update({"slope": fit.slope, "slope_stderr": fit.slope_stderr,
                  "r_squared": fit.r_squared})
     if out_path is not None:
-        _write(out_path + ".fit.json",
-               json.dumps({"slope": fit.slope, "intercept": fit.intercept,
-                           "slope_stderr": fit.slope_stderr,
-                           "r_squared": fit.r_squared}, indent=2,
-                          sort_keys=True) + "\n")
+        _write(out_path + ".fit.json", _json_text(dataclasses.asdict(fit)))
+        if plan is not None:
+            _write(out_path + ".plan.json",
+                   _json_text({"records": [dataclasses.asdict(r)
+                                           for r in plan.records]}))
     return ["metric", "n", "estimate", "stderr", "trials"], rows, meta
+
+
+@_subcommand("phase-scan", seed_required=True)
+def phase_scan(cfg, seed, out_path):
+    """E[W2^2] rate slope of the two-point family for each K across K = sigma."""
+    K_list = _get(cfg, "K_list", list)
+    if not K_list or not all(isinstance(K, (int, float)) and K > 0
+                             for K in K_list):
+        raise ConfigError("K_list", "expected a list of positive numbers")
+    sigma = _sigma(cfg)
+    n_list = _n_list(cfg)
+    trials = _get(cfg, "trials", int, required=False, default=100, minimum=2)
+    rows = experiments.phase_scan([float(K) for K in K_list], sigma, n_list,
+                                  trials, seed)
+    return (["K", "slope", "slope_stderr", "r_squared", "alpha"],
+            [(r["K"], r["slope"], r["slope_stderr"], r["r_squared"],
+              tail_bounds.alpha_exponent(r["K"], sigma)) for r in rows], {})
 
 
 @_subcommand("concentration", seed_required=True)
@@ -300,6 +328,8 @@ def concentration_cmd(cfg, seed, out_path):
     if mode == "weighted":
         n = _get(cfg, "n", int, minimum=1)
         delta = _get(cfg, "delta", float)
+        if not delta > 0.0:
+            raise ConfigError("delta", "must be > 0")
         reps = _get(cfg, "replications", int, minimum=1)
         dist_cfg = _get(cfg, "dist", dict, required=False)
         sigma = _sigma(cfg)
@@ -326,7 +356,9 @@ def concentration_cmd(cfg, seed, out_path):
         K = _get(cfg, "K", float)
         sigma = _sigma(cfg)
         k_max = _get(cfg, "k_max", int, required=False, default=4)
-        k = _get(cfg, "k", int)
+        k = _get(cfg, "k", int, minimum=1)
+        if k >= k_max:
+            raise ConfigError("k", f"must be < k_max = {k_max}")
         reps = _get(cfg, "replications", int, minimum=1)
         n = _get(cfg, "n", int, required=False)
         dist, schedule = constructions.w2_hard_example(K, sigma, k_max)
@@ -357,6 +389,9 @@ def tail_probe(cfg, seed, out_path):
         profile = SubgaussianProfile(K=K)
     except ValueError as exc:
         raise ConfigError("K", str(exc))
+    beta = tail_bounds.beta_exponent(K)
+    if not 0.0 < epsilon < beta:
+        raise ConfigError("epsilon", f"must lie in (0, beta) = (0, {beta!r})")
     grid = np.linspace(r_min, r_max, points)
     if kind == "upper":
         rep = tail_bounds.tail_density_inequality_probe(dist, profile, epsilon,

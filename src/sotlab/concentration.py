@@ -58,48 +58,43 @@ def weighted_concentration_bound(n: int, delta: float) -> float:
     return 16.0 / math.sqrt(n) * math.log(2.0 * n / delta)
 
 
-def _anchors(F: SmoothedMixture, n: int) -> np.ndarray:
-    """The quantile anchors {F^{-1}(k/2n) : k = 1 .. 2n-1}."""
-    return F.quantile(np.arange(1, 2 * n) / (2.0 * n))
-
-
 def weighted_cdf_statistic(F: SmoothedMixture, sample, n: int | None = None) -> float:
     """sup_t |F(t) - F_n(t)| / sqrt(1/n v (F(t) ^ (1 - F(t)))).
 
     `sample` is either an EmpiricalMeasure (step-function F_n; both one-sided
     limits enter the sup at each jump) or a SmoothedMixture whose CDF is
     evaluated exactly (the smoothed-empirical variant; pass n explicitly).
-    The sup is taken over sample points, their midpoints, and the quantile
-    anchors {F^{-1}(k/2n)}.
+
+    For an EmpiricalMeasure the sup is taken over the distinct sample points
+    alone. Between two jumps F_n is a constant c, and the ratio increases in
+    F for F > c and decreases for F < c in every branch of the max/min, so
+    the sup sits at a jump, where both one-sided limits are taken. For a
+    SmoothedMixture sample both CDFs move between any two points, so no such
+    argument places the sup; it is taken over the base atoms, their
+    midpoints, the quantile anchors {F^{-1}(k/2n) : k = 1 .. 2n-1} and one
+    point beyond each end.
     """
     if isinstance(sample, EmpiricalMeasure):
         if n is None:
             n = sample.n
-    elif isinstance(sample, SmoothedMixture):
-        if n is None:
-            raise ValueError("n is required for a smoothed-mixture sample")
-    else:
-        raise TypeError("sample must be an EmpiricalMeasure or SmoothedMixture")
-    return _statistic(F, sample, n, _anchors(F, n))
-
-
-def _statistic(F: SmoothedMixture, sample, n: int, anchors: np.ndarray) -> float:
-    """weighted_cdf_statistic with its quantile anchors given."""
-    if isinstance(sample, EmpiricalMeasure):
-        pts = np.sort(sample.samples)
-    else:
-        pts = np.sort(sample.base.locations)
-    mids = 0.5 * (pts[:-1] + pts[1:]) if pts.size > 1 else np.empty(0)
-    lo = min(pts[0], anchors[0]) - 1.0
-    hi = max(pts[-1], anchors[-1]) + 1.0
-    grid = np.unique(np.concatenate([pts, mids, anchors, [lo, hi]]))
-    Ft = F.cdf(grid)
-    if isinstance(sample, EmpiricalMeasure):
+        grid = np.unique(sample.samples)
+        Ft = F.cdf(grid)
         right = np.searchsorted(sample.samples, grid, side="right") / n
         left = np.searchsorted(sample.samples, grid, side="left") / n
         dev = np.maximum(np.abs(Ft - right), np.abs(Ft - left))
-    else:
+    elif isinstance(sample, SmoothedMixture):
+        if n is None:
+            raise ValueError("n is required for a smoothed-mixture sample")
+        pts = np.sort(sample.base.locations)
+        mids = 0.5 * (pts[:-1] + pts[1:]) if pts.size > 1 else np.empty(0)
+        anchors = F.quantile(np.arange(1, 2 * n) / (2.0 * n))
+        lo = min(pts[0], anchors[0]) - 1.0
+        hi = max(pts[-1], anchors[-1]) + 1.0
+        grid = np.unique(np.concatenate([pts, mids, anchors, [lo, hi]]))
+        Ft = F.cdf(grid)
         dev = np.abs(Ft - sample.cdf(grid))
+    else:
+        raise TypeError("sample must be an EmpiricalMeasure or SmoothedMixture")
     denom = np.sqrt(np.maximum(1.0 / n, np.minimum(Ft, 1.0 - Ft)))
     return float(np.max(dev / denom))
 
@@ -111,9 +106,8 @@ def weighted_cdf_concentration(F: SmoothedMixture, n: int, delta: float,
     if replications < 1:
         raise ValueError("replications must be >= 1")
     bound = weighted_concentration_bound(n, delta)
-    anchors = _anchors(F, n)
     children = seed_sequence(seed).spawn(replications)
-    stats = [_statistic(F, F.sample(n, np.random.default_rng(c)), n, anchors)
+    stats = [weighted_cdf_statistic(F, F.sample(n, np.random.default_rng(c)))
              for c in children]
     stats = np.asarray(stats)
     violations = stats > bound

@@ -302,28 +302,19 @@ def bernoulli_scan(K: float, sigma: float, epsilon: float, n_list, trials: int,
     return plan, RateSeries(points=tuple(w_points))
 
 
-def phase_scan(K_list, sigma: float, family: str, n_list, trials: int, seed,
-               epsilon: float = 0.02, h: float = 2.0, tol: float = 1e-8):
-    """Fitted E[W2^2] log-log slope for each K across the K = sigma boundary.
-
-    family 'two_point' holds the displacement fixed at `h`; family 'bernoulli'
-    runs the adaptive scan (K > sigma only). Returns a list of dicts with
-    K, slope, slope_stderr, r_squared.
+def phase_scan(K_list, sigma: float, n_list, trials: int, seed,
+               h: float = 2.0):
+    """Fitted E[W2^2] log-log slope for each K across the K = sigma boundary,
+    on the two-point family with the displacement held fixed at `h`. Returns
+    a list of dicts with K, slope, slope_stderr, r_squared.
     """
-    if family not in ("two_point", "bernoulli"):
-        raise ValueError("family must be 'two_point' or 'bernoulli'")
     K_list = list(K_list)
     children = seed_sequence(seed).spawn(max(len(K_list), 1))
     table = []
     for K, child in zip(K_list, children):
-        if family == "two_point":
-            p = constructions.bernoulli_two_point(h, K)
-            fit = fit_rate(rate_series(mc_expected_w2sq, p, sigma, n_list,
-                                       trials, child, tol))
-        else:
-            plan, _ = bernoulli_scan(K, sigma, epsilon, n_list, trials, child,
-                                     tol)
-            fit = fit_rate(plan.w2sq_series)
+        p = constructions.bernoulli_two_point(h, K)
+        fit = fit_rate(rate_series(mc_expected_w2sq, p, sigma, n_list, trials,
+                                   child))
         table.append({"K": float(K), "slope": fit.slope,
                       "slope_stderr": fit.slope_stderr,
                       "r_squared": fit.r_squared})

@@ -64,7 +64,10 @@ def tail_density_inequality_probe(p: AtomicDistribution, profile: SubgaussianPro
         raise ValueError("need 0 < epsilon < beta")
     r = np.asarray(r_grid, dtype=float)
     m = SmoothedMixture(p, sigma)
-    log_tail = np.where(r >= 0.0, m.log_sf(r), m.log_cdf(r))
+    upper = r >= 0.0
+    log_tail = np.empty(r.shape)
+    log_tail[upper] = m.log_sf(r[upper])
+    log_tail[~upper] = m.log_cdf(r[~upper])
     log_rho = m.log_pdf(r)
     log_ratio_env = log_tail - (beta - epsilon) * log_rho
     i = int(np.argmax(log_ratio_env))

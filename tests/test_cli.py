@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from sotlab import experiments
 from sotlab.cli import main
 
 
@@ -111,6 +112,7 @@ def test_rate_scan_deterministic(runner, tmp_path):
         outs.append(out.read_bytes())
         fit = json.loads((tmp_path / (name + ".fit.json")).read_text())
         assert fit["slope"] < 0
+        assert not (tmp_path / (name + ".plan.json")).exists()
     assert outs[0] == outs[1]
 
 
@@ -127,6 +129,20 @@ def test_rate_scan_tol_reaches_estimator(runner, tmp_path, family):
                      if not l.startswith("#")])
     assert rows[0][0] == rows[1][0] == "metric,n,estimate,stderr,trials"
     assert rows[0][1:] != rows[1][1:]
+
+
+def test_rate_scan_bernoulli_writes_plan(runner, tmp_path):
+    cfg = write_cfg(tmp_path, "c.json",
+                    {"family": "bernoulli", "K": 2.0,
+                     "n_list": [128, 256, 512], "trials": 4})
+    out = tmp_path / "scan.csv"
+    res = runner.invoke(main, ["rate-scan", "--config", cfg, "--out", str(out),
+                               "--seed", "7"])
+    assert res.exit_code == 0, res.output
+    plan, _ = experiments.bernoulli_scan(2.0, 1.0, 0.02, [128, 256, 512], 4, 7)
+    got = json.loads((tmp_path / "scan.csv.plan.json").read_text())
+    assert [experiments.ScanRecord(**r) for r in got["records"]] == \
+        list(plan.records)
 
 
 def test_rate_scan_zero_stderr_exits_3(runner, tmp_path):
@@ -193,24 +209,38 @@ def test_tail_probe_nonpositive_K_exits_2(runner, tmp_path, K):
     assert "config error at K: K must be positive" in res.output
 
 
-@pytest.mark.parametrize("command,cfg,field", [
+@pytest.mark.parametrize("command,cfg,field,message", [
     ("rate-scan", {"family": "two_point", "K": 2.0, "h": 2.0,
-                   "n_list": [64, 128, 256], "trials": 1}, "trials"),
+                   "n_list": [64, 128, 256], "trials": 1}, "trials",
+     "must be >= "),
     ("tail-probe", {"dist": {"family": "two_point", "h": 4.0, "K": 2.0},
                     "K": 2.0, "epsilon": 0.1, "kind": "upper", "r_max": 8.0,
-                    "r_points": -1}, "r_points"),
+                    "r_points": -1}, "r_points", "must be >= "),
     ("concentration", {"mode": "weighted", "n": 0, "delta": 0.1,
-                       "replications": 3}, "n"),
+                       "replications": 3}, "n", "must be >= "),
     ("concentration", {"mode": "berry_esseen", "h": 3.0, "K": 2.0, "n": 800,
-                       "replications": 0}, "replications"),
+                       "replications": 0}, "replications", "must be >= "),
+    ("concentration", {"mode": "weighted", "n": 128, "delta": 0,
+                       "replications": 3}, "delta", "must be > 0"),
+    ("concentration", {"mode": "gap", "K": 2.0, "k": 7, "n": 700000,
+                       "replications": 5}, "k", "must be < k_max = 4"),
+    ("tail-probe", {"dist": {"family": "two_point", "h": 4.0, "K": 2.0},
+                    "K": 2.0, "epsilon": 5.0, "kind": "upper", "r_max": 8.0},
+     "epsilon", "must lie in (0, beta) = (0, 0.64)"),
+    ("phase-scan", {"K_list": [0.7, 0.0], "n_list": [64, 128, 256],
+                    "trials": 4}, "K_list", "expected a list of positive"),
+    ("phase-scan", {"K_list": [0.7], "n_list": [64, 128, 256],
+                    "trials": 1}, "trials", "must be >= "),
 ], ids=["rate_scan_trials", "tail_probe_r_points", "weighted_n",
-        "replications"])
-def test_out_of_range_value_exits_2(runner, tmp_path, command, cfg, field):
+        "replications", "weighted_delta", "gap_k", "tail_probe_epsilon",
+        "phase_scan_K_list", "phase_scan_trials"])
+def test_out_of_range_value_exits_2(runner, tmp_path, command, cfg, field,
+                                    message):
     res = runner.invoke(main, [command, "--config",
                                write_cfg(tmp_path, "c.json", cfg),
                                "--seed", "1"])
     assert res.exit_code == 2
-    assert f"config error at {field}: must be >= " in res.output
+    assert f"config error at {field}: {message}" in res.output
 
 
 def test_accept_quick(runner):

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sotlab import concentration as conc
 from sotlab import constructions as cons
-from sotlab.dist_core import AtomicDistribution, SmoothedMixture
+from sotlab.dist_core import AtomicDistribution, EmpiricalMeasure, SmoothedMixture
+
+from conftest import random_mixture
 
 
 def test_statistic_affine_invariance(std_normal):
@@ -14,7 +17,6 @@ def test_statistic_affine_invariance(std_normal):
     a, b = 2.5, -1.0
     mapped = SmoothedMixture(std_normal.base.scale(a).shift(b),
                              std_normal.sigma * a)
-    from sotlab.dist_core import EmpiricalMeasure
     mapped_sample = EmpiricalMeasure(np.sort(a * sample.samples + b))
     s1 = conc.weighted_cdf_statistic(mapped, mapped_sample)
     assert math.isclose(s0, s1, rel_tol=1e-9)
@@ -40,8 +42,8 @@ def test_weighted_concentration_rate(std_normal):
 
 
 def test_concentration_statistics_match_single_calls():
-    """The anchors solved once per call give each replication the statistic
-    a call of its own gives, bit for bit."""
+    """Each replication's statistic is, bit for bit, what a call of its own
+    on the same sample gives."""
     F = SmoothedMixture(AtomicDistribution.from_weights(
         np.array([-1.0, 0.5, 3.0]), np.array([0.2, 0.5, 0.3])), 0.8)
     rep = conc.weighted_cdf_concentration(F, 96, 0.1, 6, 17)
@@ -50,6 +52,59 @@ def test_concentration_statistics_match_single_calls():
             for c in children]
     assert np.array(rep.statistics).view(np.int64).tolist() == \
         np.array(want).view(np.int64).tolist()
+
+
+def _full_grid_statistic(F, sample):
+    """The empirical-sample statistic over the sample points, their
+    midpoints, the 2n-1 quantile anchors F^{-1}(k/2n) and one point beyond
+    each end."""
+    n = sample.n
+    anchors = F.quantile(np.arange(1, 2 * n) / (2.0 * n))
+    pts = np.sort(sample.samples)
+    mids = 0.5 * (pts[:-1] + pts[1:]) if pts.size > 1 else np.empty(0)
+    lo = min(pts[0], anchors[0]) - 1.0
+    hi = max(pts[-1], anchors[-1]) + 1.0
+    grid = np.unique(np.concatenate([pts, mids, anchors, [lo, hi]]))
+    Ft = F.cdf(grid)
+    right = np.searchsorted(sample.samples, grid, side="right") / n
+    left = np.searchsorted(sample.samples, grid, side="left") / n
+    dev = np.maximum(np.abs(Ft - right), np.abs(Ft - left))
+    denom = np.sqrt(np.maximum(1.0 / n, np.minimum(Ft, 1.0 - Ft)))
+    return float(np.max(dev / denom))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 6), st.booleans(),
+       st.integers(1, 128), st.sampled_from(["smoothed", "atoms", "rounded"]))
+@example(3, 1, False, 1, "smoothed")
+@example(5, 3, True, 1, "atoms")
+@example(8, 4, True, 64, "atoms")
+@example(13, 2, True, 100, "rounded")
+def test_empirical_statistic_matches_full_grid(seed, n_atoms, outlier, n,
+                                               kind):
+    """The sup over the distinct sample points alone equals, bit for bit,
+    the sup over the full grid: between two jumps F_n is constant and the
+    ratio is monotone in F on each side of that constant. Samples may tie
+    (drawn from the atoms themselves, or rounded), and the mixture may carry
+    a far outlier atom."""
+    rng = np.random.default_rng(seed)
+    F = random_mixture(rng, n_atoms)
+    if outlier:
+        far = float(rng.choice([-1.0, 1.0]) * rng.uniform(30.0, 60.0))
+        locs = np.append(F.base.locations, far)
+        w = np.append(F.base.weights(), rng.uniform(0.01, 0.3))
+        order = np.argsort(locs)
+        F = SmoothedMixture(AtomicDistribution.from_weights(locs[order],
+                                                            w[order]), F.sigma)
+    if kind == "atoms":
+        sample = F.base.sample(n, rng)
+    elif kind == "rounded":
+        sample = EmpiricalMeasure(np.round(F.sample(n, rng).samples, 1))
+    else:
+        sample = F.sample(n, rng)
+    got = conc.weighted_cdf_statistic(F, sample)
+    want = _full_grid_statistic(F, sample)
+    assert np.array(got).view(np.int64) == np.array(want).view(np.int64)
 
 
 def test_smoothed_sample_variant(std_normal):

@@ -174,10 +174,7 @@ def test_bernoulli_scan_plan():
 
 
 def test_phase_scan():
-    assert exp.phase_scan([], 1.0, "two_point", (64, 128, 256), 8, 3) == []
-    rows = exp.phase_scan([0.7], 1.0, "two_point", (128, 512, 2048), 60, 3,
-                          h=1.0)
+    assert exp.phase_scan([], 1.0, (64, 128, 256), 8, 3) == []
+    rows = exp.phase_scan([0.7], 1.0, (128, 512, 2048), 60, 3, h=1.0)
     assert len(rows) == 1
     assert -1.2 <= rows[0]["slope"] <= -0.7   # K < sigma: parametric regime
-    with pytest.raises(ValueError):
-        exp.phase_scan([1.0], 1.0, "nope", (64, 128, 256), 8, 3)

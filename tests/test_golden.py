@@ -50,6 +50,8 @@ CASES = {
         "2699e995f940a94ead8b8ca5a1568bd47c1f2ae66943e9b163af7e4fb725e362", None),
     "t2_probe.json": ("t2-probe",
         "c182205ea7e7cef4e6a0003eea92a6579b606af88d31b689fddb992433054df7", None),
+    "phase_scan.json": ("phase-scan",
+        "cf2dd0680585437c7ab06409c31db37f947bbc8093297c23d8eaf9789833b7b4", None),
 }
 
 

@@ -56,6 +56,28 @@ def test_tail_density_epsilon_collapse():
     assert rep.M_hat <= 1.0 + 1e-6
 
 
+@pytest.mark.parametrize("grid", [np.linspace(-6.0, 9.0, 31),
+                                  np.linspace(0.0, 9.0, 19),
+                                  np.linspace(-9.0, -0.5, 18)],
+                         ids=["crosses_zero", "nonnegative", "negative"])
+def test_tail_density_sides_match_two_sided_formula(grid):
+    """Each half of the grid evaluates only its own side, and the report is
+    bitwise what evaluating both sides everywhere gives."""
+    p = cons.bernoulli_two_point(4.0, 2.0)
+    m = SmoothedMixture(p, 1.0)
+    log_tail = np.where(grid >= 0.0, m.log_sf(grid), m.log_cdf(grid))
+    log_rho = m.log_pdf(grid)
+    env = log_tail - (tb.beta_exponent(2.0) - 0.1) * log_rho
+    rep = tb.tail_density_inequality_probe(p, SubgaussianProfile(K=2.0), 0.1,
+                                           grid)
+    assert rep.log_tail.view(np.int64).tolist() == \
+        log_tail.view(np.int64).tolist()
+    assert rep.log_M_hat == env.max()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = log_tail / log_rho
+    assert rep.ratio.view(np.int64).tolist() == ratio.view(np.int64).tolist()
+
+
 def test_tightness_at_two_point_crossover():
     K, h = 2.0, 20.0
     p = cons.bernoulli_two_point(h, K)
