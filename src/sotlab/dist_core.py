@@ -26,6 +26,21 @@ _LOG_HALF_DECIDED = math.log(0.5) - 1e-6
 # cap on (#grid points) x (#atoms) per vectorized block, to bound peak memory
 _BLOCK_BUDGET = 4_000_000
 
+# Newton iteration cap of the quantile solver, and the iteration from which a
+# step that did not halve its target's bracket is replaced by bisection
+_NEWTON_CAP = 200
+_BISECT_FROM = 20
+
+
+class QuantileSolveError(RuntimeError):
+    """Raised when quantile targets are still unconverged at the Newton
+    iteration cap; carries how many."""
+
+    def __init__(self, unconverged: int):
+        super().__init__(f"{unconverged} quantile target(s) unconverged after "
+                         f"{_NEWTON_CAP} Newton iterations")
+        self.unconverged = unconverged
+
 
 def logsumexp(a, axis=None):
     """scipy.special.logsumexp(a, axis) for real input, without scipy's
@@ -157,14 +172,26 @@ class AtomicDistribution:
             return -np.inf
         return float(logsumexp(self.log_weights[mask]))
 
-    def sample(self, n: int, seed) -> "EmpiricalMeasure":
+    def _draw_atoms(self, n: int, seed) -> np.ndarray:
         if n < 1:
             raise ValueError("n must be >= 1")
         rng = _as_generator(seed)
         w = self.weights()
         w = w / w.sum()
-        idx = rng.choice(self.n_atoms, size=n, p=w)
-        return EmpiricalMeasure(np.sort(self.locations[idx]))
+        return rng.choice(self.n_atoms, size=n, p=w)
+
+    def sample(self, n: int, seed) -> "EmpiricalMeasure":
+        return EmpiricalMeasure(np.sort(self.locations[self._draw_atoms(n, seed)]))
+
+    def empirical(self, n: int, seed) -> "AtomicDistribution":
+        """P_n of an n-sample: sample(n, seed).to_atomic() bit for bit, from
+        the same draws, built from the drawn atoms' counts instead of a sort
+        of the n sample values."""
+        counts = np.bincount(self._draw_atoms(n, seed), minlength=self.n_atoms)
+        drawn = counts > 0
+        logw = np.log(counts[drawn]) - math.log(n)
+        return AtomicDistribution.from_log_weights(self.locations[drawn], logw,
+                                                   normalize=True)
 
     # -- serialization -------------------------------------------------------
 
@@ -260,6 +287,15 @@ class SmoothedMixture:
     log S is smaller at a point (log F on ties). The kernel evaluates log F
     at points at or below the base mean and log S above it, and the other
     side only where that first value is not below log(1/2) - 1e-6.
+
+    Log-weight rows: log_pdf, log_cdf, log_sf, _log_sides and
+    quantile_from_log_mass take optional `log_weights`, one row of log-weights
+    per point (or per quantile target) on base's atoms, used in place of
+    base.log_weights at that point; _log_sides then compares each point with
+    the mean of its own row. One call thus evaluates several mixtures on the
+    same atoms and sigma (the members of a batch) together, and each point
+    gets the same bits as a call on its own mixture. Without rows every
+    point uses base.log_weights.
     """
 
     base: AtomicDistribution
@@ -271,11 +307,14 @@ class SmoothedMixture:
 
     # -- pointwise evaluations ------------------------------------------------
 
-    def _atom_logsum(self, t, kind: str) -> np.ndarray:
+    def _atom_logsum(self, t, kind: str, log_weights=None) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         flat = np.atleast_1d(t).ravel()
         locs = self.base.locations
-        logw = self.base.log_weights
+        if log_weights is None:
+            rows = self.base.log_weights[None, :]
+        else:
+            rows = np.reshape(log_weights, (flat.size, locs.size))
         out = np.empty(flat.shape, dtype=float)
         chunk = max(1, _BLOCK_BUDGET // max(1, locs.size))
         for i in range(0, flat.size, chunk):
@@ -288,22 +327,24 @@ class SmoothedMixture:
                 term = log_ndtr(-z)
             else:  # pragma: no cover
                 raise ValueError(kind)
-            out[i:i + chunk] = logsumexp(logw[None, :] + term, axis=1)
+            lw = rows if log_weights is None else rows[i:i + chunk]
+            out[i:i + chunk] = logsumexp(lw + term, axis=1)
         return out.reshape(t.shape) if t.shape else out[0]
 
-    def log_pdf(self, t):
-        return self._atom_logsum(t, "pdf") - math.log(self.sigma) - LOG_SQRT_2PI
+    def log_pdf(self, t, log_weights=None):
+        return (self._atom_logsum(t, "pdf", log_weights) - math.log(self.sigma)
+                - LOG_SQRT_2PI)
 
     def pdf(self, t):
         return np.exp(self.log_pdf(t))
 
-    def log_cdf(self, t):
-        return self._atom_logsum(t, "cdf")
+    def log_cdf(self, t, log_weights=None):
+        return self._atom_logsum(t, "cdf", log_weights)
 
-    def log_sf(self, t):
-        return self._atom_logsum(t, "sf")
+    def log_sf(self, t, log_weights=None):
+        return self._atom_logsum(t, "sf", log_weights)
 
-    def _log_sides(self, t):
+    def _log_sides(self, t, log_weights=None):
         """(lower, lc, ls) for points t, with lower == (log_cdf(t) <=
         log_sf(t)) bit for bit.
 
@@ -318,18 +359,27 @@ class SmoothedMixture:
         t = np.asarray(t, dtype=float)
         lc = np.zeros(t.shape)
         ls = np.zeros(t.shape)
-        below = t <= self.base.mean()
+        if log_weights is None:
+            below = t <= self.base.mean()
+        else:
+            # np.sum(weights * locations) of each point's own row, as mean()
+            below = t <= np.add.reduce(np.exp(log_weights) * self.base.locations,
+                                       axis=-1)
         above = ~below
+
+        def rows(mask):
+            return None if log_weights is None else log_weights[mask]
+
         if np.any(below):
-            lc[below] = self.log_cdf(t[below])
+            lc[below] = self.log_cdf(t[below], rows(below))
         if np.any(above):
-            ls[above] = self.log_sf(t[above])
+            ls[above] = self.log_sf(t[above], rows(above))
         undecided = ~(np.minimum(lc, ls) < _LOG_HALF_DECIDED)
         for side, log_side, on in ((ls, self.log_sf, below),
                                    (lc, self.log_cdf, above)):
             todo = on & undecided
             if np.any(todo):
-                side[todo] = log_side(t[todo])
+                side[todo] = log_side(t[todo], rows(todo))
         return lc <= ls, lc, ls
 
     def cdf(self, t):
@@ -343,17 +393,25 @@ class SmoothedMixture:
 
     # -- quantiles -------------------------------------------------------------
 
-    def quantile_from_log_mass(self, log_mass, upper: bool = False) -> np.ndarray:
+    def quantile_from_log_mass(self, log_mass, upper: bool = False,
+                               log_weights=None) -> np.ndarray:
         """Solve log F(x) = log_mass (lower) or log S(x) = log_mass (upper).
 
         Vectorized safeguarded Newton on the log-mass scale with a guaranteed
-        initial bracket; terminates when the residual log-mass error is below
-        1e-13 or the bracket collapses.
+        initial bracket; a target is done when its residual log-mass error is
+        below 1e-13 or its bracket collapses. A step that leaves the bracket
+        is replaced by bisection, and so, from iteration 20 on, is any step
+        after one that did not halve the target's bracket: Newton can cycle
+        between points just inside both bracket ends, which shrinks the
+        bracket by ~1e-12 a step. A target still open after 200 iterations
+        raises QuantileSolveError. `log_weights` holds one row per target.
         """
         lm = np.atleast_1d(np.asarray(log_mass, dtype=float)).copy()
         if np.any(lm >= math.log(0.75)) or np.any(~np.isfinite(lm)):
             raise ValueError("log-mass targets must be finite and <= log(0.75); "
                              "split at the median for the upper half")
+        rows = None if log_weights is None else \
+            np.reshape(log_weights, (lm.size, self.base.n_atoms))
         locs = self.base.locations
         pad = self.sigma * np.sqrt(-2.0 * lm + 9.0)
         if upper:
@@ -364,12 +422,13 @@ class SmoothedMixture:
             hi = np.full(lm.shape, locs[-1] + 3.0 * self.sigma)
         x = 0.5 * (lo + hi)
         active = np.ones(lm.shape, dtype=bool)
-        for _ in range(200):
+        for it in range(_NEWTON_CAP):
             xa = x[active]
             if xa.size == 0:
                 break
-            logm = self._atom_logsum(xa, "sf" if upper else "cdf")
-            lpdf = self.log_pdf(xa)
+            ra = None if rows is None else rows[active]
+            logm = self._atom_logsum(xa, "sf" if upper else "cdf", ra)
+            lpdf = self.log_pdf(xa, ra)
             g = logm - lm[active]
             # bracket update: F increasing, S decreasing
             if upper:
@@ -388,6 +447,8 @@ class SmoothedMixture:
                 step = g / deriv
             xn = xa - step
             bad = ~np.isfinite(xn) | (xn <= lo_a) | (xn >= hi_a)
+            if it >= _BISECT_FROM:
+                bad |= ~(hi_a - lo_a <= 0.5 * (hi[active] - lo[active]))
             xn = np.where(bad, 0.5 * (lo_a + hi_a), xn)
             done = (np.abs(g) <= 1e-13) | (hi_a - lo_a <= 1e-14 * (1.0 + np.abs(xa)))
             lo[active] = lo_a
@@ -398,6 +459,8 @@ class SmoothedMixture:
             active[idx[done]] = False
             if not np.any(active):
                 break
+        if np.any(active):
+            raise QuantileSolveError(int(np.count_nonzero(active)))
         return x
 
     def quantile(self, u) -> np.ndarray:
@@ -489,6 +552,22 @@ class SmoothedMixture:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SmoothedMixture":
         return cls(AtomicDistribution.from_json_obj(obj), float(obj["sigma"]))
+
+
+def _member_rows(mixtures):
+    """Log-weight rows for evaluating several mixtures on one set of atoms and
+    one sigma through the first of them: a function from per-point member
+    indices to rows (see SmoothedMixture), or to None when every member is
+    that first mixture, a lone member included."""
+    first = mixtures[0]
+    if all(m is first for m in mixtures):
+        return lambda member: None
+    if any(m.sigma != first.sigma
+           or not np.array_equal(m.base.locations, first.base.locations)
+           for m in mixtures):
+        raise ValueError("members must share their atoms and sigma")
+    table = np.stack([m.base.log_weights for m in mixtures])
+    return lambda member: table[member]
 
 
 @dataclass(frozen=True)

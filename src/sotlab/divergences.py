@@ -14,16 +14,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import adaptive_simpson
+from ._quad import _integrate_members, adaptive_simpson
 from .dist_core import (LOG_MASS_EPS, LOG_SQRT_2PI, AtomicDistribution,
-                        SmoothedMixture, log1mexp, logsumexp)
+                        SmoothedMixture, _member_rows, log1mexp, logsumexp)
 
 
-def _window(A: SmoothedMixture, B: SmoothedMixture):
-    lo = min(float(A.quantile_from_log_mass(np.array([LOG_MASS_EPS]))[0]),
-             float(B.quantile_from_log_mass(np.array([LOG_MASS_EPS]))[0]))
-    hi = max(float(A.quantile_from_log_mass(np.array([LOG_MASS_EPS]), upper=True)[0]),
-             float(B.quantile_from_log_mass(np.array([LOG_MASS_EPS]), upper=True)[0]))
+def _windows(A: SmoothedMixture, B: SmoothedMixture, rows_a=None, rows_b=None,
+             members: int = 1):
+    """Each member's joint deep-quantile window, as lists of lo and hi; the
+    rows are one per member."""
+    eps = np.full(members, LOG_MASS_EPS)
+    a_lo, a_hi, b_lo, b_hi = (m.quantile_from_log_mass(eps, upper=upper,
+                                                       log_weights=rows)
+                              for m, rows in ((A, rows_a), (B, rows_b))
+                              for upper in (False, True))
+    lo = [min(float(a), float(b)) for a, b in zip(a_lo, b_lo)]
+    hi = [max(float(a), float(b)) for a, b in zip(a_hi, b_hi)]
     return lo, hi
 
 
@@ -39,8 +45,8 @@ def _breakpoints(A: SmoothedMixture, B: SmoothedMixture, lo: float, hi: float):
     return np.clip(np.concatenate(feats), lo, hi)
 
 
-def _tail_masses(m: SmoothedMixture, lo: float, hi: float) -> float:
-    return float(np.exp(m.log_cdf(lo)) + np.exp(m.log_sf(hi)))
+def _tail_masses(m: SmoothedMixture, lo, hi, rows=None):
+    return np.exp(m.log_cdf(lo, rows)) + np.exp(m.log_sf(hi, rows))
 
 
 def kl_divergence(A: SmoothedMixture, B: SmoothedMixture,
@@ -51,11 +57,21 @@ def kl_divergence(A: SmoothedMixture, B: SmoothedMixture,
     whose full-line integral equals the KL divergence; the window clipping is
     compensated by the exact clipped-tail masses.
     """
-    lo, hi = _window(A, B)
+    return _kl_members([A], [B], tol)[0]
 
-    def integrand(t):
-        la = A.log_pdf(t)
-        d = B.log_pdf(t) - la
+
+def _kl_members(As, Bs, tol: float = 1e-10) -> list:
+    """kl_divergence(As[i], Bs[i], tol) for each member i, bit for bit, with
+    the kernel calls shared: the As must share atoms and sigma, and so must
+    the Bs. Each member keeps its own window, breakpoints and quadrature."""
+    A, rows_a = As[0], _member_rows(As)
+    B, rows_b = Bs[0], _member_rows(Bs)
+    every = np.arange(len(As))
+    lo, hi = _windows(A, B, rows_a(every), rows_b(every), every.size)
+
+    def integrand(t, member):
+        la = A.log_pdf(t, rows_a(member))
+        d = B.log_pdf(t, rows_b(member)) - la
         small = np.abs(d) < 1e-5
         g = np.where(small,
                      0.5 * d * d * (1.0 + d / 3.0 + d * d / 12.0),
@@ -67,19 +83,25 @@ def kl_divergence(A: SmoothedMixture, B: SmoothedMixture,
             out = np.where(big, np.exp(la + d) - np.exp(la) * (1.0 + d), out)
         return out
 
-    res = adaptive_simpson(integrand, _breakpoints(A, B, lo, hi), tol)
+    results = _integrate_members(
+        adaptive_simpson, integrand,
+        [_breakpoints(A, B, lo[i], hi[i]) for i in every], tol)
     # int_w (rho_B - rho_A) = tail-mass(A) - tail-mass(B)
-    mass_corr = _tail_masses(A, lo, hi) - _tail_masses(B, lo, hi)
-    value = res.total - mass_corr
-    if value < 0.0:
-        value = 0.0 if value >= -10 * tol else value
-    return value
+    mass_corr = (_tail_masses(A, lo, hi, rows_a(every))
+                 - _tail_masses(B, lo, hi, rows_b(every)))
+    values = []
+    for res, corr in zip(results, mass_corr):
+        value = res.total - float(corr)
+        if value < 0.0:
+            value = 0.0 if value >= -10 * tol else value
+        values.append(value)
+    return values
 
 
 def chi2_divergence(A: SmoothedMixture, B: SmoothedMixture,
                     tol: float = 1e-10) -> float:
     """int (rho_A - rho_B)^2 / rho_B over the joint deep-quantile window."""
-    lo, hi = _window(A, B)
+    (lo,), (hi,) = _windows(A, B)
 
     def integrand(t):
         lb = B.log_pdf(t)
@@ -101,7 +123,7 @@ def renyi_divergence(A: SmoothedMixture, B: SmoothedMixture, lam: float,
     """(1/(lam-1)) log E_B[(rho_A/rho_B)^lam] for 1 < lam <= 2."""
     if not (1.0 < lam <= 2.0):
         raise ValueError("lambda must lie in (1, 2]")
-    lo, hi = _window(A, B)
+    (lo,), (hi,) = _windows(A, B)
 
     def integrand(t):
         lb = B.log_pdf(t)
@@ -115,7 +137,7 @@ def renyi_divergence(A: SmoothedMixture, B: SmoothedMixture, lam: float,
         return out
 
     res = adaptive_simpson(integrand, _breakpoints(A, B, lo, hi), tol)
-    w_mass_b = 1.0 - _tail_masses(B, lo, hi)
+    w_mass_b = 1.0 - float(_tail_masses(B, lo, hi))
     value = math.log(max(w_mass_b + res.total, 1e-300)) / (lam - 1.0)
     return max(value, 0.0) if value > -10 * tol else value
 

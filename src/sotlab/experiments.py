@@ -9,7 +9,9 @@ boundary.
 Trials are independent tasks with seeds spawned from one splittable root and
 run in trial order, so a (config, seed) pair always produces the same floats.
 An empirical measure of a finite-support P only reweights P's atoms, so
-trials repeat; each MC call evaluates every distinct empirical measure once.
+trials repeat; each MC call evaluates every distinct empirical measure once,
+and the new ones of each chunk of trials together, in one batch per support
+(bit for bit one evaluation each).
 """
 from __future__ import annotations
 
@@ -58,26 +60,39 @@ class MCResult:
         return iter((self.estimate, self.stderr))
 
 
-# Early stop of the trial loop: after at least MIN_TRIALS trials, at each
-# CHUNK-trial boundary, stop once the relative standard error is below REL_STOP.
+# Trials run in chunks: the first MIN_TRIALS, then CHUNK at a time. At each
+# chunk boundary the loop stops once the relative standard error is below
+# REL_STOP.
 MIN_TRIALS = 50
 REL_STOP = 0.02
 CHUNK = 25
 
 
-def _run_trials(per_trial, trials: int, seed) -> np.ndarray:
-    """Run up to `trials` seeded tasks in trial order, stopping at a chunk
-    boundary once the relative standard error drops below REL_STOP."""
+def _run_trials(draw, evaluate, trials: int, seed) -> np.ndarray:
+    """Run up to `trials` seeded trials in trial order, a chunk at a time,
+    stopping at a chunk boundary once the relative standard error drops below
+    REL_STOP. draw(rng) makes one trial's input from the trial's own
+    generator; evaluate(inputs) returns the values of a chunk's inputs, with
+    the exception in place of each value that failed. The earliest failed
+    trial raises RuntimeError("trial i failed: ...")."""
     if trials < 2:
         raise ValueError("trials must be >= 2")
+    children = seed_sequence(seed).spawn(trials)
     values: list[float] = []
-    for i, child in enumerate(seed_sequence(seed).spawn(trials)):
-        try:
-            values.append(per_trial(np.random.default_rng(child)))
-        except Exception as exc:
-            raise RuntimeError(f"trial {i} failed: {exc}") from exc
-        done = len(values)
-        if done >= MIN_TRIALS and done % CHUNK == 0:
+    while len(values) < trials:
+        start = len(values)
+        stop = min(trials, max(MIN_TRIALS, start + CHUNK))
+        inputs = []
+        for i in range(start, stop):
+            try:
+                inputs.append(draw(np.random.default_rng(children[i])))
+            except Exception as exc:
+                raise RuntimeError(f"trial {i} failed: {exc}") from exc
+        for i, value in enumerate(evaluate(inputs), start):
+            if isinstance(value, Exception):
+                raise RuntimeError(f"trial {i} failed: {value}") from value
+            values.append(value)
+        if stop >= MIN_TRIALS and stop % CHUNK == 0:
             arr = np.asarray(values)
             est = float(arr.mean())
             se = float(arr.std(ddof=1)) / math.sqrt(arr.size)
@@ -95,20 +110,43 @@ def _summarize(values: np.ndarray) -> MCResult:
                     values=tuple(float(v) for v in values))
 
 
-def _per_distinct_measure(p: AtomicDistribution, n: int, value):
-    """Trial function: draw P_n from the trial's generator and return
-    value(P_n), evaluated once per distinct P_n (keyed by its exact bytes)
-    for the life of the returned function."""
+def _per_distinct_measure(p: AtomicDistribution, n: int, values_of):
+    """(draw, evaluate) for _run_trials: each trial draws P_n of n draws from
+    p. values_of(measures) evaluates measures on one support in one batch.
+    Each distinct P_n (keyed by its exact bytes) is evaluated once for the
+    life of the pair: the new ones of a chunk, grouped by support."""
     seen: dict = {}
 
-    def one(rng):
-        emp = p.sample(n, rng).to_atomic()
-        key = (emp.locations.tobytes(), emp.log_weights.tobytes())
-        if key not in seen:
-            seen[key] = value(emp)
-        return seen[key]
+    def draw(rng):
+        return p.empirical(n, rng)
 
-    return one
+    def evaluate(measures):
+        keys = [(m.locations.tobytes(), m.log_weights.tobytes()) for m in measures]
+        groups: dict = {}
+        for key, m in zip(keys, measures):
+            if key not in seen:
+                groups.setdefault(key[0], {})[key] = m
+        for group in groups.values():
+            seen.update(zip(group, _batch_or_each(values_of, list(group.values()))))
+        return [seen[key] for key in keys]
+
+    return draw, evaluate
+
+
+def _batch_or_each(values_of, measures) -> list:
+    """values_of(measures); if the batch raises, each measure on its own, with
+    the exception in place of each value that fails (the values are the same
+    bits either way)."""
+    try:
+        return list(values_of(measures))
+    except Exception:
+        out = []
+        for m in measures:
+            try:
+                out.append(values_of([m])[0])
+            except Exception as exc:
+                out.append(exc)
+        return out
 
 
 def mc_w2sq_values(p: AtomicDistribution, sigma: float, n: int, trials: int,
@@ -116,11 +154,12 @@ def mc_w2sq_values(p: AtomicDistribution, sigma: float, n: int, trials: int,
     """Per-trial W2^2(P_n * N(0, sigma^2), P * N(0, sigma^2)) values."""
     truth = SmoothedMixture(p, sigma)
 
-    def w2sq(emp):
-        return transport.w2_squared(SmoothedMixture(emp, sigma), truth,
-                                    tol=tol).total
+    def w2sq(measures):
+        evs = transport._w2_members([SmoothedMixture(m, sigma) for m in measures],
+                                    [truth] * len(measures), tol=tol)
+        return [ev.total for ev in evs]
 
-    return _run_trials(_per_distinct_measure(p, n, w2sq), trials, seed)
+    return _run_trials(*_per_distinct_measure(p, n, w2sq), trials, seed)
 
 
 def mc_expected_w2sq(p: AtomicDistribution, sigma: float, n: int, trials: int,
@@ -133,11 +172,11 @@ def mc_expected_kl(p: AtomicDistribution, sigma: float, n: int, trials: int,
     """Mean and stderr of KL(P_n * N || P * N) over seeded trials."""
     truth = SmoothedMixture(p, sigma)
 
-    def kl(emp):
-        return divergences.kl_divergence(SmoothedMixture(emp, sigma), truth,
-                                         tol=tol)
+    def kl(measures):
+        return divergences._kl_members([SmoothedMixture(m, sigma) for m in measures],
+                                       [truth] * len(measures), tol=tol)
 
-    return _summarize(_run_trials(_per_distinct_measure(p, n, kl), trials, seed))
+    return _summarize(_run_trials(*_per_distinct_measure(p, n, kl), trials, seed))
 
 
 def rate_series(mc, p: AtomicDistribution, sigma: float, n_list, trials: int,

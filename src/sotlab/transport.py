@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import QuadratureError, adaptive_simpson
-from .dist_core import (LOG_MASS_EPS, EmpiricalMeasure, SmoothedMixture,
-                        SubgaussianProfile)
+from ._quad import _integrate_members, adaptive_simpson
+from .dist_core import (LOG_MASS_EPS, SmoothedMixture, SubgaussianProfile,
+                        _member_rows)
 
 
 @dataclass(frozen=True)
@@ -37,19 +37,22 @@ class TransportEvaluation:
                                       + self.quad_error)
 
 
-def _transport_map(A: SmoothedMixture, B: SmoothedMixture, t: np.ndarray):
+def _transport_map(A: SmoothedMixture, B: SmoothedMixture, t: np.ndarray,
+                   rows_a=None, rows_b=None):
     """T(t) = F_B^{-1}(F_A(t)), with the side each t was inverted on and its
-    log-mass.
+    log-mass. rows_a and rows_b are optional per-point log-weight rows of A
+    and B (see SmoothedMixture).
 
     Inverts on the better-conditioned side of B (CDF below A's median mass,
     survival above), so deep-tail transport keeps relative mass accuracy.
     """
-    lower, la, ls = A._log_sides(t)
+    lower, la, ls = A._log_sides(t, rows_a)
     T = np.empty(t.shape, dtype=float)
-    if np.any(lower):
-        T[lower] = B.quantile_from_log_mass(la[lower], upper=False)
-    if np.any(~lower):
-        T[~lower] = B.quantile_from_log_mass(ls[~lower], upper=True)
+    for side, log_mass, upper in ((lower, la, False), (~lower, ls, True)):
+        if np.any(side):
+            T[side] = B.quantile_from_log_mass(
+                log_mass[side], upper=upper,
+                log_weights=None if rows_b is None else rows_b[side])
     return T, lower, np.where(lower, la, ls)
 
 
@@ -81,45 +84,69 @@ def w2_squared(A: SmoothedMixture, B: SmoothedMixture, tol: float = 1e-9,
     unchanged. Absolute error is bounded by tol + tail_bound (+ noise_bound
     when requested).
     """
-    if B.base.n_atoms > A.base.n_atoms:
-        A, B = B, A
-    lo = float(A.quantile_from_log_mass(np.array([LOG_MASS_EPS]), upper=False)[0])
-    hi = float(A.quantile_from_log_mass(np.array([LOG_MASS_EPS]), upper=True)[0])
-    b_lo = float(B.quantile_from_log_mass(np.array([LOG_MASS_EPS]), upper=False)[0])
-    b_hi = float(B.quantile_from_log_mass(np.array([LOG_MASS_EPS]), upper=True)[0])
+    return _w2_members([A], [B], tol, with_noise_bound)[0]
 
-    def integrand(t):
-        T = _transport_map(A, B, t)[0]
-        return np.exp(A.log_pdf(t)) * (T - t) ** 2
 
-    res = adaptive_simpson(integrand, _breakpoints(A, B, lo, hi), tol)
+def _w2_members(As, Bs, tol: float = 1e-9,
+                with_noise_bound: bool = False) -> list:
+    """w2_squared(As[i], Bs[i], tol, with_noise_bound) for each member i, bit
+    for bit, with the kernel calls shared: the As must share atoms and sigma,
+    and so must the Bs. Each member keeps its own window, breakpoints and
+    quadrature; one quantile solve and one integrand call serve all members.
+    """
+    if Bs[0].base.n_atoms > As[0].base.n_atoms:
+        As, Bs = Bs, As
+    A, rows_a = As[0], _member_rows(As)
+    B, rows_b = Bs[0], _member_rows(Bs)
+    every = np.arange(len(As))
+    eps = np.full(every.size, LOG_MASS_EPS)
+    lo, hi, b_lo, b_hi = (m.quantile_from_log_mass(eps, upper=upper,
+                                                   log_weights=rows(every))
+                          for m, rows in ((A, rows_a), (B, rows_b))
+                          for upper in (False, True))
 
-    # tails: int_{tail} rho_A (T-t)^2 <= (sqrt(M2_A) + sqrt(M2_B))^2 where the
-    # M2 are one-sided second moments past the equal-mass cut points (T pushes
-    # rho_A's clipped tail exactly onto rho_B's)
-    tail = 0.0
-    for upper, a_cut, b_cut in ((False, lo, b_lo), (True, hi, b_hi)):
-        m2a = A.log_tail_second_moment(a_cut, upper)
-        m2b = B.log_tail_second_moment(b_cut, upper)
-        tail += (math.exp(0.5 * m2a) + math.exp(0.5 * m2b)) ** 2
+    def integrand(t, member):
+        ra = rows_a(member)
+        T = _transport_map(A, B, t, ra, rows_b(member))[0]
+        return np.exp(A.log_pdf(t, ra)) * (T - t) ** 2
 
-    noise = 0.0
-    if with_noise_bound:
-        grid = np.linspace(lo, hi, 257)
-        T, _, log_mass = _transport_map(A, B, grid)
-        # the solver stops at |log-mass residual| <= 1e-13 or an absolute
-        # bracket; translate both into a displacement error bound
-        with np.errstate(over="ignore"):
-            dT = 1e-13 * np.exp(np.minimum(log_mass - B.log_pdf(T), 700.0)) \
-                + 1e-13 * (1.0 + np.abs(T))
-        dens = np.exp(A.log_pdf(grid))
-        point = dens * (2.0 * np.abs(T - grid) * dT + dT * dT)
-        noise = 4.0 * float(np.trapezoid(point, grid))
+    results = _integrate_members(
+        adaptive_simpson, integrand,
+        [_breakpoints(A, B, float(lo[i]), float(hi[i])) for i in every], tol)
 
-    return TransportEvaluation(
-        total=max(res.total, 0.0), tail_bound=tail, noise_bound=noise,
-        quad_error=res.error_estimate, n_eval=res.n_eval, window=(lo, hi),
-        grid=res.panel_edges, contributions=res.panel_values)
+    out = []
+    for i, res in zip(every, results):
+        # tails: int_{tail} rho_A (T-t)^2 <= (sqrt(M2_A) + sqrt(M2_B))^2 where
+        # the M2 are one-sided second moments past the equal-mass cut points
+        # (T pushes rho_A's clipped tail exactly onto rho_B's)
+        tail = 0.0
+        for upper, a_cut, b_cut in ((False, lo[i], b_lo[i]), (True, hi[i], b_hi[i])):
+            m2a = As[i].log_tail_second_moment(float(a_cut), upper)
+            m2b = Bs[i].log_tail_second_moment(float(b_cut), upper)
+            tail += (math.exp(0.5 * m2a) + math.exp(0.5 * m2b)) ** 2
+        window = (float(lo[i]), float(hi[i]))
+        noise = _noise_bound(As[i], Bs[i], *window) if with_noise_bound else 0.0
+        out.append(TransportEvaluation(
+            total=max(res.total, 0.0), tail_bound=tail, noise_bound=noise,
+            quad_error=res.error_estimate, n_eval=res.n_eval, window=window,
+            grid=res.panel_edges, contributions=res.panel_values))
+    return out
+
+
+def _noise_bound(A: SmoothedMixture, B: SmoothedMixture, lo: float,
+                 hi: float) -> float:
+    """Bound on the W2^2 error that the quantile solver's stopping rule
+    injects into the displacement over the window [lo, hi]."""
+    grid = np.linspace(lo, hi, 257)
+    T, _, log_mass = _transport_map(A, B, grid)
+    # the solver stops at |log-mass residual| <= 1e-13 or an absolute
+    # bracket; translate both into a displacement error bound
+    with np.errstate(over="ignore"):
+        dT = 1e-13 * np.exp(np.minimum(log_mass - B.log_pdf(T), 700.0)) \
+            + 1e-13 * (1.0 + np.abs(T))
+    dens = np.exp(A.log_pdf(grid))
+    point = dens * (2.0 * np.abs(T - grid) * dT + dT * dT)
+    return 4.0 * float(np.trapezoid(point, grid))
 
 
 @dataclass(frozen=True)
@@ -256,8 +283,7 @@ def upper_bound_decomposition(P: SmoothedMixture, K: float, n: int,
         raise ValueError("requires the sigma = 1 normalization")
     from .tail_bounds import alpha_exponent
     alpha = alpha_exponent(K, 1.0)
-    sample = P.base.sample(n, seed)
-    emp = SmoothedMixture(sample.to_atomic(), P.sigma)
+    emp = SmoothedMixture(P.base.empirical(n, seed), P.sigma)
     ev = w2_squared(P, emp, tol=1e-10)
     edges = ev.grid
     mids = edges + 0.5 * np.diff(np.append(edges, ev.window[1]))

@@ -1,0 +1,211 @@
+"""Batched evaluation: several mixtures on one set of atoms evaluated
+together give, bit for bit, what one evaluation each gives."""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sotlab import _quad, divergences, dist_core, transport
+from sotlab.dist_core import (AtomicDistribution, QuantileSolveError,
+                              SmoothedMixture)
+
+from conftest import random_mixture
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64).tolist()
+
+
+def _members(seed, n_atoms, n_members, span=4.0):
+    """Mixtures on one random set of atoms and one sigma, with weights from
+    Dirichlet draws of very different concentration (near-point masses to
+    near-uniform), so that they need very different panel counts."""
+    rng = np.random.default_rng(seed)
+    first = random_mixture(rng, n_atoms, float(rng.uniform(0.5, 1.5)), span)
+    out = []
+    for _ in range(n_members):
+        alpha = float(rng.choice([0.05, 1.0, 50.0]))
+        w = np.maximum(rng.dirichlet(np.full(n_atoms, alpha)), 1e-12)
+        out.append(SmoothedMixture(AtomicDistribution.from_weights(
+            first.base.locations, w), first.sigma))
+    return out
+
+
+def _with_duplicates(ms, dup):
+    """ms plus, if dup, the first member again and an equal copy of it."""
+    if not dup:
+        return ms
+    copy = SmoothedMixture(AtomicDistribution(ms[0].base.locations,
+                                              ms[0].base.log_weights), ms[0].sigma)
+    return ms + [ms[0], copy]
+
+
+pairs = st.tuples(st.integers(0, 10_000), st.integers(1, 4), st.integers(1, 4),
+                  st.integers(1, 4), st.booleans(), st.booleans())
+
+
+def _batch(seed, a_atoms, b_atoms, n_members, vary_b, dup):
+    As = _with_duplicates(_members(seed, a_atoms, n_members), dup)
+    if vary_b:
+        Bs = _with_duplicates(_members(seed + 1, b_atoms, n_members), dup)
+    else:
+        Bs = [random_mixture(np.random.default_rng(seed + 1), b_atoms)] * len(As)
+    return As, Bs
+
+
+@settings(max_examples=12, deadline=None)
+@given(pairs)
+def test_batched_w2_matches_one_call_each(case):
+    As, Bs = _batch(*case)
+    got = transport._w2_members(As, Bs, tol=1e-8)
+    assert len(got) == len(As)
+    for ev, A, B in zip(got, As, Bs):
+        want = transport.w2_squared(A, B, tol=1e-8)
+        for field in ("total", "quad_error", "tail_bound", "grid", "contributions",
+                      "window"):
+            assert _bits(getattr(ev, field)) == _bits(getattr(want, field)), field
+        assert ev.n_eval == want.n_eval
+
+
+@settings(max_examples=12, deadline=None)
+@given(pairs)
+def test_batched_kl_matches_one_call_each(case):
+    As, Bs = _batch(*case)
+    got = divergences._kl_members(As, Bs, tol=1e-10)
+    want = [divergences.kl_divergence(A, B, tol=1e-10) for A, B in zip(As, Bs)]
+    assert _bits(got) == _bits(want)
+
+
+def test_batched_w2_noise_bound_and_swap():
+    # As with fewer atoms than Bs: the batch integrates over the Bs
+    As = _members(3, 2, 3)
+    B = random_mixture(np.random.default_rng(4), 4)
+    got = transport._w2_members(As, [B] * 3, with_noise_bound=True)
+    for ev, A in zip(got, As):
+        want = transport.w2_squared(A, B, with_noise_bound=True)
+        assert _bits([ev.total, ev.noise_bound]) == _bits([want.total, want.noise_bound])
+
+
+def test_members_must_share_atoms():
+    A = _members(1, 2, 1)[0]
+    other = _members(2, 2, 1)[0]
+    with pytest.raises(ValueError, match="share"):
+        transport._w2_members([A, other], [A, A])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 64), st.integers(2, 5),
+       st.booleans())
+def test_log_weight_rows_match_each_mixture(seed, n_atoms, n_members, upper):
+    """Every evaluation with per-point rows equals the member's own call;
+    up to 64 atoms, so the row sums of the per-member mean take numpy's
+    pairwise path."""
+    ms = _members(seed, n_atoms, n_members, span=max(4.0, n_atoms / 4.0))
+    m0, locs, s = ms[0], ms[0].base.locations, ms[0].sigma
+    rng = np.random.default_rng(seed)
+    member = rng.integers(0, n_members, 40)
+    t = rng.uniform(locs[0] - 8.0 * s, locs[-1] + 8.0 * s, member.size)
+    t[:n_members] = [m.base.mean() for m in ms]
+    rows = np.stack([m.base.log_weights for m in ms])[member]
+    for name in ("log_pdf", "log_cdf", "log_sf"):
+        want = [getattr(ms[j], name)(np.array([x]))[0] for j, x in zip(member, t)]
+        assert _bits(getattr(m0, name)(t, rows)) == _bits(want), name
+    lower, lc, ls = m0._log_sides(t, rows)
+    for j, x, lo_, c, sf in zip(member, t, lower, lc, ls):
+        w_lower, w_lc, w_ls = ms[j]._log_sides(np.array([x]))
+        assert (lo_, *_bits([c, sf])) == (w_lower[0], *_bits([w_lc[0], w_ls[0]]))
+    targets = rng.uniform(-40.0, math.log(0.7), member.size)
+    got = m0.quantile_from_log_mass(targets, upper=upper, log_weights=rows)
+    want = [ms[j].quantile_from_log_mass(np.array([q]), upper=upper)[0]
+            for j, q in zip(member, targets)]
+    assert _bits(got) == _bits(want)
+
+
+# -- multi-member quadrature -------------------------------------------------------
+
+INTEGRANDS = (
+    lambda t: np.exp(-t * t),
+    lambda t: np.sqrt(np.abs(t - 0.3)),      # a kink: many panels
+    lambda t: t ** 3 - t,
+    lambda t: np.where(t < 0.1, 0.0, 1.0),  # a jump: depth-capped panels
+)
+
+
+def _f(t, member):
+    out = np.empty(t.shape)
+    for j, g in enumerate(INTEGRANDS):
+        on = member == j
+        out[on] = g(t[on])
+    return out
+
+
+def _assert_same(got: _quad.QuadResult, want: _quad.QuadResult):
+    assert _bits([got.total, got.error_estimate]) == \
+        _bits([want.total, want.error_estimate])
+    assert (got.n_eval, got.converged) == (want.n_eval, want.converged)
+    assert _bits(got.panel_edges) == _bits(want.panel_edges)
+    assert _bits(got.panel_values) == _bits(want.panel_values)
+
+
+@pytest.mark.parametrize("max_eval, max_depth", [
+    (2_000_000, 40),   # every member converges on its own terms
+    (400, 40),         # the kink and the jump exhaust their budget
+    (2_000_000, 6),    # the jump stays unconverged at the depth cap
+])
+def test_simpson_members_match_solo(max_eval, max_depth):
+    bps = [np.linspace(-2.0, 2.0, 5), [-1.0, 0.0, 1.5], [0.0, 3.0],
+           [-1.0, 1.0]]
+    tols = [1e-10, 1e-9, 1e-12, 1e-11]
+    got = _quad._simpson_members(_f, bps, tols, max_depth=max_depth,
+                                 max_eval=max_eval, strict=False)
+    solo = [_quad.adaptive_simpson(g, bp, tol, max_depth=max_depth,
+                                   max_eval=max_eval, strict=False)
+            for g, bp, tol in zip(INTEGRANDS, bps, tols)]
+    for g, w in zip(got, solo):
+        _assert_same(g, w)
+    flags = [r.converged for r in got]
+    assert any(flags) and (all(flags) == (max_eval > 400 and max_depth > 6))
+    if not all(flags):
+        with pytest.raises(_quad.QuadratureError):
+            _quad._simpson_members(_f, bps, tols, max_depth=max_depth,
+                                   max_eval=max_eval)
+
+
+# -- empirical measures from counts ------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 8), st.integers(1, 5000))
+def test_empirical_from_counts_matches_sorted_sample(seed, n_atoms, n):
+    p = random_mixture(np.random.default_rng(seed), n_atoms).base
+    got = p.empirical(n, np.random.default_rng(seed))
+    want = p.sample(n, np.random.default_rng(seed)).to_atomic()
+    assert _bits(got.locations) == _bits(want.locations)
+    assert _bits(got.log_weights) == _bits(want.log_weights)
+
+
+# -- the quantile solver converges or raises ----------------------------------------
+
+# B of check_3_crossing_bound(quick=True, seed=4251378574): base atoms
+# -0.1444, 1.9887, 3.7398 shifted by 5.5350. Plain safeguarded Newton cycles
+# between x ~ 4.5494 and x ~ 7.3745 for this upper target, each step just
+# inside the bracket, and stopped at the cap with log S off by 0.66.
+TWO_CYCLE = SmoothedMixture(AtomicDistribution(
+    np.array([5.390538062740279, 7.523629805266576, 9.274729480455392]),
+    np.array([-0.3263244252217454, -2.54222807906534, -1.610748412944605])),
+    0.7562200157802955)
+TWO_CYCLE_TARGET = -0.7417566214723033
+
+
+def test_quantile_two_cycle_converges():
+    x = TWO_CYCLE.quantile_from_log_mass(np.array([TWO_CYCLE_TARGET]), upper=True)
+    assert abs(TWO_CYCLE.log_sf(x)[0] - TWO_CYCLE_TARGET) <= 1e-12
+
+
+def test_quantile_cap_raises_with_the_count(monkeypatch):
+    monkeypatch.setattr(dist_core, "_NEWTON_CAP", 3)
+    targets = np.array([TWO_CYCLE_TARGET, -30.0, math.log(0.5)])
+    with pytest.raises(QuantileSolveError, match=r"^3 quantile target\(s\) "
+                       r"unconverged after 3 Newton iterations$") as ei:
+        TWO_CYCLE.quantile_from_log_mass(targets, upper=True)
+    assert ei.value.unconverged == 3 and isinstance(ei.value, RuntimeError)

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from sotlab import experiments
+from sotlab import dist_core, experiments
 from sotlab.cli import main
 
 
@@ -56,6 +56,14 @@ def test_numeric_failure_exits_3(runner, tmp_path):
     res = runner.invoke(main, ["rate-scan", "--config", cfg, "--seed", "1"])
     assert res.exit_code == 3
     assert "numeric failure" in res.output
+
+
+def test_quantile_cap_exits_3(runner, monkeypatch):
+    monkeypatch.setattr(dist_core, "_NEWTON_CAP", 1)
+    golden = Path(__file__).parent / "golden" / "w2_inline_atoms.json"
+    res = runner.invoke(main, ["w2", "--config", str(golden)])
+    assert res.exit_code == 3
+    assert "unconverged after 1 Newton iterations" in res.output
 
 
 def test_construct_json(runner, tmp_path):

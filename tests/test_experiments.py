@@ -82,28 +82,35 @@ def test_mc_values_leave_a_seed_sequence_unspawned():
 
 
 def _uncached_trials(p, sigma, n, trials, seed, value):
-    """The MC loop with no cache: value(P_n * N) on every trial's own draw.
-    Also returns the distinct empirical measures the trials drew."""
+    """The MC loop with no cache: value(P_n * N) on every trial's own draw,
+    one call per trial. Also returns the distinct empirical measures the
+    trials drew."""
     keys = []
 
-    def one(rng):
+    def draw(rng):
         emp = p.sample(n, rng).to_atomic()
         keys.append((emp.locations.tobytes(), emp.log_weights.tobytes()))
-        return value(SmoothedMixture(emp, sigma))
+        return emp
 
-    return exp._run_trials(one, trials, seed), len(set(keys))
+    def evaluate(emps):
+        return [value(SmoothedMixture(emp, sigma)) for emp in emps]
+
+    return exp._run_trials(draw, evaluate, trials, seed), len(set(keys))
 
 
-def _counted(monkeypatch, module, name):
-    calls = []
+def _evaluated_members(monkeypatch, module, name):
+    """Record the empirical measure of every member that the batched
+    evaluator module.name evaluates."""
+    members = []
     original = getattr(module, name)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def recording(As, Bs, *args, **kwargs):
+        members.extend((A.base.locations.tobytes(), A.base.log_weights.tobytes())
+                       for A in As)
+        return original(As, Bs, *args, **kwargs)
 
-    monkeypatch.setattr(module, name, counting)
-    return calls
+    monkeypatch.setattr(module, name, recording)
+    return members
 
 
 @pytest.mark.parametrize("h, K, n, trials, seed, stops_early", [
@@ -117,10 +124,11 @@ def test_w2_cache_matches_uncached_trials(monkeypatch, h, K, n, trials, seed,
     want, distinct = _uncached_trials(
         p, 1.0, n, trials, seed,
         lambda A: transport.w2_squared(A, truth, tol=1e-8).total)
-    calls = _counted(monkeypatch, transport, "w2_squared")
+    members = _evaluated_members(monkeypatch, transport, "_w2_members")
     got = exp.mc_w2sq_values(p, 1.0, n, trials, seed)
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
-    assert len(calls) == distinct < got.size
+    # each distinct measure is evaluated exactly once across the batched calls
+    assert len(members) == len(set(members)) == distinct < got.size
     assert (got.size < trials) == stops_early
 
 
@@ -130,11 +138,32 @@ def test_kl_cache_matches_uncached_trials(monkeypatch):
     want, distinct = _uncached_trials(
         p, 1.0, 8, 30, 5,
         lambda A: divergences.kl_divergence(A, truth, tol=1e-10))
-    calls = _counted(monkeypatch, divergences, "kl_divergence")
+    members = _evaluated_members(monkeypatch, divergences, "_kl_members")
     got = exp.mc_expected_kl(p, 1.0, 8, 30, 5)
     assert np.array(got.values).view(np.int64).tolist() == want.view(np.int64).tolist()
     assert got.trials == want.size == 30
-    assert len(calls) == distinct < got.trials
+    # each distinct measure is evaluated exactly once across the batched calls
+    assert len(members) == len(set(members)) == distinct < got.trials
+
+
+def test_failure_in_a_batch_names_the_earliest_failing_trial(monkeypatch):
+    p = cons.bernoulli_two_point(2.0, 2.0)
+    emps = [p.empirical(8, np.random.default_rng(c))
+            for c in np.random.SeedSequence(11).spawn(40)]
+    distinct = list(dict.fromkeys(e.log_weights.tobytes() for e in emps))
+    # two measures fail; the error names the first trial that drew either
+    bad = set(distinct[1:3])
+    first_bad = min(i for i, e in enumerate(emps) if e.log_weights.tobytes() in bad)
+    original = transport._w2_members
+
+    def failing(As, Bs, *args, **kwargs):
+        if any(A.base.log_weights.tobytes() in bad for A in As):
+            raise ArithmeticError("injected")
+        return original(As, Bs, *args, **kwargs)
+
+    monkeypatch.setattr(transport, "_w2_members", failing)
+    with pytest.raises(RuntimeError, match=rf"^trial {first_bad} failed: injected$"):
+        exp.mc_w2sq_values(p, 1.0, 8, 40, 11)
 
 
 def test_expected_w2sq_decreases_with_n():
