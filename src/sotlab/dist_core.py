@@ -535,12 +535,8 @@ class SmoothedMixture:
     # -- sampling & serialization -------------------------------------------------
 
     def sample(self, n: int, seed) -> EmpiricalMeasure:
-        if n < 1:
-            raise ValueError("n must be >= 1")
         rng = _as_generator(seed)
-        w = self.base.weights()
-        w = w / w.sum()
-        idx = rng.choice(self.base.n_atoms, size=n, p=w)
+        idx = self.base._draw_atoms(n, rng)
         vals = self.base.locations[idx] + rng.normal(0.0, self.sigma, size=n)
         return EmpiricalMeasure(np.sort(vals))
 

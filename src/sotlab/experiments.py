@@ -68,27 +68,37 @@ REL_STOP = 0.02
 CHUNK = 25
 
 
-def _run_trials(draw, evaluate, trials: int, seed) -> np.ndarray:
-    """Run up to `trials` seeded trials in trial order, a chunk at a time,
-    stopping at a chunk boundary once the relative standard error drops below
-    REL_STOP. draw(rng) makes one trial's input from the trial's own
-    generator; evaluate(inputs) returns the values of a chunk's inputs, with
-    the exception in place of each value that failed. The earliest failed
-    trial raises RuntimeError("trial i failed: ...")."""
+def _run_trials(p: AtomicDistribution, n: int, values_of, trials: int,
+                seed) -> np.ndarray:
+    """Values of up to `trials` seeded trials, in trial order: trial i draws
+    P_n = p.empirical(n, ...) from its own child of `seed`. Trials run a chunk
+    at a time and stop at a chunk boundary once the relative standard error
+    drops below REL_STOP. Each distinct P_n (keyed by its exact bytes) is
+    evaluated once per call: values_of(measures) evaluates a chunk's new
+    measures on one support in one batch. The earliest failed trial raises
+    RuntimeError("trial i failed: ...")."""
     if trials < 2:
         raise ValueError("trials must be >= 2")
     children = seed_sequence(seed).spawn(trials)
+    seen: dict = {}
     values: list[float] = []
     while len(values) < trials:
         start = len(values)
         stop = min(trials, max(MIN_TRIALS, start + CHUNK))
-        inputs = []
+        keys, groups = [], {}
         for i in range(start, stop):
             try:
-                inputs.append(draw(np.random.default_rng(children[i])))
+                m = p.empirical(n, np.random.default_rng(children[i]))
             except Exception as exc:
                 raise RuntimeError(f"trial {i} failed: {exc}") from exc
-        for i, value in enumerate(evaluate(inputs), start):
+            key = (m.locations.tobytes(), m.log_weights.tobytes())
+            keys.append(key)
+            if key not in seen:
+                groups.setdefault(key[0], {})[key] = m
+        for group in groups.values():
+            seen.update(zip(group, _batch_or_each(values_of, list(group.values()))))
+        for i, key in enumerate(keys, start):
+            value = seen[key]
             if isinstance(value, Exception):
                 raise RuntimeError(f"trial {i} failed: {value}") from value
             values.append(value)
@@ -108,29 +118,6 @@ def _summarize(values: np.ndarray) -> MCResult:
           else float(values.std(ddof=1)) / math.sqrt(values.size))
     return MCResult(estimate=est, stderr=se, trials=int(values.size),
                     values=tuple(float(v) for v in values))
-
-
-def _per_distinct_measure(p: AtomicDistribution, n: int, values_of):
-    """(draw, evaluate) for _run_trials: each trial draws P_n of n draws from
-    p. values_of(measures) evaluates measures on one support in one batch.
-    Each distinct P_n (keyed by its exact bytes) is evaluated once for the
-    life of the pair: the new ones of a chunk, grouped by support."""
-    seen: dict = {}
-
-    def draw(rng):
-        return p.empirical(n, rng)
-
-    def evaluate(measures):
-        keys = [(m.locations.tobytes(), m.log_weights.tobytes()) for m in measures]
-        groups: dict = {}
-        for key, m in zip(keys, measures):
-            if key not in seen:
-                groups.setdefault(key[0], {})[key] = m
-        for group in groups.values():
-            seen.update(zip(group, _batch_or_each(values_of, list(group.values()))))
-        return [seen[key] for key in keys]
-
-    return draw, evaluate
 
 
 def _batch_or_each(values_of, measures) -> list:
@@ -159,7 +146,7 @@ def mc_w2sq_values(p: AtomicDistribution, sigma: float, n: int, trials: int,
                                     [truth] * len(measures), tol=tol)
         return [ev.total for ev in evs]
 
-    return _run_trials(*_per_distinct_measure(p, n, w2sq), trials, seed)
+    return _run_trials(p, n, w2sq, trials, seed)
 
 
 def mc_expected_w2sq(p: AtomicDistribution, sigma: float, n: int, trials: int,
@@ -176,7 +163,7 @@ def mc_expected_kl(p: AtomicDistribution, sigma: float, n: int, trials: int,
         return divergences._kl_members([SmoothedMixture(m, sigma) for m in measures],
                                        [truth] * len(measures), tol=tol)
 
-    return _summarize(_run_trials(*_per_distinct_measure(p, n, kl), trials, seed))
+    return _summarize(_run_trials(p, n, kl, trials, seed))
 
 
 def rate_series(mc, p: AtomicDistribution, sigma: float, n_list, trials: int,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import _integrate_members, adaptive_simpson
+from ._quad import _simpson_members
 from .dist_core import (LOG_MASS_EPS, SmoothedMixture, SubgaussianProfile,
                         _member_rows)
 
@@ -110,9 +110,9 @@ def _w2_members(As, Bs, tol: float = 1e-9,
         T = _transport_map(A, B, t, ra, rows_b(member))[0]
         return np.exp(A.log_pdf(t, ra)) * (T - t) ** 2
 
-    results = _integrate_members(
-        adaptive_simpson, integrand,
-        [_breakpoints(A, B, float(lo[i]), float(hi[i])) for i in every], tol)
+    results = _simpson_members(
+        integrand, [_breakpoints(A, B, float(lo[i]), float(hi[i])) for i in every],
+        [tol] * every.size)
 
     out = []
     for i, res in zip(every, results):
@@ -193,8 +193,7 @@ class DisplacementReport:
 
 
 def displacement_bound_check(P: SmoothedMixture, Q: SmoothedMixture,
-                             t: float, h: float,
-                             grid_points: int = 2001) -> DisplacementReport:
+                             t: float, h: float) -> DisplacementReport:
     """Check |F_Q^{-1}(F_P(t)) - t| <= sup|F_P-F_Q| / inf rho_P over [t-h, t+h].
 
     The sup/inf are dense-grid surrogates (step <= h/1000); the premise for the
@@ -202,7 +201,7 @@ def displacement_bound_check(P: SmoothedMixture, Q: SmoothedMixture,
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    grid = np.linspace(t - h, t + h, max(grid_points, 2001))
+    grid = np.linspace(t - h, t + h, 2001)
     L = float(np.max(np.abs(P.cdf(grid) - Q.cdf(grid))))
     rho_floor = float(np.exp(np.min(P.log_pdf(grid))))
     delta = L / rho_floor if rho_floor > 0 else math.inf
@@ -295,7 +294,7 @@ def upper_bound_decomposition(P: SmoothedMixture, K: float, n: int,
     idx = np.arange(0, mids.size, max(1, mids.size // 40))
     checked = violations = 0
     for t in mids[idx]:
-        rep = displacement_bound_check(P, emp, float(t), 1.0, grid_points=2001)
+        rep = displacement_bound_check(P, emp, float(t), 1.0)
         if rep.premise_ok:
             checked += 1
             if not rep.holds:

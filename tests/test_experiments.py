@@ -82,20 +82,22 @@ def test_mc_values_leave_a_seed_sequence_unspawned():
 
 
 def _uncached_trials(p, sigma, n, trials, seed, value):
-    """The MC loop with no cache: value(P_n * N) on every trial's own draw,
-    one call per trial. Also returns the distinct empirical measures the
-    trials drew."""
-    keys = []
-
-    def draw(rng):
-        emp = p.sample(n, rng).to_atomic()
-        keys.append((emp.locations.tobytes(), emp.log_weights.tobytes()))
-        return emp
-
-    def evaluate(emps):
-        return [value(SmoothedMixture(emp, sigma)) for emp in emps]
-
-    return exp._run_trials(draw, evaluate, trials, seed), len(set(keys))
+    """The MC loop with no cache and no batches: value(P_n * N) on every
+    trial's own draw, one call per trial, stopping after trial 50, 75, 100,
+    ... once the relative standard error is below 2%. Also returns the number
+    of distinct empirical measures the trials drew."""
+    values, keys = [], set()
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        emp = p.sample(n, np.random.default_rng(child)).to_atomic()
+        keys.add((emp.locations.tobytes(), emp.log_weights.tobytes()))
+        values.append(value(SmoothedMixture(emp, sigma)))
+        if len(values) >= 50 and len(values) % 25 == 0:
+            arr = np.asarray(values)
+            est = float(arr.mean())
+            se = float(arr.std(ddof=1)) / math.sqrt(arr.size)
+            if est > 0.0 and se / est < 0.02:
+                break
+    return np.asarray(values), len(keys)
 
 
 def _evaluated_members(monkeypatch, module, name):
