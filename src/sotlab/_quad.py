@@ -52,6 +52,15 @@ def adaptive_simpson(f, breakpoints, tol: float, max_depth: int = 40,
                             max_depth, max_eval, strict)[0]
 
 
+def _integrate_members(simpson, f, breakpoints, tol: float) -> list:
+    """One QuadResult per member: f(t, member) as for _simpson_members. A
+    lone member goes through `simpson` (the caller's adaptive_simpson) with
+    member None, so that it stays a quadrature call of its own."""
+    if len(breakpoints) == 1:
+        return [simpson(lambda t: f(t, None), breakpoints[0], tol)]
+    return _simpson_members(f, breakpoints, [tol] * len(breakpoints))
+
+
 def _simpson_members(f, breakpoints, tols, max_depth: int = 40,
                      max_eval: int = 2_000_000, strict: bool = True) -> list:
     """adaptive_simpson of several integrands (members) at once, sharing only

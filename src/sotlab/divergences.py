@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import _simpson_members, adaptive_simpson
+from ._quad import _integrate_members, adaptive_simpson
 from .dist_core import (LOG_MASS_EPS, LOG_SQRT_2PI, AtomicDistribution,
                         SmoothedMixture, _member_rows, log1mexp, logsumexp)
 
@@ -83,9 +83,9 @@ def _kl_members(As, Bs, tol: float = 1e-10) -> list:
             out = np.where(big, np.exp(la + d) - np.exp(la) * (1.0 + d), out)
         return out
 
-    results = _simpson_members(
-        integrand, [_breakpoints(A, B, lo[i], hi[i]) for i in every],
-        [tol] * every.size)
+    results = _integrate_members(
+        adaptive_simpson, integrand,
+        [_breakpoints(A, B, lo[i], hi[i]) for i in every], tol)
     # int_w (rho_B - rho_A) = tail-mass(A) - tail-mass(B)
     mass_corr = (_tail_masses(A, lo, hi, rows_a(every))
                  - _tail_masses(B, lo, hi, rows_b(every)))

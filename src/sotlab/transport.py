@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import _simpson_members
+from ._quad import _integrate_members, adaptive_simpson
 from .dist_core import (LOG_MASS_EPS, SmoothedMixture, SubgaussianProfile,
                         _member_rows)
 
@@ -110,9 +110,9 @@ def _w2_members(As, Bs, tol: float = 1e-9,
         T = _transport_map(A, B, t, ra, rows_b(member))[0]
         return np.exp(A.log_pdf(t, ra)) * (T - t) ** 2
 
-    results = _simpson_members(
-        integrand, [_breakpoints(A, B, float(lo[i]), float(hi[i])) for i in every],
-        [tol] * every.size)
+    results = _integrate_members(
+        adaptive_simpson, integrand,
+        [_breakpoints(A, B, float(lo[i]), float(hi[i])) for i in every], tol)
 
     out = []
     for i, res in zip(every, results):
