@@ -1,5 +1,12 @@
+import itertools
 import json
 import math
+import multiprocessing
+import os
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import special
 from scipy.special import log_ndtr
 
+from sotlab import dist_core
 from sotlab.dist_core import (AtomicDistribution, EmpiricalMeasure,
                               SmoothedMixture, gaussian_tail_bound_check,
                               log1mexp, logdiffexp, logsumexp, seed_sequence)
@@ -208,3 +216,148 @@ def test_gaussian_tail_bound():
     assert rep.passed
     with pytest.raises(ValueError):
         gaussian_tail_bound_check(np.array([-1.0]))
+
+
+# -- kernel row blocks ------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def pools():
+    """Kernel pools of width 1 and 2, whatever this machine's CPU count."""
+    made = {w: ThreadPoolExecutor(w) for w in (1, 2)}
+    yield made
+    for p in made.values():
+        p.shutdown()
+
+
+def _kernel_outputs(m, t, rows, targets, upper):
+    lower, lc, ls = m._log_sides(t, rows)
+    return [m.log_cdf(t, rows), m.log_sf(t, rows), m.log_pdf(t, rows),
+            lower.astype(float), lc, ls,
+            m.quantile_from_log_mass(targets, upper=upper, log_weights=rows),
+            m.log_interval_prob(t - 0.25 * m.sigma, t + np.abs(t) * 1e-3)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 40), st.integers(0, 30),
+       st.booleans(), st.booleans())
+def test_row_blocks_keep_every_bit(pools, seed, n_atoms, n_points, with_rows,
+                                   upper):
+    """One block, one row per block and blocks of 3 or 7 rows (a ragged last
+    block unless they divide the points), on pools of 1 and 2 workers, give
+    the same bits, with and without per-point log-weight rows."""
+    rng = np.random.default_rng(seed)
+    m = random_mixture(rng, n_atoms, float(rng.uniform(0.3, 2.0)),
+                       span=max(4.0, n_atoms / 4.0))
+    locs, s = m.base.locations, m.sigma
+    t = rng.uniform(locs[0] - 10.0 * s, locs[-1] + 10.0 * s, n_points)
+    rows = np.log(rng.dirichlet(np.ones(n_atoms), n_points)) if with_rows else None
+    targets = rng.uniform(-40.0, math.log(0.7), n_points)
+    with mock.patch.object(dist_core, "_BLOCK_BUDGET", 10 ** 9):
+        want = [_bits(a) for a in _kernel_outputs(m, t, rows, targets, upper)]
+    # the kernel's formula on fresh arrays, through scipy's logsumexp
+    z = (t[:, None] - locs[None, :]) / s
+    lw = m.base.log_weights[None, :] if rows is None else rows
+    refs = [special.logsumexp(lw + term, axis=1)
+            for term in (log_ndtr(z), log_ndtr(-z), -0.5 * z * z)]
+    refs[2] = refs[2] - math.log(s) - dist_core.LOG_SQRT_2PI
+    assert want[:3] == [_bits(r) for r in refs]
+    for budget in (1, 3 * n_atoms, 7 * n_atoms):
+        for width, pool in pools.items():
+            with mock.patch.object(dist_core, "_BLOCK_BUDGET", budget), \
+                    mock.patch.object(dist_core, "_pool", pool):
+                got = [_bits(a) for a in _kernel_outputs(m, t, rows, targets, upper)]
+            assert got == want, (budget, width)
+
+
+def test_row_blocks_keep_shapes_and_types(monkeypatch):
+    m = random_mixture(np.random.default_rng(3), 5)
+    monkeypatch.setattr(dist_core, "_BLOCK_BUDGET", 6)
+    for x, shape in ((np.empty(0), (0,)), (np.empty((0, 3)), (0, 3)),
+                     (np.linspace(-3, 3, 12).reshape(3, 4), (3, 4))):
+        for name in ("log_cdf", "log_sf", "log_pdf"):
+            got = getattr(m, name)(x)
+            assert isinstance(got, np.ndarray) and got.shape == shape
+        assert m.log_interval_prob(x, x + 1.0).shape == shape
+    for x in (0.3, np.float64(0.3), np.array(0.3)):
+        for name in ("log_cdf", "log_sf", "log_pdf"):
+            assert type(getattr(m, name)(x)) is np.float64
+        assert type(m.log_interval_prob(x, 1.0)) is float
+
+
+def test_block_exception_reaches_the_caller(monkeypatch, pools):
+    """The exception a block raises is the one the caller sees."""
+    m = random_mixture(np.random.default_rng(3), 5)
+    monkeypatch.setattr(dist_core, "_BLOCK_BUDGET", 6)
+    real, boom = dist_core._logsumexp, KeyError("block 3")
+    for pool in pools.values():
+        calls = itertools.count()
+
+        def logsumexp(*args):
+            if next(calls) == 3:
+                raise boom
+            return real(*args)
+
+        monkeypatch.setattr(dist_core, "_pool", pool)
+        monkeypatch.setattr(dist_core, "_logsumexp", logsumexp)
+        with pytest.raises(KeyError) as ei:
+            m.log_cdf(np.linspace(-1.0, 1.0, 10))
+        assert ei.value is boom
+
+
+def test_blocks_keep_the_callers_errstate(monkeypatch, pools):
+    """np.errstate lives in a contextvar; each block runs in a copy of the
+    caller's context, so an overflow raises (or stays quiet) as it does in
+    one block."""
+    m = random_mixture(np.random.default_rng(3), 5)
+    x = np.full(10, 1e200)
+    for budget, pool in ((10 ** 9, None), (6, pools[1]), (6, pools[2])):
+        monkeypatch.setattr(dist_core, "_BLOCK_BUDGET", budget)
+        monkeypatch.setattr(dist_core, "_pool", pool)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            m.log_pdf(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore"):
+                assert np.all(m.log_pdf(x) == -np.inf)
+
+
+def test_blocks_on_a_crowded_pool_write_every_row(monkeypatch):
+    """More workers than CPUs and a short switch interval: a lost or misplaced
+    block write would change the bits."""
+    m = random_mixture(np.random.default_rng(5), 64, span=16.0)
+    t = np.linspace(-25.0, 25.0, 1000)
+    want = _bits(m.log_cdf(t))
+    monkeypatch.setattr(dist_core, "_BLOCK_BUDGET", 64)
+    old = sys.getswitchinterval()
+    with ThreadPoolExecutor(9) as pool:
+        monkeypatch.setattr(dist_core, "_pool", pool)
+        try:
+            sys.setswitchinterval(1e-6)
+            for _ in range(3):
+                assert _bits(m.log_cdf(t)) == want
+        finally:
+            sys.setswitchinterval(old)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this OS")
+def test_a_forked_child_gets_its_own_kernel_pool(monkeypatch):
+    """The parent's pool workers do not exist in a forked child; blocks
+    handed to them there would never run."""
+    m = random_mixture(np.random.default_rng(3), 5)
+    t = np.linspace(-3.0, 3.0, 10)
+    monkeypatch.setattr(dist_core, "_BLOCK_BUDGET", 6)
+    want = m.log_cdf(t).tobytes()   # starts the pool in this process
+    ctx = multiprocessing.get_context("fork")
+    reader, writer = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=lambda: writer.send_bytes(m.log_cdf(t).tobytes()))
+    child.start()
+    try:
+        assert reader.poll(30), "the child's kernel call did not finish"
+        assert reader.recv_bytes() == want
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
