@@ -27,7 +27,7 @@ LOG_MASS_EPS = math.log(1e-30)
 # log-space error of either is ~1e-15
 _LOG_HALF_DECIDED = math.log(0.5) - 1e-6
 
-# cap on (#points) x (#atoms) per kernel block (_row_blocks): a block's
+# cap on (#points) x (#atoms) per kernel slice (_row_slices): a slice's
 # float scratch arrays are then 512 KB each, so its working set (two of them
 # and a bool array, ~1.1 MB) stays in a 2 MB L2, and a call of many points
 # has enough blocks to keep every worker of the kernel pool busy. Sweep at
@@ -88,6 +88,56 @@ def _logsumexp(a, axes, e, ties):
         with np.errstate(divide="ignore", over="ignore"):
             out[bad] = np.log(np.add.reduce(np.exp(a), axis=axes, keepdims=True))[bad]
     return out
+
+
+def _logsumexp_atoms(a, e, ties):
+    """logsumexp(a.T, axis=1) bit for bit for an (atoms x points) array a,
+    using the scratch arrays e (float) and ties (bool) of a's shape.
+
+    _logsumexp's operations in the same order, reduced over the leading atom
+    axis, so that numpy's inner loops run along the points and not once per
+    short row of atoms: the max and the tie count are exact in any order, and
+    the two sums run in _pairwise_sum's order, that of numpy summing one
+    contiguous row."""
+    a_max = np.maximum.reduce(a, axis=0)
+    np.equal(a, a_max, out=ties)
+    m = np.add.reduce(ties, axis=0, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.exp(np.subtract(a, a_max, out=e), out=e)
+        np.copyto(e, 0.0, where=ties)
+        s = _pairwise_sum(e) / m
+        out = np.log1p(s) + np.log(m) + a_max
+    bad = ~np.isfinite(out)
+    if bad.any():
+        with np.errstate(divide="ignore", over="ignore"):
+            out[bad] = np.log(_pairwise_sum(np.exp(a[:, bad])))
+    return out
+
+
+def _pairwise_sum(a):
+    """np.add.reduce(a, axis=0) of a 2-D array a of terms that are not -0.0,
+    with each column summed in the order in which numpy 2.4's pairwise
+    summation adds one contiguous row: fewer than 8 terms in sequence from 0;
+    up to 128 in 8 partial sums over strides of 8, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remainder in sequence; more
+    split at n/2 rounded down to a multiple of 8, the two halves' sums added.
+    (numpy adds that to the reduction's initial 0, which changes only a sum of
+    -0.0 alone.)"""
+    n = a.shape[0]
+    if n < 8:
+        return np.add.reduce(a, axis=0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
+    whole = n - n % 8
+    # a reduction over a leading axis adds its terms in sequence, from 0
+    r = np.add.reduce(a[:whole].reshape(whole // 8, 8, -1), axis=0)
+    r = r[0::2] + r[1::2]
+    r = r[0::2] + r[1::2]
+    res = r[0] + r[1]
+    for row in a[whole:]:
+        res += row
+    return res
 
 
 def log1mexp(x):
@@ -157,9 +207,15 @@ def _scratch(shape):
     return a[:n].reshape(shape), b[:n].reshape(shape), flags[:n].reshape(shape)
 
 
+def _row_slices(n_rows: int, n_atoms: int) -> list:
+    """Consecutive slices of range(n_rows), each of at most _BLOCK_BUDGET
+    (row x atom) pairs and at least one row."""
+    step = max(1, _BLOCK_BUDGET // max(1, n_atoms))
+    return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
+
+
 def _row_blocks(n_rows: int, n_atoms: int, block) -> None:
-    """Call block(rows) on consecutive slices `rows` of range(n_rows), each of
-    at most _BLOCK_BUDGET (row x atom) pairs and at least one row.
+    """Call block(rows) on each slice `rows` of _row_slices(n_rows, n_atoms).
 
     One slice runs inline. More run on the kernel pool, numpy and scipy
     ufunc loops releasing the GIL, each slice in a copy of the caller's
@@ -169,15 +225,14 @@ def _row_blocks(n_rows: int, n_atoms: int, block) -> None:
     so the output bits do not depend on the budget or on the number of
     workers.
     """
-    step = max(1, _BLOCK_BUDGET // max(1, n_atoms))
-    if n_rows <= step:
-        if n_rows:
-            block(slice(0, n_rows))
+    slices = _row_slices(n_rows, n_atoms)
+    if len(slices) <= 1:
+        for rows in slices:
+            block(rows)
         return
     pool = _kernel_pool()
-    futures = [pool.submit(contextvars.copy_context().run, block,
-                           slice(i, min(i + step, n_rows)))
-               for i in range(0, n_rows, step)]
+    futures = [pool.submit(contextvars.copy_context().run, block, rows)
+               for rows in slices]
     wait(futures)
     for f in futures:
         f.result()

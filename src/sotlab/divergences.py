@@ -16,7 +16,8 @@ import numpy as np
 
 from ._quad import _integrate_members, adaptive_simpson
 from .dist_core import (LOG_MASS_EPS, LOG_SQRT_2PI, AtomicDistribution,
-                        SmoothedMixture, _member_rows, log1mexp, logsumexp)
+                        SmoothedMixture, _logsumexp_atoms, _member_rows,
+                        _row_slices, _scratch, logsumexp)
 
 
 def _windows(A: SmoothedMixture, B: SmoothedMixture, rows_a=None, rows_b=None,
@@ -155,16 +156,6 @@ def _default_radius(p: AtomicDistribution, sigma: float, tol: float) -> float:
                  + sigma * math.sqrt(2.0 * math.log(1.0 / tol)) + 10.0 * sigma)
 
 
-def _log_abs_expm1(e: np.ndarray) -> np.ndarray:
-    """log |expm1(e)|, stable for any magnitude of e."""
-    out = np.empty_like(e)
-    pos = e > 0
-    with np.errstate(divide="ignore"):
-        out[pos] = e[pos] + np.log1p(-np.exp(-e[pos]))
-        out[~pos] = log1mexp(np.minimum(e[~pos], -1e-300))
-    return out
-
-
 def _mi_breakpoints(p: AtomicDistribution, sigma: float, R: float):
     offs = np.array([-16.0, -8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0, 16.0]) * sigma
     pts = (p.locations[:, None] + offs[None, :]).ravel()
@@ -180,13 +171,24 @@ def _log_mix_rel(p: AtomicDistribution, sigma: float, k: int,
     huge in magnitude wherever the two kernels differ a lot, but rounding there
     is harmless because the corresponding term is negligible; near crossovers
     the difference is small and exact.
+
+    The (atoms x points) exponents are built in cache-sized slices of y, in
+    the calling thread's kernel scratch, and reduced over the atom axis; the
+    bits are those of -logsumexp over the (points x atoms) array.
     """
-    rk = p.locations[k]
-    lwk = p.log_weights[k]
-    delta = ((p.log_weights[None, :] - lwk)
-             + ((y[:, None] - rk) ** 2 - (y[:, None] - p.locations[None, :]) ** 2)
-             / (2.0 * sigma * sigma))
-    return -logsumexp(delta, axis=1)
+    locs = p.locations
+    rk = locs[k]
+    lw_rel = (p.log_weights - p.log_weights[k])[:, None]
+    out = np.empty(y.shape)
+    for r in _row_slices(y.size, locs.size):
+        yr = y[r]
+        delta, e, ties = _scratch((locs.size, yr.size))
+        np.square(np.subtract(yr, locs[:, None], out=delta), out=delta)
+        np.subtract(np.square(yr - rk), delta, out=delta)
+        np.divide(delta, 2.0 * sigma * sigma, out=delta)
+        np.add(lw_rel, delta, out=delta)
+        out[r] = _logsumexp_atoms(delta, e, ties)
+    return np.negative(out, out=out)
 
 
 def chi2_mutual_information(p: AtomicDistribution, sigma: float,
@@ -244,6 +246,8 @@ def renyi_mutual_information(p: AtomicDistribution, sigma: float, lam: float,
         _default_radius(p, sigma, tol)
     bp = _mi_breakpoints(p, sigma, R)
     log_norm = -math.log(sigma) - LOG_SQRT_2PI
+    ordered = np.sort(bp)
+    seed = np.unique(np.concatenate([bp, 0.5 * (ordered[:-1] + ordered[1:])]))
     log_weighted = np.empty(p.n_atoms)
     qerr = 0.0
     for k in range(p.n_atoms):
@@ -255,7 +259,6 @@ def renyi_mutual_information(p: AtomicDistribution, sigma: float, lam: float,
             lphi = -0.5 * ((y - rk) / sigma) ** 2 + log_norm
             return lphi + (lam - 1.0) * _log_mix_rel(p, sigma, k, y)
 
-        seed = np.unique(np.concatenate([bp, 0.5 * (np.sort(bp)[:-1] + np.sort(bp)[1:])]))
         shift = float(np.max(log_expo(seed)))
 
         def integrand(y, shift=shift, rk=rk, k=k):

@@ -57,6 +57,36 @@ def test_logsumexp_matches_scipy_bitwise(a, row, blank_row):
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(1, 300), st.sampled_from([1000, 8193])),
+       st.integers(1, 5), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 0.02, 0.3]))
+def test_atom_major_logsumexp_matches_row_major_bitwise(n_atoms, n_points,
+                                                        seed, special_share):
+    """_logsumexp_atoms over the leading axis of an (atoms x points) array
+    gives the bits of logsumexp over the rows of its transpose: numpy sums a
+    contiguous row pairwise from 8 terms on, and the atom-major sum must
+    reproduce that order."""
+    rng = np.random.default_rng(seed)
+    # per column a spread from terms of one magnitude, whose sum's last bit
+    # depends on the order, to terms far below the max
+    scale = rng.choice([1e-3, 1.0, 30.0, 800.0], size=n_points)
+    a = rng.normal(0.0, 1.0, (n_atoms, n_points)) * scale
+    # ties at the max, then infinities, NaN and repeated values
+    cols = np.arange(n_points)
+    a[rng.integers(0, n_atoms, n_points), cols] = a[np.argmax(a, axis=0), cols]
+    odd = rng.random(a.shape) < special_share
+    a[odd] = rng.choice([-math.inf, math.inf, math.nan, 0.0, -745.0],
+                        size=int(odd.sum()))
+    if rng.random() < 0.3:
+        a[:, rng.integers(0, n_points)] = -math.inf
+    e, ties = np.empty(a.shape), np.empty(a.shape, dtype=bool)
+    got = dist_core._logsumexp_atoms(a.copy(), e, ties)
+    rows = np.ascontiguousarray(a.T)
+    for want in (logsumexp(rows, axis=1), special.logsumexp(rows, axis=1)):
+        assert _bits(got) == _bits(want)
+
+
 @settings(max_examples=25, deadline=None)
 @given(mixtures)
 def test_density_bounded_by_kernel_peak(m):

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from sotlab import constructions as cons
 from sotlab import divergences as dv
-from sotlab.dist_core import AtomicDistribution, SmoothedMixture
+from sotlab.dist_core import AtomicDistribution, SmoothedMixture, logsumexp
 
 from conftest import random_mixture
 
@@ -105,6 +105,37 @@ def test_renyi_mi_deep_atoms_finite():
     hard = cons.chi2_hard_example(2.0, c, 8)
     est = dv.renyi_mutual_information(hard, 1.0, 1.5)
     assert np.isfinite(est.value) and est.value >= 0
+
+
+def _log_mix_rel_by_points(p, sigma, k, y):
+    # the (points x atoms) formula that the atom-major _log_mix_rel reproduces
+    rk = p.locations[k]
+    lwk = p.log_weights[k]
+    delta = ((p.log_weights[None, :] - lwk)
+             + ((y[:, None] - rk) ** 2 - (y[:, None] - p.locations[None, :]) ** 2)
+             / (2.0 * sigma * sigma))
+    return -logsumexp(delta, axis=1)
+
+
+def test_mi_keeps_the_points_by_atoms_bits(monkeypatch):
+    """With 8 or more atoms the atom-major log-sum runs its 8-partial-sum
+    order; value, every part and the quadrature error keep their bits."""
+    c = cons.chi2_admissible_c(2.0)
+    hard = cons.chi2_hard_example(2.0, c, 10)
+    spread = AtomicDistribution.from_weights(
+        np.array([-3.1, -1.7, -0.9, -0.2, 0.4, 1.1, 1.8, 2.6, 4.0]),
+        np.array([0.05, 0.2, 0.1, 0.15, 0.1, 0.12, 0.08, 0.15, 0.05]))
+    assert hard.n_atoms == 11
+
+    def bits():
+        ests = (dv.chi2_mutual_information(hard, 1.0),
+                dv.renyi_mutual_information(spread, 0.8, 1.5))
+        return [np.array([e.value, e.quadrature_error, *e.partial_by_atom])
+                .view(np.int64).tolist() for e in ests]
+
+    got = bits()
+    monkeypatch.setattr(dv, "_log_mix_rel", _log_mix_rel_by_points)
+    assert got == bits()
 
 
 def test_lambda_guards(rng):
