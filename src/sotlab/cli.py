@@ -23,7 +23,7 @@ import numpy as np
 from . import (__version__, acceptance, concentration, constructions,
                divergences, experiments, functional_ineq, tail_bounds,
                transport)
-from .dist_core import AtomicDistribution, SmoothedMixture, SubgaussianProfile
+from .dist_core import AtomicDistribution, SmoothedMixture
 
 
 class ConfigError(Exception):
@@ -73,8 +73,18 @@ def _get(cfg: dict, field: str, typ, required: bool = True, default=None,
     return v
 
 
+def _positive(cfg: dict, field: str, required: bool = True, default=None,
+              path: str = ""):
+    """A number field that must be > 0 when present."""
+    v = _get(cfg, field, float, required=required, default=default, path=path)
+    if v is not None and not v > 0.0:
+        raise ConfigError(f"{path}.{field}" if path else field,
+                          f"{field} must be positive")
+    return v
+
+
 def _sigma(cfg: dict, path: str = "") -> float:
-    return _get(cfg, "sigma", float, required=False, default=1.0, path=path)
+    return _positive(cfg, "sigma", required=False, default=1.0, path=path)
 
 
 def _h_list(cfg: dict) -> list:
@@ -231,8 +241,8 @@ def w2(cfg, seed, out_path):
     """Exact quantile-coupling W2^2 between two smoothed mixtures."""
     A, _ = _build_distribution(_get(cfg, "A", dict), "A")
     B, _ = _build_distribution(_get(cfg, "B", dict), "B")
-    sa = _get(cfg, "sigma_a", float, required=False, default=_sigma(cfg))
-    sb = _get(cfg, "sigma_b", float, required=False, default=sa)
+    sa = _positive(cfg, "sigma_a", required=False, default=_sigma(cfg))
+    sb = _positive(cfg, "sigma_b", required=False, default=sa)
     tol = _get(cfg, "tol", float, required=False, default=1e-9)
     ev = transport.w2_squared(SmoothedMixture(A, sa), SmoothedMixture(B, sb),
                               tol=tol)
@@ -247,7 +257,7 @@ def mi_probe(cfg, seed, out_path):
     sigma = _sigma(cfg)
     kind = _get(cfg, "kind", str, choices={"chi2", "renyi"})
     lam = _get(cfg, "lam", float, required=(kind == "renyi"))
-    radius = _get(cfg, "truncation_radius", float, required=False)
+    radius = _positive(cfg, "truncation_radius", required=False)
     tol = _get(cfg, "tol", float, required=False, default=1e-9)
     if kind == "chi2":
         est = divergences.chi2_mutual_information(dist, sigma, radius, tol)
@@ -266,14 +276,14 @@ def rate_scan(cfg, seed, out_path):
     """Monte Carlo n-sweep and log-log rate fit; writes <out>.fit.json too,
     and <out>.plan.json (the per-n h, t, p_h, feasible) for bernoulli."""
     family = _get(cfg, "family", str, choices={"two_point", "bernoulli", "kl"})
-    K = _get(cfg, "K", float)
+    K = _positive(cfg, "K")
     sigma = _sigma(cfg)
     n_list = _n_list(cfg)
     trials = _get(cfg, "trials", int, required=False, default=200, minimum=2)
     # the estimator's own default: mc_expected_kl's, or mc_expected_w2sq's
     tol = _get(cfg, "tol", float, required=False,
                default=1e-10 if family == "kl" else 1e-8)
-    h = _get(cfg, "h", float, required=False, default=2.0)
+    h = _positive(cfg, "h", required=False, default=2.0)
     epsilon = _get(cfg, "epsilon", float, required=False, default=0.02)
     meta = {"family": family, "K": K, "sigma": sigma}
     plan = None
@@ -346,14 +356,14 @@ def concentration_cmd(cfg, seed, out_path):
                 {"violation_rate": rep.violation_rate})
     if mode == "berry_esseen":
         h = _get(cfg, "h", float)
-        K = _get(cfg, "K", float)
+        K = _positive(cfg, "K")
         sigma = _sigma(cfg)
         n = _get(cfg, "n", int)
         reps = _get(cfg, "replications", int, minimum=1)
         fr = concentration.berry_esseen_event_frequency(h, K, sigma, n, reps,
                                                         seed)
     else:
-        K = _get(cfg, "K", float)
+        K = _positive(cfg, "K")
         sigma = _sigma(cfg)
         k_max = _get(cfg, "k_max", int, required=False, default=4)
         k = _get(cfg, "k", int, minimum=1)
@@ -377,7 +387,7 @@ def concentration_cmd(cfg, seed, out_path):
 def tail_probe(cfg, seed, out_path):
     """Tail-mass vs smoothed-density envelope constants on an r-grid."""
     dist, _ = _build_distribution(_get(cfg, "dist", dict), "dist")
-    K = _get(cfg, "K", float)
+    K = _positive(cfg, "K")
     sigma = _sigma(cfg)
     epsilon = _get(cfg, "epsilon", float)
     kind = _get(cfg, "kind", str, choices={"upper", "lower"})
@@ -385,22 +395,18 @@ def tail_probe(cfg, seed, out_path):
     r_max = _get(cfg, "r_max", float)
     points = _get(cfg, "r_points", int, required=False, default=101,
                   minimum=1)
-    try:
-        profile = SubgaussianProfile(K=K)
-    except ValueError as exc:
-        raise ConfigError("K", str(exc))
     beta = tail_bounds.beta_exponent(K)
     if not 0.0 < epsilon < beta:
         raise ConfigError("epsilon", f"must lie in (0, beta) = (0, {beta!r})")
     grid = np.linspace(r_min, r_max, points)
     if kind == "upper":
-        rep = tail_bounds.tail_density_inequality_probe(dist, profile, epsilon,
+        rep = tail_bounds.tail_density_inequality_probe(dist, K, epsilon,
                                                         grid, sigma)
         return (["r", "log_tail", "log_density", "ratio"],
                 list(zip(grid, rep.log_tail, rep.log_density, rep.ratio)),
                 {"M_hat": rep.M_hat, "log_M_hat": rep.log_M_hat,
                  "beta": rep.beta, "epsilon": epsilon})
-    rep = tail_bounds.density_tail_lower_probe(dist, profile, epsilon, grid,
+    rep = tail_bounds.density_tail_lower_probe(dist, K, epsilon, grid,
                                                sigma)
     return (["r", "log_ratio"], list(zip(grid, rep.log_ratio)),
             {"C_hat": rep.C_hat, "log_C_hat": rep.log_C_hat,
@@ -411,7 +417,7 @@ def tail_probe(cfg, seed, out_path):
 @_subcommand("lsi-probe", seed_required=False)
 def lsi_probe(cfg, seed, out_path):
     """Log-Sobolev constant lower bounds along an h-grid."""
-    K = _get(cfg, "K", float)
+    K = _positive(cfg, "K")
     sigma = _sigma(cfg)
     h_list = _h_list(cfg)
     x1 = _get(cfg, "x1", float, required=False)
@@ -426,7 +432,7 @@ def lsi_probe(cfg, seed, out_path):
 @_subcommand("t2-probe", seed_required=False)
 def t2_probe(cfg, seed, out_path):
     """Transportation-inequality W2^2/KL ratios along an h-grid."""
-    K = _get(cfg, "K", float)
+    K = _positive(cfg, "K")
     sigma = _sigma(cfg)
     delta = _get(cfg, "delta", float)
     h_list = _h_list(cfg)

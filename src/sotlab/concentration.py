@@ -30,16 +30,14 @@ from .dist_core import (AtomicDistribution, EmpiricalMeasure, SmoothedMixture,
 class ConcentrationReport:
     n: int
     delta: float
-    statistic: float          # last replication's statistic for single runs
     bound: float
-    violated: bool
-    violation_rate: float | None = None
-    statistics: tuple = ()
+    violation_rate: float
+    statistics: tuple         # one statistic per replication
 
     def __post_init__(self):
-        if self.statistic < 0.0:
-            raise ValueError("statistic must be nonnegative")
-        if self.violation_rate is not None and not (0.0 <= self.violation_rate <= 1.0):
+        if any(s < 0.0 for s in self.statistics):
+            raise ValueError("statistics must be nonnegative")
+        if not (0.0 <= self.violation_rate <= 1.0):
             raise ValueError("violation_rate must lie in [0, 1]")
 
 
@@ -110,10 +108,8 @@ def weighted_cdf_concentration(F: SmoothedMixture, n: int, delta: float,
     stats = [weighted_cdf_statistic(F, F.sample(n, np.random.default_rng(c)))
              for c in children]
     stats = np.asarray(stats)
-    violations = stats > bound
-    return ConcentrationReport(n=n, delta=delta, statistic=float(stats[-1]),
-                               bound=bound, violated=bool(violations[-1]),
-                               violation_rate=float(np.mean(violations)),
+    return ConcentrationReport(n=n, delta=delta, bound=bound,
+                               violation_rate=float(np.mean(stats > bound)),
                                statistics=tuple(float(s) for s in stats))
 
 

@@ -224,11 +224,3 @@ def mgf_subgaussian_check(p: AtomicDistribution, K: float, alpha_grid,
     i = int(np.argmax(slack))
     return MGFReport(passed=bool(slack[i] <= tol), max_slack=float(slack[i]),
                      arg_alpha=float(alpha[i]), tol=tol)
-
-
-def exp_square_moment(p: AtomicDistribution, a: float) -> float:
-    """E[e^{a X^2}] as a finite log-space sum; +inf when it overflows float64."""
-    log_val = float(logsumexp(p.log_weights + a * p.locations ** 2))
-    if log_val > 700.0:
-        return math.inf
-    return math.exp(log_val)

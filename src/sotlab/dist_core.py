@@ -357,25 +357,6 @@ class AtomicDistribution:
 
 
 @dataclass(frozen=True)
-class SubgaussianProfile:
-    """Tail envelope P(|X - mean| >= r) <= C exp(-r^2 / (2 K^2))."""
-
-    K: float
-    C: float = 1.0
-    mean: float = 0.0
-
-    def __post_init__(self):
-        if self.K <= 0:
-            raise ValueError("K must be positive")
-        if self.C < 1.0:
-            raise ValueError("C must be >= 1")
-
-    def log_tail(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        return math.log(self.C) - r * r / (2.0 * self.K ** 2)
-
-
-@dataclass(frozen=True)
 class EmpiricalMeasure:
     """Sorted i.i.d. sample; the empirical measure puts mass 1/n on each point."""
 
@@ -688,22 +669,13 @@ class SmoothedMixture:
             ]
         return float(logsumexp(np.concatenate(terms)))
 
-    # -- sampling & serialization -------------------------------------------------
+    # -- sampling ------------------------------------------------------------
 
     def sample(self, n: int, seed) -> EmpiricalMeasure:
         rng = _as_generator(seed)
         idx = self.base._draw_atoms(n, rng)
         vals = self.base.locations[idx] + rng.normal(0.0, self.sigma, size=n)
         return EmpiricalMeasure(np.sort(vals))
-
-    def to_json_obj(self) -> dict:
-        obj = self.base.to_json_obj()
-        obj["sigma"] = float(self.sigma)
-        return obj
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "SmoothedMixture":
-        return cls(AtomicDistribution.from_json_obj(obj), float(obj["sigma"]))
 
 
 def _member_rows(mixtures):

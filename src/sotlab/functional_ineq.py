@@ -217,7 +217,7 @@ def t2_lower_bound(h: float, K: float, sigma: float, delta: float) -> T2Probe:
         # Q shifts mass toward the origin, so F_Q >= F_P pointwise and the
         # premise F_Q(t) >= F_P(t+2) can hold in the density valley
         best = transport.best_crossing_lower_bound(Q, P, t_grid)
-        if best is None or not best.applicable:
+        if not best.applicable:
             raise RuntimeError("no certified W2 value and no applicable "
                                "crossing bound")
         w2sq = best.value

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist_core import AtomicDistribution, SmoothedMixture, SubgaussianProfile
+from .dist_core import AtomicDistribution, SmoothedMixture
 
 
 def beta_exponent(K: float) -> float:
@@ -48,7 +48,7 @@ class TailDensityReport:
     epsilon: float
 
 
-def tail_density_inequality_probe(p: AtomicDistribution, profile: SubgaussianProfile,
+def tail_density_inequality_probe(p: AtomicDistribution, K: float,
                                   epsilon: float, r_grid,
                                   sigma: float = 1.0) -> TailDensityReport:
     """Measure M_hat = sup_r (1-F(r)) / rho(r)^(beta-eps) for the smoothing of p.
@@ -59,7 +59,7 @@ def tail_density_inequality_probe(p: AtomicDistribution, profile: SubgaussianPro
     """
     if sigma != 1.0:
         raise ValueError("probe is defined at the sigma = 1 normalization")
-    beta = beta_exponent(profile.K)
+    beta = beta_exponent(K)
     if not (0.0 < epsilon < beta):
         raise ValueError("need 0 < epsilon < beta")
     r = np.asarray(r_grid, dtype=float)
@@ -99,7 +99,7 @@ class DensityLowerReport:
     epsilon: float
 
 
-def density_tail_lower_probe(p: AtomicDistribution, profile: SubgaussianProfile,
+def density_tail_lower_probe(p: AtomicDistribution, K: float,
                              epsilon: float, r_grid,
                              sigma: float = 1.0) -> DensityLowerReport:
     """Measure C_hat = inf_r rho(r) / P[X >= r]^(1/(beta-eps)).
@@ -109,7 +109,7 @@ def density_tail_lower_probe(p: AtomicDistribution, profile: SubgaussianProfile,
     """
     if sigma != 1.0:
         raise ValueError("probe is defined at the sigma = 1 normalization")
-    beta = beta_exponent(profile.K)
+    beta = beta_exponent(K)
     if not (0.0 < epsilon < beta):
         raise ValueError("need 0 < epsilon < beta")
     r = np.asarray(r_grid, dtype=float)

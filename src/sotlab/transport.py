@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import _integrate_members, adaptive_simpson
-from .dist_core import (LOG_MASS_EPS, SmoothedMixture, SubgaussianProfile,
-                        _member_rows)
+from .dist_core import LOG_MASS_EPS, SmoothedMixture, _member_rows
 
 
 @dataclass(frozen=True)
@@ -39,9 +38,9 @@ class TransportEvaluation:
 
 def _transport_map(A: SmoothedMixture, B: SmoothedMixture, t: np.ndarray,
                    rows_a=None, rows_b=None):
-    """T(t) = F_B^{-1}(F_A(t)), with the side each t was inverted on and its
-    log-mass. rows_a and rows_b are optional per-point log-weight rows of A
-    and B (see SmoothedMixture).
+    """T(t) = F_B^{-1}(F_A(t)), with the log-mass each t was inverted at.
+    rows_a and rows_b are optional per-point log-weight rows of A and B (see
+    SmoothedMixture).
 
     Inverts on the better-conditioned side of B (CDF below A's median mass,
     survival above), so deep-tail transport keeps relative mass accuracy.
@@ -53,7 +52,7 @@ def _transport_map(A: SmoothedMixture, B: SmoothedMixture, t: np.ndarray,
             T[side] = B.quantile_from_log_mass(
                 log_mass[side], upper=upper,
                 log_weights=None if rows_b is None else rows_b[side])
-    return T, lower, np.where(lower, la, ls)
+    return T, np.where(lower, la, ls)
 
 
 def _breakpoints(A: SmoothedMixture, B: SmoothedMixture, lo: float, hi: float):
@@ -138,7 +137,7 @@ def _noise_bound(A: SmoothedMixture, B: SmoothedMixture, lo: float,
     """Bound on the W2^2 error that the quantile solver's stopping rule
     injects into the displacement over the window [lo, hi]."""
     grid = np.linspace(lo, hi, 257)
-    T, _, log_mass = _transport_map(A, B, grid)
+    T, log_mass = _transport_map(A, B, grid)
     # the solver stops at |log-mass residual| <= 1e-13 or an absolute
     # bracket; translate both into a displacement error bound
     with np.errstate(over="ignore"):
@@ -180,130 +179,3 @@ def best_crossing_lower_bound(A: SmoothedMixture, B: SmoothedMixture,
     i = int(np.argmax(lv))
     return CrossingBound(True, float(tc[i]),
                          math.exp(lv[i]) if lv[i] > -745.0 else 0.0, float(lv[i]))
-
-
-@dataclass(frozen=True)
-class DisplacementReport:
-    premise_ok: bool
-    L: float          # sup |F_P - F_Q| over [t-h, t+h]
-    rho_floor: float  # inf rho_P over [t-h, t+h]
-    delta: float      # L / rho_floor
-    displacement: float
-    holds: bool
-
-
-def displacement_bound_check(P: SmoothedMixture, Q: SmoothedMixture,
-                             t: float, h: float) -> DisplacementReport:
-    """Check |F_Q^{-1}(F_P(t)) - t| <= sup|F_P-F_Q| / inf rho_P over [t-h, t+h].
-
-    The sup/inf are dense-grid surrogates (step <= h/1000); the premise for the
-    inequality is delta <= h.
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    grid = np.linspace(t - h, t + h, 2001)
-    L = float(np.max(np.abs(P.cdf(grid) - Q.cdf(grid))))
-    rho_floor = float(np.exp(np.min(P.log_pdf(grid))))
-    delta = L / rho_floor if rho_floor > 0 else math.inf
-    T = _transport_map(P, Q, np.array([float(t)]))[0]
-    disp = float(abs(T[0] - t))
-    if delta > h:
-        return DisplacementReport(False, L, rho_floor, delta, disp, False)
-    return DisplacementReport(True, L, rho_floor, delta, disp,
-                              disp <= delta * (1.0 + 1e-9) + 1e-12)
-
-
-@dataclass(frozen=True)
-class TruncationReport:
-    ok: bool
-    profile_ok: bool
-    K1_tilde: float
-    violations: tuple
-
-
-def _profile_holds(profile: SubgaussianProfile, m: SmoothedMixture,
-                   r_grid) -> bool:
-    r = np.asarray(r_grid, dtype=float)
-    r = r[r > 0]
-    log_mass = np.logaddexp(m.log_sf(profile.mean + r), m.log_cdf(profile.mean - r))
-    return bool(np.all(log_mass <= profile.log_tail(r) + 1e-12))
-
-
-def truncation_bound_check(P_profile: SubgaussianProfile,
-                           Q_profile: SubgaussianProfile,
-                           P: SmoothedMixture, Q: SmoothedMixture,
-                           x_grid) -> TruncationReport:
-    """Check the linear displacement envelope |F_Q^{-1}(F_P(x)) - x| <=
-    2|x| + 2 + K1~ + K2~(|x| + 2 + K1~) for subgaussian P, Q at sigma = 1.
-
-    K1~ = K1 sqrt(2 log 2 C1) and K2~(s) = K2 s + K2 sqrt(2 log 4 s C2).
-    Profiles are verified on a grid before use.
-    """
-    if P.sigma != 1.0 or Q.sigma != 1.0:
-        raise ValueError("requires the sigma = 1 normalization")
-    probe = np.linspace(0.5, 20.0, 40)
-    if not (_profile_holds(P_profile, P, probe) and _profile_holds(Q_profile, Q, probe)):
-        return TruncationReport(False, False, math.nan, ())
-    K1, C1 = P_profile.K, P_profile.C
-    K2, C2 = Q_profile.K, Q_profile.C
-    k1t = K1 * math.sqrt(2.0 * math.log(2.0 * C1))
-    x = np.asarray(x_grid, dtype=float)
-    T = _transport_map(P, Q, x)[0]
-    s = np.abs(x) + 2.0 + k1t
-    k2t = K2 * s + K2 * np.sqrt(np.maximum(2.0 * np.log(4.0 * s * C2), 0.0))
-    bound = 2.0 * np.abs(x) + 2.0 + k1t + k2t
-    disp = np.abs(T - x)
-    bad = disp > bound + 1e-9
-    return TruncationReport(not np.any(bad), True, k1t,
-                            tuple(float(v) for v in x[bad]))
-
-
-@dataclass(frozen=True)
-class DecompositionReport:
-    total: float
-    region_far: float        # |t| > 2K sqrt(2 log n)
-    region_low_density: float
-    region_bulk: float
-    alpha: float
-    pointwise_checked: int
-    pointwise_violations: int
-
-
-def upper_bound_decomposition(P: SmoothedMixture, K: float, n: int,
-                              seed) -> DecompositionReport:
-    """Split the W2^2 integral between P and a smoothed n-sample empirical copy.
-
-    Regions: far (|t| > 2K sqrt(2 log n)), low density (rho_P < n^-alpha), and
-    the bulk; contributions sum to the quadrature total by construction. Also
-    spot-checks the pointwise displacement inequality
-    |T(t) - t| <= |F(t) - F_n(t)| / inf rho where its premise holds.
-    """
-    if P.sigma != 1.0:
-        raise ValueError("requires the sigma = 1 normalization")
-    from .tail_bounds import alpha_exponent
-    alpha = alpha_exponent(K, 1.0)
-    emp = SmoothedMixture(P.base.empirical(n, seed), P.sigma)
-    ev = w2_squared(P, emp, tol=1e-10)
-    edges = ev.grid
-    mids = edges + 0.5 * np.diff(np.append(edges, ev.window[1]))
-    far = np.abs(mids) > 2.0 * K * math.sqrt(2.0 * math.log(n))
-    low = (~far) & (P.log_pdf(mids) < -alpha * math.log(n))
-    bulk = ~far & ~low
-    c = ev.contributions
-    # pointwise inequality at a thinned subset of panel midpoints
-    idx = np.arange(0, mids.size, max(1, mids.size // 40))
-    checked = violations = 0
-    for t in mids[idx]:
-        rep = displacement_bound_check(P, emp, float(t), 1.0)
-        if rep.premise_ok:
-            checked += 1
-            if not rep.holds:
-                violations += 1
-    return DecompositionReport(
-        total=ev.total,
-        region_far=float(np.sum(c[far])),
-        region_low_density=float(np.sum(c[low])),
-        region_bulk=float(np.sum(c[bulk])),
-        alpha=alpha,
-        pointwise_checked=checked,
-        pointwise_violations=violations)

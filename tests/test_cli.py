@@ -239,9 +239,41 @@ def test_tail_probe_nonpositive_K_exits_2(runner, tmp_path, K):
                     "trials": 4}, "K_list", "expected a list of positive"),
     ("phase-scan", {"K_list": [0.7], "n_list": [64, 128, 256],
                     "trials": 1}, "trials", "must be >= "),
+    ("mi-probe", {"dist": {"family": "two_point", "h": 4.0, "K": 2.0},
+                  "kind": "chi2", "sigma": 0}, "sigma",
+     "sigma must be positive"),
+    ("phase-scan", {"K_list": [0.7], "n_list": [64, 128, 256], "trials": 4,
+                    "sigma": -1.0}, "sigma", "sigma must be positive"),
+    ("construct", {"family": "w2_schedule", "K": 2.0, "k_max": 3,
+                   "sigma": 0}, "<root>.sigma", "sigma must be positive"),
+    ("w2", {"A": {"family": "two_point", "h": 1.0, "K": 1.0},
+            "B": {"family": "two_point", "h": 2.0, "K": 1.0},
+            "sigma_a": 0}, "sigma_a", "sigma_a must be positive"),
+    ("w2", {"A": {"family": "two_point", "h": 1.0, "K": 1.0},
+            "B": {"family": "two_point", "h": 2.0, "K": 1.0},
+            "sigma_b": -1.0}, "sigma_b", "sigma_b must be positive"),
+    ("rate-scan", {"family": "two_point", "K": 0, "h": 2.0,
+                   "n_list": [64, 128, 256], "trials": 3}, "K",
+     "K must be positive"),
+    ("lsi-probe", {"K": 0, "h_list": [5.0, 10.0]}, "K", "K must be positive"),
+    ("t2-probe", {"K": -2.0, "delta": 0.1, "h_list": [10.0]}, "K",
+     "K must be positive"),
+    ("concentration", {"mode": "berry_esseen", "h": 3.0, "K": 0, "n": 800,
+                       "replications": 5}, "K", "K must be positive"),
+    ("concentration", {"mode": "gap", "K": 0, "k": 1, "replications": 5},
+     "K", "K must be positive"),
+    ("rate-scan", {"family": "two_point", "K": 2.0, "h": 0,
+                   "n_list": [64, 128, 256], "trials": 3}, "h",
+     "h must be positive"),
+    ("mi-probe", {"dist": {"family": "two_point", "h": 4.0, "K": 2.0},
+                  "kind": "chi2", "truncation_radius": 0},
+     "truncation_radius", "truncation_radius must be positive"),
 ], ids=["rate_scan_trials", "tail_probe_r_points", "weighted_n",
         "replications", "weighted_delta", "gap_k", "tail_probe_epsilon",
-        "phase_scan_K_list", "phase_scan_trials"])
+        "phase_scan_K_list", "phase_scan_trials", "mi_probe_sigma",
+        "phase_scan_sigma", "construct_sigma", "w2_sigma_a", "w2_sigma_b",
+        "rate_scan_K", "lsi_probe_K", "t2_probe_K", "berry_esseen_K",
+        "gap_K", "rate_scan_h", "mi_probe_truncation_radius"])
 def test_out_of_range_value_exits_2(runner, tmp_path, command, cfg, field,
                                     message):
     res = runner.invoke(main, [command, "--config",

@@ -84,14 +84,6 @@ def test_schedule_guards():
         cons.w2_hard_example(0.5, 1.0, 4)       # needs kappa < 1
 
 
-def test_exp_square_moment():
-    p = cons.bernoulli_two_point(2.0, 1.0)
-    small = cons.exp_square_moment(p, 0.05)
-    assert np.isfinite(small) and small >= 1.0
-    big = cons.exp_square_moment(p, 1e6)
-    assert math.isinf(big)
-
-
 def test_mgf_check_rejects_bad_scale():
     p = cons.bernoulli_two_point(3.0, 2.0)
     rep = cons.mgf_subgaussian_check(p, 0.05, np.linspace(-5, 5, 41),

@@ -138,7 +138,7 @@ wide_mixtures = st.builds(
 @given(wide_mixtures, mixtures,
        st.lists(st.floats(-1.0, 1.0), min_size=0, max_size=12))
 def test_one_sided_log_mass_matches_both_sides_bitwise(m, B, offsets):
-    """cdf, sf and the transport map's side and T equal the formulas that
+    """cdf, sf and the transport map's log-mass and T equal the formulas that
     evaluate log F and log S at every point."""
     locs, s = m.base.locations, m.sigma
     centers = np.array([m.base.mean(), m.median()])
@@ -162,8 +162,8 @@ def test_one_sided_log_mass_matches_both_sides_bitwise(m, B, offsets):
     want_T = np.empty(t.shape)
     want_T[lower] = B.quantile_from_log_mass(lc[lower], upper=False)
     want_T[~lower] = B.quantile_from_log_mass(ls[~lower], upper=True)
-    T, got_lower, _ = _transport_map(m, B, t)
-    assert got_lower.tolist() == lower.tolist()
+    T, log_mass = _transport_map(m, B, t)
+    assert _bits(log_mass) == _bits(np.where(lower, lc, ls))
     assert _bits(T) == _bits(want_T)
 
 
@@ -194,11 +194,10 @@ def test_log_interval_prob_deep_tails(std_normal):
 
 
 def test_json_roundtrip(rng):
-    m = random_mixture(rng)
-    m2 = SmoothedMixture.from_json_obj(json.loads(json.dumps(m.to_json_obj())))
-    np.testing.assert_array_equal(m.base.locations, m2.base.locations)
-    np.testing.assert_array_equal(m.base.log_weights, m2.base.log_weights)
-    assert m.sigma == m2.sigma
+    p = random_mixture(rng).base
+    p2 = AtomicDistribution.from_json_obj(json.loads(json.dumps(p.to_json_obj())))
+    np.testing.assert_array_equal(p.locations, p2.locations)
+    np.testing.assert_array_equal(p.log_weights, p2.log_weights)
 
 
 def test_sampling_deterministic(rng):

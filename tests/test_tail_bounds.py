@@ -5,8 +5,7 @@ import pytest
 
 from sotlab import constructions as cons
 from sotlab import tail_bounds as tb
-from sotlab.dist_core import (AtomicDistribution, SmoothedMixture,
-                              SubgaussianProfile)
+from sotlab.dist_core import AtomicDistribution, SmoothedMixture
 
 
 def test_beta_examples():
@@ -30,27 +29,24 @@ def test_alpha_beta_identity():
 
 def test_tail_density_point_mass():
     p = AtomicDistribution.from_weights(np.array([0.0]), np.array([1.0]))
-    prof = SubgaussianProfile(K=1.0)
-    rep = tb.tail_density_inequality_probe(p, prof, 0.1,
+    rep = tb.tail_density_inequality_probe(p, 1.0, 0.1,
                                            np.linspace(0.0, 8.0, 81))
     assert np.isfinite(rep.M_hat) and rep.M_hat > 0
 
 
 def test_tail_density_grid_stability():
     p = cons.bernoulli_two_point(5.0, 2.0)
-    prof = SubgaussianProfile(K=2.0)
-    r1 = tb.tail_density_inequality_probe(p, prof, 0.1,
+    r1 = tb.tail_density_inequality_probe(p, 2.0, 0.1,
                                           np.linspace(0.0, 12.0, 101))
-    r2 = tb.tail_density_inequality_probe(p, prof, 0.1,
+    r2 = tb.tail_density_inequality_probe(p, 2.0, 0.1,
                                           np.linspace(0.0, 12.0, 201))
     assert abs(r2.M_hat - r1.M_hat) <= 0.05 * r1.M_hat
 
 
 def test_tail_density_epsilon_collapse():
     p = AtomicDistribution.from_weights(np.array([0.0]), np.array([1.0]))
-    prof = SubgaussianProfile(K=1.0)
     beta = tb.beta_exponent(1.0)
-    rep = tb.tail_density_inequality_probe(p, prof, beta * (1 - 1e-9),
+    rep = tb.tail_density_inequality_probe(p, 1.0, beta * (1 - 1e-9),
                                            np.linspace(0.0, 8.0, 81))
     # exponent -> 0 makes the envelope sup(1-F) <= 1 up to density normalizers
     assert rep.M_hat <= 1.0 + 1e-6
@@ -68,8 +64,7 @@ def test_tail_density_sides_match_two_sided_formula(grid):
     log_tail = np.where(grid >= 0.0, m.log_sf(grid), m.log_cdf(grid))
     log_rho = m.log_pdf(grid)
     env = log_tail - (tb.beta_exponent(2.0) - 0.1) * log_rho
-    rep = tb.tail_density_inequality_probe(p, SubgaussianProfile(K=2.0), 0.1,
-                                           grid)
+    rep = tb.tail_density_inequality_probe(p, 2.0, 0.1, grid)
     assert rep.log_tail.view(np.int64).tolist() == \
         log_tail.view(np.int64).tolist()
     assert rep.log_M_hat == env.max()
@@ -81,27 +76,24 @@ def test_tail_density_sides_match_two_sided_formula(grid):
 def test_tightness_at_two_point_crossover():
     K, h = 2.0, 20.0
     p = cons.bernoulli_two_point(h, K)
-    prof = SubgaussianProfile(K=K)
     r = (K * K + 1) * h / (2 * K * K)
     beta = tb.beta_exponent(K)
-    rep = tb.tail_density_inequality_probe(p, prof, 0.01, np.array([r]))
+    rep = tb.tail_density_inequality_probe(p, K, 0.01, np.array([r]))
     assert abs(rep.ratio[0] - beta) <= 0.1 * beta
 
 
 def test_density_lower_probe():
     p0 = AtomicDistribution.from_weights(np.array([0.0]), np.array([1.0]))
-    prof = SubgaussianProfile(K=1.0)
-    rep = tb.density_tail_lower_probe(p0, prof, 0.1, np.linspace(0, 5, 21))
+    rep = tb.density_tail_lower_probe(p0, 1.0, 0.1, np.linspace(0, 5, 21))
     assert rep.passed                      # empty tails count as +inf ratios
     p = cons.bernoulli_two_point(4.0, 2.0)
-    rep = tb.density_tail_lower_probe(p, SubgaussianProfile(K=2.0), 0.1,
+    rep = tb.density_tail_lower_probe(p, 2.0, 0.1,
                                       np.linspace(0.0, 8.0, 81))
     assert rep.passed and rep.C_hat > 0
     c = cons.chi2_admissible_c(2.0)
     hard = cons.chi2_hard_example(2.0, c, 7)
     grid = np.linspace(0.0, float(hard.locations[6]), 200)
-    rep = tb.density_tail_lower_probe(hard, SubgaussianProfile(K=2.0), 0.1,
-                                      grid)
+    rep = tb.density_tail_lower_probe(hard, 2.0, 0.1, grid)
     assert rep.passed and rep.C_hat > 0
 
 
