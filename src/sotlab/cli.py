@@ -89,9 +89,16 @@ def _sigma(cfg: dict, path: str = "") -> float:
 
 def _h_list(cfg: dict) -> list:
     h_list = _get(cfg, "h_list", list)
-    if not h_list or not all(isinstance(h, (int, float)) for h in h_list):
-        raise ConfigError("h_list", "expected a list of numbers")
+    if not h_list or not all(isinstance(h, (int, float)) and h > 0
+                             for h in h_list):
+        raise ConfigError("h_list", "expected a list of positive numbers")
     return [float(h) for h in h_list]
+
+
+def _above_sigma(K: float, sigma: float):
+    """K as the probes and the bernoulli scan need it: above sigma."""
+    if not K > sigma:
+        raise ConfigError("K", f"must be > sigma = {sigma!r}")
 
 
 def _n_list(cfg: dict) -> list:
@@ -278,6 +285,8 @@ def rate_scan(cfg, seed, out_path):
     family = _get(cfg, "family", str, choices={"two_point", "bernoulli", "kl"})
     K = _positive(cfg, "K")
     sigma = _sigma(cfg)
+    if family == "bernoulli":
+        _above_sigma(K, sigma)
     n_list = _n_list(cfg)
     trials = _get(cfg, "trials", int, required=False, default=200, minimum=2)
     # the estimator's own default: mc_expected_kl's, or mc_expected_w2sq's
@@ -389,6 +398,9 @@ def tail_probe(cfg, seed, out_path):
     dist, _ = _build_distribution(_get(cfg, "dist", dict), "dist")
     K = _positive(cfg, "K")
     sigma = _sigma(cfg)
+    if sigma != 1.0:
+        raise ConfigError("sigma", "must be 1: the probe is defined at the "
+                                   "sigma = 1 normalization")
     epsilon = _get(cfg, "epsilon", float)
     kind = _get(cfg, "kind", str, choices={"upper", "lower"})
     r_min = _get(cfg, "r_min", float, required=False, default=0.0)
@@ -434,6 +446,7 @@ def t2_probe(cfg, seed, out_path):
     """Transportation-inequality W2^2/KL ratios along an h-grid."""
     K = _positive(cfg, "K")
     sigma = _sigma(cfg)
+    _above_sigma(K, sigma)
     delta = _get(cfg, "delta", float)
     h_list = _h_list(cfg)
     probes = [functional_ineq.t2_lower_bound(h, K, sigma, delta)

@@ -72,6 +72,12 @@ def logsumexp(a, axis=None):
 def _logsumexp(a, axes, e, ties):
     """logsumexp over `axes` with keepdims, using the scratch arrays e
     (float) and ties (bool) of a's shape."""
+    n_terms = math.prod(a.shape[ax] for ax in axes) \
+        if isinstance(axes, tuple) else a.shape[axes]
+    if n_terms == 1:
+        # the bits of the ops below for one term (s = 0, m = 1): log1p(0) +
+        # log(1) + a, so -0.0 becomes +0.0 and +-inf and NaN stay
+        return 0.0 + a
     # np.add/np.maximum.reduce are what np.sum/np.max call, minus a wrapper
     a_max = np.maximum.reduce(a, axis=axes, keepdims=True)
     np.equal(a, a_max, out=ties)
@@ -425,6 +431,10 @@ class SmoothedMixture:
     same atoms and sigma (the members of a batch) together, and each point
     gets the same bits as a call on its own mixture. Without rows every
     point uses base.log_weights.
+
+    Tails: quantile_from_log_mass's `upper` is one flag or one flag per
+    target, so one solve inverts log F at some targets and log S at others,
+    each target getting the bits of a solve of its tail alone.
     """
 
     base: AtomicDistribution
@@ -436,7 +446,12 @@ class SmoothedMixture:
 
     # -- pointwise evaluations ------------------------------------------------
 
-    def _atom_logsum(self, t, kind: str, log_weights=None) -> np.ndarray:
+    def _atom_logsum(self, t, kind, log_weights=None) -> np.ndarray:
+        """logsumexp over the atoms of lw + term(z), z = (t - locs) / sigma,
+        where term is -z^2/2 for kind "pdf", log Phi(z) for "cdf" and
+        log Phi(-z) for "sf". kind may also be an array of one sign per point
+        (1.0 or -1.0), the tail log Phi(sign * z) of each point: z * -1.0 is
+        -z bit for bit, but for the sign of a NaN."""
         t = np.asarray(t, dtype=float)
         flat = np.atleast_1d(t).ravel()
         locs = self.base.locations
@@ -452,7 +467,9 @@ class SmoothedMixture:
         def block(r):
             z, term, ties = _scratch((r.stop - r.start, locs.size))
             np.divide(np.subtract(flat[r, None], locs, out=z), self.sigma, out=z)
-            if kind == "pdf":
+            if isinstance(kind, np.ndarray):
+                log_ndtr(np.multiply(z, kind[r, None], out=term), out=term)
+            elif kind == "pdf":
                 np.multiply(np.multiply(z, -0.5, out=term), z, out=term)
             elif kind == "cdf":
                 log_ndtr(z, out=term)
@@ -528,86 +545,82 @@ class SmoothedMixture:
 
     # -- quantiles -------------------------------------------------------------
 
-    def quantile_from_log_mass(self, log_mass, upper: bool = False,
+    def quantile_from_log_mass(self, log_mass, upper=False,
                                log_weights=None) -> np.ndarray:
         """Solve log F(x) = log_mass (lower) or log S(x) = log_mass (upper).
 
-        Vectorized safeguarded Newton on the log-mass scale with a guaranteed
-        initial bracket; a target is done when its residual log-mass error is
-        below 1e-13 or its bracket collapses. A step that leaves the bracket
-        is replaced by bisection, and so, from iteration 20 on, is any step
-        after one that did not halve the target's bracket: Newton can cycle
-        between points just inside both bracket ends, which shrinks the
-        bracket by ~1e-12 a step. A target still open after 200 iterations
-        raises QuantileSolveError. `log_weights` holds one row per target.
+        `upper` is one flag for all targets or one flag per target, so one
+        call inverts targets of both tails. Vectorized safeguarded Newton on
+        the log-mass scale with a guaranteed initial bracket; a target is done
+        when its residual log-mass error is below 1e-13 or its bracket
+        collapses. A step that leaves the bracket is replaced by bisection,
+        and so, from iteration 20 on, is any step after one that did not
+        halve the target's bracket: Newton can cycle between points just
+        inside both bracket ends, which shrinks the bracket by ~1e-12 a step.
+        Every target follows its own elementwise sequence from iteration 0,
+        whatever else is solved with it. A target still open after 200
+        iterations raises QuantileSolveError. `log_weights` holds one row per
+        target.
         """
-        lm = np.atleast_1d(np.asarray(log_mass, dtype=float)).copy()
+        lm = np.atleast_1d(np.asarray(log_mass, dtype=float))
         if np.any(lm >= math.log(0.75)) or np.any(~np.isfinite(lm)):
             raise ValueError("log-mass targets must be finite and <= log(0.75); "
                              "split at the median for the upper half")
+        shape = lm.shape
+        lm = lm.ravel()
+        up = np.broadcast_to(np.asarray(upper, dtype=bool), shape).ravel()
         rows = None if log_weights is None else \
             np.reshape(log_weights, (lm.size, self.base.n_atoms))
         locs = self.base.locations
         pad = self.sigma * np.sqrt(-2.0 * lm + 9.0)
-        if upper:
-            lo = np.full(lm.shape, locs[0] - 3.0 * self.sigma)
-            hi = locs[-1] + pad
-        else:
-            lo = locs[0] - pad
-            hi = np.full(lm.shape, locs[-1] + 3.0 * self.sigma)
+        lo = np.where(up, locs[0] - 3.0 * self.sigma, locs[0] - pad)
+        hi = np.where(up, locs[-1] + pad, locs[-1] + 3.0 * self.sigma)
         x = 0.5 * (lo + hi)
-        active = np.ones(lm.shape, dtype=bool)
+        # the sign of d(log-mass)/dx: F increases, S decreases
+        sign = np.where(up, -1.0, 1.0)
+        # the loop state holds the open targets only; `at` is their position
+        at = np.arange(lm.size)
+        out = np.empty(lm.size)
         for it in range(_NEWTON_CAP):
-            xa = x[active]
-            if xa.size == 0:
+            if at.size == 0:
                 break
-            ra = None if rows is None else rows[active]
-            logm = self._atom_logsum(xa, "sf" if upper else "cdf", ra)
-            lpdf = self.log_pdf(xa, ra)
-            g = logm - lm[active]
-            # bracket update: F increasing, S decreasing
-            if upper:
-                go_right = g > 0.0
-            else:
-                go_right = g < 0.0
-            lo_a = lo[active]
-            hi_a = hi[active]
-            lo_a = np.where(go_right, xa, lo_a)
-            hi_a = np.where(go_right, hi_a, xa)
+            logm = self._atom_logsum(x, sign, rows)
+            lpdf = self.log_pdf(x, rows)
+            g = logm - lm
+            # bracket update: the root lies right of x where sign * g < 0
+            go_right = sign * g < 0.0
+            lo_n = np.where(go_right, x, lo)
+            hi_n = np.where(go_right, hi, x)
             # Newton step on g(x); d/dx log F = pdf/F, d/dx log S = -pdf/S
-            deriv = np.exp(lpdf - logm)
-            if upper:
-                deriv = -deriv
+            deriv = sign * np.exp(lpdf - logm)
             with np.errstate(divide="ignore", invalid="ignore"):
                 step = g / deriv
-            xn = xa - step
-            bad = ~np.isfinite(xn) | (xn <= lo_a) | (xn >= hi_a)
+            xn = x - step
+            bad = ~np.isfinite(xn) | (xn <= lo_n) | (xn >= hi_n)
             if it >= _BISECT_FROM:
-                bad |= ~(hi_a - lo_a <= 0.5 * (hi[active] - lo[active]))
-            xn = np.where(bad, 0.5 * (lo_a + hi_a), xn)
-            done = (np.abs(g) <= 1e-13) | (hi_a - lo_a <= 1e-14 * (1.0 + np.abs(xa)))
-            lo[active] = lo_a
-            hi[active] = hi_a
-            x_new = np.where(done, xa, xn)
-            x[active] = x_new
-            idx = np.flatnonzero(active)
-            active[idx[done]] = False
-            if not np.any(active):
-                break
-        if np.any(active):
-            raise QuantileSolveError(int(np.count_nonzero(active)))
-        return x
+                bad |= ~(hi_n - lo_n <= 0.5 * (hi - lo))
+            xn = np.where(bad, 0.5 * (lo_n + hi_n), xn)
+            done = (np.abs(g) <= 1e-13) | (hi_n - lo_n <= 1e-14 * (1.0 + np.abs(x)))
+            if done.any():
+                out[at[done]] = x[done]
+                keep = ~done
+                x, lo, hi, lm, sign, at = (a[keep] for a in
+                                           (xn, lo_n, hi_n, lm, sign, at))
+                if rows is not None:
+                    rows = rows[keep]
+            else:
+                x, lo, hi = xn, lo_n, hi_n
+        if at.size:
+            raise QuantileSolveError(int(at.size))
+        return out.reshape(shape)
 
     def quantile(self, u) -> np.ndarray:
         u_arr = np.atleast_1d(np.asarray(u, dtype=float))
         if np.any((u_arr <= 0.0) | (u_arr >= 1.0)):
             raise ValueError("quantile level must lie strictly inside (0,1)")
-        out = np.empty(u_arr.shape, dtype=float)
         low = u_arr <= 0.5
-        if np.any(low):
-            out[low] = self.quantile_from_log_mass(np.log(u_arr[low]), upper=False)
-        if np.any(~low):
-            out[~low] = self.quantile_from_log_mass(np.log1p(-u_arr[~low]), upper=True)
+        out = self.quantile_from_log_mass(
+            np.where(low, np.log(u_arr), np.log1p(-u_arr)), upper=~low)
         return out.reshape(np.shape(u)) if np.shape(u) else float(out[0])
 
     def median(self) -> float:
@@ -692,6 +705,16 @@ def _member_rows(mixtures):
         raise ValueError("members must share their atoms and sigma")
     table = np.stack([m.base.log_weights for m in mixtures])
     return lambda member: table[member]
+
+
+def _deep_quantiles(m: SmoothedMixture, rows, members: int):
+    """The lower and upper LOG_MASS_EPS quantiles of m, one of each per
+    member, from one solve; rows are one per member, or None."""
+    eps = np.full(2 * members, LOG_MASS_EPS)
+    upper = np.arange(2 * members) >= members
+    rows = None if rows is None else np.concatenate([rows, rows])
+    both = m.quantile_from_log_mass(eps, upper=upper, log_weights=rows)
+    return both[:members], both[members:]
 
 
 @dataclass(frozen=True)

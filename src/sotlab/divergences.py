@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import _integrate_members, adaptive_simpson
-from .dist_core import (LOG_MASS_EPS, LOG_SQRT_2PI, AtomicDistribution,
-                        SmoothedMixture, _logsumexp_atoms, _member_rows,
+from .dist_core import (LOG_SQRT_2PI, AtomicDistribution, SmoothedMixture,
+                        _deep_quantiles, _logsumexp_atoms, _member_rows,
                         _row_slices, _scratch, logsumexp)
 
 
@@ -24,11 +24,8 @@ def _windows(A: SmoothedMixture, B: SmoothedMixture, rows_a=None, rows_b=None,
              members: int = 1):
     """Each member's joint deep-quantile window, as lists of lo and hi; the
     rows are one per member."""
-    eps = np.full(members, LOG_MASS_EPS)
-    a_lo, a_hi, b_lo, b_hi = (m.quantile_from_log_mass(eps, upper=upper,
-                                                       log_weights=rows)
-                              for m, rows in ((A, rows_a), (B, rows_b))
-                              for upper in (False, True))
+    a_lo, a_hi = _deep_quantiles(A, rows_a, members)
+    b_lo, b_hi = _deep_quantiles(B, rows_b, members)
     lo = [min(float(a), float(b)) for a, b in zip(a_lo, b_lo)]
     hi = [max(float(a), float(b)) for a, b in zip(a_hi, b_hi)]
     return lo, hi

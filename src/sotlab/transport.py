@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import _integrate_members, adaptive_simpson
-from .dist_core import LOG_MASS_EPS, SmoothedMixture, _member_rows
+from .dist_core import SmoothedMixture, _deep_quantiles, _member_rows
 
 
 @dataclass(frozen=True)
@@ -46,13 +46,9 @@ def _transport_map(A: SmoothedMixture, B: SmoothedMixture, t: np.ndarray,
     survival above), so deep-tail transport keeps relative mass accuracy.
     """
     lower, la, ls = A._log_sides(t, rows_a)
-    T = np.empty(t.shape, dtype=float)
-    for side, log_mass, upper in ((lower, la, False), (~lower, ls, True)):
-        if np.any(side):
-            T[side] = B.quantile_from_log_mass(
-                log_mass[side], upper=upper,
-                log_weights=None if rows_b is None else rows_b[side])
-    return T, np.where(lower, la, ls)
+    log_mass = np.where(lower, la, ls)
+    return B.quantile_from_log_mass(log_mass, upper=~lower,
+                                    log_weights=rows_b), log_mass
 
 
 def _breakpoints(A: SmoothedMixture, B: SmoothedMixture, lo: float, hi: float):
@@ -98,11 +94,8 @@ def _w2_members(As, Bs, tol: float = 1e-9,
     A, rows_a = As[0], _member_rows(As)
     B, rows_b = Bs[0], _member_rows(Bs)
     every = np.arange(len(As))
-    eps = np.full(every.size, LOG_MASS_EPS)
-    lo, hi, b_lo, b_hi = (m.quantile_from_log_mass(eps, upper=upper,
-                                                   log_weights=rows(every))
-                          for m, rows in ((A, rows_a), (B, rows_b))
-                          for upper in (False, True))
+    lo, hi = _deep_quantiles(A, rows_a(every), every.size)
+    b_lo, b_hi = _deep_quantiles(B, rows_b(every), every.size)
 
     def integrand(t, member):
         ra = rows_a(member)

@@ -209,3 +209,55 @@ def test_quantile_cap_raises_with_the_count(monkeypatch):
                        r"unconverged after 3 Newton iterations$") as ei:
         TWO_CYCLE.quantile_from_log_mass(targets, upper=True)
     assert ei.value.unconverged == 3 and isinstance(ei.value, RuntimeError)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.one_of(st.just(0), st.integers(1, 64)),
+       st.integers(0, 40), st.booleans())
+def test_mixed_tail_solve_matches_one_solve_per_tail(seed, n_atoms, n_targets,
+                                                     with_rows):
+    """One solve over targets of both tails gives the bits of one solve per
+    tail, with and without per-target rows; n_atoms 0 stands for TWO_CYCLE.
+    Targets run from -700 to just below log(0.75), the two-cycle target
+    among them, and there may be none."""
+    rng = np.random.default_rng(seed)
+    m = TWO_CYCLE if n_atoms == 0 else random_mixture(
+        rng, n_atoms, float(rng.uniform(0.3, 2.0)), span=max(4.0, n_atoms / 4.0))
+    top = np.nextafter(math.log(0.75), -math.inf)
+    targets = np.minimum(rng.uniform(-700.0, math.log(0.75), n_targets), top)
+    targets[rng.random(n_targets) < 0.2] = TWO_CYCLE_TARGET
+    targets[rng.random(n_targets) < 0.1] = top
+    upper = rng.random(n_targets) < 0.5
+    rows = None
+    if with_rows:
+        rows = np.log(rng.dirichlet(np.ones(m.base.n_atoms), n_targets))
+        rows[rng.random(n_targets) < 0.3] = m.base.log_weights
+    got = m.quantile_from_log_mass(targets, upper=upper, log_weights=rows)
+    want = np.empty(n_targets)
+    for flag in (False, True):
+        on = upper == flag
+        want[on] = m.quantile_from_log_mass(
+            targets[on], upper=flag, log_weights=None if rows is None else rows[on])
+    assert got.shape == (n_targets,)
+    assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("cap, per_tail", [(8, [1, 1]), (10, [0, 1])])
+def test_mixed_tail_cap_counts_both_tails(monkeypatch, cap, per_tail):
+    """At the cap a mixed solve raises with the open targets of both tails:
+    the sum of what one solve per tail leaves open."""
+    monkeypatch.setattr(dist_core, "_NEWTON_CAP", cap)
+    targets = np.array([TWO_CYCLE_TARGET, -30.0, math.log(0.5),
+                        TWO_CYCLE_TARGET, -30.0, -700.0])
+    upper = np.array([True, False, True, False, True, False])
+    open_ = []
+    for flag in (False, True):
+        try:
+            TWO_CYCLE.quantile_from_log_mass(targets[upper == flag], upper=flag)
+            open_.append(0)
+        except QuantileSolveError as exc:
+            open_.append(exc.unconverged)
+    assert open_ == per_tail
+    with pytest.raises(QuantileSolveError) as ei:
+        TWO_CYCLE.quantile_from_log_mass(targets, upper=upper)
+    assert ei.value.unconverged == sum(per_tail)

@@ -49,9 +49,10 @@ def test_missing_seed_exits_2(runner, tmp_path):
 
 
 def test_numeric_failure_exits_3(runner, tmp_path):
-    # the adaptive scan requires K > sigma; K = 0.5 fails during computation
+    # a valid config whose computation fails: with p_h = exp(-8) no trial
+    # draws an h-atom, so every W2 value is 0 and the rate fit has no weight
     cfg = write_cfg(tmp_path, "c.json",
-                    {"family": "bernoulli", "K": 0.5,
+                    {"family": "two_point", "K": 0.5, "h": 2.0,
                      "n_list": [64, 128, 256], "trials": 3})
     res = runner.invoke(main, ["rate-scan", "--config", cfg, "--seed", "1"])
     assert res.exit_code == 3
@@ -268,12 +269,27 @@ def test_tail_probe_nonpositive_K_exits_2(runner, tmp_path, K):
     ("mi-probe", {"dist": {"family": "two_point", "h": 4.0, "K": 2.0},
                   "kind": "chi2", "truncation_radius": 0},
      "truncation_radius", "truncation_radius must be positive"),
+    ("tail-probe", {"dist": {"family": "two_point", "h": 4.0, "K": 2.0},
+                    "K": 2.0, "epsilon": 0.1, "kind": "upper", "r_max": 8.0,
+                    "sigma": 0.5}, "sigma",
+     "must be 1: the probe is defined at the sigma = 1 normalization"),
+    ("t2-probe", {"K": 1.0, "sigma": 1.0, "delta": 0.1, "h_list": [10.0]},
+     "K", "must be > sigma = 1.0"),
+    ("t2-probe", {"K": 2.0, "delta": 0.1, "h_list": [-10.0]}, "h_list",
+     "expected a list of positive numbers"),
+    ("t2-probe", {"K": 2.0, "delta": 0.1, "h_list": [0.0]}, "h_list",
+     "expected a list of positive numbers"),
+    ("rate-scan", {"family": "bernoulli", "K": 0.5, "n_list": [128, 256],
+                   "trials": 4}, "K", "must be > sigma = 1.0"),
 ], ids=["rate_scan_trials", "tail_probe_r_points", "weighted_n",
         "replications", "weighted_delta", "gap_k", "tail_probe_epsilon",
         "phase_scan_K_list", "phase_scan_trials", "mi_probe_sigma",
         "phase_scan_sigma", "construct_sigma", "w2_sigma_a", "w2_sigma_b",
         "rate_scan_K", "lsi_probe_K", "t2_probe_K", "berry_esseen_K",
-        "gap_K", "rate_scan_h", "mi_probe_truncation_radius"])
+        "gap_K", "rate_scan_h", "mi_probe_truncation_radius",
+        "tail_probe_sigma", "t2_probe_K_not_above_sigma",
+        "t2_probe_negative_h", "t2_probe_zero_h",
+        "rate_scan_bernoulli_K_not_above_sigma"])
 def test_out_of_range_value_exits_2(runner, tmp_path, command, cfg, field,
                                     message):
     res = runner.invoke(main, [command, "--config",

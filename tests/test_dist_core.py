@@ -57,6 +57,45 @@ def test_logsumexp_matches_scipy_bitwise(a, row, blank_row):
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
+# one term per sum: the values that round or pass through specially
+ONE_TERM = np.array([-0.0, 0.0, math.inf, -math.inf, math.nan, -math.nan,
+                     -745.0, 2.5, 800.0, -1e-300, 5e-324])
+
+
+def test_one_term_logsumexp_matches_scipy_bitwise():
+    """With one term per sum, logsumexp and _logsumexp give scipy's bits:
+    -0.0 becomes +0.0, +-inf and NaN stay."""
+    col = ONE_TERM[:, None]
+    want = special.logsumexp(col, axis=1, keepdims=True)
+    e, ties = np.empty(col.shape), np.empty(col.shape, dtype=bool)
+    assert _bits(dist_core._logsumexp(col.copy(), 1, e, ties)) == _bits(want)
+    assert _bits(logsumexp(col, axis=1)) == _bits(want[:, 0])
+    for v in ONE_TERM:
+        for a, axis in ((np.array([v]), None), (np.array([v]), 0),
+                        (np.array([[v]]), None), (np.array([[v]]), (0, 1))):
+            assert _bits(logsumexp(a, axis=axis)) == \
+                _bits(special.logsumexp(a, axis=axis)), (v, a.shape, axis)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 30))
+def test_one_atom_kernel_matches_scipy_bitwise(seed, n_points):
+    """_atom_logsum on a one-atom mixture with per-point rows: each kind,
+    and one tail per point, against scipy's logsumexp on fresh arrays."""
+    rng = np.random.default_rng(seed)
+    m = random_mixture(rng, 1, float(rng.uniform(0.3, 2.0)))
+    t = np.concatenate([rng.uniform(-40.0, 40.0, n_points),
+                        m.base.locations, [-math.inf, math.inf]])
+    rows = rng.choice([0.0, -0.0, -3.5, -745.0], size=(t.size, 1))
+    sign = rng.choice([1.0, -1.0], size=t.size)
+    z = (t[:, None] - m.base.locations) / m.sigma
+    for kind, term in (("pdf", -0.5 * z * z), ("cdf", log_ndtr(z)),
+                       ("sf", log_ndtr(-z)),
+                       (sign, log_ndtr(np.where(sign[:, None] < 0.0, -z, z)))):
+        want = special.logsumexp(rows + term, axis=1)
+        assert _bits(m._atom_logsum(t, kind, rows)) == _bits(want)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.integers(1, 300), st.sampled_from([1000, 8193])),
        st.integers(1, 5), st.integers(0, 2**32 - 1),
