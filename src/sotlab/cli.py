@@ -101,6 +101,17 @@ def _above_sigma(K: float, sigma: float):
         raise ConfigError("K", f"must be > sigma = {sigma!r}")
 
 
+def _check_probe(check, h_list: list, *args):
+    """check(h, *args), a functional_ineq parameter check, at every h: a
+    ProbeParameterError is a config error at the field it names (h_list for
+    h)."""
+    try:
+        for h in h_list:
+            check(h, *args)
+    except functional_ineq.ProbeParameterError as exc:
+        raise ConfigError("h_list" if exc.name == "h" else exc.name, str(exc))
+
+
 def _n_list(cfg: dict) -> list:
     n_list = _get(cfg, "n_list", list)
     if not n_list or not all(isinstance(n, int) and n > 1 for n in n_list):
@@ -434,6 +445,7 @@ def lsi_probe(cfg, seed, out_path):
     h_list = _h_list(cfg)
     x1 = _get(cfg, "x1", float, required=False)
     x2 = _get(cfg, "x2", float, required=False)
+    _check_probe(functional_ineq.lsi_cut_points, h_list, K, sigma, x1, x2)
     probes = [functional_ineq.lsi_lower_bound(h, K, sigma, x1, x2)
               for h in h_list]
     return (["h", "q1", "q2", "q3", "q4", "q5", "bound"],
@@ -449,6 +461,7 @@ def t2_probe(cfg, seed, out_path):
     _above_sigma(K, sigma)
     delta = _get(cfg, "delta", float)
     h_list = _h_list(cfg)
+    _check_probe(functional_ineq.check_t2_parameters, h_list, K, sigma, delta)
     probes = [functional_ineq.t2_lower_bound(h, K, sigma, delta)
               for h in h_list]
     return (["h", "q_h", "w2sq", "kl", "ratio", "method"],

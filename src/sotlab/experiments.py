@@ -9,9 +9,11 @@ boundary.
 Trials are independent tasks with seeds spawned from one splittable root and
 run in trial order, so a (config, seed) pair always produces the same floats.
 An empirical measure of a finite-support P only reweights P's atoms, so
-trials repeat; each MC call evaluates every distinct empirical measure once,
-and the new ones of each chunk of trials together, in one batch per support
-(bit for bit one evaluation each).
+trials repeat. Each trial therefore draws only its atom counts (the draws of
+AtomicDistribution.empirical) and is keyed by them; each MC call builds and
+evaluates every distinct empirical measure once, and the new ones of each
+chunk of trials together, in one batch per support (bit for bit one
+evaluation each).
 """
 from __future__ import annotations
 
@@ -71,11 +73,12 @@ CHUNK = 25
 def _run_trials(p: AtomicDistribution, n: int, values_of, trials: int,
                 seed) -> np.ndarray:
     """Values of up to `trials` seeded trials, in trial order: trial i draws
-    P_n = p.empirical(n, ...) from its own child of `seed`. Trials run a chunk
-    at a time and stop at a chunk boundary once the relative standard error
-    drops below REL_STOP. Each distinct P_n (keyed by its exact bytes) is
-    evaluated once per call: values_of(measures) evaluates a chunk's new
-    measures on one support in one batch. The earliest failed trial raises
+    the atom counts of an n-sample of p from its own child of `seed`, the
+    draws of p.empirical(n, ...). Trials run a chunk at a time and stop at a
+    chunk boundary once the relative standard error drops below REL_STOP.
+    Each distinct count vector is one P_n, built and evaluated once per call:
+    values_of(measures) evaluates a chunk's new measures on one support in
+    one batch. The earliest failed trial raises
     RuntimeError("trial i failed: ...")."""
     if trials < 2:
         raise ValueError("trials must be >= 2")
@@ -85,16 +88,19 @@ def _run_trials(p: AtomicDistribution, n: int, values_of, trials: int,
     while len(values) < trials:
         start = len(values)
         stop = min(trials, max(MIN_TRIALS, start + CHUNK))
-        keys, groups = [], {}
+        keys, new = [], {}
         for i in range(start, stop):
             try:
-                m = p.empirical(n, np.random.default_rng(children[i]))
+                counts = p._draw_counts(n, np.random.default_rng(children[i]))
+                key = counts.tobytes()
+                if key not in seen and key not in new:
+                    new[key] = p._from_counts(counts, n)
             except Exception as exc:
                 raise RuntimeError(f"trial {i} failed: {exc}") from exc
-            key = (m.locations.tobytes(), m.log_weights.tobytes())
             keys.append(key)
-            if key not in seen:
-                groups.setdefault(key[0], {})[key] = m
+        groups: dict = {}
+        for key, m in new.items():
+            groups.setdefault(m.locations.tobytes(), {})[key] = m
         for group in groups.values():
             seen.update(zip(group, _batch_or_each(values_of, list(group.values()))))
         for i, key in enumerate(keys, start):

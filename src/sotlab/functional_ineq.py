@@ -81,6 +81,30 @@ def _log_bound(lq: np.ndarray) -> float:
                  - np.logaddexp(lq[1], lq[3]))
 
 
+class ProbeParameterError(ValueError):
+    """A probe parameter outside the range its construction needs; `name`
+    is the parameter."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.name = name
+
+
+def lsi_cut_points(h: float, K: float, sigma: float, x1: float | None = None,
+                   x2: float | None = None) -> tuple[float, float]:
+    """lsi_lower_bound's cut points (x1, x2), defaults filled in; raises
+    ProbeParameterError naming x1 or x2 unless x1 < -1 < 0 < x2."""
+    if x2 is None:
+        x2 = h * math.sqrt(sigma / K)
+    if x1 is None:
+        x1 = -40.0 * sigma
+    for name, ok in (("x1", x1 < -1.0), ("x2", x2 > 0.0)):
+        if not ok:
+            raise ProbeParameterError(
+                name, f"need x1 < -1 < 0 < x2, got x1 = {x1!r}, x2 = {x2!r}")
+    return x1, x2
+
+
 def lsi_lower_bound(h: float, K: float, sigma: float,
                     x1: float | None = None,
                     x2: float | None = None) -> LSIProbe:
@@ -94,12 +118,7 @@ def lsi_lower_bound(h: float, K: float, sigma: float,
     left of the displaced kernel (x2 < h - 1); smaller h is allowed but the
     probe marks the regime as degenerate.
     """
-    if x2 is None:
-        x2 = h * math.sqrt(sigma / K)
-    if x1 is None:
-        x1 = -40.0 * sigma
-    if not (x1 < -1.0 < 0.0 < x2):
-        raise ValueError("need x1 < -1 < 0 < x2")
+    x1, x2 = lsi_cut_points(h, K, sigma, x1, x2)
     p = AtomicDistribution.from_weights(
         np.array([0.0, h]),
         np.array([1.0 - math.exp(-h * h / (2 * K * K)),
@@ -181,6 +200,24 @@ def discrete_two_point_kl(p: float, dq: float) -> float:
     return p * _g(-dq / p) + (1.0 - p) * _g(dq / (1.0 - p))
 
 
+def check_t2_parameters(h: float, K: float, sigma: float, delta: float):
+    """Raise ProbeParameterError naming delta or h unless t2_lower_bound's
+    perturbation is valid, with kappa = sigma^2/K^2:
+    (1 - delta)(1 + kappa)^2 > 4 kappa, so that Q_h moves less mass than the
+    h-atom holds, at every h; and the perturbation condition
+    (1 - delta)(1 + kappa)^2 h^2 > 4 kappa sigma^2."""
+    kappa = (sigma / K) ** 2
+    if not (1.0 - delta) * (1.0 + kappa) ** 2 > 4.0 * kappa:
+        raise ProbeParameterError(
+            "delta", f"must be below 1 - 4 kappa / (1 + kappa)^2 = "
+                     f"{1.0 - 4.0 * kappa / (1.0 + kappa) ** 2!r} (kappa = "
+                     f"sigma^2/K^2), or Q_h moves more mass than the h-atom holds")
+    if not (1.0 - delta) * (1.0 + kappa) ** 2 * h * h > 4.0 * kappa * sigma * sigma:
+        raise ProbeParameterError(
+            "h", f"h = {h!r} too small for delta = {delta!r} "
+                 "(perturbation condition)")
+
+
 def t2_lower_bound(h: float, K: float, sigma: float, delta: float) -> T2Probe:
     """W2^2 / KL ratio for the perturbed two-point pair, a lower bound on the
     squared T2 constant of mu_h = P_h * N(0, sigma^2).
@@ -193,15 +230,14 @@ def t2_lower_bound(h: float, K: float, sigma: float, delta: float) -> T2Probe:
     """
     if not K > sigma:
         raise ValueError("the probe requires K > sigma")
+    check_t2_parameters(h, K, sigma, delta)
     kappa = (sigma / K) ** 2
-    if not (1.0 - delta) * (1.0 + kappa) ** 2 * h * h > 4.0 * kappa * sigma * sigma:
-        raise ValueError("h too small for this delta (perturbation condition)")
     log_p = -h * h / (2.0 * K * K)
     log_dq = -(1.0 - delta) * (1.0 + kappa) ** 2 * h * h / (8.0 * sigma * sigma)
     p_h = math.exp(log_p)
     q_h = -math.expm1(log_dq - log_p) * p_h    # p_h - dq, stable
     if q_h <= 0.0:
-        raise ValueError("q_h <= 0: h too small for this delta")
+        raise ValueError("q_h <= 0 at this h and delta")
     P = SmoothedMixture(AtomicDistribution.from_weights(
         np.array([0.0, h]), np.array([1.0 - p_h, p_h])), sigma)
     Q = SmoothedMixture(AtomicDistribution.from_weights(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sotlab import _quad, divergences, dist_core, transport
+from sotlab import _quad, constructions, divergences, dist_core, transport
 from sotlab.dist_core import (AtomicDistribution, QuantileSolveError,
                               SmoothedMixture)
 
@@ -182,6 +182,32 @@ def test_empirical_from_counts_matches_sorted_sample(seed, n_atoms, n):
     want = p.sample(n, np.random.default_rng(seed)).to_atomic()
     assert _bits(got.locations) == _bits(want.locations)
     assert _bits(got.log_weights) == _bits(want.log_weights)
+
+
+@pytest.mark.parametrize("n", [1, 7, 128, 4096])
+@pytest.mark.parametrize("k", [1, 2, 3, 11, 64])
+def test_count_draw_is_the_choice_draw(k, n):
+    """The atom counts and indices drawn from choice's uniforms and CDF are
+    rng.choice's, and leave the generator where rng.choice leaves it, for
+    weights from near-point masses to near-uniform and for the e^-8
+    two-point P."""
+    ps = [random_mixture(np.random.default_rng(s), k).base for s in range(30)]
+    if k == 2:
+        ps.append(constructions.bernoulli_two_point(2.0, 0.5))
+    for seed, p in enumerate(ps):
+        if k > 2 and seed % 3:
+            alpha = 0.05 if seed % 3 == 1 else 50.0
+            w = np.maximum(np.random.default_rng(seed).dirichlet(np.full(k, alpha)),
+                           1e-300)
+            p = AtomicDistribution.from_weights(p.locations, w)
+        w = p.weights()
+        ref, rng_counts, rng_atoms = (np.random.default_rng(seed) for _ in range(3))
+        idx = ref.choice(k, size=n, p=w / w.sum())
+        counts = p._draw_counts(n, rng_counts)
+        assert counts.tolist() == np.bincount(idx, minlength=k).tolist()
+        assert p._draw_atoms(n, rng_atoms).tolist() == idx.tolist()
+        state = ref.bit_generator.state
+        assert rng_counts.bit_generator.state == rng_atoms.bit_generator.state == state
 
 
 # -- the quantile solver converges or raises ----------------------------------------

@@ -281,6 +281,14 @@ def test_tail_probe_nonpositive_K_exits_2(runner, tmp_path, K):
      "expected a list of positive numbers"),
     ("rate-scan", {"family": "bernoulli", "K": 0.5, "n_list": [128, 256],
                    "trials": 4}, "K", "must be > sigma = 1.0"),
+    ("t2-probe", {"K": 2.0, "delta": 1.5, "h_list": [10.0]}, "delta",
+     "must be below 1 - 4 kappa / (1 + kappa)^2 = 0.36"),
+    ("t2-probe", {"K": 2.0, "delta": 0.1, "h_list": [10.0, 0.1]}, "h_list",
+     "h = 0.1 too small for delta = 0.1 (perturbation condition)"),
+    ("lsi-probe", {"K": 2.0, "h_list": [5.0], "x1": 0.5}, "x1",
+     "need x1 < -1 < 0 < x2"),
+    ("lsi-probe", {"K": 2.0, "h_list": [5.0], "x2": -0.5}, "x2",
+     "need x1 < -1 < 0 < x2"),
 ], ids=["rate_scan_trials", "tail_probe_r_points", "weighted_n",
         "replications", "weighted_delta", "gap_k", "tail_probe_epsilon",
         "phase_scan_K_list", "phase_scan_trials", "mi_probe_sigma",
@@ -289,7 +297,8 @@ def test_tail_probe_nonpositive_K_exits_2(runner, tmp_path, K):
         "gap_K", "rate_scan_h", "mi_probe_truncation_radius",
         "tail_probe_sigma", "t2_probe_K_not_above_sigma",
         "t2_probe_negative_h", "t2_probe_zero_h",
-        "rate_scan_bernoulli_K_not_above_sigma"])
+        "rate_scan_bernoulli_K_not_above_sigma", "t2_probe_delta",
+        "t2_probe_h_below_perturbation", "lsi_probe_x1", "lsi_probe_x2"])
 def test_out_of_range_value_exits_2(runner, tmp_path, command, cfg, field,
                                     message):
     res = runner.invoke(main, [command, "--config",

@@ -338,6 +338,43 @@ def test_row_blocks_keep_every_bit(pools, seed, n_atoms, n_points, with_rows,
             assert got == want, (budget, width)
 
 
+@pytest.mark.parametrize("with_rows", [False, True])
+@pytest.mark.parametrize("n_atoms", range(1, 10))
+def test_few_atom_kernel_matches_row_major_bitwise(pools, n_atoms, with_rows):
+    """log_pdf, log_cdf, log_sf and the signed log-mass pass of the quantile
+    solver give the bits of logsumexp(lw + term, axis=1) over the (points x
+    atoms) array, whichever layout the kernel builds, inline and on pools of
+    1 and 2 workers: at +-inf, NaN, +-1e300 and at the atoms themselves, with
+    log-weights near -700."""
+    rng = np.random.default_rng(n_atoms)
+    locs = np.sort(rng.uniform(-4.0, 4.0, n_atoms))
+    lw = np.log(rng.dirichlet(np.ones(n_atoms)))
+    lw[-1] = -700.0
+    m = SmoothedMixture(AtomicDistribution.from_log_weights(locs, lw, normalize=True),
+                        float(rng.uniform(0.3, 2.0)))
+    t = np.concatenate([[-math.inf, math.inf, math.nan, 1e300, -1e300], locs,
+                        rng.uniform(-6.0, 6.0, 300), rng.uniform(-40.0, 40.0, 20)])
+    rows = None
+    if with_rows:
+        rows = np.log(rng.dirichlet(np.ones(n_atoms), t.size))
+        rows[rng.random(rows.shape) < 0.2] = -700.0
+    sign = rng.choice([1.0, -1.0], size=t.size)
+    with np.errstate(all="ignore"):
+        z = (t[:, None] - locs) / m.sigma
+        lws = m.base.log_weights[None, :] if rows is None else rows
+        want = [special.logsumexp(lws + term, axis=1) for term in
+                (-0.5 * z * z, log_ndtr(z), log_ndtr(-z), log_ndtr(z * sign[:, None]))]
+        want[0] = want[0] - math.log(m.sigma) - dist_core.LOG_SQRT_2PI
+        want = [_bits(w) for w in want]
+        for budget, pool in ((10 ** 9, None), (2 * n_atoms, pools[1]),
+                             (5 * n_atoms, pools[2])):
+            with mock.patch.object(dist_core, "_BLOCK_BUDGET", budget), \
+                    mock.patch.object(dist_core, "_pool", pool):
+                got = [m.log_pdf(t, rows), m.log_cdf(t, rows), m.log_sf(t, rows),
+                       m._atom_logsum(t, sign, rows)]
+            assert [_bits(g) for g in got] == want, budget
+
+
 def test_row_blocks_keep_shapes_and_types(monkeypatch):
     m = random_mixture(np.random.default_rng(3), 5)
     monkeypatch.setattr(dist_core, "_BLOCK_BUDGET", 6)
@@ -354,20 +391,27 @@ def test_row_blocks_keep_shapes_and_types(monkeypatch):
 
 
 def test_block_exception_reaches_the_caller(monkeypatch, pools):
-    """The exception a block raises is the one the caller sees."""
-    m = random_mixture(np.random.default_rng(3), 5)
+    """The exception a block raises is the one the caller sees, in the
+    row-major and the atom-major layouts: both reductions are patched, and a
+    block calls one of them once."""
     monkeypatch.setattr(dist_core, "_BLOCK_BUDGET", 6)
-    real, boom = dist_core._logsumexp, KeyError("block 3")
-    for pool in pools.values():
+    boom = KeyError("block 3")
+    reals = [(name, getattr(dist_core, name))
+             for name in ("_logsumexp", "_logsumexp_atoms")]
+    for n_atoms, pool in itertools.product((5, 11), pools.values()):
+        m = random_mixture(np.random.default_rng(3), n_atoms)
         calls = itertools.count()
 
-        def logsumexp(*args):
-            if next(calls) == 3:
-                raise boom
-            return real(*args)
+        def failing(real):
+            def reduction(*args):
+                if next(calls) == 3:
+                    raise boom
+                return real(*args)
+            return reduction
 
         monkeypatch.setattr(dist_core, "_pool", pool)
-        monkeypatch.setattr(dist_core, "_logsumexp", logsumexp)
+        for name, real in reals:
+            monkeypatch.setattr(dist_core, name, failing(real))
         with pytest.raises(KeyError) as ei:
             m.log_cdf(np.linspace(-1.0, 1.0, 10))
         assert ei.value is boom

@@ -148,6 +148,57 @@ def test_kl_cache_matches_uncached_trials(monkeypatch):
     assert len(members) == len(set(members)) == distinct < got.trials
 
 
+def _trials_keyed_on_measure_bytes(p, n, values_of, trials, seed):
+    """The trial loop keyed on each P_n's (locations, log-weights) bytes,
+    drawn with p.empirical: the reference for the loop keyed on counts."""
+    children = np.random.SeedSequence(seed).spawn(trials)
+    seen, values = {}, []
+    while len(values) < trials:
+        start = len(values)
+        stop = min(trials, max(exp.MIN_TRIALS, start + exp.CHUNK))
+        keys, groups = [], {}
+        for i in range(start, stop):
+            m = p.empirical(n, np.random.default_rng(children[i]))
+            key = (m.locations.tobytes(), m.log_weights.tobytes())
+            keys.append(key)
+            if key not in seen:
+                groups.setdefault(key[0], {})[key] = m
+        for group in groups.values():
+            seen.update(zip(group, values_of(list(group.values()))))
+        values.extend(seen[key] for key in keys)
+        if stop >= exp.MIN_TRIALS and stop % exp.CHUNK == 0:
+            arr = np.asarray(values)
+            se = float(arr.std(ddof=1)) / math.sqrt(arr.size)
+            if arr.mean() > 0.0 and se / arr.mean() < exp.REL_STOP:
+                break
+    return np.asarray(values)
+
+
+@pytest.mark.parametrize("p, n, trials", [
+    (cons.bernoulli_two_point(2.0, 0.5), 16, 75),     # e^-8: stops at 50
+    (cons.bernoulli_two_point(2.0, 0.5), 4096, 120),
+    (cons.bernoulli_two_point(2.0, 2.0), 8, 110),
+    (AtomicDistribution.from_weights([-1.0, 0.0, 2.5], [0.2, 0.5, 0.3]), 6, 90),
+    (AtomicDistribution.from_weights(np.arange(11.0), np.arange(1.0, 12.0)), 5, 60),
+])
+def test_trials_keyed_on_counts_match_keying_on_measure_bytes(p, n, trials):
+    """Same values, and the same members in the same batches, as the loop
+    that draws each P_n with p.empirical and keys it on its bytes."""
+    def recording(batches):
+        def values_of(measures):
+            batches.append([(m.locations.tobytes(), m.log_weights.tobytes())
+                            for m in measures])
+            # a value that differs between measures, so the early stop varies
+            return [float(m.weights() @ m.locations ** 2) + 1.0 for m in measures]
+        return values_of
+
+    got_batches, want_batches = [], []
+    got = exp._run_trials(p, n, recording(got_batches), trials, 17)
+    want = _trials_keyed_on_measure_bytes(p, n, recording(want_batches), trials, 17)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert got_batches == want_batches
+
+
 def test_failure_in_a_batch_names_the_earliest_failing_trial(monkeypatch):
     p = cons.bernoulli_two_point(2.0, 2.0)
     emps = [p.empirical(8, np.random.default_rng(c))
