@@ -424,13 +424,12 @@ def tail_probe(cfg, seed, out_path):
     grid = np.linspace(r_min, r_max, points)
     if kind == "upper":
         rep = tail_bounds.tail_density_inequality_probe(dist, K, epsilon,
-                                                        grid, sigma)
+                                                        grid)
         return (["r", "log_tail", "log_density", "ratio"],
                 list(zip(grid, rep.log_tail, rep.log_density, rep.ratio)),
                 {"M_hat": rep.M_hat, "log_M_hat": rep.log_M_hat,
                  "beta": rep.beta, "epsilon": epsilon})
-    rep = tail_bounds.density_tail_lower_probe(dist, K, epsilon, grid,
-                                               sigma)
+    rep = tail_bounds.density_tail_lower_probe(dist, K, epsilon, grid)
     return (["r", "log_ratio"], list(zip(grid, rep.log_ratio)),
             {"C_hat": rep.C_hat, "log_C_hat": rep.log_C_hat,
              "last_decade_min": rep.last_decade_min, "passed": rep.passed,
@@ -446,6 +445,7 @@ def lsi_probe(cfg, seed, out_path):
     x1 = _get(cfg, "x1", float, required=False)
     x2 = _get(cfg, "x2", float, required=False)
     _check_probe(functional_ineq.lsi_cut_points, h_list, K, sigma, x1, x2)
+    _check_probe(functional_ineq.two_point_weights, h_list, K)
     probes = [functional_ineq.lsi_lower_bound(h, K, sigma, x1, x2)
               for h in h_list]
     return (["h", "q1", "q2", "q3", "q4", "q5", "bound"],

@@ -450,10 +450,12 @@ class SmoothedMixture:
     log-space; the quantile solver inverts log-mass directly so that tail
     quantiles keep full relative precision.
 
-    Side rule: cdf, sf and the W2 transport map use whichever of log F and
-    log S is smaller at a point (log F on ties). The kernel evaluates log F
-    at points at or below the base mean and log S above it, and the other
-    side only where that first value is not below log(1/2) - 1e-6.
+    Signed tails: the kernel evaluates a tail as log Phi(sign * z), sign 1.0
+    for log F and -1.0 for log S, one sign for all points or one per point.
+    cdf, sf and the W2 transport map use whichever of log F and log S is
+    smaller at a point (log F on ties), found by two signed passes
+    (_log_sides). quantile_from_log_mass's `upper` is likewise one flag or one
+    per target, each target getting the bits of a solve of its tail alone.
 
     Log-weight rows: log_pdf, log_cdf, log_sf, _log_sides and
     quantile_from_log_mass take optional `log_weights`, one row of log-weights
@@ -463,10 +465,6 @@ class SmoothedMixture:
     same atoms and sigma (the members of a batch) together, and each point
     gets the same bits as a call on its own mixture. Without rows every
     point uses base.log_weights.
-
-    Tails: quantile_from_log_mass's `upper` is one flag or one flag per
-    target, so one solve inverts log F at some targets and log S at others,
-    each target getting the bits of a solve of its tail alone.
 
     Kernel layout: each evaluation is logsumexp(lw + term, axis=1) over a
     (points x atoms) array, cut into row blocks (_row_blocks). A one-atom
@@ -487,12 +485,12 @@ class SmoothedMixture:
 
     # -- pointwise evaluations ------------------------------------------------
 
-    def _atom_logsum(self, t, kind, log_weights=None) -> np.ndarray:
-        """logsumexp over the atoms of lw + term(z), z = (t - locs) / sigma,
-        where term is -z^2/2 for kind "pdf", log Phi(z) for "cdf" and
-        log Phi(-z) for "sf". kind may also be an array of one sign per point
-        (1.0 or -1.0), the tail log Phi(sign * z) of each point: z * -1.0 is
-        -z bit for bit, but for the sign of a NaN."""
+    def _atom_logsum(self, t, sign=None, log_weights=None) -> np.ndarray:
+        """logsumexp over the atoms of lw + term, with z = (t - locs) / sigma:
+        term is -z^2/2 for the density (sign None) and log Phi(sign * z) for
+        a tail, sign being 1.0 (log F) or -1.0 (log S), one for all points or
+        one per point. The tail divides by sign * sigma, which IEEE division
+        makes sign * z bit for bit."""
         t = np.asarray(t, dtype=float)
         flat = np.atleast_1d(t).ravel()
         locs = self.base.locations
@@ -500,30 +498,28 @@ class SmoothedMixture:
             rows = self.base.log_weights[None, :]
         else:
             rows = np.reshape(log_weights, (flat.size, locs.size))
+        scale = self.sigma if sign is None else np.multiply(sign, self.sigma)
+        if np.ndim(scale):
+            scale = scale.ravel()[:, None]
         out = np.empty(flat.shape, dtype=float)
         atom_major = 1 < locs.size <= _ATOM_MAJOR_MAX
 
-        # per block: logsumexp(lw + term(z), axis=1) with z = (t - locs) /
-        # sigma, by the same operations as on fresh arrays, written into this
-        # thread's scratch; z's array then holds logsumexp's exp terms. With
-        # few atoms the three arrays are transposed views of (atoms x points)
-        # scratch (see the class docstring)
+        # per block: logsumexp(lw + term, axis=1), by the same operations as
+        # on fresh arrays, written into this thread's scratch; z's array then
+        # holds logsumexp's exp terms. With few atoms the three arrays are
+        # transposed views of (atoms x points) scratch (see the class
+        # docstring)
         def block(r):
             if atom_major:
                 z, term, ties = (a.T for a in _scratch((locs.size, r.stop - r.start)))
             else:
                 z, term, ties = _scratch((r.stop - r.start, locs.size))
-            np.divide(np.subtract(flat[r, None], locs, out=z), self.sigma, out=z)
-            if isinstance(kind, np.ndarray):
-                log_ndtr(np.multiply(z, kind[r, None], out=term), out=term)
-            elif kind == "pdf":
+            np.divide(np.subtract(flat[r, None], locs, out=z),
+                      scale[r] if np.ndim(scale) else scale, out=z)
+            if sign is None:
                 np.multiply(np.multiply(z, -0.5, out=term), z, out=term)
-            elif kind == "cdf":
+            else:
                 log_ndtr(z, out=term)
-            elif kind == "sf":
-                log_ndtr(np.negative(z, out=term), out=term)
-            else:  # pragma: no cover
-                raise ValueError(kind)
             lw = rows if log_weights is None else rows[r]
             np.add(lw, term, out=term)
             out[r] = (_logsumexp_atoms(term.T, z.T, ties.T) if atom_major
@@ -533,54 +529,48 @@ class SmoothedMixture:
         return out.reshape(t.shape) if t.shape else out[0]
 
     def log_pdf(self, t, log_weights=None):
-        return (self._atom_logsum(t, "pdf", log_weights) - math.log(self.sigma)
+        return (self._atom_logsum(t, None, log_weights) - math.log(self.sigma)
                 - LOG_SQRT_2PI)
 
     def pdf(self, t):
         return np.exp(self.log_pdf(t))
 
     def log_cdf(self, t, log_weights=None):
-        return self._atom_logsum(t, "cdf", log_weights)
+        return self._atom_logsum(t, 1.0, log_weights)
 
     def log_sf(self, t, log_weights=None):
-        return self._atom_logsum(t, "sf", log_weights)
+        return self._atom_logsum(t, -1.0, log_weights)
 
     def _log_sides(self, t, log_weights=None):
         """(lower, lc, ls) for points t, with lower == (log_cdf(t) <=
         log_sf(t)) bit for bit.
 
-        Each point first gets one side: log F if t <= the base mean, else
-        log S. A value below log(1/2) - 1e-6 is the smaller side (F + S = 1
-        and the log-space error is ~1e-15), so the other side is evaluated
-        only where the first value is not below that cut, NaN included.
-        Where it was skipped it holds 0 (log 1), which lies above the
-        evaluated side and so orders the pair as the full evaluation would;
-        the side that lower selects is always evaluated.
+        A first pass gives each point one side: log F if t <= the mean of its
+        row, else log S. A value below log(1/2) - 1e-6 is the smaller side (F
+        + S = 1 and the log-space error is ~1e-15), so a second pass evaluates
+        the other side only where the first value is not below that cut, NaN
+        included. Where it was skipped it holds 0 (log 1), which lies above
+        the evaluated side and so orders the pair as the full evaluation
+        would; the side that lower selects is always evaluated.
         """
         t = np.asarray(t, dtype=float)
-        lc = np.zeros(t.shape)
-        ls = np.zeros(t.shape)
         if log_weights is None:
-            below = t <= self.base.mean()
+            mean = self.base.mean()
         else:
             # np.sum(weights * locations) of each point's own row, as mean()
-            below = t <= np.add.reduce(np.exp(log_weights) * self.base.locations,
-                                       axis=-1)
-        above = ~below
-
-        def rows(mask):
-            return None if log_weights is None else log_weights[mask]
-
-        if np.any(below):
-            lc[below] = self.log_cdf(t[below], rows(below))
-        if np.any(above):
-            ls[above] = self.log_sf(t[above], rows(above))
-        undecided = ~(np.minimum(lc, ls) < _LOG_HALF_DECIDED)
-        for side, log_side, on in ((ls, self.log_sf, below),
-                                   (lc, self.log_cdf, above)):
-            todo = on & undecided
-            if np.any(todo):
-                side[todo] = log_side(t[todo], rows(todo))
+            mean = np.add.reduce(np.exp(log_weights) * self.base.locations,
+                                 axis=-1)
+        below = t <= mean
+        sign = np.where(below, 1.0, -1.0)
+        first = self._atom_logsum(t, sign, log_weights)
+        other = np.zeros(t.shape)
+        todo = ~(first < _LOG_HALF_DECIDED)
+        if np.any(todo):
+            other[todo] = self._atom_logsum(
+                t[todo], -sign[todo],
+                None if log_weights is None else log_weights[todo])
+        lc = np.where(below, first, other)
+        ls = np.where(below, other, first)
         return lc <= ls, lc, ls
 
     def cdf(self, t):
@@ -695,11 +685,9 @@ class SmoothedMixture:
             zb = (b_f[r, None] - locs[None, :]) / self.sigma
             # per-atom log(Phi(zb) - Phi(za)) by the better-conditioned side
             right = za >= 0.0
-            lo_tail = logdiffexp(log_ndtr(np.where(right, -za, zb)),
-                                 log_ndtr(np.where(right, -zb, za)))
-            term = np.where(right,
-                            logdiffexp(log_ndtr(-za), log_ndtr(-zb)),
-                            np.where(zb <= 0.0, lo_tail, np.nan))
+            tail = logdiffexp(log_ndtr(np.where(right, -za, zb)),
+                              log_ndtr(np.where(right, -zb, za)))
+            term = np.where(right | (zb <= 0.0), tail, np.nan)
             central = ~right & (zb > 0.0)
             if np.any(central):
                 with np.errstate(divide="ignore"):

@@ -90,6 +90,19 @@ class ProbeParameterError(ValueError):
         self.name = name
 
 
+def two_point_weights(h: float, K: float) -> tuple[float, float]:
+    """(log p_h, p_h), p_h = exp(-h^2/(2K^2)) the weight of P_h's atom at h;
+    raises ProbeParameterError naming h unless p_h and 1 - p_h are positive
+    in float64, which fails for h above ~38.6 K and below ~1e-8 K."""
+    log_p = -h * h / (2.0 * K * K)
+    p_h = math.exp(log_p)
+    if not 0.0 < p_h < 1.0:
+        raise ProbeParameterError(
+            "h", f"h = {h!r} gives the h-atom weight exp({log_p!r}) = "
+                 f"{p_h!r}; both atoms of P_h need a positive float64 weight")
+    return log_p, p_h
+
+
 def lsi_cut_points(h: float, K: float, sigma: float, x1: float | None = None,
                    x2: float | None = None) -> tuple[float, float]:
     """lsi_lower_bound's cut points (x1, x2), defaults filled in; raises
@@ -119,10 +132,9 @@ def lsi_lower_bound(h: float, K: float, sigma: float,
     probe marks the regime as degenerate.
     """
     x1, x2 = lsi_cut_points(h, K, sigma, x1, x2)
-    p = AtomicDistribution.from_weights(
-        np.array([0.0, h]),
-        np.array([1.0 - math.exp(-h * h / (2 * K * K)),
-                  math.exp(-h * h / (2 * K * K))]))
+    _, p_h = two_point_weights(h, K)
+    p = AtomicDistribution.from_weights(np.array([0.0, h]),
+                                        np.array([1.0 - p_h, p_h]))
     m = SmoothedMixture(p, sigma)
     lq = _log_partition(m, x1, x2)
     log_b = _log_bound(lq)
@@ -201,11 +213,12 @@ def discrete_two_point_kl(p: float, dq: float) -> float:
 
 
 def check_t2_parameters(h: float, K: float, sigma: float, delta: float):
-    """Raise ProbeParameterError naming delta or h unless t2_lower_bound's
-    perturbation is valid, with kappa = sigma^2/K^2:
-    (1 - delta)(1 + kappa)^2 > 4 kappa, so that Q_h moves less mass than the
-    h-atom holds, at every h; and the perturbation condition
-    (1 - delta)(1 + kappa)^2 h^2 > 4 kappa sigma^2."""
+    """(log p_h, log dq, p_h, q_h) of t2_lower_bound's Q_h, which moves dq of
+    the h-atom's weight p_h to the origin. Raises ProbeParameterError naming
+    delta or h unless, with kappa = sigma^2/K^2, (1 - delta)(1 + kappa)^2 >
+    4 kappa (so that dq < p_h at every h), the perturbation condition
+    (1 - delta)(1 + kappa)^2 h^2 > 4 kappa sigma^2 holds, and p_h
+    (two_point_weights) and q_h = p_h - dq are positive in float64."""
     kappa = (sigma / K) ** 2
     if not (1.0 - delta) * (1.0 + kappa) ** 2 > 4.0 * kappa:
         raise ProbeParameterError(
@@ -216,6 +229,14 @@ def check_t2_parameters(h: float, K: float, sigma: float, delta: float):
         raise ProbeParameterError(
             "h", f"h = {h!r} too small for delta = {delta!r} "
                  "(perturbation condition)")
+    log_p, p_h = two_point_weights(h, K)
+    log_dq = -(1.0 - delta) * (1.0 + kappa) ** 2 * h * h / (8.0 * sigma * sigma)
+    q_h = -math.expm1(log_dq - log_p) * p_h    # p_h - dq, stable
+    if not q_h > 0.0:
+        raise ProbeParameterError(
+            "h", f"h = {h!r} leaves Q_h's h-atom weight q_h = {q_h!r} at "
+                 f"delta = {delta!r}; it must be positive in float64")
+    return log_p, log_dq, p_h, q_h
 
 
 def t2_lower_bound(h: float, K: float, sigma: float, delta: float) -> T2Probe:
@@ -230,14 +251,7 @@ def t2_lower_bound(h: float, K: float, sigma: float, delta: float) -> T2Probe:
     """
     if not K > sigma:
         raise ValueError("the probe requires K > sigma")
-    check_t2_parameters(h, K, sigma, delta)
-    kappa = (sigma / K) ** 2
-    log_p = -h * h / (2.0 * K * K)
-    log_dq = -(1.0 - delta) * (1.0 + kappa) ** 2 * h * h / (8.0 * sigma * sigma)
-    p_h = math.exp(log_p)
-    q_h = -math.expm1(log_dq - log_p) * p_h    # p_h - dq, stable
-    if q_h <= 0.0:
-        raise ValueError("q_h <= 0 at this h and delta")
+    log_p, log_dq, p_h, q_h = check_t2_parameters(h, K, sigma, delta)
     P = SmoothedMixture(AtomicDistribution.from_weights(
         np.array([0.0, h]), np.array([1.0 - p_h, p_h])), sigma)
     Q = SmoothedMixture(AtomicDistribution.from_weights(

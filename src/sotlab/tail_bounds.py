@@ -49,21 +49,19 @@ class TailDensityReport:
 
 
 def tail_density_inequality_probe(p: AtomicDistribution, K: float,
-                                  epsilon: float, r_grid,
-                                  sigma: float = 1.0) -> TailDensityReport:
-    """Measure M_hat = sup_r (1-F(r)) / rho(r)^(beta-eps) for the smoothing of p.
+                                  epsilon: float, r_grid) -> TailDensityReport:
+    """Measure M_hat = sup_r (1-F(r)) / rho(r)^(beta-eps) for the sigma = 1
+    smoothing of p.
 
     Negative grid points use the mirrored form F(r) / rho(r)^(beta-eps). The
     tightness diagnostic log(1-F)/log(rho) should approach beta where the
     envelope is attained.
     """
-    if sigma != 1.0:
-        raise ValueError("probe is defined at the sigma = 1 normalization")
     beta = beta_exponent(K)
     if not (0.0 < epsilon < beta):
         raise ValueError("need 0 < epsilon < beta")
     r = np.asarray(r_grid, dtype=float)
-    m = SmoothedMixture(p, sigma)
+    m = SmoothedMixture(p, 1.0)
     upper = r >= 0.0
     log_tail = np.empty(r.shape)
     log_tail[upper] = m.log_sf(r[upper])
@@ -100,20 +98,18 @@ class DensityLowerReport:
 
 
 def density_tail_lower_probe(p: AtomicDistribution, K: float,
-                             epsilon: float, r_grid,
-                             sigma: float = 1.0) -> DensityLowerReport:
-    """Measure C_hat = inf_r rho(r) / P[X >= r]^(1/(beta-eps)).
+                             epsilon: float, r_grid) -> DensityLowerReport:
+    """Measure C_hat = inf_r rho(r) / P[X >= r]^(1/(beta-eps)), rho the
+    density of the sigma = 1 smoothing of p.
 
     P[X >= r] is the tail of the *unsmoothed* atomic distribution; grid points
     beyond the last atom give an empty tail and count as +inf ratios.
     """
-    if sigma != 1.0:
-        raise ValueError("probe is defined at the sigma = 1 normalization")
     beta = beta_exponent(K)
     if not (0.0 < epsilon < beta):
         raise ValueError("need 0 < epsilon < beta")
     r = np.asarray(r_grid, dtype=float)
-    m = SmoothedMixture(p, sigma)
+    m = SmoothedMixture(p, 1.0)
     log_rho = m.log_pdf(r)
     log_tail = np.array([p.log_sf_discrete(ri) for ri in r])
     with np.errstate(invalid="ignore"):

@@ -289,6 +289,12 @@ def test_tail_probe_nonpositive_K_exits_2(runner, tmp_path, K):
      "need x1 < -1 < 0 < x2"),
     ("lsi-probe", {"K": 2.0, "h_list": [5.0], "x2": -0.5}, "x2",
      "need x1 < -1 < 0 < x2"),
+    ("lsi-probe", {"K": 2.0, "h_list": [80.0]}, "h_list",
+     "h = 80.0 gives the h-atom weight exp(-800.0) = 0.0"),
+    ("t2-probe", {"K": 2.0, "delta": 0.1, "h_list": [80.0]}, "h_list",
+     "h = 80.0 gives the h-atom weight exp(-800.0) = 0.0"),
+    ("lsi-probe", {"K": 2.0, "h_list": [5.0, 1e-9]}, "h_list",
+     "h = 1e-09 gives the h-atom weight exp(-1.25e-19) = 1.0"),
 ], ids=["rate_scan_trials", "tail_probe_r_points", "weighted_n",
         "replications", "weighted_delta", "gap_k", "tail_probe_epsilon",
         "phase_scan_K_list", "phase_scan_trials", "mi_probe_sigma",
@@ -298,7 +304,9 @@ def test_tail_probe_nonpositive_K_exits_2(runner, tmp_path, K):
         "tail_probe_sigma", "t2_probe_K_not_above_sigma",
         "t2_probe_negative_h", "t2_probe_zero_h",
         "rate_scan_bernoulli_K_not_above_sigma", "t2_probe_delta",
-        "t2_probe_h_below_perturbation", "lsi_probe_x1", "lsi_probe_x2"])
+        "t2_probe_h_below_perturbation", "lsi_probe_x1", "lsi_probe_x2",
+        "lsi_probe_h_atom_underflow", "t2_probe_h_atom_underflow",
+        "lsi_probe_tiny_h"])
 def test_out_of_range_value_exits_2(runner, tmp_path, command, cfg, field,
                                     message):
     res = runner.invoke(main, [command, "--config",

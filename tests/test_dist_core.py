@@ -80,8 +80,9 @@ def test_one_term_logsumexp_matches_scipy_bitwise():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.integers(0, 30))
 def test_one_atom_kernel_matches_scipy_bitwise(seed, n_points):
-    """_atom_logsum on a one-atom mixture with per-point rows: each kind,
-    and one tail per point, against scipy's logsumexp on fresh arrays."""
+    """_atom_logsum on a one-atom mixture with per-point rows: the density,
+    each tail, and one tail per point, against scipy's logsumexp on fresh
+    arrays."""
     rng = np.random.default_rng(seed)
     m = random_mixture(rng, 1, float(rng.uniform(0.3, 2.0)))
     t = np.concatenate([rng.uniform(-40.0, 40.0, n_points),
@@ -89,8 +90,8 @@ def test_one_atom_kernel_matches_scipy_bitwise(seed, n_points):
     rows = rng.choice([0.0, -0.0, -3.5, -745.0], size=(t.size, 1))
     sign = rng.choice([1.0, -1.0], size=t.size)
     z = (t[:, None] - m.base.locations) / m.sigma
-    for kind, term in (("pdf", -0.5 * z * z), ("cdf", log_ndtr(z)),
-                       ("sf", log_ndtr(-z)),
+    for kind, term in ((None, -0.5 * z * z), (1.0, log_ndtr(z)),
+                       (-1.0, log_ndtr(-z)),
                        (sign, log_ndtr(np.where(sign[:, None] < 0.0, -z, z)))):
         want = special.logsumexp(rows + term, axis=1)
         assert _bits(m._atom_logsum(t, kind, rows)) == _bits(want)
@@ -336,6 +337,51 @@ def test_row_blocks_keep_every_bit(pools, seed, n_atoms, n_points, with_rows,
                     mock.patch.object(dist_core, "_pool", pool):
                 got = [_bits(a) for a in _kernel_outputs(m, t, rows, targets, upper)]
             assert got == want, (budget, width)
+
+
+def _interval_reference(m, a, b):
+    """log_interval_prob's formula with the upper-tail branch evaluated on
+    its own, on fresh arrays."""
+    za = (a[:, None] - m.base.locations[None, :]) / m.sigma
+    zb = (b[:, None] - m.base.locations[None, :]) / m.sigma
+    right = za >= 0.0
+    lo_tail = logdiffexp(log_ndtr(np.where(right, -za, zb)),
+                         log_ndtr(np.where(right, -zb, za)))
+    term = np.where(right, logdiffexp(log_ndtr(-za), log_ndtr(-zb)),
+                    np.where(zb <= 0.0, lo_tail, np.nan))
+    central = ~right & (zb > 0.0)
+    if np.any(central):
+        term = np.where(central, np.log(special.ndtr(zb) - special.ndtr(za)),
+                        term)
+    return logsumexp(m.base.log_weights[None, :] + term, axis=1)
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 7, 8, 40])
+def test_log_interval_prob_keeps_both_branch_bits(pools, n_atoms):
+    """log_interval_prob gives the bits of the formula that evaluates the
+    upper-tail branch on its own: intervals left of, across and right of the
+    atoms, ends at +-40 sigma, a == b and NaN, in one block and in blocks of
+    3 rows on pools of 1 and 2 workers."""
+    rng = np.random.default_rng(n_atoms)
+    m = random_mixture(rng, n_atoms, float(rng.uniform(0.3, 2.0)),
+                       span=max(4.0, n_atoms / 4.0))
+    locs, s = m.base.locations, m.sigma
+    t = rng.uniform(locs[0] - 10.0 * s, locs[-1] + 10.0 * s, 40)
+    pairs = [(locs - 3.0 * s, locs - 2.0 * s), (locs - 0.5 * s, locs + 0.5 * s),
+             (locs + 0.25 * s, locs + 2.0 * s), (locs - 40.0 * s, locs - 39.0 * s),
+             (locs + 39.0 * s, locs + 40.0 * s),
+             ([locs[0] - 40.0 * s], [locs[-1] + 40.0 * s]),
+             (locs, locs), (t, t), (t, t + rng.uniform(0.0, 3.0, t.size)),
+             ([math.nan, math.nan, 0.0], [math.nan, 0.0, math.nan])]
+    a = np.concatenate([p[0] for p in pairs])
+    b = np.concatenate([p[1] for p in pairs])
+    with np.errstate(all="ignore"):
+        want = _bits(_interval_reference(m, a, b))
+        for budget, pool in ((10 ** 9, None), (3 * n_atoms, pools[1]),
+                             (3 * n_atoms, pools[2])):
+            with mock.patch.object(dist_core, "_BLOCK_BUDGET", budget), \
+                    mock.patch.object(dist_core, "_pool", pool):
+                assert _bits(m.log_interval_prob(a, b)) == want, budget
 
 
 @pytest.mark.parametrize("with_rows", [False, True])
