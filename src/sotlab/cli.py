@@ -102,13 +102,12 @@ def _above_sigma(K: float, sigma: float):
 
 
 def _check_probe(check, h_list: list, *args):
-    """check(h, *args), a functional_ineq parameter check, at every h: a
-    ProbeParameterError is a config error at the field it names (h_list for
-    h)."""
+    """check(h, *args), a two-point parameter check, at every h: a
+    ParameterError is a config error at the field it names (h_list for h)."""
     try:
         for h in h_list:
             check(h, *args)
-    except functional_ineq.ProbeParameterError as exc:
+    except constructions.ParameterError as exc:
         raise ConfigError("h_list" if exc.name == "h" else exc.name, str(exc))
 
 
@@ -442,14 +441,15 @@ def lsi_probe(cfg, seed, out_path):
     K = _positive(cfg, "K")
     sigma = _sigma(cfg)
     h_list = _h_list(cfg)
-    x1 = _get(cfg, "x1", float, required=False)
-    x2 = _get(cfg, "x2", float, required=False)
-    _check_probe(functional_ineq.lsi_cut_points, h_list, K, sigma, x1, x2)
-    _check_probe(functional_ineq.two_point_weights, h_list, K)
-    probes = [functional_ineq.lsi_lower_bound(h, K, sigma, x1, x2)
-              for h in h_list]
+    for field in ("x1", "x2"):
+        if field in cfg:
+            raise ConfigError(field, "not a setting: the bound is taken at "
+                                     "x1 -> -inf with x2 = h sqrt(sigma/K)")
+    _check_probe(constructions.bernoulli_two_point, h_list, K)
+    probes = [functional_ineq.lsi_lower_bound(h, K, sigma) for h in h_list]
+    # q1 and q2 are 0 in the x1 -> -inf limit
     return (["h", "q1", "q2", "q3", "q4", "q5", "bound"],
-            [(p.h, p.q1, p.q2, p.q3, p.q4, p.q5, p.lsi_lower) for p in probes],
+            [(p.h, 0.0, 0.0, p.q3, p.q4, p.q5, p.lsi_lower) for p in probes],
             {})
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
+from . import constructions
 from .dist_core import (AtomicDistribution, EmpiricalMeasure, SmoothedMixture,
                         seed_sequence)
 
@@ -134,8 +135,7 @@ def berry_esseen_event_frequency(h: float, K: float, sigma: float, n: int,
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
-    log_p = -h * h / (2.0 * K * K)
-    p_h = math.exp(log_p)
+    p_h = math.exp(constructions.two_point_log_weight(h, K))
     if p_h >= 0.5:
         raise ValueError("requires p_h < 1/2 (h too small for this K)")
     if n * p_h < 128.0:

@@ -13,20 +13,42 @@ import numpy as np
 
 from .dist_core import AtomicDistribution, SmoothedMixture, log1mexp, logsumexp
 
-_LOG_MIN_WEIGHT = math.log(1e-300)
+
+class ParameterError(ValueError):
+    """A parameter outside the range its construction needs; `name` is the
+    parameter."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.name = name
+
+
+def two_point_log_weight(h: float, K: float) -> float:
+    """log p_h = -h^2/(2K^2), the log-weight of P_h's atom at h."""
+    return -h * h / (2.0 * K * K)
+
+
+def two_point(h: float, log_w: float) -> AtomicDistribution:
+    """(1-w) delta_0 + w delta_h from the h-atom's log-weight log w, with
+    log(1-w) = log1mexp(log w). Raises ParameterError naming h unless
+    0 < exp(log w) < 1 in float64: the MC atom draws, the discrete KL and
+    the event frequencies use the linear weight, and each needs both atoms."""
+    w = math.exp(log_w)
+    if not 0.0 < w < 1.0:
+        raise ParameterError(
+            "h", f"h = {h!r} gives the h-atom weight exp({log_w!r}) = {w!r}; "
+                 "both atoms of a two-point measure need a positive float64 "
+                 "weight")
+    return AtomicDistribution(np.array([0.0, h]),
+                              np.array([float(log1mexp(log_w)), log_w]))
 
 
 def bernoulli_two_point(h: float, K: float) -> AtomicDistribution:
-    """(1-p) delta_0 + p delta_h with p = exp(-h^2/(2K^2))."""
+    """P_h = (1-p) delta_0 + p delta_h with p = exp(-h^2/(2K^2)), defined
+    (two_point) for h between ~1e-8 K and ~38.6 K."""
     if h <= 0 or K <= 0:
         raise ValueError("h and K must be positive")
-    log_p = -h * h / (2.0 * K * K)
-    if log_p < _LOG_MIN_WEIGHT:
-        raise ValueError(f"spike weight underflows: log p = {log_p:.1f}")
-    log_q = log1mexp(log_p)  # log(1 - p); h -> 0 makes p -> 1 and this -inf
-    if not np.isfinite(log_q):
-        raise ValueError("h too small: spike weight degenerates to 1")
-    return AtomicDistribution(np.array([0.0, h]), np.array([float(log_q), log_p]))
+    return two_point(h, two_point_log_weight(h, K))
 
 
 def chi2_mixing_constant(K: float) -> float:

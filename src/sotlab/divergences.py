@@ -1,4 +1,4 @@
-"""KL, chi-square and Renyi divergences between smoothed mixtures, and the
+"""KL and chi-square divergences between smoothed mixtures, and the
 chi-square / Renyi mutual informations of an atomic source across the Gaussian
 noise channel.
 
@@ -114,30 +114,6 @@ def chi2_divergence(A: SmoothedMixture, B: SmoothedMixture,
 
     res = adaptive_simpson(integrand, _breakpoints(A, B, lo, hi), tol)
     return max(res.total, 0.0)
-
-
-def renyi_divergence(A: SmoothedMixture, B: SmoothedMixture, lam: float,
-                     tol: float = 1e-10) -> float:
-    """(1/(lam-1)) log E_B[(rho_A/rho_B)^lam] for 1 < lam <= 2."""
-    if not (1.0 < lam <= 2.0):
-        raise ValueError("lambda must lie in (1, 2]")
-    (lo,), (hi,) = _windows(A, B)
-
-    def integrand(t):
-        lb = B.log_pdf(t)
-        e = A.log_pdf(t) - lb
-        x = lam * e
-        big = x > 300.0
-        out = np.exp(lb) * np.expm1(np.where(big, 0.0, x))
-        if np.any(big):
-            with np.errstate(over="ignore"):
-                out = np.where(big, np.exp(lb + x), out)
-        return out
-
-    res = adaptive_simpson(integrand, _breakpoints(A, B, lo, hi), tol)
-    w_mass_b = 1.0 - float(_tail_masses(B, lo, hi))
-    value = math.log(max(w_mass_b + res.total, 1e-300)) / (lam - 1.0)
-    return max(value, 0.0) if value > -10 * tol else value
 
 
 @dataclass(frozen=True)

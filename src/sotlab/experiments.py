@@ -319,10 +319,10 @@ def bernoulli_scan(K: float, sigma: float, epsilon: float, n_list, trials: int,
     for n, child in zip(n_list, children):
         h = scan_h(n, K, sigma, delta)
         t = 0.5 * h + sigma * sigma * h / (2.0 * K * K)
-        p_h = math.exp(-h * h / (2.0 * K * K))
+        p = constructions.bernoulli_two_point(h, K)
+        p_h = math.exp(p.log_weights[1])
         records.append(ScanRecord(n=n, h=h, t=t, p_h=p_h,
                                   feasible=bool(n * p_h >= 128.0)))
-        p = constructions.bernoulli_two_point(h, K)
         vals = mc_w2sq_values(p, sigma, n, trials, child, tol)
         w = _summarize(np.sqrt(vals))
         wsq = _summarize(vals)

@@ -9,7 +9,14 @@ The interesting regime pushes every probability to the bottom of the float
 range (masses like exp(-158) appear already at h = 20), so all mass
 arithmetic is carried in log-space and the T2 KL integral is assembled from
 the perturbation difference itself rather than from two nearly equal
-densities.
+densities. P_h and the T2 probe's Q_h are built from their h-atom's
+log-weight (constructions.two_point), so h may run up to ~38.6 K, where that
+weight leaves float64.
+
+The LSI bound is taken at its x1 -> -infinity limit: three masses, of
+(-inf, x2], (x2, x2+1] and (x2+1, inf) with x2 = h sqrt(sigma/K). The T2 KL
+is returned as a float, so where it underflows to 0 the probe raises rather
+than report an infinite ratio.
 """
 from __future__ import annotations
 
@@ -18,10 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import transport
+from . import constructions, transport
 from ._quad import adaptive_simpson
-from .dist_core import (AtomicDistribution, SmoothedMixture, LOG_SQRT_2PI,
-                        logdiffexp)
+from .dist_core import SmoothedMixture, LOG_SQRT_2PI, log1mexp, logdiffexp
 
 
 @dataclass(frozen=True)
@@ -29,21 +35,16 @@ class LSIProbe:
     h: float
     sigma: float
     K: float
-    x1: float
     x2: float
-    q1: float
-    q2: float
     q3: float
     q4: float
     q5: float
     lsi_lower: float
     log_q: tuple = ()
-    x1_sensitivity: float = 0.0    # |bound(x1) - bound(2*x1)| relative
     x2_separated: bool = True      # whether x2 < h - 1 (large-h regime)
 
     def __post_init__(self):
-        total = self.q1 + self.q2 + self.q3 + self.q4 + self.q5
-        if abs(total - 1.0) > 1e-12:
+        if abs(self.q3 + self.q4 + self.q5 - 1.0) > 1e-12:
             raise ValueError("q partition must sum to 1")
 
 
@@ -59,96 +60,34 @@ class T2Probe:
     kl_discrete: float = float("nan")
 
     def __post_init__(self):
-        if self.kl > 0.0 and np.isfinite(self.ratio):
-            if not math.isclose(self.ratio, self.w2sq / self.kl,
-                                rel_tol=1e-12, abs_tol=0.0):
-                raise ValueError("ratio must equal w2sq/kl")
+        if not math.isclose(self.ratio, self.w2sq / self.kl, rel_tol=1e-12,
+                            abs_tol=0.0):
+            raise ValueError("ratio must equal w2sq/kl")
 
 
-def _log_partition(m: SmoothedMixture, x1: float, x2: float) -> np.ndarray:
-    return np.array([
-        float(m.log_cdf(np.array([x1]))[0]),
-        float(m.log_interval_prob(x1, x1 + 1.0)),
-        float(m.log_interval_prob(x1 + 1.0, x2)),
-        float(m.log_interval_prob(x2, x2 + 1.0)),
-        float(m.log_sf(np.array([x2 + 1.0]))[0]),
-    ])
+def lsi_lower_bound(h: float, K: float, sigma: float) -> LSIProbe:
+    """Test-function lower bound max(q3 q5 / q4 - 1, 0) on the LSI constant
+    of mu_h, with q3, q4 and q5 the mu_h masses of (-inf, x2], (x2, x2+1]
+    and (x2+1, inf), x2 = h sqrt(sigma/K).
 
-
-def _log_bound(lq: np.ndarray) -> float:
-    # q3 (q1 + q5) / (q2 + q4), all in log-space
-    return float(lq[2] + np.logaddexp(lq[0], lq[4])
-                 - np.logaddexp(lq[1], lq[3]))
-
-
-class ProbeParameterError(ValueError):
-    """A probe parameter outside the range its construction needs; `name`
-    is the parameter."""
-
-    def __init__(self, name: str, message: str):
-        super().__init__(message)
-        self.name = name
-
-
-def two_point_weights(h: float, K: float) -> tuple[float, float]:
-    """(log p_h, p_h), p_h = exp(-h^2/(2K^2)) the weight of P_h's atom at h;
-    raises ProbeParameterError naming h unless p_h and 1 - p_h are positive
-    in float64, which fails for h above ~38.6 K and below ~1e-8 K."""
-    log_p = -h * h / (2.0 * K * K)
-    p_h = math.exp(log_p)
-    if not 0.0 < p_h < 1.0:
-        raise ProbeParameterError(
-            "h", f"h = {h!r} gives the h-atom weight exp({log_p!r}) = "
-                 f"{p_h!r}; both atoms of P_h need a positive float64 weight")
-    return log_p, p_h
-
-
-def lsi_cut_points(h: float, K: float, sigma: float, x1: float | None = None,
-                   x2: float | None = None) -> tuple[float, float]:
-    """lsi_lower_bound's cut points (x1, x2), defaults filled in; raises
-    ProbeParameterError naming x1 or x2 unless x1 < -1 < 0 < x2."""
-    if x2 is None:
-        x2 = h * math.sqrt(sigma / K)
-    if x1 is None:
-        x1 = -40.0 * sigma
-    for name, ok in (("x1", x1 < -1.0), ("x2", x2 > 0.0)):
-        if not ok:
-            raise ProbeParameterError(
-                name, f"need x1 < -1 < 0 < x2, got x1 = {x1!r}, x2 = {x2!r}")
-    return x1, x2
-
-
-def lsi_lower_bound(h: float, K: float, sigma: float,
-                    x1: float | None = None,
-                    x2: float | None = None) -> LSIProbe:
-    """Test-function lower bound max(q3 (q1+q5)/(q2+q4) - 1, 0) on the LSI
-    constant of mu_h, with the five q's the mu_h masses of the partition at
-    x1 < x1+1 < x2 < x2+1.
-
-    Defaults: x2 = h sqrt(sigma/K) and x1 = -40 sigma (a computable surrogate
-    for the x1 -> -infinity limit; the probe reports the relative change when
-    x1 is doubled to -80 sigma). The divergence along h needs x2 well to the
-    left of the displaced kernel (x2 < h - 1); smaller h is allowed but the
-    probe marks the regime as degenerate.
+    This is the x1 -> -infinity limit of the bound q3 (q1+q5)/(q2+q4) - 1 of
+    the five-piece partition at x1 < x1+1 < x2 < x2+1: q1 and q2 tend to 0
+    and q3 to F(x2). The divergence along h needs x2 well to the left of the
+    displaced kernel (x2 < h - 1); smaller h is allowed but the probe marks
+    the regime as degenerate. P_h is constructions.bernoulli_two_point, so h
+    must lie in its range.
     """
-    x1, x2 = lsi_cut_points(h, K, sigma, x1, x2)
-    _, p_h = two_point_weights(h, K)
-    p = AtomicDistribution.from_weights(np.array([0.0, h]),
-                                        np.array([1.0 - p_h, p_h]))
-    m = SmoothedMixture(p, sigma)
-    lq = _log_partition(m, x1, x2)
-    log_b = _log_bound(lq)
-    with np.errstate(over="ignore"):
-        bound = max(math.exp(log_b) - 1.0 if log_b < 700 else math.inf, 0.0)
-    log_b2 = _log_bound(_log_partition(m, 2.0 * x1, x2))
-    sens = abs(math.expm1(log_b2 - log_b)) if math.isfinite(log_b) else 0.0
+    x2 = h * math.sqrt(sigma / K)
+    m = SmoothedMixture(constructions.bernoulli_two_point(h, K), sigma)
+    lq = np.array([m.log_cdf(x2), m.log_interval_prob(x2, x2 + 1.0),
+                   m.log_sf(x2 + 1.0)])
+    log_b = float(lq[0] + lq[2] - lq[1])
+    bound = max(math.exp(log_b) - 1.0 if log_b < 700 else math.inf, 0.0)
     q = np.exp(lq)
     q = q / q.sum() if abs(q.sum() - 1.0) <= 1e-12 else q
-    return LSIProbe(h=h, sigma=sigma, K=K, x1=x1, x2=x2,
-                    q1=float(q[0]), q2=float(q[1]), q3=float(q[2]),
-                    q4=float(q[3]), q5=float(q[4]),
-                    lsi_lower=bound, log_q=tuple(float(v) for v in lq),
-                    x1_sensitivity=float(sens),
+    return LSIProbe(h=h, sigma=sigma, K=K, x2=x2, q3=float(q[0]),
+                    q4=float(q[1]), q5=float(q[2]), lsi_lower=bound,
+                    log_q=tuple(float(v) for v in lq),
                     x2_separated=bool(x2 < h - 1.0))
 
 
@@ -156,17 +95,17 @@ def lsi_lower_bound(h: float, K: float, sigma: float,
 # T2 probe
 # ---------------------------------------------------------------------------
 
-def _perturbation_kl(h: float, sigma: float, log_p: float, log_dq: float,
+def _perturbation_kl(h: float, sigma: float, log_w, log_dq: float,
                      tol_rel: float = 1e-9) -> float:
     """KL(P_h*N || Q_h*N) where Q_h moves mass exp(log_dq) from the h-atom
-    to the 0-atom.
+    to the 0-atom, log_w being P_h's log-weights (log(1 - p_h), log p_h).
 
     Uses the Bregman form int rho_P (u - log(1+u)) with
     u = (rho_Q - rho_P)/rho_P = dq (phi_0 - phi_h)/rho_P, assembled from
     log |phi_0 - phi_h| so the two near-equal mixture densities never get
     subtracted in linear arithmetic.
     """
-    lp0 = math.log1p(-math.exp(log_p))  # log(1 - p_h)
+    lp0, log_p = log_w
     log_norm = -math.log(sigma) - LOG_SQRT_2PI
 
     def integrand(y):
@@ -213,30 +152,28 @@ def discrete_two_point_kl(p: float, dq: float) -> float:
 
 
 def check_t2_parameters(h: float, K: float, sigma: float, delta: float):
-    """(log p_h, log dq, p_h, q_h) of t2_lower_bound's Q_h, which moves dq of
-    the h-atom's weight p_h to the origin. Raises ProbeParameterError naming
-    delta or h unless, with kappa = sigma^2/K^2, (1 - delta)(1 + kappa)^2 >
-    4 kappa (so that dq < p_h at every h), the perturbation condition
-    (1 - delta)(1 + kappa)^2 h^2 > 4 kappa sigma^2 holds, and p_h
-    (two_point_weights) and q_h = p_h - dq are positive in float64."""
+    """(P_h, Q_h, log dq) of t2_lower_bound, Q_h moving dq of the h-atom's
+    weight p_h to the origin: log q_h = log p_h + log1mexp(log dq - log p_h).
+    Raises ParameterError naming delta or h unless, with kappa =
+    sigma^2/K^2, (1 - delta)(1 + kappa)^2 > 4 kappa (so that dq < p_h at
+    every h), the perturbation condition (1 - delta)(1 + kappa)^2 h^2 >
+    4 kappa sigma^2 holds, and P_h and Q_h are two-point measures
+    (constructions.two_point)."""
     kappa = (sigma / K) ** 2
     if not (1.0 - delta) * (1.0 + kappa) ** 2 > 4.0 * kappa:
-        raise ProbeParameterError(
+        raise constructions.ParameterError(
             "delta", f"must be below 1 - 4 kappa / (1 + kappa)^2 = "
                      f"{1.0 - 4.0 * kappa / (1.0 + kappa) ** 2!r} (kappa = "
                      f"sigma^2/K^2), or Q_h moves more mass than the h-atom holds")
     if not (1.0 - delta) * (1.0 + kappa) ** 2 * h * h > 4.0 * kappa * sigma * sigma:
-        raise ProbeParameterError(
+        raise constructions.ParameterError(
             "h", f"h = {h!r} too small for delta = {delta!r} "
                  "(perturbation condition)")
-    log_p, p_h = two_point_weights(h, K)
+    P = constructions.bernoulli_two_point(h, K)
+    log_p = float(P.log_weights[1])
     log_dq = -(1.0 - delta) * (1.0 + kappa) ** 2 * h * h / (8.0 * sigma * sigma)
-    q_h = -math.expm1(log_dq - log_p) * p_h    # p_h - dq, stable
-    if not q_h > 0.0:
-        raise ProbeParameterError(
-            "h", f"h = {h!r} leaves Q_h's h-atom weight q_h = {q_h!r} at "
-                 f"delta = {delta!r}; it must be positive in float64")
-    return log_p, log_dq, p_h, q_h
+    Q = constructions.two_point(h, log_p + float(log1mexp(log_dq - log_p)))
+    return P, Q, log_dq
 
 
 def t2_lower_bound(h: float, K: float, sigma: float, delta: float) -> T2Probe:
@@ -247,18 +184,20 @@ def t2_lower_bound(h: float, K: float, sigma: float, delta: float) -> T2Probe:
     the h-atom to the origin. W2^2 comes from the exact quantile coupling when
     its quadrature noise bound certifies the result, and otherwise from the
     CDF-crossing lower bound (the signal sits far below the noise floor of
-    linear-density quadrature for large h).
+    linear-density quadrature for large h). A KL that underflows to 0 in
+    float64 (from h ~ 57 at K = 2, delta = 0.1) raises FloatingPointError
+    before any W2 work.
     """
     if not K > sigma:
         raise ValueError("the probe requires K > sigma")
-    log_p, log_dq, p_h, q_h = check_t2_parameters(h, K, sigma, delta)
-    P = SmoothedMixture(AtomicDistribution.from_weights(
-        np.array([0.0, h]), np.array([1.0 - p_h, p_h])), sigma)
-    Q = SmoothedMixture(AtomicDistribution.from_weights(
-        np.array([0.0, h]), np.array([1.0 - q_h, q_h])), sigma)
-
-    kl = _perturbation_kl(h, sigma, log_p, log_dq)
-    ev = transport.w2_squared(P, Q, with_noise_bound=True)
+    P, Q, log_dq = check_t2_parameters(h, K, sigma, delta)
+    kl = _perturbation_kl(h, sigma, P.log_weights, log_dq)
+    if kl == 0.0:
+        raise FloatingPointError(
+            f"KL(P_h*N || Q_h*N) underflows to 0 in float64 at h = {h!r}; "
+            "the W2^2/KL ratio would need a log-space KL")
+    mP, mQ = SmoothedMixture(P, sigma), SmoothedMixture(Q, sigma)
+    ev = transport.w2_squared(mP, mQ, with_noise_bound=True)
     if ev.certified():
         w2sq = ev.total
         method = "quadrature"
@@ -266,13 +205,13 @@ def t2_lower_bound(h: float, K: float, sigma: float, delta: float) -> T2Probe:
         t_grid = np.linspace(0.25 * h, h, 41)
         # Q shifts mass toward the origin, so F_Q >= F_P pointwise and the
         # premise F_Q(t) >= F_P(t+2) can hold in the density valley
-        best = transport.best_crossing_lower_bound(Q, P, t_grid)
+        best = transport.best_crossing_lower_bound(mQ, mP, t_grid)
         if not best.applicable:
             raise RuntimeError("no certified W2 value and no applicable "
                                "crossing bound")
         w2sq = best.value
         method = "crossing"
-    ratio = w2sq / kl if kl > 0.0 else math.inf
-    return T2Probe(h=h, delta=delta, q_h=q_h, w2sq=w2sq, kl=kl, ratio=ratio,
-                   method=method,
-                   kl_discrete=discrete_two_point_kl(p_h, math.exp(log_dq)))
+    return T2Probe(h=h, delta=delta, q_h=math.exp(Q.log_weights[1]),
+                   w2sq=w2sq, kl=kl, ratio=w2sq / kl, method=method,
+                   kl_discrete=discrete_two_point_kl(
+                       math.exp(P.log_weights[1]), math.exp(log_dq)))

@@ -186,6 +186,16 @@ def test_lsi_probe(runner, tmp_path):
     assert 0 < b5 < b10
 
 
+def test_t2_probe_kl_underflow_exits_3(runner, tmp_path):
+    # at K = 2, delta = 0.1 the perturbation KL is ~exp(-0.227 h^2), below
+    # float64 from h ~ 57.3: no finite W2^2/KL ratio can be printed
+    cfg = write_cfg(tmp_path, "c.json",
+                    {"K": 2.0, "delta": 0.1, "h_list": [60.0]})
+    res = runner.invoke(main, ["t2-probe", "--config", cfg])
+    assert res.exit_code == 3
+    assert "numeric failure: KL(P_h*N || Q_h*N) underflows to 0" in res.output
+
+
 def test_concentration_weighted(runner, tmp_path):
     cfg = write_cfg(tmp_path, "c.json",
                     {"mode": "weighted", "n": 128, "delta": 0.1,
@@ -286,9 +296,11 @@ def test_tail_probe_nonpositive_K_exits_2(runner, tmp_path, K):
     ("t2-probe", {"K": 2.0, "delta": 0.1, "h_list": [10.0, 0.1]}, "h_list",
      "h = 0.1 too small for delta = 0.1 (perturbation condition)"),
     ("lsi-probe", {"K": 2.0, "h_list": [5.0], "x1": 0.5}, "x1",
-     "need x1 < -1 < 0 < x2"),
+     "not a setting: the bound is taken at x1 -> -inf with "
+     "x2 = h sqrt(sigma/K)"),
     ("lsi-probe", {"K": 2.0, "h_list": [5.0], "x2": -0.5}, "x2",
-     "need x1 < -1 < 0 < x2"),
+     "not a setting: the bound is taken at x1 -> -inf with "
+     "x2 = h sqrt(sigma/K)"),
     ("lsi-probe", {"K": 2.0, "h_list": [80.0]}, "h_list",
      "h = 80.0 gives the h-atom weight exp(-800.0) = 0.0"),
     ("t2-probe", {"K": 2.0, "delta": 0.1, "h_list": [80.0]}, "h_list",

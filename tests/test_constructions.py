@@ -19,6 +19,15 @@ def test_two_point_guards():
         cons.bernoulli_two_point(0.0, 1.0)          # degenerate single atom
     with pytest.raises(ValueError):
         cons.bernoulli_two_point(1e6, 1.0)          # weight underflows
+    with pytest.raises(ValueError):
+        cons.bernoulli_two_point(1e-9, 1.0)         # weight rounds to 1
+
+
+def test_two_point_keeps_a_subnormal_h_atom():
+    # exp(-741.125) is subnormal but positive, so P_h is still two-point
+    p = cons.bernoulli_two_point(77.0, 2.0)
+    assert p.n_atoms == 2
+    assert p.log_weights[1] == -741.125
 
 
 def test_chi2_admissible_c():

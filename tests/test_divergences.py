@@ -39,8 +39,6 @@ def test_gaussian_closed_forms():
     assert math.isclose(dv.kl_divergence(a, b), 2.0, rel_tol=1e-9)
     assert math.isclose(dv.chi2_divergence(a, b), math.exp(4.0) - 1.0,
                         rel_tol=1e-8)
-    assert math.isclose(dv.renyi_divergence(a, b, 2.0), 4.0, rel_tol=1e-9)
-    assert math.isclose(dv.renyi_divergence(a, b, 1.5), 3.0, rel_tol=1e-9)
 
 
 def test_nonnegative_and_zero_iff_equal(rng):
@@ -50,23 +48,6 @@ def test_nonnegative_and_zero_iff_equal(rng):
     pert = SmoothedMixture(m.base.shift(0.01), m.sigma)
     assert dv.kl_divergence(m, pert) > 0
     assert dv.chi2_divergence(m, pert) > 0
-    assert dv.renyi_divergence(m, pert, 1.7) > 0
-
-
-def test_renyi_monotone_and_kl_limit(rng):
-    a = random_mixture(rng)
-    b = random_mixture(rng)
-    vals = [dv.renyi_divergence(a, b, lam) for lam in (1.001, 1.3, 1.6, 2.0)]
-    assert all(y >= x - 1e-10 for x, y in zip(vals, vals[1:]))
-    assert abs(vals[0] - dv.kl_divergence(a, b)) <= 1e-2 * (1 + vals[0])
-
-
-def test_renyi_two_equals_log1p_chi2(rng):
-    a = random_mixture(rng)
-    b = random_mixture(rng)
-    d2 = dv.renyi_divergence(a, b, 2.0)
-    chi2 = dv.chi2_divergence(a, b)
-    assert math.isclose(d2, math.log1p(chi2), rel_tol=1e-8)
 
 
 def test_mi_single_atom_zero():
@@ -139,13 +120,7 @@ def test_mi_keeps_the_points_by_atoms_bits(monkeypatch):
 
 
 def test_lambda_guards(rng):
-    a = random_mixture(rng)
-    b = random_mixture(rng)
-    p = a.base
-    with pytest.raises(ValueError):
-        dv.renyi_divergence(a, b, 1.0)
-    with pytest.raises(ValueError):
-        dv.renyi_divergence(a, b, 2.5)
+    p = random_mixture(rng).base
     with pytest.raises(ValueError):
         dv.renyi_mutual_information(p, 1.0, 2.0)
     with pytest.raises(ValueError):

@@ -7,8 +7,8 @@ from sotlab import functional_ineq as fi
 
 def test_lsi_partition_sums_to_one():
     probe = fi.lsi_lower_bound(10.0, 2.0, 1.0)
-    total = probe.q1 + probe.q2 + probe.q3 + probe.q4 + probe.q5
-    assert abs(total - 1.0) <= 1e-12
+    assert abs(probe.q3 + probe.q4 + probe.q5 - 1.0) <= 1e-12
+    assert len(probe.log_q) == 3     # (-inf, x2], (x2, x2+1], (x2+1, inf)
 
 
 def test_lsi_bound_grows_with_h():
@@ -24,15 +24,15 @@ def test_lsi_deterministic_and_flags():
     a = fi.lsi_lower_bound(12.0, 2.0, 1.0)
     b = fi.lsi_lower_bound(12.0, 2.0, 1.0)
     assert a.lsi_lower == b.lsi_lower
-    assert a.x2_separated            # default x2 = h sqrt(sigma/K) < h - 1
-    assert math.isfinite(a.x1_sensitivity)
+    assert a.x2_separated            # x2 = h sqrt(sigma/K) < h - 1
+    assert a.x2 == 12.0 * math.sqrt(0.5)
 
 
 def test_lsi_guards():
     with pytest.raises(ValueError):
-        fi.lsi_lower_bound(10.0, 2.0, 1.0, x1=0.5)      # needs x1 < -1
+        fi.lsi_lower_bound(80.0, 2.0, 1.0)     # h-atom weight underflows
     with pytest.raises(ValueError):
-        fi.lsi_lower_bound(10.0, 2.0, 1.0, x2=-1.0)     # needs x2 > 0
+        fi.lsi_lower_bound(1e-9, 2.0, 1.0)     # h-atom weight rounds to 1
 
 
 def test_t2_ratio_grows_with_h():
@@ -41,6 +41,16 @@ def test_t2_ratio_grows_with_h():
     assert ratios[0] > 1.0
     assert all(y > x for x, y in zip(ratios, ratios[1:]))
     assert ratios[-1] / ratios[0] >= 10.0
+
+
+def test_lsi_bound_keeps_growing_to_the_end_of_the_h_range():
+    # P_h is built from log p_h, so the subnormal h-atom of h = 77 (log p_h
+    # = -741.125 at K = 2) still counts, and the x1 -> -inf limit does not
+    # cap the bound
+    vals = [fi.lsi_lower_bound(h, 2.0, 1.0).lsi_lower
+            for h in (60.0, 68.0, 70.0, 77.0)]
+    assert all(y > x for x, y in zip(vals, vals[1:]))
+    assert math.isfinite(vals[-1])
 
 
 def test_t2_kl_dominated_by_discrete():
@@ -66,3 +76,5 @@ def test_t2_deterministic():
 def test_t2_guards():
     with pytest.raises(ValueError):
         fi.t2_lower_bound(10.0, 0.5, 1.0, 0.1)     # requires K > sigma
+    with pytest.raises(FloatingPointError, match="underflows"):
+        fi.t2_lower_bound(60.0, 2.0, 1.0, 0.1)     # KL below float64

@@ -49,9 +49,15 @@ CASES = {
     "lsi_probe.json": ("lsi-probe",
         "2699e995f940a94ead8b8ca5a1568bd47c1f2ae66943e9b163af7e4fb725e362", None),
     "t2_probe.json": ("t2-probe",
-        "c182205ea7e7cef4e6a0003eea92a6579b606af88d31b689fddb992433054df7", None),
+        "282d129facf1d548e8e7dff6e33074f5338cf1dda4494343bc8a1afd5be95c4f", None),
     "phase_scan.json": ("phase-scan",
         "cf2dd0680585437c7ab06409c31db37f947bbc8093297c23d8eaf9789833b7b4", None),
+}
+
+# config file -> sha256 of <out>.plan.json, for the configs that write one
+PLANS = {
+    "rate_scan_bernoulli.json":
+        "9be5f54d9b1a272b21e82465a2f1d93951a88245beaf9a5eef69906828c9eca8",
 }
 
 
@@ -60,13 +66,15 @@ def _sha(path: Path):
 
 
 def run_case(name: str, workdir: Path):
-    """Run one golden config; return (sha256 of --out, sha256 of .fit.json)."""
+    """Run one golden config; return the sha256 of --out, of <out>.fit.json
+    and of <out>.plan.json (None where absent)."""
     out = workdir / "out"
     res = CliRunner().invoke(main, [CASES[name][0], "--config",
                                     str(GOLDEN / name), "--out", str(out),
                                     "--seed", str(SEED)])
     assert res.exit_code == 0, res.output
-    return _sha(out), _sha(Path(str(out) + ".fit.json"))
+    return (_sha(out), _sha(Path(str(out) + ".fit.json")),
+            _sha(Path(str(out) + ".plan.json")))
 
 
 def test_corpus_covers_every_config():
@@ -76,5 +84,5 @@ def test_corpus_covers_every_config():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name, tmp_path):
     _, want_out, want_fit = CASES[name]
-    assert run_case(name, tmp_path) == (want_out, want_fit)
+    assert run_case(name, tmp_path) == (want_out, want_fit, PLANS.get(name))
 
