@@ -110,7 +110,7 @@ def check_3_crossing_bound(quick=False, seed=20260823):
         w2 = transport.w2_squared(A, B).total
         t_grid = np.linspace(-4.0, 4.0 + shift, 25)
         for t in t_grid:
-            cb = transport.w2_crossing_lower_bound(A, B, float(t))
+            cb = transport.best_crossing_lower_bound(A, B, [t])
             if not cb.applicable:
                 continue
             cases += 1

@@ -87,12 +87,12 @@ def _sigma(cfg: dict, path: str = "") -> float:
     return _positive(cfg, "sigma", required=False, default=1.0, path=path)
 
 
-def _h_list(cfg: dict) -> list:
-    h_list = _get(cfg, "h_list", list)
-    if not h_list or not all(isinstance(h, (int, float)) and h > 0
-                             for h in h_list):
-        raise ConfigError("h_list", "expected a list of positive numbers")
-    return [float(h) for h in h_list]
+def _positive_list(cfg: dict, field: str) -> list:
+    """A required, nonempty list field of positive numbers, as floats."""
+    v = _get(cfg, field, list)
+    if not v or not all(isinstance(x, (int, float)) and x > 0 for x in v):
+        raise ConfigError(field, "expected a list of positive numbers")
+    return [float(x) for x in v]
 
 
 def _above_sigma(K: float, sigma: float):
@@ -336,15 +336,11 @@ def rate_scan(cfg, seed, out_path):
 @_subcommand("phase-scan", seed_required=True)
 def phase_scan(cfg, seed, out_path):
     """E[W2^2] rate slope of the two-point family for each K across K = sigma."""
-    K_list = _get(cfg, "K_list", list)
-    if not K_list or not all(isinstance(K, (int, float)) and K > 0
-                             for K in K_list):
-        raise ConfigError("K_list", "expected a list of positive numbers")
+    K_list = _positive_list(cfg, "K_list")
     sigma = _sigma(cfg)
     n_list = _n_list(cfg)
     trials = _get(cfg, "trials", int, required=False, default=100, minimum=2)
-    rows = experiments.phase_scan([float(K) for K in K_list], sigma, n_list,
-                                  trials, seed)
+    rows = experiments.phase_scan(K_list, sigma, n_list, trials, seed)
     return (["K", "slope", "slope_stderr", "r_squared", "alpha"],
             [(r["K"], r["slope"], r["slope_stderr"], r["r_squared"],
               tail_bounds.alpha_exponent(r["K"], sigma)) for r in rows], {})
@@ -440,17 +436,15 @@ def lsi_probe(cfg, seed, out_path):
     """Log-Sobolev constant lower bounds along an h-grid."""
     K = _positive(cfg, "K")
     sigma = _sigma(cfg)
-    h_list = _h_list(cfg)
+    h_list = _positive_list(cfg, "h_list")
     for field in ("x1", "x2"):
         if field in cfg:
             raise ConfigError(field, "not a setting: the bound is taken at "
                                      "x1 -> -inf with x2 = h sqrt(sigma/K)")
     _check_probe(constructions.bernoulli_two_point, h_list, K)
     probes = [functional_ineq.lsi_lower_bound(h, K, sigma) for h in h_list]
-    # q1 and q2 are 0 in the x1 -> -inf limit
-    return (["h", "q1", "q2", "q3", "q4", "q5", "bound"],
-            [(p.h, 0.0, 0.0, p.q3, p.q4, p.q5, p.lsi_lower) for p in probes],
-            {})
+    return (["h", "log_q3", "log_q4", "log_q5", "bound"],
+            [(p.h, *p.log_q, p.lsi_lower) for p in probes], {})
 
 
 @_subcommand("t2-probe", seed_required=False)
@@ -460,7 +454,7 @@ def t2_probe(cfg, seed, out_path):
     sigma = _sigma(cfg)
     _above_sigma(K, sigma)
     delta = _get(cfg, "delta", float)
-    h_list = _h_list(cfg)
+    h_list = _positive_list(cfg, "h_list")
     _check_probe(functional_ineq.check_t2_parameters, h_list, K, sigma, delta)
     probes = [functional_ineq.t2_lower_bound(h, K, sigma, delta)
               for h in h_list]

@@ -632,7 +632,8 @@ class SmoothedMixture:
             hi_n = np.where(go_right, hi, x)
             # Newton step on g(x); d/dx log F = pdf/F, d/dx log S = -pdf/S
             deriv = sign * np.exp(lpdf - logm)
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", over="ignore",
+                             invalid="ignore"):
                 step = g / deriv
             xn = x - step
             bad = ~np.isfinite(xn) | (xn <= lo_n) | (xn >= hi_n)

@@ -14,9 +14,10 @@ log-weight (constructions.two_point), so h may run up to ~38.6 K, where that
 weight leaves float64.
 
 The LSI bound is taken at its x1 -> -infinity limit: three masses, of
-(-inf, x2], (x2, x2+1] and (x2+1, inf) with x2 = h sqrt(sigma/K). The T2 KL
-is returned as a float, so where it underflows to 0 the probe raises rather
-than report an infinite ratio.
+(-inf, x2], (x2, x2+1] and (x2+1, inf) with x2 = h sqrt(sigma/K), kept as
+log-masses only. The T2 KL is returned as a float, so where it falls below
+float64's normal range the probe raises rather than report a ratio with few
+or no significant bits.
 """
 from __future__ import annotations
 
@@ -27,24 +28,20 @@ import numpy as np
 
 from . import constructions, transport
 from ._quad import adaptive_simpson
-from .dist_core import SmoothedMixture, LOG_SQRT_2PI, log1mexp, logdiffexp
+from .dist_core import (SmoothedMixture, LOG_SQRT_2PI, log1mexp, logdiffexp,
+                        logsumexp)
 
 
 @dataclass(frozen=True)
 class LSIProbe:
     h: float
-    sigma: float
-    K: float
     x2: float
-    q3: float
-    q4: float
-    q5: float
+    log_q: tuple                   # log q3, log q4, log q5
     lsi_lower: float
-    log_q: tuple = ()
     x2_separated: bool = True      # whether x2 < h - 1 (large-h regime)
 
     def __post_init__(self):
-        if abs(self.q3 + self.q4 + self.q5 - 1.0) > 1e-12:
+        if abs(logsumexp(self.log_q)) > 1e-12:
             raise ValueError("q partition must sum to 1")
 
 
@@ -57,12 +54,6 @@ class T2Probe:
     kl: float
     ratio: float
     method: str = "quadrature"     # or "crossing" for the W2 fallback
-    kl_discrete: float = float("nan")
-
-    def __post_init__(self):
-        if not math.isclose(self.ratio, self.w2sq / self.kl, rel_tol=1e-12,
-                            abs_tol=0.0):
-            raise ValueError("ratio must equal w2sq/kl")
 
 
 def lsi_lower_bound(h: float, K: float, sigma: float) -> LSIProbe:
@@ -83,12 +74,8 @@ def lsi_lower_bound(h: float, K: float, sigma: float) -> LSIProbe:
                    m.log_sf(x2 + 1.0)])
     log_b = float(lq[0] + lq[2] - lq[1])
     bound = max(math.exp(log_b) - 1.0 if log_b < 700 else math.inf, 0.0)
-    q = np.exp(lq)
-    q = q / q.sum() if abs(q.sum() - 1.0) <= 1e-12 else q
-    return LSIProbe(h=h, sigma=sigma, K=K, x2=x2, q3=float(q[0]),
-                    q4=float(q[1]), q5=float(q[2]), lsi_lower=bound,
-                    log_q=tuple(float(v) for v in lq),
-                    x2_separated=bool(x2 < h - 1.0))
+    return LSIProbe(h=h, x2=x2, log_q=tuple(float(v) for v in lq),
+                    lsi_lower=bound, x2_separated=bool(x2 < h - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -184,18 +171,20 @@ def t2_lower_bound(h: float, K: float, sigma: float, delta: float) -> T2Probe:
     the h-atom to the origin. W2^2 comes from the exact quantile coupling when
     its quadrature noise bound certifies the result, and otherwise from the
     CDF-crossing lower bound (the signal sits far below the noise floor of
-    linear-density quadrature for large h). A KL that underflows to 0 in
-    float64 (from h ~ 57 at K = 2, delta = 0.1) raises FloatingPointError
-    before any W2 work.
+    linear-density quadrature for large h). A KL below float64's smallest
+    normal, 0 or subnormal (from h ~ 55.9 at K = 2, delta = 0.1), raises
+    FloatingPointError before any W2 work: a subnormal keeps too few bits
+    for the ratio.
     """
     if not K > sigma:
         raise ValueError("the probe requires K > sigma")
     P, Q, log_dq = check_t2_parameters(h, K, sigma, delta)
     kl = _perturbation_kl(h, sigma, P.log_weights, log_dq)
-    if kl == 0.0:
+    if kl < np.finfo(float).tiny:
         raise FloatingPointError(
-            f"KL(P_h*N || Q_h*N) underflows to 0 in float64 at h = {h!r}; "
-            "the W2^2/KL ratio would need a log-space KL")
+            f"KL(P_h*N || Q_h*N) underflows to 0 or a subnormal ({kl!r}) in "
+            f"float64 at h = {h!r}; the W2^2/KL ratio would need a log-space "
+            "KL")
     mP, mQ = SmoothedMixture(P, sigma), SmoothedMixture(Q, sigma)
     ev = transport.w2_squared(mP, mQ, with_noise_bound=True)
     if ev.certified():
@@ -212,6 +201,4 @@ def t2_lower_bound(h: float, K: float, sigma: float, delta: float) -> T2Probe:
         w2sq = best.value
         method = "crossing"
     return T2Probe(h=h, delta=delta, q_h=math.exp(Q.log_weights[1]),
-                   w2sq=w2sq, kl=kl, ratio=w2sq / kl, method=method,
-                   kl_discrete=discrete_two_point_kl(
-                       math.exp(P.log_weights[1]), math.exp(log_dq)))
+                   w2sq=w2sq, kl=kl, ratio=w2sq / kl, method=method)

@@ -30,10 +30,10 @@ class TransportEvaluation:
     grid: np.ndarray            # left edges of accepted panels
     contributions: np.ndarray   # per-panel contributions (same order)
 
-    def certified(self, factor: float = 10.0) -> bool:
-        """Whether the value dominates every accounted error source."""
-        return self.total > factor * (self.tail_bound + self.noise_bound
-                                      + self.quad_error)
+    def certified(self) -> bool:
+        """Whether the value is ten times every accounted error source."""
+        return self.total > 10.0 * (self.tail_bound + self.noise_bound
+                                    + self.quad_error)
 
 
 def _transport_map(A: SmoothedMixture, B: SmoothedMixture, t: np.ndarray,
@@ -151,18 +151,10 @@ class CrossingBound:
     log_value: float
 
 
-def w2_crossing_lower_bound(A: SmoothedMixture, B: SmoothedMixture,
-                            t: float) -> CrossingBound:
-    """If F_A(t) >= F_B(t+2) then W2(A,B)^2 >= P_B([t+1, t+2])."""
-    if A.log_cdf(t) >= B.log_cdf(t + 2.0):
-        lv = float(B.log_interval_prob(t + 1.0, t + 2.0))
-        return CrossingBound(True, t, math.exp(lv) if lv > -745.0 else 0.0, lv)
-    return CrossingBound(False, t, 0.0, -math.inf)
-
-
 def best_crossing_lower_bound(A: SmoothedMixture, B: SmoothedMixture,
                               t_grid) -> CrossingBound:
-    """Largest applicable crossing bound over a grid of candidate t."""
+    """Largest applicable crossing bound over a grid of candidate t: where
+    F_A(t) >= F_B(t+2), W2(A,B)^2 >= P_B([t+1, t+2])."""
     t = np.asarray(t_grid, dtype=float)
     ok = A.log_cdf(t) >= B.log_cdf(t + 2.0)
     if not np.any(ok):

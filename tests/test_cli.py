@@ -181,7 +181,7 @@ def test_lsi_probe(runner, tmp_path):
     res = runner.invoke(main, ["lsi-probe", "--config", cfg])
     assert res.exit_code == 0
     rows = [l for l in res.output.splitlines() if not l.startswith("#")]
-    assert rows[0] == "h,q1,q2,q3,q4,q5,bound"
+    assert rows[0] == "h,log_q3,log_q4,log_q5,bound"
     b5, b10 = (float(r.split(",")[-1]) for r in rows[1:3])
     assert 0 < b5 < b10
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -151,6 +152,23 @@ def test_quantile_cdf_roundtrip(m):
     u = np.array([1e-10, 1e-6, 0.01, 0.25, 0.5, 0.75, 0.99, 1 - 1e-6, 1 - 1e-10])
     x = m.quantile(u)
     assert np.max(np.abs(m.cdf(x) - u)) <= 1e-12
+
+
+def test_quantile_newton_step_overflow_is_quiet():
+    """The seed-85 outlier mixture of
+    test_empirical_statistic_matches_full_grid: far from the outlier atom the log-density underflows, the Newton step
+    g / deriv overflows to inf, and the bracket's bisection takes over. That
+    is expected, so it raises no warning, and the quantiles keep their bits
+    (the digest of the values before the warning was silenced)."""
+    m = SmoothedMixture(AtomicDistribution(
+        np.array([-0.22584803601682069, 56.40780971620525]),
+        np.array([-0.215108119760045, -1.642241318108562])),
+        0.7354583929687994)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = m.quantile(np.arange(1, 256) / 256)
+    assert hashlib.sha256(q.tobytes()).hexdigest() == \
+        "8fd307dd6edede75992b1b9769c51641f2eae96fbe1c1e428d5f17615d3f947c"
 
 
 @settings(max_examples=25, deadline=None)

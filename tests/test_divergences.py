@@ -64,6 +64,31 @@ def test_mi_monotone_in_radius():
     assert all(y >= x - 1e-12 for x, y in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("K", [0.5, 2.0])
+@pytest.mark.parametrize("n", [8, 16, 64])
+def test_expected_chi2_is_chi2_mi_over_n(K, n):
+    """E[chi2(P_n*N || P*N)] = I_chi2(P, sigma) / n at every n: rho_n - rho
+    is a mean of n iid zero-mean kernels. For two-point P the expectation is
+    the binomial sum over the k/n mass on the h-atom, every k included; k = 0
+    and k = n give one-atom measures. The gate adds the quadrature targets:
+    1e-10 per chi2 term (times n) and 1e-9 for the MI."""
+    h, sigma = 2.0, 1.0
+    P = cons.bernoulli_two_point(h, K)
+    p = math.exp(P.log_weights[1])
+    rho = SmoothedMixture(P, sigma)
+    expected = 0.0
+    for k in range(n + 1):
+        if k in (0, n):
+            Pk = AtomicDistribution.from_weights(np.array([h * k / n]),
+                                                 np.array([1.0]))
+        else:
+            Pk = cons.two_point(h, math.log(k / n))
+        pmf = math.comb(n, k) * p ** k * (1.0 - p) ** (n - k)
+        expected += pmf * dv.chi2_divergence(SmoothedMixture(Pk, sigma), rho)
+    mi = dv.chi2_mutual_information(P, sigma).value
+    assert abs(n * expected - mi) <= n * 1e-10 + 1e-9
+
+
 def test_renyi_mi_matches_kl_oracle_near_one():
     p = AtomicDistribution.from_weights(np.array([0.0, 0.5]),
                                         np.array([0.5, 0.5]))

@@ -3,12 +3,16 @@ import math
 import pytest
 
 from sotlab import functional_ineq as fi
+from sotlab.dist_core import logsumexp
 
 
 def test_lsi_partition_sums_to_one():
     probe = fi.lsi_lower_bound(10.0, 2.0, 1.0)
-    assert abs(probe.q3 + probe.q4 + probe.q5 - 1.0) <= 1e-12
+    assert abs(logsumexp(probe.log_q)) <= 1e-12
     assert len(probe.log_q) == 3     # (-inf, x2], (x2, x2+1], (x2+1, inf)
+    with pytest.raises(ValueError, match="partition"):
+        fi.LSIProbe(h=10.0, x2=probe.x2, log_q=(probe.log_q[0], 0.0, 0.0),
+                    lsi_lower=probe.lsi_lower)
 
 
 def test_lsi_bound_grows_with_h():
@@ -56,7 +60,10 @@ def test_lsi_bound_keeps_growing_to_the_end_of_the_h_range():
 def test_t2_kl_dominated_by_discrete():
     for h in (10.0, 20.0, 30.0):
         p = fi.t2_lower_bound(h, 2.0, 1.0, 0.1)
-        assert p.kl <= p.kl_discrete * (1.0 + 1e-6) + 1e-300
+        P, _, log_dq = fi.check_t2_parameters(h, 2.0, 1.0, 0.1)
+        kl_discrete = fi.discrete_two_point_kl(math.exp(P.log_weights[1]),
+                                               math.exp(log_dq))
+        assert p.kl <= kl_discrete * (1.0 + 1e-6) + 1e-300
 
 
 def test_t2_ratio_consistency_and_method():
@@ -78,3 +85,5 @@ def test_t2_guards():
         fi.t2_lower_bound(10.0, 0.5, 1.0, 0.1)     # requires K > sigma
     with pytest.raises(FloatingPointError, match="underflows"):
         fi.t2_lower_bound(60.0, 2.0, 1.0, 0.1)     # KL below float64
+    with pytest.raises(FloatingPointError, match="subnormal"):
+        fi.t2_lower_bound(57.2, 2.0, 1.0, 0.1)     # KL ~6e-323, one digit

@@ -47,7 +47,7 @@ CASES = {
     "tail_probe_lower.json": ("tail-probe",
         "bcc37bee21823795e03d1f0b8364f51b042dccb6439da9139abe718814d68690", None),
     "lsi_probe.json": ("lsi-probe",
-        "2699e995f940a94ead8b8ca5a1568bd47c1f2ae66943e9b163af7e4fb725e362", None),
+        "4c5df4ac725c1500420a2071462372a4827fd381b8a610a75f0d909d9a299cdc", None),
     "t2_probe.json": ("t2-probe",
         "282d129facf1d548e8e7dff6e33074f5338cf1dda4494343bc8a1afd5be95c4f", None),
     "phase_scan.json": ("phase-scan",

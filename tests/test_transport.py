@@ -78,7 +78,7 @@ def test_crossing_bound_below_w2(rng):
 
 
 def test_crossing_premise_rejected(std_normal):
-    cb = transport.w2_crossing_lower_bound(std_normal, std_normal, 0.0)
+    cb = transport.best_crossing_lower_bound(std_normal, std_normal, [0.0])
     assert not cb.applicable and cb.value == 0.0
 
 
