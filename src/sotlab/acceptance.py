@@ -114,9 +114,10 @@ def check_3_crossing_bound(quick=False, seed=20260823):
             if not cb.applicable:
                 continue
             cases += 1
-            margin = w2 - cb.value
+            bound = math.exp(cb.log_value)
+            margin = w2 - bound
             worst = min(worst, margin)
-            if w2 < cb.value * (1.0 - 1e-9) - 1e-15:
+            if w2 < bound * (1.0 - 1e-9) - 1e-15:
                 violations += 1
             if cases >= target:
                 break
@@ -263,11 +264,11 @@ def check_12_t2_divergence(quick=False, seed=20260823):
     t0 = time.time()
     probes = [functional_ineq.t2_lower_bound(h, 2.0, 1.0, 0.1)
               for h in (10.0, 20.0, 30.0)]
-    ratios = [p.ratio for p in probes]
-    ok = all(b > a for a, b in zip(ratios, ratios[1:])) and \
-        ratios[-1] / ratios[0] >= 10.0
+    lr = [p.log_ratio for p in probes]     # log(W2^2 / KL)
+    ok = all(b > a for a, b in zip(lr, lr[1:])) and \
+        lr[-1] - lr[0] >= math.log(10.0)
     return _result(12, "T2 ratio divergence", ok,
-                   f"W2^2/KL ratios {['%.3g' % r for r in ratios]} "
+                   f"W2^2/KL ratios {['%.3g' % math.exp(r) for r in lr]} "
                    f"(methods {[p.method for p in probes]})", t0)
 
 

@@ -274,6 +274,8 @@ def mi_probe(cfg, seed, out_path):
     sigma = _sigma(cfg)
     kind = _get(cfg, "kind", str, choices={"chi2", "renyi"})
     lam = _get(cfg, "lam", float, required=(kind == "renyi"))
+    if kind == "renyi" and not 1.0 < lam < 2.0:
+        raise ConfigError("lam", "must lie in (1, 2)")
     radius = _positive(cfg, "truncation_radius", required=False)
     tol = _get(cfg, "tol", float, required=False, default=1e-9)
     if kind == "chi2":
@@ -370,7 +372,7 @@ def concentration_cmd(cfg, seed, out_path):
         return (["replication", "statistic", "bound", "violated"], rows,
                 {"violation_rate": rep.violation_rate})
     if mode == "berry_esseen":
-        h = _get(cfg, "h", float)
+        h = _positive(cfg, "h")
         K = _positive(cfg, "K")
         sigma = _sigma(cfg)
         n = _get(cfg, "n", int)
@@ -458,9 +460,9 @@ def t2_probe(cfg, seed, out_path):
     _check_probe(functional_ineq.check_t2_parameters, h_list, K, sigma, delta)
     probes = [functional_ineq.t2_lower_bound(h, K, sigma, delta)
               for h in h_list]
-    return (["h", "q_h", "w2sq", "kl", "ratio", "method"],
-            [(p.h, p.q_h, p.w2sq, p.kl, p.ratio, p.method) for p in probes],
-            {})
+    return (["h", "log_q_h", "log_w2sq", "log_kl", "log_ratio", "method"],
+            [(p.h, p.log_q_h, p.log_w2sq, p.log_kl, p.log_ratio, p.method)
+             for p in probes], {})
 
 
 @main.command()

@@ -15,9 +15,9 @@ weight leaves float64.
 
 The LSI bound is taken at its x1 -> -infinity limit: three masses, of
 (-inf, x2], (x2, x2+1] and (x2+1, inf) with x2 = h sqrt(sigma/K), kept as
-log-masses only. The T2 KL is returned as a float, so where it falls below
-float64's normal range the probe raises rather than report a ratio with few
-or no significant bits.
+log-masses only. The T2 probe keeps W2^2, the KL and their ratio as logs,
+so it runs over P_h's whole h range although the KL leaves float64 near
+h = 56 at K = 2.
 """
 from __future__ import annotations
 
@@ -49,10 +49,10 @@ class LSIProbe:
 class T2Probe:
     h: float
     delta: float
-    q_h: float
-    w2sq: float
-    kl: float
-    ratio: float
+    log_q_h: float
+    log_w2sq: float
+    log_kl: float
+    log_ratio: float               # log W2^2 - log KL
     method: str = "quadrature"     # or "crossing" for the W2 fallback
 
 
@@ -82,44 +82,47 @@ def lsi_lower_bound(h: float, K: float, sigma: float) -> LSIProbe:
 # T2 probe
 # ---------------------------------------------------------------------------
 
-def _perturbation_kl(h: float, sigma: float, log_w, log_dq: float,
-                     tol_rel: float = 1e-9) -> float:
-    """KL(P_h*N || Q_h*N) where Q_h moves mass exp(log_dq) from the h-atom
-    to the 0-atom, log_w being P_h's log-weights (log(1 - p_h), log p_h).
+def _log_perturbation_kl(h: float, sigma: float, log_w, log_dq: float,
+                         tol_rel: float = 1e-9) -> float:
+    """log KL(P_h*N || Q_h*N) where Q_h moves mass exp(log_dq) from the
+    h-atom to the 0-atom, log_w being P_h's log-weights (log(1 - p_h),
+    log p_h).
 
     Uses the Bregman form int rho_P (u - log(1+u)) with
     u = (rho_Q - rho_P)/rho_P = dq (phi_0 - phi_h)/rho_P, assembled from
     log |phi_0 - phi_h| so the two near-equal mixture densities never get
-    subtracted in linear arithmetic.
+    subtracted in linear arithmetic. The integrand is divided by the
+    discrete data-processing scale 2 dq^2 / p_h inside its one exp, so the
+    integral is O(1) and meets tol_rel at any h where P_h exists.
     """
-    lp0, log_p = log_w
+    lp0, log_p = map(float, log_w)
     log_norm = -math.log(sigma) - LOG_SQRT_2PI
+    log_scale = math.log(2.0) + 2.0 * log_dq - log_p
 
     def integrand(y):
         e0 = -0.5 * (y / sigma) ** 2 + log_norm
         eh = -0.5 * ((y - h) / sigma) ** 2 + log_norm
         log_rho = np.logaddexp(lp0 + e0, log_p + eh)
-        hi = np.maximum(e0, eh)
-        lo = np.minimum(e0, eh)
-        log_diff = logdiffexp(hi, lo)            # log |phi_0 - phi_h|
+        log_u = (log_dq + logdiffexp(np.maximum(e0, eh), np.minimum(e0, eh))
+                 - log_rho)                              # log |u|
         sign = np.where(y < 0.5 * h, 1.0, -1.0)  # phi_0 > phi_h left of h/2
-        u = sign * np.exp(log_dq + log_diff - log_rho)
+        u = sign * np.exp(log_u)
         small = np.abs(u) < 1e-5
-        safe = np.where(small, 0.0, u)
-        g = np.where(small,
-                     u * u * (0.5 - u / 3.0 + u * u / 4.0),
-                     safe - np.log1p(safe))
-        return np.exp(log_rho) * g
+        safe = np.where(small, 1.0, u)
+        # log(u - log(1+u)), a series in u on the small branch
+        log_g = np.where(small, 2.0 * log_u + np.log(0.5 - u / 3 + u * u / 4),
+                         np.log(safe - np.log1p(safe)))
+        return np.exp(log_rho - log_scale + log_g)
 
     c = 20.0 * sigma
     feats = (np.array([0.0, 0.5 * h, h])[:, None]
              + sigma * np.array([-4.0, -1.0, 0.0, 1.0, 4.0])[None, :]).ravel()
     bp = np.unique(np.concatenate([[-c, h + c], feats]))
     bp = bp[(bp >= -c) & (bp <= h + c)]
-    # absolute tolerance scaled to the discrete data-processing bound
-    scale = 2.0 * math.exp(min(2.0 * log_dq - log_p, 700.0))
-    res = adaptive_simpson(integrand, bp, tol_rel * scale)
-    return max(res.total, 0.0)
+    total = adaptive_simpson(integrand, bp, tol_rel).total
+    if not total > 0.0:
+        raise RuntimeError(f"KL integral {total!r} <= 0 at h = {h!r}")
+    return log_scale + math.log(total)
 
 
 def _g(u: float) -> float:
@@ -171,24 +174,16 @@ def t2_lower_bound(h: float, K: float, sigma: float, delta: float) -> T2Probe:
     the h-atom to the origin. W2^2 comes from the exact quantile coupling when
     its quadrature noise bound certifies the result, and otherwise from the
     CDF-crossing lower bound (the signal sits far below the noise floor of
-    linear-density quadrature for large h). A KL below float64's smallest
-    normal, 0 or subnormal (from h ~ 55.9 at K = 2, delta = 0.1), raises
-    FloatingPointError before any W2 work: a subnormal keeps too few bits
-    for the ratio.
+    linear-density quadrature for large h). All three numbers are logs.
     """
     if not K > sigma:
         raise ValueError("the probe requires K > sigma")
     P, Q, log_dq = check_t2_parameters(h, K, sigma, delta)
-    kl = _perturbation_kl(h, sigma, P.log_weights, log_dq)
-    if kl < np.finfo(float).tiny:
-        raise FloatingPointError(
-            f"KL(P_h*N || Q_h*N) underflows to 0 or a subnormal ({kl!r}) in "
-            f"float64 at h = {h!r}; the W2^2/KL ratio would need a log-space "
-            "KL")
+    log_kl = _log_perturbation_kl(h, sigma, P.log_weights, log_dq)
     mP, mQ = SmoothedMixture(P, sigma), SmoothedMixture(Q, sigma)
     ev = transport.w2_squared(mP, mQ, with_noise_bound=True)
     if ev.certified():
-        w2sq = ev.total
+        log_w2sq = math.log(ev.total)
         method = "quadrature"
     else:
         t_grid = np.linspace(0.25 * h, h, 41)
@@ -198,7 +193,8 @@ def t2_lower_bound(h: float, K: float, sigma: float, delta: float) -> T2Probe:
         if not best.applicable:
             raise RuntimeError("no certified W2 value and no applicable "
                                "crossing bound")
-        w2sq = best.value
+        log_w2sq = best.log_value
         method = "crossing"
-    return T2Probe(h=h, delta=delta, q_h=math.exp(Q.log_weights[1]),
-                   w2sq=w2sq, kl=kl, ratio=w2sq / kl, method=method)
+    return T2Probe(h=h, delta=delta, log_q_h=float(Q.log_weights[1]),
+                   log_w2sq=log_w2sq, log_kl=log_kl,
+                   log_ratio=log_w2sq - log_kl, method=method)

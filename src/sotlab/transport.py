@@ -147,7 +147,6 @@ class CrossingBound:
 
     applicable: bool
     t: float
-    value: float
     log_value: float
 
 
@@ -158,9 +157,8 @@ def best_crossing_lower_bound(A: SmoothedMixture, B: SmoothedMixture,
     t = np.asarray(t_grid, dtype=float)
     ok = A.log_cdf(t) >= B.log_cdf(t + 2.0)
     if not np.any(ok):
-        return CrossingBound(False, float("nan"), 0.0, -math.inf)
+        return CrossingBound(False, float("nan"), -math.inf)
     tc = t[ok]
     lv = B.log_interval_prob(tc + 1.0, tc + 2.0)
     i = int(np.argmax(lv))
-    return CrossingBound(True, float(tc[i]),
-                         math.exp(lv[i]) if lv[i] > -745.0 else 0.0, float(lv[i]))
+    return CrossingBound(True, float(tc[i]), float(lv[i]))

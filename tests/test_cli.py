@@ -186,14 +186,19 @@ def test_lsi_probe(runner, tmp_path):
     assert 0 < b5 < b10
 
 
-def test_t2_probe_kl_underflow_exits_3(runner, tmp_path):
+def test_t2_probe_runs_to_the_end_of_the_h_range(runner, tmp_path):
     # at K = 2, delta = 0.1 the perturbation KL is ~exp(-0.227 h^2), below
-    # float64 from h ~ 57.3: no finite W2^2/KL ratio can be printed
+    # float64's normal range from h ~ 55.9; as logs the ratio stays finite
+    # up to h = 77, near the end of P_h's range (h-atom weight exp(-h^2/8))
     cfg = write_cfg(tmp_path, "c.json",
-                    {"K": 2.0, "delta": 0.1, "h_list": [60.0]})
+                    {"K": 2.0, "delta": 0.1, "h_list": [55.0, 57.2, 60.0, 77.0]})
     res = runner.invoke(main, ["t2-probe", "--config", cfg])
-    assert res.exit_code == 3
-    assert "numeric failure: KL(P_h*N || Q_h*N) underflows to 0" in res.output
+    assert res.exit_code == 0, res.output
+    rows = [l for l in res.output.splitlines() if not l.startswith("#")]
+    assert rows[0] == "h,log_q_h,log_w2sq,log_kl,log_ratio,method"
+    log_ratios = [float(r.split(",")[4]) for r in rows[1:]]
+    assert len(log_ratios) == 4
+    assert all(y > x for x, y in zip(log_ratios, log_ratios[1:]))
 
 
 def test_concentration_weighted(runner, tmp_path):
@@ -307,6 +312,12 @@ def test_tail_probe_nonpositive_K_exits_2(runner, tmp_path, K):
      "h = 80.0 gives the h-atom weight exp(-800.0) = 0.0"),
     ("lsi-probe", {"K": 2.0, "h_list": [5.0, 1e-9]}, "h_list",
      "h = 1e-09 gives the h-atom weight exp(-1.25e-19) = 1.0"),
+    ("concentration", {"mode": "berry_esseen", "h": -3.0, "K": 2.0, "n": 800,
+                       "replications": 5}, "h", "h must be positive"),
+    ("concentration", {"mode": "berry_esseen", "h": 0, "K": 2.0, "n": 800,
+                       "replications": 5}, "h", "h must be positive"),
+    ("mi-probe", {"dist": {"family": "two_point", "h": 4.0, "K": 2.0},
+                  "kind": "renyi", "lam": 2.5}, "lam", "must lie in (1, 2)"),
 ], ids=["rate_scan_trials", "tail_probe_r_points", "weighted_n",
         "replications", "weighted_delta", "gap_k", "tail_probe_epsilon",
         "phase_scan_K_list", "phase_scan_trials", "mi_probe_sigma",
@@ -318,7 +329,8 @@ def test_tail_probe_nonpositive_K_exits_2(runner, tmp_path, K):
         "rate_scan_bernoulli_K_not_above_sigma", "t2_probe_delta",
         "t2_probe_h_below_perturbation", "lsi_probe_x1", "lsi_probe_x2",
         "lsi_probe_h_atom_underflow", "t2_probe_h_atom_underflow",
-        "lsi_probe_tiny_h"])
+        "lsi_probe_tiny_h", "berry_esseen_negative_h", "berry_esseen_zero_h",
+        "mi_probe_lam"])
 def test_out_of_range_value_exits_2(runner, tmp_path, command, cfg, field,
                                     message):
     res = runner.invoke(main, [command, "--config",

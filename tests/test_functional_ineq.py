@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
+from scipy import integrate
 
 from sotlab import functional_ineq as fi
-from sotlab.dist_core import logsumexp
+from sotlab.dist_core import log1mexp, logsumexp
 
 
 def test_lsi_partition_sums_to_one():
@@ -41,10 +43,10 @@ def test_lsi_guards():
 
 def test_t2_ratio_grows_with_h():
     probes = [fi.t2_lower_bound(h, 2.0, 1.0, 0.1) for h in (10.0, 20.0, 30.0)]
-    ratios = [p.ratio for p in probes]
-    assert ratios[0] > 1.0
-    assert all(y > x for x, y in zip(ratios, ratios[1:]))
-    assert ratios[-1] / ratios[0] >= 10.0
+    log_ratios = [p.log_ratio for p in probes]
+    assert log_ratios[0] > 0.0
+    assert all(y > x for x, y in zip(log_ratios, log_ratios[1:]))
+    assert log_ratios[-1] - log_ratios[0] >= math.log(10.0)
 
 
 def test_lsi_bound_keeps_growing_to_the_end_of_the_h_range():
@@ -63,12 +65,46 @@ def test_t2_kl_dominated_by_discrete():
         P, _, log_dq = fi.check_t2_parameters(h, 2.0, 1.0, 0.1)
         kl_discrete = fi.discrete_two_point_kl(math.exp(P.log_weights[1]),
                                                math.exp(log_dq))
-        assert p.kl <= kl_discrete * (1.0 + 1e-6) + 1e-300
+        assert p.log_kl <= math.log(kl_discrete) + 1e-6
+
+
+@pytest.mark.parametrize("h", [10.0, 20.0, 30.0, 60.0, 77.0])
+def test_t2_kl_below_discrete_chi2(h):
+    # KL(P_h*N || Q_h*N) <= KL(P_h || Q_h) <= chi2(P_h || Q_h)
+    #                     = dq^2 / (q_h (1 - q_h)), certified at any h
+    p = fi.t2_lower_bound(h, 2.0, 1.0, 0.1)
+    _, _, log_dq = fi.check_t2_parameters(h, 2.0, 1.0, 0.1)
+    log_chi2 = 2.0 * log_dq - p.log_q_h - float(log1mexp(p.log_q_h))
+    assert math.isfinite(p.log_kl) and p.log_kl <= log_chi2
+
+
+def test_t2_kl_matches_independent_quadrature_at_h55():
+    # At h = 55 (K = 2, delta = 0.1) the KL is ~1e-298. |u| <= dq/p_h ~ e^-153,
+    # so u - log(1+u) = u^2/2 to far below double precision, and the KL
+    # divided by the scale 2 dq^2/p_h is p_h/4 int (phi_0 - phi_h)^2 / rho_P,
+    # here integrated by scipy from log-densities.
+    h = 55.0
+    P, _, log_dq = fi.check_t2_parameters(h, 2.0, 1.0, 0.1)
+    lp0, log_p = map(float, P.log_weights)
+    log_scale = math.log(2.0) + 2.0 * log_dq - log_p
+    c = -0.5 * math.log(2.0 * math.pi)
+
+    def f(y):
+        e0, eh = c - 0.5 * y * y, c - 0.5 * (y - h) ** 2
+        log_rho = np.logaddexp(lp0 + e0, log_p + eh)
+        log_diff = max(e0, eh) + math.log(-math.expm1(-abs(e0 - eh)))
+        return math.exp(log_p + 2.0 * log_diff - log_rho - math.log(4.0))
+
+    ref = sum(integrate.quad(f, a, b, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+              for a, b in ((-20.0, 0.0), (0.0, 0.5 * h), (0.5 * h, h),
+                           (h, h + 20.0)))
+    got = math.exp(fi.t2_lower_bound(h, 2.0, 1.0, 0.1).log_kl - log_scale)
+    assert abs(got - ref) <= 1e-9      # the quadrature's absolute target
 
 
 def test_t2_ratio_consistency_and_method():
     p = fi.t2_lower_bound(20.0, 2.0, 1.0, 0.1)
-    assert math.isclose(p.ratio, p.w2sq / p.kl, rel_tol=1e-12)
+    assert p.log_ratio == p.log_w2sq - p.log_kl
     assert p.method in ("quadrature", "crossing")
     q = fi.t2_lower_bound(10.0, 2.0, 1.0, 0.1)
     assert q.method == "quadrature"      # certified transport cost at small h
@@ -77,13 +113,10 @@ def test_t2_ratio_consistency_and_method():
 def test_t2_deterministic():
     a = fi.t2_lower_bound(20.0, 2.0, 1.0, 0.1)
     b = fi.t2_lower_bound(20.0, 2.0, 1.0, 0.1)
-    assert (a.w2sq, a.kl, a.ratio) == (b.w2sq, b.kl, b.ratio)
+    assert (a.log_w2sq, a.log_kl, a.log_ratio) == \
+        (b.log_w2sq, b.log_kl, b.log_ratio)
 
 
 def test_t2_guards():
     with pytest.raises(ValueError):
         fi.t2_lower_bound(10.0, 0.5, 1.0, 0.1)     # requires K > sigma
-    with pytest.raises(FloatingPointError, match="underflows"):
-        fi.t2_lower_bound(60.0, 2.0, 1.0, 0.1)     # KL below float64
-    with pytest.raises(FloatingPointError, match="subnormal"):
-        fi.t2_lower_bound(57.2, 2.0, 1.0, 0.1)     # KL ~6e-323, one digit

@@ -49,7 +49,7 @@ CASES = {
     "lsi_probe.json": ("lsi-probe",
         "4c5df4ac725c1500420a2071462372a4827fd381b8a610a75f0d909d9a299cdc", None),
     "t2_probe.json": ("t2-probe",
-        "282d129facf1d548e8e7dff6e33074f5338cf1dda4494343bc8a1afd5be95c4f", None),
+        "c4cc1578c8911ec2d87832237c0777a6579dccc6be0d57e936b697039fd79e75", None),
     "phase_scan.json": ("phase-scan",
         "cf2dd0680585437c7ab06409c31db37f947bbc8093297c23d8eaf9789833b7b4", None),
 }
