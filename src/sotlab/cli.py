@@ -278,6 +278,8 @@ def mi_probe(cfg, seed, out_path):
         raise ConfigError("lam", "must lie in (1, 2)")
     radius = _positive(cfg, "truncation_radius", required=False)
     tol = _get(cfg, "tol", float, required=False, default=1e-9)
+    if not 0.0 < tol < 1.0:
+        raise ConfigError("tol", "must lie in (0, 1)")
     if kind == "chi2":
         est = divergences.chi2_mutual_information(dist, sigma, radius, tol)
     else:
@@ -375,7 +377,7 @@ def concentration_cmd(cfg, seed, out_path):
         h = _positive(cfg, "h")
         K = _positive(cfg, "K")
         sigma = _sigma(cfg)
-        n = _get(cfg, "n", int)
+        n = _get(cfg, "n", int, minimum=1)
         reps = _get(cfg, "replications", int, minimum=1)
         fr = concentration.berry_esseen_event_frequency(h, K, sigma, n, reps,
                                                         seed)
@@ -387,7 +389,7 @@ def concentration_cmd(cfg, seed, out_path):
         if k >= k_max:
             raise ConfigError("k", f"must be < k_max = {k_max}")
         reps = _get(cfg, "replications", int, minimum=1)
-        n = _get(cfg, "n", int, required=False)
+        n = _get(cfg, "n", int, required=False, minimum=1)
         dist, schedule = constructions.w2_hard_example(K, sigma, k_max)
         fr = concentration.schedule_gap_dominance(schedule, dist, sigma, k,
                                                   reps, seed, n=n)

@@ -148,20 +148,59 @@ def _log_mix_rel(p: AtomicDistribution, sigma: float, k: int,
     The (atoms x points) exponents are built in cache-sized slices of y, in
     the calling thread's kernel scratch, and reduced over the atom axis; the
     bits are those of -logsumexp over the (points x atoms) array.
+
+    Points inside _owned_interval(p, sigma, k, y) are not built: there every
+    other atom's exponent rounds below -746, so its exp is +0.0, atom k's own
+    exponent is 0.0 and alone at the max, and the log-sum is
+    log1p(0) + log(1) + 0.0, whose negation is -0.0. They get -0.0.
     """
     locs = p.locations
     rk = locs[k]
     lw_rel = (p.log_weights - p.log_weights[k])[:, None]
-    out = np.empty(y.shape)
-    for r in _row_slices(y.size, locs.size):
-        yr = y[r]
+    lo, hi = _owned_interval(p, sigma, k, y)
+    rest = ~((y > lo) & (y < hi))
+    y_rest = y[rest]
+    rel = np.empty(y_rest.shape)
+    for r in _row_slices(y_rest.size, locs.size):
+        yr = y_rest[r]
         delta, e, ties = _scratch((locs.size, yr.size))
         np.square(np.subtract(yr, locs[:, None], out=delta), out=delta)
         np.subtract(np.square(yr - rk), delta, out=delta)
         np.divide(delta, 2.0 * sigma * sigma, out=delta)
         np.add(lw_rel, delta, out=delta)
-        out[r] = _logsumexp_atoms(delta, e, ties)
+        rel[r] = _logsumexp_atoms(delta, e, ties)
+    out = np.zeros(y.shape)
+    out[rest] = rel
     return np.negative(out, out=out)
+
+
+def _owned_interval(p: AtomicDistribution, sigma: float, k: int,
+                    y: np.ndarray) -> tuple:
+    """(lo, hi) such that, for every point of y in the open interval, each
+    atom j != k has a computed exponent of _log_mix_rel below -746.
+
+    That exponent is exactly the linear form
+    a_j(y) = (lw_j - lw_k) + (r_j - r_k)(2y - r_j - r_k) / (2 sigma^2),
+    so a_j(y) < T bounds y above for r_j > r_k and below for r_j < r_k. With
+    T = -746 - M, the margin M covers the float64 rounding of the computed
+    exponent (a few u((|y| + |r|)^2 / sigma^2 + |lw_j - lw_k|), u = 2^-53)
+    and that of the ends, which moves a_j by a few u(max|r|^2 / sigma^2 +
+    |T - (lw_j - lw_k)|); 32 times the first bound plus 1 holds both. Where M
+    is not finite (an overflow, or a NaN in y) the interval is empty.
+    """
+    locs, lw = p.locations, p.log_weights
+    d = locs - locs[k]
+    with np.errstate(all="ignore"):
+        q = np.abs(y).max(initial=0.0) + np.abs(locs).max()
+        margin = (32.0 * 2.0 ** -53
+                  * (q * q / (sigma * sigma) + 2.0 * np.abs(lw).max()) + 1.0)
+        ends = (0.5 * (locs + locs[k])
+                + sigma * sigma * (-746.0 - margin - (lw - lw[k])) / d)
+    if not np.isfinite(margin):
+        return 0.0, 0.0
+    # d = 0 only at atom k itself
+    return (float(ends[d < 0.0].max(initial=-np.inf)),
+            float(ends[d > 0.0].min(initial=np.inf)))
 
 
 def chi2_mutual_information(p: AtomicDistribution, sigma: float,

@@ -318,6 +318,20 @@ def test_tail_probe_nonpositive_K_exits_2(runner, tmp_path, K):
                        "replications": 5}, "h", "h must be positive"),
     ("mi-probe", {"dist": {"family": "two_point", "h": 4.0, "K": 2.0},
                   "kind": "renyi", "lam": 2.5}, "lam", "must lie in (1, 2)"),
+    ("concentration", {"mode": "berry_esseen", "h": 3.0, "K": 2.0, "n": -5,
+                       "replications": 5}, "n", "must be >= 1"),
+    ("concentration", {"mode": "gap", "K": 2.0, "k": 1, "n": -3,
+                       "replications": 5}, "n", "must be >= 1"),
+    ("mi-probe", {"dist": {"family": "chi2_hard", "K": 2.0, "k_max": 10},
+                  "kind": "chi2", "tol": 0}, "tol", "must lie in (0, 1)"),
+    ("mi-probe", {"dist": {"family": "chi2_hard", "K": 2.0, "k_max": 10},
+                  "kind": "chi2", "tol": -1e-9}, "tol", "must lie in (0, 1)"),
+    ("mi-probe", {"dist": {"family": "chi2_hard", "K": 2.0, "k_max": 10},
+                  "kind": "chi2", "truncation_radius": 50, "tol": -1e-9},
+     "tol", "must lie in (0, 1)"),
+    ("mi-probe", {"dist": {"family": "two_point", "h": 4.0, "K": 2.0},
+                  "kind": "renyi", "lam": 1.5, "tol": 2.0}, "tol",
+     "must lie in (0, 1)"),
 ], ids=["rate_scan_trials", "tail_probe_r_points", "weighted_n",
         "replications", "weighted_delta", "gap_k", "tail_probe_epsilon",
         "phase_scan_K_list", "phase_scan_trials", "mi_probe_sigma",
@@ -330,7 +344,9 @@ def test_tail_probe_nonpositive_K_exits_2(runner, tmp_path, K):
         "t2_probe_h_below_perturbation", "lsi_probe_x1", "lsi_probe_x2",
         "lsi_probe_h_atom_underflow", "t2_probe_h_atom_underflow",
         "lsi_probe_tiny_h", "berry_esseen_negative_h", "berry_esseen_zero_h",
-        "mi_probe_lam"])
+        "mi_probe_lam", "berry_esseen_n", "gap_n", "mi_probe_zero_tol",
+        "mi_probe_negative_tol", "mi_probe_negative_tol_with_radius",
+        "mi_probe_renyi_tol"])
 def test_out_of_range_value_exits_2(runner, tmp_path, command, cfg, field,
                                     message):
     res = runner.invoke(main, [command, "--config",

@@ -144,6 +144,53 @@ def test_mi_keeps_the_points_by_atoms_bits(monkeypatch):
     assert got == bits()
 
 
+def _edge_straddle(e, Y):
+    # 64 floats on each side of e, then offsets from 1e-15 |e| to 10 |e|,
+    # kept inside [-Y, Y] so the grid's max |y| (and so the ends) stays put
+    walk = [e]
+    for toward in (-np.inf, np.inf):
+        x = e
+        for _ in range(64):
+            x = np.nextafter(x, toward)
+            walk.append(x)
+    off = np.logspace(-15, 1, 161) * max(1.0, abs(e))
+    pts = np.concatenate([walk, e - off, e + off])
+    return pts[np.abs(pts) <= Y]
+
+
+@pytest.mark.parametrize("case", ["chi2_hard", "random_0.3", "random_1",
+                                  "random_3", "two_point"])
+def test_log_mix_rel_skips_only_what_it_would_compute(case):
+    """Points an atom provably owns get -0.0 without the log-sum; every bit
+    of every atom's log-ratio is that of the (points x atoms) formula, on
+    dense grids across both ends of each owned interval."""
+    if case == "chi2_hard":
+        sigma = 1.0
+        p = cons.chi2_hard_example(2.0, cons.chi2_admissible_c(2.0), 10)
+        Y = dv._default_radius(p, sigma, 1e-9)
+    elif case == "two_point":
+        p, sigma = cons.bernoulli_two_point(2.0, 0.5), 1.0
+        Y = 2.0 + 1000.0 * sigma
+    else:
+        sigma = float(case.split("_")[1])
+        p = random_mixture(np.random.default_rng(7), 7, sigma, 40.0 * sigma).base
+        Y = float(np.max(np.abs(p.locations))) + 1000.0 * sigma
+    # a coarse grid over [-Y, Y] and a fine one around each atom
+    base = np.concatenate([np.linspace(-Y, Y, 4001),
+                           (p.locations[:, None]
+                            + np.linspace(-8.0, 8.0, 401) * sigma).ravel()])
+    for k in range(p.n_atoms):
+        lo, hi = dv._owned_interval(p, sigma, k, base)
+        y = np.concatenate([base] + [_edge_straddle(e, Y) for e in (lo, hi)
+                                     if np.isfinite(e)])
+        assert dv._owned_interval(p, sigma, k, y) == (lo, hi)
+        got = dv._log_mix_rel(p, sigma, k, y)
+        want = _log_mix_rel_by_points(p, sigma, k, y)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), k
+        if case == "chi2_hard" and k >= 4:
+            assert np.any((y > lo) & (y < hi)), k
+
+
 def test_lambda_guards(rng):
     p = random_mixture(rng).base
     with pytest.raises(ValueError):
