@@ -124,12 +124,21 @@ def _simpson_members(f, breakpoints, tols, max_depth: int = 40,
         if np.any(over):
             done |= over[member]
             converged &= ~over
-        for i in np.unique(member[done]):
-            sel = done & (member == i)
-            acc_edges[i].append(lo[sel])
-            acc_vals[i].append(S2[sel] + err[sel])
-            acc_err[i] += float(np.sum(np.abs(err[sel])))
-            acc_tol[i] += float(np.sum(local_tol[sel]))
+        # the finished panels grouped by member, each member's in round order
+        fin = np.flatnonzero(done)
+        fin = fin[np.argsort(member[fin], kind="stable")]
+        fin_lo, fin_err, fin_tol = lo[fin], err[fin], local_tol[fin]
+        fin_val = S2[fin] + fin_err
+        fin_abs = np.abs(fin_err)
+        start = 0
+        for i, count in enumerate(np.bincount(member[fin], minlength=k).tolist()):
+            if count:
+                sel = slice(start, start + count)
+                start += count
+                acc_edges[i].append(fin_lo[sel])
+                acc_vals[i].append(fin_val[sel])
+                acc_err[i] += float(fin_abs[sel].sum())
+                acc_tol[i] += float(fin_tol[sel].sum())
         keep = ~done
         lo, mid, hi, f_lo, f_mid, f_hi, S, depth, Sl, Sr, f_m1, f_m2, m1, m2, member = (
             lo[keep], mid[keep], hi[keep], f_lo[keep], f_mid[keep], f_hi[keep],

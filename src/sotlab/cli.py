@@ -289,7 +289,8 @@ def mi_probe(cfg, seed, out_path):
             enumerate(zip(dist.locations, est.partial_by_atom))]
     return (["k", "location", "part"], rows,
             {"value": est.value, "truncation_radius": est.truncation_radius,
-             "quadrature_error": est.quadrature_error})
+             "quadrature_error": est.quadrature_error,
+             "gap_bound": est.gap_bound, "n_eval": est.n_eval})
 
 
 @_subcommand("rate-scan", seed_required=True)

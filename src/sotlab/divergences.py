@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import _integrate_members, adaptive_simpson
+from ._quad import _integrate_members, _simpson_members, adaptive_simpson
 from .dist_core import (LOG_SQRT_2PI, AtomicDistribution, SmoothedMixture,
                         _deep_quantiles, _logsumexp_atoms, _member_rows,
                         _row_slices, _scratch, logsumexp)
@@ -118,10 +118,16 @@ def chi2_divergence(A: SmoothedMixture, B: SmoothedMixture,
 
 @dataclass(frozen=True)
 class MIEstimate:
+    """quadrature_error sums the windows' Richardson estimates; gap_bound is
+    the certified remainder of the stretches of [-R, R] between the windows,
+    which are not integrated; n_eval counts integrand evaluations over all
+    atoms and windows."""
     value: float
     truncation_radius: float
     partial_by_atom: tuple
     quadrature_error: float
+    gap_bound: float
+    n_eval: int
 
 
 def _default_radius(p: AtomicDistribution, sigma: float, tol: float) -> float:
@@ -129,10 +135,50 @@ def _default_radius(p: AtomicDistribution, sigma: float, tol: float) -> float:
                  + sigma * math.sqrt(2.0 * math.log(1.0 / tol)) + 10.0 * sigma)
 
 
+_MI_OFFSETS = np.array([-16.0, -8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0, 16.0])
+
+
 def _mi_breakpoints(p: AtomicDistribution, sigma: float, R: float):
-    offs = np.array([-16.0, -8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0, 16.0]) * sigma
+    offs = _MI_OFFSETS * sigma
     pts = (p.locations[:, None] + offs[None, :]).ravel()
     return np.clip(np.concatenate([[-R, R], pts]), -R, R)
+
+
+def _mi_windows(p: AtomicDistribution, sigma: float, R: float) -> tuple:
+    """(windows, gap_mass). The windows are where the kernels live: the
+    merged intervals [r_j - 16 sigma, r_j + 16 sigma] within [-R, R], in
+    order, as (lo, hi) pairs whose ends are _mi_breakpoints values. The
+    stretches of [-R, R] between them lie beyond 16 sigma of every kernel, so
+    each kernel has at most its two-sided tail mass beyond 16 sigma there,
+    gap_mass (0 when nothing is left out)."""
+    reach = _MI_OFFSETS[-1] * sigma
+    locs = np.sort(p.locations)
+    windows = []
+    for a, b in zip(np.clip(locs - reach, -R, R), np.clip(locs + reach, -R, R)):
+        if windows and a <= windows[-1][1]:
+            windows[-1][1] = b
+        elif a < b:
+            windows.append([a, b])
+    windows = [(float(a), float(b)) for a, b in windows]
+    if windows == [(-R, R)]:
+        return windows, 0.0
+    return windows, math.erfc(_MI_OFFSETS[-1] / math.sqrt(2.0))
+
+
+def _mi_atom_quad(f, bp, windows, tol: float):
+    """f integrated over the windows to within tol in total: one
+    _simpson_members call whose members are the windows, each seeded with the
+    breakpoints inside it and given a share of tol proportional to its width.
+    Returns (total, summed error estimate, n_eval)."""
+    if not windows:
+        return 0.0, 0.0, 0
+    widths = np.array([b - a for a, b in windows])
+    res = _simpson_members(lambda t, member: f(t),
+                           [bp[(bp >= a) & (bp <= b)] for a, b in windows],
+                           tol * widths / widths.sum())
+    return (float(np.sum([r.total for r in res])),
+            float(np.sum([r.error_estimate for r in res])),
+            sum(r.n_eval for r in res))
 
 
 def _log_mix_rel(p: AtomicDistribution, sigma: float, k: int,
@@ -209,17 +255,19 @@ def chi2_mutual_information(p: AtomicDistribution, sigma: float,
     """Chi-square mutual information of S ~ p across Y = S + N(0, sigma^2).
 
     Decomposes as sum_k w_k chi2(phi_k || rho) with phi_k the noise kernel at
-    atom k; per-atom increments are integrated separately over |y| <= R and
-    reported. The integrand is assembled as phi_k e^s (1 - e^(logw_k - s))^2
+    atom k; per-atom increments are integrated separately over the kernels'
+    windows within |y| <= R (_mi_windows) and reported. The integrand is assembled as phi_k e^s (1 - e^(logw_k - s))^2
     with s = log(w_k phi_k / rho), which stays float-stable even when the atom
     weights live at log-scale -1e8.
     """
     R = truncation_radius if truncation_radius is not None else \
         _default_radius(p, sigma, tol)
     bp = _mi_breakpoints(p, sigma, R)
+    windows, gap_mass = _mi_windows(p, sigma, R)
     log_norm = -math.log(sigma) - LOG_SQRT_2PI
     parts = []
-    qerr = 0.0
+    qerr = gap_bound = 0.0
+    n_eval = 0
     per_tol = tol / p.n_atoms
     for k in range(p.n_atoms):
         rk = p.locations[k]
@@ -236,11 +284,15 @@ def chi2_mutual_information(p: AtomicDistribution, sigma: float,
             out = np.exp(lphi + s) * (1.0 - ratio) ** 2
             return np.where(big, np.exp(lphi + 2.0 * lwk - s), out)
 
-        res = adaptive_simpson(integrand, bp, per_tol)
-        parts.append(max(res.total, 0.0))
-        qerr += res.error_estimate
+        total, err, evals = _mi_atom_quad(integrand, bp, windows, per_tol)
+        parts.append(max(total, 0.0))
+        qerr += err
+        n_eval += evals
+        # w_k (phi_k - rho)^2 / rho <= phi_k + w_k rho, as rho >= w_k phi_k
+        gap_bound += (1.0 + math.exp(lwk)) * gap_mass
     return MIEstimate(value=float(np.sum(parts)), truncation_radius=R,
-                      partial_by_atom=tuple(parts), quadrature_error=qerr)
+                      partial_by_atom=tuple(parts), quadrature_error=qerr,
+                      gap_bound=gap_bound, n_eval=n_eval)
 
 
 def renyi_mutual_information(p: AtomicDistribution, sigma: float, lam: float,
@@ -257,11 +309,13 @@ def renyi_mutual_information(p: AtomicDistribution, sigma: float, lam: float,
     R = truncation_radius if truncation_radius is not None else \
         _default_radius(p, sigma, tol)
     bp = _mi_breakpoints(p, sigma, R)
+    windows, gap_mass = _mi_windows(p, sigma, R)
     log_norm = -math.log(sigma) - LOG_SQRT_2PI
     ordered = np.sort(bp)
     seed = np.unique(np.concatenate([bp, 0.5 * (ordered[:-1] + ordered[1:])]))
     log_weighted = np.empty(p.n_atoms)
-    qerr = 0.0
+    qerr = gap_bound = 0.0
+    n_eval = 0
     for k in range(p.n_atoms):
         rk = p.locations[k]
 
@@ -276,19 +330,24 @@ def renyi_mutual_information(p: AtomicDistribution, sigma: float, lam: float,
         def integrand(y, shift=shift, rk=rk, k=k):
             return np.exp(log_expo(y, rk, k) - shift)
 
-        res = adaptive_simpson(integrand, bp, tol)
+        total, err, evals = _mi_atom_quad(integrand, bp, windows, tol)
         # w_k J_k = w_k^(2-lam) exp(shift) * total
         log_weighted[k] = ((2.0 - lam) * p.log_weights[k] + shift
-                           + math.log(max(res.total, 1e-300)))
+                           + math.log(max(total, 1e-300)))
         if shift < 700.0:
-            qerr += res.error_estimate * math.exp(shift)
+            qerr += err * math.exp(shift)
+        n_eval += evals
+        # the integrand is <= phi_k e^(-shift), as s <= 0; scaled by e^shift
+        # as the error is
+        gap_bound += gap_mass
     log_sum = float(logsumexp(log_weighted))
     value = log_sum / (lam - 1.0)
     parts = np.exp(log_weighted)
     return MIEstimate(value=max(value, 0.0) if value > -1e-6 else value,
                       truncation_radius=R,
                       partial_by_atom=tuple(float(v) for v in parts),
-                      quadrature_error=qerr)
+                      quadrature_error=qerr, gap_bound=gap_bound,
+                      n_eval=n_eval)
 
 
 def soft_covering_kl_bound(I_lambda: float, lam: float, n: int) -> float:

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from sotlab import constructions as cons
 from sotlab import divergences as dv
+from sotlab._quad import adaptive_simpson
 from sotlab.dist_core import AtomicDistribution, SmoothedMixture, logsumexp
 
 from conftest import random_mixture
@@ -111,6 +112,67 @@ def test_renyi_mi_deep_atoms_finite():
     hard = cons.chi2_hard_example(2.0, c, 8)
     est = dv.renyi_mutual_information(hard, 1.0, 1.5)
     assert np.isfinite(est.value) and est.value >= 0
+
+
+def _full_range_quad(f, bp, windows, tol):
+    # the quadrature the windows replace: one adaptive_simpson over all of
+    # [-R, R] per atom
+    res = adaptive_simpson(f, bp, tol)
+    return res.total, res.error_estimate, res.n_eval
+
+
+@pytest.mark.parametrize("case", ["chi2_hard_4", "chi2_hard_10", "two_point",
+                                  "random_spread", "radius_cuts_window"])
+def test_windowed_mi_matches_full_range(case, monkeypatch):
+    """The MIs integrated over the kernels' windows agree with the full-range
+    quadrature within both error estimates plus the gap remainder, and stay
+    within tol. Renyi is compared on its parts, w_k J_k, whose errors are
+    what quadrature_error and gap_bound bound."""
+    tol, sigma, radius = 1e-9, 1.0, None
+    c = cons.chi2_admissible_c(2.0)
+    if case == "chi2_hard_4":
+        p = cons.chi2_hard_example(2.0, c, 4)
+    elif case == "chi2_hard_10":
+        p = cons.chi2_hard_example(2.0, c, 10)
+    elif case == "two_point":
+        p = cons.bernoulli_two_point(2.0, 0.5)
+    elif case == "random_spread":
+        p = random_mixture(np.random.default_rng(11), 6, 0.8, 200.0).base
+        sigma = 0.8
+    else:
+        # ends inside the third window, [460.0, 492.0]
+        p, radius = cons.chi2_hard_example(2.0, c, 4), 480.0
+    R = radius or dv._default_radius(p, sigma, tol)
+    assert dv._mi_windows(p, sigma, R)[1] > 0.0
+    new = (dv.chi2_mutual_information(p, sigma, radius, tol),
+           dv.renyi_mutual_information(p, sigma, 1.5, radius, tol))
+    monkeypatch.setattr(dv, "_mi_atom_quad", _full_range_quad)
+    ref = (dv.chi2_mutual_information(p, sigma, radius, tol),
+           dv.renyi_mutual_information(p, sigma, 1.5, radius, tol))
+    if case == "chi2_hard_10":
+        # the full-range value before the windows, bit for bit
+        assert ref[0].value == 8.981400816071798
+        assert new[0].n_eval < 50_000 < ref[0].n_eval
+    for got, want, key in zip(new, ref, (lambda e: e.value,
+                                         lambda e: sum(e.partial_by_atom))):
+        assert 0.0 < got.gap_bound < 1e-50
+        assert got.quadrature_error + got.gap_bound <= tol
+        slack = got.quadrature_error + want.quadrature_error + got.gap_bound
+        assert abs(key(got) - key(want)) <= slack
+        assert got.n_eval < want.n_eval
+
+
+def test_mi_without_gaps_has_no_gap_bound():
+    """With one window over all of [-R, R] nothing is left out, and doubling
+    a radius that already holds every window changes no bit."""
+    p = cons.bernoulli_two_point(2.0, 0.5)
+    e1 = dv.chi2_mutual_information(p, 1.0, truncation_radius=10.0)
+    assert dv._mi_windows(p, 1.0, 10.0) == ([(-10.0, 10.0)], 0.0)
+    assert e1.gap_bound == 0.0
+    e2 = dv.chi2_mutual_information(p, 1.0)
+    e3 = dv.chi2_mutual_information(p, 1.0,
+                                    truncation_radius=2 * e2.truncation_radius)
+    assert e2.value == e3.value and e2.gap_bound > 0.0
 
 
 def _log_mix_rel_by_points(p, sigma, k, y):

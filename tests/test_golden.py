@@ -24,9 +24,9 @@ CASES = {
     "w2_inline_atoms.json": ("w2",
         "53ce50b2c5111e671d135314550ae52e1501802dd325f75ab9d3c8b09e37e37e", None),
     "mi_probe_chi2.json": ("mi-probe",
-        "d8636fd40b2962e8f0aea064c55a4c1d63462b41e0ef85e90678efec3a3654ce", None),
+        "a2310455adf6960736b994e7ec1c4c53e6a23b63663f84d488cede6561ac22ee", None),
     "mi_probe_renyi.json": ("mi-probe",
-        "d8c68b4946da9eb08ffdd216ee54e3ddc207721c9b64a03f298135eaa3a72af8", None),
+        "9743b43bc29613e21ca07212d8dbad9c0ccc8cac89eea2eb39826ce0d5d6fff0", None),
     "rate_scan_two_point.json": ("rate-scan",
         "4c280a956aa446d54f3d7cf23d71713109be9cf5faf4e4465eeb6948c003d304",
         "0fac5a762d4adef01f2c5574ea9f6aca9c8a9c309e43a7444928fd9a7600e22b"),
