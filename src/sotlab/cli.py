@@ -73,6 +73,15 @@ def _get(cfg: dict, field: str, typ, required: bool = True, default=None,
     return v
 
 
+def _known(cfg: dict, fields, path: str = ""):
+    """Reject a field of cfg that is not in `fields`, before anything runs: a
+    misspelled field would otherwise leave its setting at the default."""
+    unknown = sorted(set(cfg) - set(fields))
+    if unknown:
+        raise ConfigError(f"{path}.{unknown[0]}" if path else unknown[0],
+                          f"unknown field; known fields are {sorted(fields)}")
+
+
 def _positive(cfg: dict, field: str, required: bool = True, default=None,
               path: str = ""):
     """A number field that must be > 0 when present."""
@@ -118,19 +127,25 @@ def _n_list(cfg: dict) -> list:
     return n_list
 
 
+# the fields of a named construction besides family and K
+_FAMILY_FIELDS = {"two_point": ("h",), "chi2_hard": ("k_max", "c"),
+                  "w2_schedule": ("k_max", "sigma")}
+
+
 def _build_distribution(obj, path: str):
     """Distribution spec: either inline atoms or a named construction."""
     if not isinstance(obj, dict):
         raise ConfigError(path, "expected an object")
     if "atoms" in obj:
+        _known(obj, ("atoms",), path)
         try:
             return AtomicDistribution.from_json_obj(obj), None
         except KeyError as exc:
             raise ConfigError(f"{path}.atoms", f"missing key {exc}")
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{path}.atoms", str(exc))
-    family = _get(obj, "family", str, path=path,
-                  choices={"two_point", "chi2_hard", "w2_schedule"})
+    family = _get(obj, "family", str, path=path, choices=set(_FAMILY_FIELDS))
+    _known(obj, ("family", "K", *_FAMILY_FIELDS[family]), path)
     K = _get(obj, "K", float, path=path)
     try:
         if family == "two_point":
@@ -241,7 +256,9 @@ def _subcommand(name: str, seed_required: bool):
 @_subcommand("construct", seed_required=False)
 def construct(cfg, seed, out_path):
     """Build a named distribution; emit its atoms (and schedule) as JSON."""
-    dist, schedule = _build_distribution(cfg, "<root>")
+    # the whole config is the spec, with the seed every config may carry
+    spec = {k: v for k, v in cfg.items() if k != "seed"}
+    dist, schedule = _build_distribution(spec, "<root>")
     obj = {"distribution": dist.to_json_obj()}
     if schedule is not None:
         obj["schedule"] = {
@@ -256,6 +273,7 @@ def construct(cfg, seed, out_path):
 @_subcommand("w2", seed_required=False)
 def w2(cfg, seed, out_path):
     """Exact quantile-coupling W2^2 between two smoothed mixtures."""
+    _known(cfg, ("A", "B", "sigma", "sigma_a", "sigma_b", "tol", "seed"))
     A, _ = _build_distribution(_get(cfg, "A", dict), "A")
     B, _ = _build_distribution(_get(cfg, "B", dict), "B")
     sa = _positive(cfg, "sigma_a", required=False, default=_sigma(cfg))
@@ -270,6 +288,8 @@ def w2(cfg, seed, out_path):
 @_subcommand("mi-probe", seed_required=False)
 def mi_probe(cfg, seed, out_path):
     """Chi-square or Renyi mutual information across the Gaussian channel."""
+    _known(cfg, ("dist", "sigma", "kind", "lam", "truncation_radius", "tol",
+                 "seed"))
     dist, _ = _build_distribution(_get(cfg, "dist", dict), "dist")
     sigma = _sigma(cfg)
     kind = _get(cfg, "kind", str, choices={"chi2", "renyi"})
@@ -297,6 +317,8 @@ def mi_probe(cfg, seed, out_path):
 def rate_scan(cfg, seed, out_path):
     """Monte Carlo n-sweep and log-log rate fit; writes <out>.fit.json too,
     and <out>.plan.json (the per-n h, t, p_h, feasible) for bernoulli."""
+    _known(cfg, ("family", "K", "sigma", "n_list", "trials", "tol", "h",
+                 "epsilon", "seed"))
     family = _get(cfg, "family", str, choices={"two_point", "bernoulli", "kl"})
     K = _positive(cfg, "K")
     sigma = _sigma(cfg)
@@ -341,6 +363,7 @@ def rate_scan(cfg, seed, out_path):
 @_subcommand("phase-scan", seed_required=True)
 def phase_scan(cfg, seed, out_path):
     """E[W2^2] rate slope of the two-point family for each K across K = sigma."""
+    _known(cfg, ("K_list", "sigma", "n_list", "trials", "seed"))
     K_list = _positive_list(cfg, "K_list")
     sigma = _sigma(cfg)
     n_list = _n_list(cfg)
@@ -351,10 +374,18 @@ def phase_scan(cfg, seed, out_path):
               tail_bounds.alpha_exponent(r["K"], sigma)) for r in rows], {})
 
 
+# the fields of each concentration mode besides mode, sigma, n and replications
+_CONCENTRATION_FIELDS = {"weighted": ("delta", "dist"),
+                         "berry_esseen": ("h", "K"),
+                         "gap": ("K", "k_max", "k")}
+
+
 @_subcommand("concentration", seed_required=True)
 def concentration_cmd(cfg, seed, out_path):
     """Weighted CDF statistic replications or gap-event frequencies."""
-    mode = _get(cfg, "mode", str, choices={"weighted", "berry_esseen", "gap"})
+    mode = _get(cfg, "mode", str, choices=set(_CONCENTRATION_FIELDS))
+    _known(cfg, ("mode", "sigma", "n", "replications", "seed",
+                 *_CONCENTRATION_FIELDS[mode]))
     if mode == "weighted":
         n = _get(cfg, "n", int, minimum=1)
         delta = _get(cfg, "delta", float)
@@ -406,6 +437,8 @@ def concentration_cmd(cfg, seed, out_path):
 @_subcommand("tail-probe", seed_required=False)
 def tail_probe(cfg, seed, out_path):
     """Tail-mass vs smoothed-density envelope constants on an r-grid."""
+    _known(cfg, ("dist", "K", "sigma", "epsilon", "kind", "r_min", "r_max",
+                 "r_points", "seed"))
     dist, _ = _build_distribution(_get(cfg, "dist", dict), "dist")
     K = _positive(cfg, "K")
     sigma = _sigma(cfg)
@@ -439,13 +472,14 @@ def tail_probe(cfg, seed, out_path):
 @_subcommand("lsi-probe", seed_required=False)
 def lsi_probe(cfg, seed, out_path):
     """Log-Sobolev constant lower bounds along an h-grid."""
-    K = _positive(cfg, "K")
-    sigma = _sigma(cfg)
-    h_list = _positive_list(cfg, "h_list")
     for field in ("x1", "x2"):
         if field in cfg:
             raise ConfigError(field, "not a setting: the bound is taken at "
                                      "x1 -> -inf with x2 = h sqrt(sigma/K)")
+    _known(cfg, ("K", "sigma", "h_list", "seed"))
+    K = _positive(cfg, "K")
+    sigma = _sigma(cfg)
+    h_list = _positive_list(cfg, "h_list")
     _check_probe(constructions.bernoulli_two_point, h_list, K)
     probes = [functional_ineq.lsi_lower_bound(h, K, sigma) for h in h_list]
     return (["h", "log_q3", "log_q4", "log_q5", "bound"],
@@ -455,6 +489,7 @@ def lsi_probe(cfg, seed, out_path):
 @_subcommand("t2-probe", seed_required=False)
 def t2_probe(cfg, seed, out_path):
     """Transportation-inequality W2^2/KL ratios along an h-grid."""
+    _known(cfg, ("K", "sigma", "delta", "h_list", "seed"))
     K = _positive(cfg, "K")
     sigma = _sigma(cfg)
     _above_sigma(K, sigma)

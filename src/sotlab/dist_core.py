@@ -15,9 +15,10 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc, log_ndtr, ndtr
+from scipy.special import erfc, log_ndtr, ndtr, ndtri_exp
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_EPS = float(np.finfo(float).eps)
 
 # log-mass clipped from each tail of a smoothed mixture by the W2 and
 # divergence quadrature windows
@@ -590,16 +591,29 @@ class SmoothedMixture:
 
         `upper` is one flag for all targets or one flag per target, so one
         call inverts targets of both tails. Vectorized safeguarded Newton on
-        the log-mass scale with a guaranteed initial bracket; a target is done
-        when its residual log-mass error is below 1e-13 or its bracket
-        collapses. A step that leaves the bracket is replaced by bisection,
-        and so, from iteration 20 on, is any step after one that did not
-        halve the target's bracket: Newton can cycle between points just
-        inside both bracket ends, which shrinks the bracket by ~1e-12 a step.
-        Every target follows its own elementwise sequence from iteration 0,
-        whatever else is solved with it. A target still open after 200
-        iterations raises QuantileSolveError. `log_weights` holds one row per
-        target.
+        the log-mass scale; a target is done when its residual log-mass error
+        is below 1e-13 or its bracket collapses, and a done target takes no
+        log-density pass. A step that leaves the bracket is replaced by
+        bisection, and so, from iteration 20 on, is any step after one that
+        did not halve the target's bracket: Newton can cycle between points
+        just inside both bracket ends, which shrinks the bracket by ~1e-12 a
+        step. Every target follows its own elementwise sequence from
+        iteration 0, whatever else is solved with it. A target still open
+        after 200 iterations raises QuantileSolveError. `log_weights` holds
+        one row per target.
+
+        The start bracket provably holds the root. In the lower-tail frame
+        (an upper target mirrors r -> -r and x -> -x), with q = ndtri_exp,
+        Phi((x - r_max)/sigma) <= F(x) <= Phi((x - r_min)/sigma) puts the root
+        in [r_min + sigma q(lm), r_max + sigma q(lm)], and F(x) >= w_j
+        Phi((x - r_j)/sigma) puts it below r_j + sigma q(lm - lw_j) for each
+        atom j with lw_j > lm, lw_j from the target's own row. Newton starts
+        at the least of these upper bounds, the root itself for one atom. The
+        bracket's ends are taken at the targets lm -+ tau, tau = 16 eps (1 +
+        |lm|), which covers the log-mass error of ndtri_exp, log_ndtr and
+        logsumexp, and then moved out by 4 eps (|end| + max |r|), which covers
+        the rounding of r + sigma q and of the kernel's (x - r)/sigma, so
+        that the log-mass the solver computes straddles the target.
         """
         lm = np.atleast_1d(np.asarray(log_mass, dtype=float))
         if np.any(lm >= math.log(0.75)) or np.any(~np.isfinite(lm)):
@@ -610,11 +624,7 @@ class SmoothedMixture:
         up = np.broadcast_to(np.asarray(upper, dtype=bool), shape).ravel()
         rows = None if log_weights is None else \
             np.reshape(log_weights, (lm.size, self.base.n_atoms))
-        locs = self.base.locations
-        pad = self.sigma * np.sqrt(-2.0 * lm + 9.0)
-        lo = np.where(up, locs[0] - 3.0 * self.sigma, locs[0] - pad)
-        hi = np.where(up, locs[-1] + pad, locs[-1] + 3.0 * self.sigma)
-        x = 0.5 * (lo + hi)
+        lo, hi, x = self._quantile_bracket(lm, up, rows)
         # the sign of d(log-mass)/dx: F increases, S decreases
         sign = np.where(up, -1.0, 1.0)
         # the loop state holds the open targets only; `at` is their position
@@ -624,14 +634,24 @@ class SmoothedMixture:
             if at.size == 0:
                 break
             logm = self._atom_logsum(x, sign, rows)
-            lpdf = self.log_pdf(x, rows)
             g = logm - lm
             # bracket update: the root lies right of x where sign * g < 0
             go_right = sign * g < 0.0
             lo_n = np.where(go_right, x, lo)
             hi_n = np.where(go_right, hi, x)
+            done = (np.abs(g) <= 1e-13) | (hi_n - lo_n <= 1e-14 * (1.0 + np.abs(x)))
+            if done.any():
+                out[at[done]] = x[done]
+                keep = ~done
+                x, lo, hi, lo_n, hi_n, g, logm, lm, sign, at = (
+                    a[keep] for a in (x, lo, hi, lo_n, hi_n, g, logm, lm,
+                                      sign, at))
+                if rows is not None:
+                    rows = rows[keep]
+                if at.size == 0:
+                    break
             # Newton step on g(x); d/dx log F = pdf/F, d/dx log S = -pdf/S
-            deriv = sign * np.exp(lpdf - logm)
+            deriv = sign * np.exp(self.log_pdf(x, rows) - logm)
             with np.errstate(divide="ignore", over="ignore",
                              invalid="ignore"):
                 step = g / deriv
@@ -639,20 +659,49 @@ class SmoothedMixture:
             bad = ~np.isfinite(xn) | (xn <= lo_n) | (xn >= hi_n)
             if it >= _BISECT_FROM:
                 bad |= ~(hi_n - lo_n <= 0.5 * (hi - lo))
-            xn = np.where(bad, 0.5 * (lo_n + hi_n), xn)
-            done = (np.abs(g) <= 1e-13) | (hi_n - lo_n <= 1e-14 * (1.0 + np.abs(x)))
-            if done.any():
-                out[at[done]] = x[done]
-                keep = ~done
-                x, lo, hi, lm, sign, at = (a[keep] for a in
-                                           (xn, lo_n, hi_n, lm, sign, at))
-                if rows is not None:
-                    rows = rows[keep]
-            else:
-                x, lo, hi = xn, lo_n, hi_n
+            x, lo, hi = np.where(bad, 0.5 * (lo_n + hi_n), xn), lo_n, hi_n
         if at.size:
             raise QuantileSolveError(int(at.size))
         return out.reshape(shape)
+
+    def _quantile_bracket(self, lm, up, rows):
+        """(lo, hi, x0) for quantile_from_log_mass: each target's start
+        bracket and start point (see there). The per-atom bounds are taken in
+        blocks of _row_slices' size, and the widened one at x0's atom only."""
+        locs, sigma = self.base.locations, self.sigma
+        flip = np.where(up, -1.0, 1.0)
+        # atom locations in each target's frame; their least and greatest
+        r_min = np.where(up, -locs[-1], locs[0])
+        r_max = np.where(up, -locs[0], locs[-1])
+        # the tightest per-atom bound of each target, and its atom
+        best = np.empty(lm.size)
+        j_best = np.empty(lm.size, dtype=np.intp)
+
+        def block(r):
+            q, b, _ = _scratch((r.stop - r.start, locs.size))
+            lw = self.base.log_weights if rows is None else rows[r]
+            # lm >= lw_j gives no bound: ndtri_exp(0) = inf
+            np.minimum(np.subtract(lm[r, None], lw, out=q), 0.0, out=q)
+            ndtri_exp(q, out=q)
+            np.add(np.multiply(flip[r, None], locs, out=b),
+                   np.multiply(q, sigma, out=q), out=b)
+            j_best[r] = j = np.argmin(b, axis=1)
+            best[r] = b[np.arange(j.size), j]
+
+        _row_blocks(lm.size, locs.size, block)
+        x0 = np.minimum(r_max + sigma * ndtri_exp(lm), best)
+        tau = 16.0 * _EPS * (1.0 - lm)
+        lw_best = self.base.log_weights[j_best] if rows is None else \
+            rows[np.arange(lm.size), j_best]
+        q_best = ndtri_exp(np.minimum(lm - lw_best + tau, 0.0))
+        lo = r_min + sigma * ndtri_exp(lm - tau)
+        hi = np.minimum(r_max + sigma * ndtri_exp(lm + tau),
+                        flip * locs[j_best] + sigma * q_best)
+        r_abs = max(abs(locs[0]), abs(locs[-1]))
+        lo -= 4.0 * _EPS * (np.abs(lo) + r_abs)
+        hi += 4.0 * _EPS * (np.abs(hi) + r_abs)
+        return (np.where(up, -hi, lo), np.where(up, -lo, hi),
+                flip * x0)
 
     def quantile(self, u) -> np.ndarray:
         u_arr = np.atleast_1d(np.asarray(u, dtype=float))
@@ -698,17 +747,26 @@ class SmoothedMixture:
         _row_blocks(a_f.size, locs.size, block)
         return out.reshape(shape) if shape else float(out[0])
 
-    def log_tail_second_moment(self, x0: float, upper: bool) -> float:
+    def log_tail_second_moment(self, x0, upper, log_weights=None):
         """log of an upper bound on the second moment restricted to one tail.
 
         Upper bound on int_{t > x0} t^2 rho(t) dt (or the mirrored lower tail),
         obtained per atom from the truncated-Gaussian closed form with absolute
-        values so all terms add.
+        values so all terms add. x0 and upper are one cut and flag, or one of
+        each per row of `log_weights` (rows as in log_pdf); each row gets the
+        bits of a call with its own cut, flag and mixture alone.
         """
-        locs = self.base.locations if upper else -self.base.locations[::-1]
-        logw = self.base.log_weights if upper else self.base.log_weights[::-1]
-        x0 = x0 if upper else -x0
-        z = (x0 - locs) / self.sigma
+        x0 = np.asarray(x0, dtype=float)
+        up = np.broadcast_to(upper, x0.shape).reshape(-1, 1)
+        locs = self.base.locations
+        logw = self.base.log_weights[None, :] if log_weights is None else \
+            np.reshape(log_weights, (-1, locs.size))
+        # a lower tail is the upper tail of the mirrored mixture, its atoms
+        # in the mirrored order
+        locs = np.where(up, locs, -locs[::-1])
+        logw = np.where(up, logw, logw[:, ::-1])
+        cut = np.where(up, x0.reshape(-1, 1), -x0.reshape(-1, 1))
+        z = (cut - locs) / self.sigma
         log_sf_z = log_ndtr(-z)
         log_phi_z = -0.5 * z * z - LOG_SQRT_2PI
         with np.errstate(divide="ignore"):
@@ -718,7 +776,8 @@ class SmoothedMixture:
                 logw + 2.0 * math.log(self.sigma) + log_sf_z,
                 logw + 2.0 * math.log(self.sigma) + np.log(np.maximum(z, 1e-300)) + log_phi_z,
             ]
-        return float(logsumexp(np.concatenate(terms)))
+        out = logsumexp(np.concatenate(terms, axis=1), axis=1)
+        return out.reshape(x0.shape) if x0.shape else float(out[0])
 
     # -- sampling ------------------------------------------------------------
 

@@ -121,7 +121,11 @@ class MIEstimate:
     """quadrature_error sums the windows' Richardson estimates; gap_bound is
     the certified remainder of the stretches of [-R, R] between the windows,
     which are not integrated; n_eval counts integrand evaluations over all
-    atoms and windows."""
+    atoms and windows.
+
+    Both errors bound the part sum S = sum(partial_by_atom). For the chi^2
+    MI that is `value`; for the Renyi MI `value` is log(S) / (lam - 1), so
+    an error eps of S moves it by about eps / ((lam - 1) S)."""
     value: float
     truncation_radius: float
     partial_by_atom: tuple

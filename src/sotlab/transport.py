@@ -106,16 +106,22 @@ def _w2_members(As, Bs, tol: float = 1e-9,
         adaptive_simpson, integrand,
         [_breakpoints(A, B, float(lo[i]), float(hi[i])) for i in every], tol)
 
+    # tails: int_{tail} rho_A (T-t)^2 <= (sqrt(M2_A) + sqrt(M2_B))^2 where
+    # the M2 are one-sided second moments past the equal-mass cut points
+    # (T pushes rho_A's clipped tail exactly onto rho_B's); the lower tail of
+    # member i is row i, its upper tail row n + i
+    n = every.size
+    upper = np.arange(2 * n) >= n
+    twice = np.concatenate([every, every])
+    m2a = A.log_tail_second_moment(np.concatenate([lo, hi]), upper,
+                                   rows_a(twice))
+    m2b = B.log_tail_second_moment(np.concatenate([b_lo, b_hi]), upper,
+                                   rows_b(twice))
     out = []
     for i, res in zip(every, results):
-        # tails: int_{tail} rho_A (T-t)^2 <= (sqrt(M2_A) + sqrt(M2_B))^2 where
-        # the M2 are one-sided second moments past the equal-mass cut points
-        # (T pushes rho_A's clipped tail exactly onto rho_B's)
         tail = 0.0
-        for upper, a_cut, b_cut in ((False, lo[i], b_lo[i]), (True, hi[i], b_hi[i])):
-            m2a = As[i].log_tail_second_moment(float(a_cut), upper)
-            m2b = Bs[i].log_tail_second_moment(float(b_cut), upper)
-            tail += (math.exp(0.5 * m2a) + math.exp(0.5 * m2b)) ** 2
+        for side in (i, n + i):
+            tail += (math.exp(0.5 * m2a[side]) + math.exp(0.5 * m2b[side])) ** 2
         window = (float(lo[i]), float(hi[i]))
         noise = _noise_bound(As[i], Bs[i], *window) if with_noise_bound else 0.0
         out.append(TransportEvaluation(

@@ -212,25 +212,34 @@ def test_count_draw_is_the_choice_draw(k, n):
 
 # -- the quantile solver converges or raises ----------------------------------------
 
-# B of check_3_crossing_bound(quick=True, seed=4251378574): base atoms
-# -0.1444, 1.9887, 3.7398 shifted by 5.5350. Plain safeguarded Newton cycles
-# between x ~ 4.5494 and x ~ 7.3745 for this upper target, each step just
-# inside the bracket, and stopped at the cap with log S off by 0.66.
+# Found by a search over random mixtures and targets: plain safeguarded
+# Newton, started at x ~ -5.3716 (the greatest single-atom bound of this
+# upper target), settles into a cycle between x ~ 2.7277 and x ~ 6.0962,
+# each step just inside the bracket, and is still open at the cap. With the
+# bisection from iteration _BISECT_FROM on it converges at iteration 48.
 TWO_CYCLE = SmoothedMixture(AtomicDistribution(
-    np.array([5.390538062740279, 7.523629805266576, 9.274729480455392]),
-    np.array([-0.3263244252217454, -2.54222807906534, -1.610748412944605])),
-    0.7562200157802955)
-TWO_CYCLE_TARGET = -0.7417566214723033
+    np.array([-6.1542075999091335, -6.059549683787808, 2.846055108667544,
+              4.232549096563387, 7.936331593023956]),
+    np.array([-1.130505683871538, -1.0996822209024502, -2.8445929221955737,
+              -1.848321026828306, -2.051874210499546])),
+    0.9099389986127446)
+TWO_CYCLE_TARGET = -1.6353981059606415
 
 
-def test_quantile_two_cycle_converges():
+def test_quantile_two_cycle_converges(monkeypatch):
     x = TWO_CYCLE.quantile_from_log_mass(np.array([TWO_CYCLE_TARGET]), upper=True)
     assert abs(TWO_CYCLE.log_sf(x)[0] - TWO_CYCLE_TARGET) <= 1e-12
+    # the bisection safeguard is what converges it
+    monkeypatch.setattr(dist_core, "_BISECT_FROM", dist_core._NEWTON_CAP)
+    with pytest.raises(QuantileSolveError):
+        TWO_CYCLE.quantile_from_log_mass(np.array([TWO_CYCLE_TARGET]),
+                                         upper=True)
 
 
 def test_quantile_cap_raises_with_the_count(monkeypatch):
+    # 48, 7 and 5 iterations with no cap
     monkeypatch.setattr(dist_core, "_NEWTON_CAP", 3)
-    targets = np.array([TWO_CYCLE_TARGET, -30.0, math.log(0.5)])
+    targets = np.array([TWO_CYCLE_TARGET, -1.0, math.log(0.5)])
     with pytest.raises(QuantileSolveError, match=r"^3 quantile target\(s\) "
                        r"unconverged after 3 Newton iterations$") as ei:
         TWO_CYCLE.quantile_from_log_mass(targets, upper=True)
@@ -271,10 +280,11 @@ def test_mixed_tail_solve_matches_one_solve_per_tail(seed, n_atoms, n_targets,
 @pytest.mark.parametrize("cap, per_tail", [(8, [1, 1]), (10, [0, 1])])
 def test_mixed_tail_cap_counts_both_tails(monkeypatch, cap, per_tail):
     """At the cap a mixed solve raises with the open targets of both tails:
-    the sum of what one solve per tail leaves open."""
+    the sum of what one solve per tail leaves open. With no cap the lower
+    targets take 4, 6 and 10 iterations, the upper ones 48, 5 and 1."""
     monkeypatch.setattr(dist_core, "_NEWTON_CAP", cap)
     targets = np.array([TWO_CYCLE_TARGET, -30.0, math.log(0.5),
-                        TWO_CYCLE_TARGET, -30.0, -700.0])
+                        TWO_CYCLE_TARGET, -30.0, -1.0])
     upper = np.array([True, False, True, False, True, False])
     open_ = []
     for flag in (False, True):

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from sotlab import dist_core, experiments
+from sotlab import dist_core, experiments, transport
 from sotlab.cli import main
 
 
@@ -39,6 +39,66 @@ def test_bad_field_type_exits_2(runner, tmp_path):
     assert "A.h" in res.output
 
 
+ATOMS = {"atoms": [{"x": 0.0, "logw": 0.0}]}
+TWO_POINT = {"family": "two_point", "h": 2.0, "K": 2.0}
+
+
+@pytest.mark.parametrize("command, cfg, field", [
+    ("w2", {"A": ATOMS, "B": ATOMS, "sigmaa": 3.0}, "sigmaa"),
+    ("w2", {"A": {**TWO_POINT, "sigma": 2.0}, "B": ATOMS}, "A.sigma"),
+    ("w2", {"A": ATOMS, "B": {**ATOMS, "K": 2.0}}, "B.K"),
+    ("construct", {"family": "chi2_hard", "K": 2.0, "k_max": 3, "h": 1.0},
+     "<root>.h"),
+    ("construct", {"family": "w2_schedule", "K": 2.0, "k_max": 3, "c": 1.0},
+     "<root>.c"),
+    ("mi-probe", {"dist": TWO_POINT, "kind": "chi2", "radius": 5.0},
+     "radius"),
+    ("rate-scan", {"family": "two_point", "K": 2.0, "n_list": [64, 128],
+                   "trial": 4}, "trial"),
+    ("phase-scan", {"K_list": [2.0], "n_list": [64, 128], "K": 2.0}, "K"),
+    ("concentration", {"mode": "weighted", "n": 10, "delta": 0.1,
+                       "replications": 2, "h": 2.0}, "h"),
+    ("concentration", {"mode": "berry_esseen", "h": 3.0, "K": 2.0, "n": 10,
+                       "replications": 2, "delta": 0.1}, "delta"),
+    ("concentration", {"mode": "gap", "K": 2.0, "k": 1, "replications": 2,
+                       "dist": ATOMS}, "dist"),
+    ("concentration", {"mode": "weighted", "n": 10, "delta": 0.1,
+                       "replications": 2, "dist": {**TWO_POINT, "k": 1}},
+     "dist.k"),
+    ("tail-probe", {"dist": TWO_POINT, "K": 2.0, "epsilon": 0.1,
+                    "kind": "upper", "r_max": 5.0, "r_point": 11}, "r_point"),
+    ("lsi-probe", {"K": 2.0, "h_list": [5.0], "sigma_a": 1.0}, "sigma_a"),
+    ("t2-probe", {"K": 2.0, "delta": 0.1, "h_list": [10.0], "Delta": 0.2},
+     "Delta"),
+], ids=["w2", "w2_construction", "w2_atoms", "construct_chi2_hard",
+        "construct_w2_schedule", "mi_probe", "rate_scan", "phase_scan",
+        "weighted", "berry_esseen", "gap", "weighted_dist", "tail_probe",
+        "lsi_probe", "t2_probe"])
+def test_unknown_field_exits_2(runner, tmp_path, command, cfg, field):
+    """A field a subcommand, concentration mode or distribution block does
+    not read is a config error naming it, not a setting left at its
+    default."""
+    res = runner.invoke(main, [command, "--config",
+                               write_cfg(tmp_path, "c.json", cfg),
+                               "--seed", "1"])
+    assert res.exit_code == 2
+    assert f"config error at {field}: unknown field; known fields are" \
+        in res.output
+
+
+def test_misspelled_sigma_stops_w2_before_it_runs(runner, tmp_path,
+                                                  monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("w2_squared ran")
+
+    monkeypatch.setattr(transport, "w2_squared", never)
+    cfg = write_cfg(tmp_path, "c.json", {"A": ATOMS, "B": ATOMS,
+                                         "sigmaa": 3.0, "seed": 3})
+    res = runner.invoke(main, ["w2", "--config", cfg])
+    assert res.exit_code == 2
+    assert "config error at sigmaa: unknown field" in res.output
+
+
 def test_missing_seed_exits_2(runner, tmp_path):
     cfg = write_cfg(tmp_path, "c.json",
                     {"family": "two_point", "K": 2.0,
@@ -68,14 +128,15 @@ def test_quantile_cap_exits_3(runner, monkeypatch):
 
 
 def test_construct_json(runner, tmp_path):
+    # the config's seed is no field of the distribution spec
     cfg = write_cfg(tmp_path, "c.json",
-                    {"family": "w2_schedule", "K": 2.0, "k_max": 3})
+                    {"family": "w2_schedule", "K": 2.0, "k_max": 3, "seed": 5})
     out = tmp_path / "dist.json"
     res = runner.invoke(main, ["construct", "--config", cfg,
                                "--out", str(out)])
     assert res.exit_code == 0
     obj = json.loads(out.read_text())
-    assert obj["command"] == "construct"
+    assert obj["command"] == "construct" and obj["seed"] == 5
     assert len(obj["distribution"]["atoms"]) == 4
     assert obj["schedule"]["n_k"][0] == 16
 

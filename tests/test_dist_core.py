@@ -154,21 +154,96 @@ def test_quantile_cdf_roundtrip(m):
     assert np.max(np.abs(m.cdf(x) - u)) <= 1e-12
 
 
-def test_quantile_newton_step_overflow_is_quiet():
-    """The seed-85 outlier mixture of
-    test_empirical_statistic_matches_full_grid: far from the outlier atom the log-density underflows, the Newton step
-    g / deriv overflows to inf, and the bracket's bisection takes over. That
-    is expected, so it raises no warning, and the quantiles keep their bits
-    (the digest of the values before the warning was silenced)."""
+def test_quantile_newton_step_overflow_is_quiet(monkeypatch):
+    """A mixture with an outlier atom 75 units out (found by a search over
+    such mixtures): at an iterate in the gap the log-density underflows (below
+    -1000 where log F and log S are above -5), the Newton step g / deriv
+    divides by zero, and the bracket's bisection takes over. That is
+    expected, so it raises no warning, and the quantiles keep their bits."""
     m = SmoothedMixture(AtomicDistribution(
-        np.array([-0.22584803601682069, 56.40780971620525]),
-        np.array([-0.215108119760045, -1.642241318108562])),
-        0.7354583929687994)
+        np.array([-0.18160172726167745, 0.6554051876408835, 74.95936876730595]),
+        np.array([-4.123330128061308, -0.8762747963793572, -0.5665523315149378])),
+        0.6956780597989105)
+    lowest = []
+    log_pdf = SmoothedMixture.log_pdf
+
+    def spy(self, t, log_weights=None):
+        out = log_pdf(self, t, log_weights)
+        lowest.append(np.min(out))
+        return out
+
+    monkeypatch.setattr(SmoothedMixture, "log_pdf", spy)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         q = m.quantile(np.arange(1, 256) / 256)
+    assert min(lowest) < -1000.0
     assert hashlib.sha256(q.tobytes()).hexdigest() == \
-        "8fd307dd6edede75992b1b9769c51641f2eae96fbe1c1e428d5f17615d3f947c"
+        "befd11ba6000617bd01b3046a01761a197bc1bd1ca942b66eb1b6441292dd9cf"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 64), st.booleans(),
+       st.sampled_from([1.0, 1e3, 1e6]))
+def test_quantile_bracket_straddles_the_target(seed, n_atoms, with_rows,
+                                               scale):
+    """At the two ends of each target's start bracket the log-mass the solver
+    computes lies on either side of the target, with the start point between
+    them: mixtures of 1-64 atoms with weights down to about e^-600, spread
+    over up to 1e6 times the usual span, with and without per-target rows,
+    targets of both tails from -700 to just below log(0.75)."""
+    rng = np.random.default_rng(seed)
+    m = random_mixture(rng, n_atoms, float(rng.uniform(0.3, 2.0)),
+                       span=max(4.0, n_atoms / 4.0) * scale)
+    if seed % 2:
+        lw = rng.uniform(-600.0, 0.0, n_atoms)
+        m = SmoothedMixture(AtomicDistribution.from_log_weights(
+            m.base.locations, lw, normalize=True), m.sigma)
+    top = np.nextafter(math.log(0.75), -math.inf)
+    lm = np.minimum(rng.uniform(-700.0, math.log(0.75), 60), top)
+    lm[:20] = np.minimum(-0.2 - rng.exponential(2.0, 20), top)
+    lm[-1] = top
+    up = rng.random(lm.size) < 0.5
+    rows = None
+    if with_rows:
+        rows = np.log(rng.dirichlet(np.full(n_atoms, 0.5), lm.size))
+        rows = np.maximum(rows, -700.0)
+        rows -= logsumexp(rows, axis=1)[:, None]
+    lo, hi, x0 = m._quantile_bracket(lm, up, rows)
+    sign = np.where(up, -1.0, 1.0)
+    # sign * (log-mass - target): <= 0 at lo, >= 0 at hi, in both tails
+    at_lo = sign * (m._atom_logsum(lo, sign, rows) - lm)
+    at_hi = sign * (m._atom_logsum(hi, sign, rows) - lm)
+    assert np.all(at_lo <= 0.0) and np.all(at_hi >= 0.0)
+    assert np.all((lo <= x0) & (x0 <= hi))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(-4.0, 4.0), st.floats(0.3, 2.0), st.integers(0, 10_000))
+def test_one_atom_quantile_takes_one_kernel_pass(r, sigma, seed):
+    """A one-atom quantile is closed-form: the solve starts at it and stops
+    after the one signed pass that checks it, meeting the 1e-13 residual
+    where float64 log-masses resolve it (targets from -30; a -700 target
+    takes one pass too)."""
+    m = SmoothedMixture(AtomicDistribution(np.array([r]), np.array([0.0])),
+                        sigma)
+    rng = np.random.default_rng(seed)
+    top = np.nextafter(math.log(0.75), -math.inf)
+    lm = np.append(np.minimum(rng.uniform(-30.0, math.log(0.75), 40), top),
+                   [top, -700.0])
+    up = rng.random(lm.size) < 0.5
+    passes = []
+    atom_logsum = SmoothedMixture._atom_logsum
+
+    def spy(self, *args, **kwargs):
+        passes.append(args)
+        return atom_logsum(self, *args, **kwargs)
+
+    with mock.patch.object(SmoothedMixture, "_atom_logsum", spy):
+        x = m.quantile_from_log_mass(lm, upper=up)
+    assert len(passes) == 1
+    sign = np.where(up, -1.0, 1.0)
+    residual = np.abs(m._atom_logsum(x, sign) - lm)
+    assert np.all(residual[:-1] <= 1e-13)
 
 
 @settings(max_examples=25, deadline=None)

@@ -22,17 +22,17 @@ CASES = {
     "construct_w2_schedule.json": ("construct",
         "f9c613f9d753a7320d2bc0516a9109cac7b39d345f9ac35928f2d7bf45cce1e5", None),
     "w2_inline_atoms.json": ("w2",
-        "53ce50b2c5111e671d135314550ae52e1501802dd325f75ab9d3c8b09e37e37e", None),
+        "39587ad49c01f32565eca858f7906eeea24c1b014439cc1f7437b39460f95ae5", None),
     "mi_probe_chi2.json": ("mi-probe",
         "a2310455adf6960736b994e7ec1c4c53e6a23b63663f84d488cede6561ac22ee", None),
     "mi_probe_renyi.json": ("mi-probe",
         "9743b43bc29613e21ca07212d8dbad9c0ccc8cac89eea2eb39826ce0d5d6fff0", None),
     "rate_scan_two_point.json": ("rate-scan",
-        "4c280a956aa446d54f3d7cf23d71713109be9cf5faf4e4465eeb6948c003d304",
-        "0fac5a762d4adef01f2c5574ea9f6aca9c8a9c309e43a7444928fd9a7600e22b"),
+        "41688fbd8838e96184090ecf2dcd0dca27bfc8c05b560836210361a59817dc52",
+        "d7b6c8e814795892fae0a209947e21c3a3a9d89ac17178c090b08664ca0c44be"),
     "rate_scan_bernoulli.json": ("rate-scan",
-        "de49c839d6b4a582fb81ce2c31ef8e3f9d9c844f744fd7c363814d699f069f19",
-        "9642a4b0131c2f12417aefd6d5e40ff3b9a963b26bd566ff4ca44c2d9a7b43b3"),
+        "557c59728b37cbb599a4c9ab767ad4fb069d1df7ba9b488ca24e6a978bace028",
+        "63cdd74583f3687fefe06d05b6f70c6b865fe05fcab0eb533297b74947300f00"),
     "rate_scan_kl.json": ("rate-scan",
         "fabc813d54d82ed487eb182571b127f9e5050ac6cbce981312b4f6039b9a6e19",
         "5e63ce2eddb11787e450120ac728e44957e544fbd5ebf01e63efd96ccc953787"),
@@ -49,9 +49,9 @@ CASES = {
     "lsi_probe.json": ("lsi-probe",
         "4c5df4ac725c1500420a2071462372a4827fd381b8a610a75f0d909d9a299cdc", None),
     "t2_probe.json": ("t2-probe",
-        "c4cc1578c8911ec2d87832237c0777a6579dccc6be0d57e936b697039fd79e75", None),
+        "2aeff90efe9e2a54e393d4fd84f9bbc8231e0f1b7ea62286713cca1206a829ba", None),
     "phase_scan.json": ("phase-scan",
-        "cf2dd0680585437c7ab06409c31db37f947bbc8093297c23d8eaf9789833b7b4", None),
+        "6067b3f391dde7f159447b25b18547ddf03c18189b90a7f910385ddd240e8bc2", None),
 }
 
 # config file -> sha256 of <out>.plan.json, for the configs that write one

@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from sotlab import transport
-from sotlab.dist_core import SmoothedMixture
+from sotlab.dist_core import (AtomicDistribution, SmoothedMixture,
+                              _deep_quantiles)
 
 from conftest import random_mixture
 
@@ -94,3 +95,49 @@ def test_certification_flag(rng):
     assert ev.noise_bound >= 0.0
     assert ev.certified() == (ev.total > 10.0 * (ev.tail_bound + ev.noise_bound
                                                  + ev.quad_error))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64).tolist()
+
+
+def _on_atoms(rng, locs, sigma, n_members):
+    return [SmoothedMixture(AtomicDistribution.from_weights(
+        locs, np.maximum(rng.dirichlet(np.full(locs.size, alpha)), 1e-12)),
+        sigma) for alpha in rng.choice([0.05, 1.0, 50.0], n_members)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 40), st.integers(1, 6))
+def test_tail_moment_rows_match_per_member_calls(seed, n_atoms, n_members):
+    """One tail-moment call with a cut, a tail and a log-weight row per
+    member gives the bits of one call per member, and each member's W2 tail
+    bound is the sum over both tails of the per-member calls at its cuts."""
+    rng = np.random.default_rng(seed)
+    base = random_mixture(rng, n_atoms, float(rng.uniform(0.5, 1.5)),
+                          span=max(4.0, n_atoms / 4.0))
+    locs, sigma = base.base.locations, base.sigma
+    ms = _on_atoms(rng, locs, sigma, n_members)
+    member = rng.integers(0, n_members, 3 * n_members)
+    cuts = rng.uniform(locs[0] - 12.0 * sigma, locs[-1] + 12.0 * sigma,
+                       member.size)
+    upper = rng.random(member.size) < 0.5
+    rows = np.stack([m.base.log_weights for m in ms])[member]
+    got = ms[0].log_tail_second_moment(cuts, upper, rows)
+    want = [ms[j].log_tail_second_moment(float(c), bool(u))
+            for j, c, u in zip(member, cuts, upper)]
+    assert _bits(got) == _bits(want)
+
+    # A has at least as many atoms as B, so _w2_members integrates over A
+    As = ms if n_atoms >= 2 else _on_atoms(rng, np.array([-1.0, 1.0]), sigma,
+                                           n_members)
+    Bs = _on_atoms(rng, np.array([-0.5, 2.0]), 0.8, n_members)
+    for a, b, ev in zip(As, Bs, transport._w2_members(As, Bs)):
+        b_cuts = _deep_quantiles(b, None, 1)
+        tail = 0.0
+        for upper, a_cut, b_cut in ((False, ev.window[0], b_cuts[0][0]),
+                                    (True, ev.window[1], b_cuts[1][0])):
+            m2a = a.log_tail_second_moment(a_cut, upper)
+            m2b = b.log_tail_second_moment(float(b_cut), upper)
+            tail += (math.exp(0.5 * m2a) + math.exp(0.5 * m2b)) ** 2
+        assert _bits(ev.tail_bound) == _bits(tail)
