@@ -282,7 +282,8 @@ def w2(cfg, seed, out_path):
     ev = transport.w2_squared(SmoothedMixture(A, sa), SmoothedMixture(B, sb),
                               tol=tol)
     return (["w2sq", "tail_bound", "quad_error", "n_eval"],
-            [(ev.total, ev.tail_bound, ev.quad_error, ev.n_eval)], {})
+            [(ev.total, ev.tail_bound, ev.quad_error, ev.n_eval)],
+            {"certified": ev.certified()})
 
 
 @_subcommand("mi-probe", seed_required=False)

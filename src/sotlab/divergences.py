@@ -17,7 +17,7 @@ import numpy as np
 from ._quad import _integrate_members, _simpson_members, adaptive_simpson
 from .dist_core import (LOG_SQRT_2PI, AtomicDistribution, SmoothedMixture,
                         _deep_quantiles, _logsumexp_atoms, _member_rows,
-                        _row_slices, _scratch, logsumexp)
+                        _row_slices, _scratch, _seed_breakpoints, logsumexp)
 
 
 def _windows(A: SmoothedMixture, B: SmoothedMixture, rows_a=None, rows_b=None,
@@ -29,18 +29,6 @@ def _windows(A: SmoothedMixture, B: SmoothedMixture, rows_a=None, rows_b=None,
     lo = [min(float(a), float(b)) for a, b in zip(a_lo, b_lo)]
     hi = [max(float(a), float(b)) for a, b in zip(a_hi, b_hi)]
     return lo, hi
-
-
-def _breakpoints(A: SmoothedMixture, B: SmoothedMixture, lo: float, hi: float):
-    feats = [np.array([lo, hi])]
-    s = max(A.sigma, B.sigma)
-    offs = np.array([-12.0, -4.0, -1.0, 0.0, 1.0, 4.0, 12.0]) * s
-    for m in (A, B):
-        locs = m.base.locations
-        if locs.size > 17:
-            locs = locs[np.linspace(0, locs.size - 1, 17).astype(int)]
-        feats.append((locs[:, None] + offs[None, :]).ravel())
-    return np.clip(np.concatenate(feats), lo, hi)
 
 
 def _tail_masses(m: SmoothedMixture, lo, hi, rows=None):
@@ -83,7 +71,7 @@ def _kl_members(As, Bs, tol: float = 1e-10) -> list:
 
     results = _integrate_members(
         adaptive_simpson, integrand,
-        [_breakpoints(A, B, lo[i], hi[i]) for i in every], tol)
+        [_seed_breakpoints(A, B, lo[i], hi[i]) for i in every], tol)
     # int_w (rho_B - rho_A) = tail-mass(A) - tail-mass(B)
     mass_corr = (_tail_masses(A, lo, hi, rows_a(every))
                  - _tail_masses(B, lo, hi, rows_b(every)))
@@ -112,16 +100,16 @@ def chi2_divergence(A: SmoothedMixture, B: SmoothedMixture,
                 out = np.where(big, np.exp(2.0 * (e + lb) - lb), out)
         return out
 
-    res = adaptive_simpson(integrand, _breakpoints(A, B, lo, hi), tol)
+    res = adaptive_simpson(integrand, _seed_breakpoints(A, B, lo, hi), tol)
     return max(res.total, 0.0)
 
 
 @dataclass(frozen=True)
 class MIEstimate:
-    """quadrature_error sums the windows' Richardson estimates; gap_bound is
-    the certified remainder of the stretches of [-R, R] between the windows,
-    which are not integrated; n_eval counts integrand evaluations over all
-    atoms and windows.
+    """quadrature_error sums the windows' Gauss-Kronrod error estimates,
+    |K15 - G7| per accepted panel; gap_bound is the certified remainder of
+    the stretches of [-R, R] between the windows, which are not integrated;
+    n_eval counts integrand evaluations over all atoms and windows.
 
     Both errors bound the part sum S = sum(partial_by_atom). For the chi^2
     MI that is `value`; for the Renyi MI `value` is log(S) / (lam - 1), so
@@ -139,7 +127,10 @@ def _default_radius(p: AtomicDistribution, sigma: float, tol: float) -> float:
                  + sigma * math.sqrt(2.0 * math.log(1.0 / tol)) + 10.0 * sigma)
 
 
-_MI_OFFSETS = np.array([-16.0, -8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0, 16.0])
+# seeds around each atom, in sigma; the last is the windows' reach. Each
+# seed costs a 15-point panel: the hard example's chi^2 MI takes 33,060
+# evaluations with these and 38,070, in the same time, with +-1, 4, 8 for +-6
+_MI_OFFSETS = np.array([-16.0, -6.0, -2.0, 0.0, 2.0, 6.0, 16.0])
 
 
 def _mi_breakpoints(p: AtomicDistribution, sigma: float, R: float):

@@ -2,9 +2,10 @@
 
 W2^2 between two smoothed mixtures is the quantile-coupling integral
 int rho_A(t) (T(t) - t)^2 dt with T = F_B^{-1} o F_A. The integral is evaluated
-by batched adaptive Simpson over a deep quantile window, with a certified
-analytic remainder for the clipped tails and an optional bound on the noise the
-finite-precision quantile solver injects into the displacement.
+by batched adaptive Gauss-Kronrod (7/15) quadrature over a deep quantile
+window, whose quad_error sums the accepted panels' |K15 - G7| estimates, with
+a certified analytic remainder for the clipped tails and an optional bound on
+the noise the finite-precision quantile solver injects into the displacement.
 """
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import _integrate_members, adaptive_simpson
-from .dist_core import SmoothedMixture, _deep_quantiles, _member_rows
+from .dist_core import (SmoothedMixture, _deep_quantiles, _member_rows,
+                        _seed_breakpoints)
 
 
 @dataclass(frozen=True)
@@ -51,25 +53,6 @@ def _transport_map(A: SmoothedMixture, B: SmoothedMixture, t: np.ndarray,
                                     log_weights=rows_b), log_mass
 
 
-def _breakpoints(A: SmoothedMixture, B: SmoothedMixture, lo: float, hi: float):
-    """Seed panel edges: window, atom positions (thinned), and spread offsets."""
-    feats = [np.array([lo, hi])]
-    centers = []
-    for m in (A, B):
-        locs = m.base.locations
-        if locs.size > 33:
-            locs = locs[np.linspace(0, locs.size - 1, 33).astype(int)]
-        feats.append(locs)
-        centers.append(locs if locs.size <= 9 else
-                       locs[np.linspace(0, locs.size - 1, 9).astype(int)])
-    s = max(A.sigma, B.sigma)
-    offs = np.array([-12.0, -4.0, -1.0, 1.0, 4.0, 12.0]) * s
-    for c in centers:
-        feats.append((c[:, None] + offs[None, :]).ravel())
-    pts = np.concatenate(feats)
-    return np.clip(pts, lo, hi)
-
-
 def w2_squared(A: SmoothedMixture, B: SmoothedMixture, tol: float = 1e-9,
                with_noise_bound: bool = False) -> TransportEvaluation:
     """Squared Wasserstein-2 distance between two smoothed mixtures.
@@ -104,7 +87,8 @@ def _w2_members(As, Bs, tol: float = 1e-9,
 
     results = _integrate_members(
         adaptive_simpson, integrand,
-        [_breakpoints(A, B, float(lo[i]), float(hi[i])) for i in every], tol)
+        [_seed_breakpoints(A, B, float(lo[i]), float(hi[i])) for i in every],
+        tol)
 
     # tails: int_{tail} rho_A (T-t)^2 <= (sqrt(M2_A) + sqrt(M2_B))^2 where
     # the M2 are one-sided second moments past the equal-mass cut points

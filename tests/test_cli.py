@@ -1,10 +1,11 @@
+import inspect
 import json
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from sotlab import dist_core, experiments, transport
+from sotlab import dist_core, divergences, experiments, transport
 from sotlab.cli import main
 
 
@@ -152,15 +153,16 @@ def test_w2_csv_metadata(runner, tmp_path):
     assert lines[1] == "# command: w2"
     assert lines[2] == "# seed: -"
     assert lines[3].startswith("# config_sha256:")
-    assert lines[4] == "w2sq,tail_bound,quad_error,n_eval"
-    assert float(lines[5].split(",")[0]) > 0
+    assert lines[4] == "# certified: true"
+    assert lines[5] == "w2sq,tail_bound,quad_error,n_eval"
+    assert float(lines[6].split(",")[0]) > 0
 
 
 def test_w2_inline_atoms(runner, tmp_path):
     golden = Path(__file__).parent / "golden" / "w2_inline_atoms.json"
     res = runner.invoke(main, ["w2", "--config", str(golden)])
     assert res.exit_code == 0, res.output
-    assert float(res.output.splitlines()[5].split(",")[0]) > 0
+    assert float(res.output.splitlines()[6].split(",")[0]) > 0
     cfg = write_cfg(tmp_path, "c.json",
                     {"A": {"atoms": [{"location": 0.0, "log_weight": 0.0}]},
                      "B": {"atoms": [{"x": 1.0, "logw": 0.0}]}})
@@ -186,19 +188,26 @@ def test_rate_scan_deterministic(runner, tmp_path):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("family", ["kl", "two_point"])
-def test_rate_scan_tol_reaches_estimator(runner, tmp_path, family):
-    rows = []
-    for extra in ({}, {"tol": 1e-4}):
-        cfg = write_cfg(tmp_path, "c.json",
-                        {"family": family, "K": 2.0, "h": 2.0,
-                         "n_list": [64, 128, 256], "trials": 4, **extra})
+@pytest.mark.parametrize("family", ["kl", "two_point", "bernoulli"])
+def test_rate_scan_tol_reaches_estimator(runner, tmp_path, monkeypatch, family):
+    """Every W2 or KL evaluation of each family's estimator receives the
+    config's tol, or the estimator's default when the config sets none."""
+    default = 1e-10 if family == "kl" else 1e-8
+    seen = []
+    for module, name in ((transport, "_w2_members"), (divergences, "_kl_members")):
+        def spy(*args, _inner=getattr(module, name), **kwargs):
+            bound = inspect.signature(_inner).bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.append(bound.arguments["tol"])
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+    base = {"family": family, "K": 2.0, "n_list": [128, 256, 512], "trials": 4}
+    for extra, want in (({}, default), ({"tol": 1e-4}, 1e-4)):
+        seen.clear()
+        cfg = write_cfg(tmp_path, "c.json", {**base, **extra})
         res = runner.invoke(main, ["rate-scan", "--config", cfg, "--seed", "7"])
         assert res.exit_code == 0, res.output
-        rows.append([l for l in res.output.splitlines()
-                     if not l.startswith("#")])
-    assert rows[0][0] == rows[1][0] == "metric,n,estimate,stderr,trials"
-    assert rows[0][1:] != rows[1][1:]
+        assert seen and set(seen) == {want}
 
 
 def test_rate_scan_bernoulli_writes_plan(runner, tmp_path):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -121,6 +122,19 @@ def _full_range_quad(f, bp, windows, tol):
     return res.total, res.error_estimate, res.n_eval
 
 
+# The full-range MIs of chi2_hard_example(2, c, 10) at tol 1e-9, from the
+# adaptive Simpson rule the Gauss-Kronrod rule replaced: (chi^2 value,
+# Renyi part sum) with each one's error estimate and n_eval. Over all of
+# [-R, R], R ~ 1.08e8, the Gauss-Kronrod rule raises QuadratureError: its
+# panels near the deepest atom, at ~1.08e8, are prorated far below what
+# float64 node positions there resolve.
+HARD_10_FULL_RANGE = (
+    SimpleNamespace(value=8.981400816071798, partial_by_atom=None,
+                    quadrature_error=2.4694442355406906e-15, n_eval=470955),
+    SimpleNamespace(value=None, partial_by_atom=(1.001647647172033,),
+                    quadrature_error=2.7739996431177532e-15, n_eval=429775))
+
+
 @pytest.mark.parametrize("case", ["chi2_hard_4", "chi2_hard_10", "two_point",
                                   "random_spread", "radius_cuts_window"])
 def test_windowed_mi_matches_full_range(case, monkeypatch):
@@ -146,13 +160,12 @@ def test_windowed_mi_matches_full_range(case, monkeypatch):
     assert dv._mi_windows(p, sigma, R)[1] > 0.0
     new = (dv.chi2_mutual_information(p, sigma, radius, tol),
            dv.renyi_mutual_information(p, sigma, 1.5, radius, tol))
-    monkeypatch.setattr(dv, "_mi_atom_quad", _full_range_quad)
-    ref = (dv.chi2_mutual_information(p, sigma, radius, tol),
-           dv.renyi_mutual_information(p, sigma, 1.5, radius, tol))
     if case == "chi2_hard_10":
-        # the full-range value before the windows, bit for bit
-        assert ref[0].value == 8.981400816071798
-        assert new[0].n_eval < 50_000 < ref[0].n_eval
+        ref = HARD_10_FULL_RANGE
+    else:
+        monkeypatch.setattr(dv, "_mi_atom_quad", _full_range_quad)
+        ref = (dv.chi2_mutual_information(p, sigma, radius, tol),
+               dv.renyi_mutual_information(p, sigma, 1.5, radius, tol))
     for got, want, key in zip(new, ref, (lambda e: e.value,
                                          lambda e: sum(e.partial_by_atom))):
         assert 0.0 < got.gap_bound < 1e-50

@@ -22,20 +22,20 @@ CASES = {
     "construct_w2_schedule.json": ("construct",
         "f9c613f9d753a7320d2bc0516a9109cac7b39d345f9ac35928f2d7bf45cce1e5", None),
     "w2_inline_atoms.json": ("w2",
-        "39587ad49c01f32565eca858f7906eeea24c1b014439cc1f7437b39460f95ae5", None),
+        "a01346abdc3e7c53aba51f640d1944b204334b0fc24b72c5d80071810db601cb", None),
     "mi_probe_chi2.json": ("mi-probe",
-        "a2310455adf6960736b994e7ec1c4c53e6a23b63663f84d488cede6561ac22ee", None),
+        "89033aa309aac317889a5bb8f5b1ff462d5077d6bea17d3abe822eb62bfc3354", None),
     "mi_probe_renyi.json": ("mi-probe",
-        "9743b43bc29613e21ca07212d8dbad9c0ccc8cac89eea2eb39826ce0d5d6fff0", None),
+        "a1c6765235fcab35b5d988d4a925ef31b7dc6229d1178bdb0bcfd2947e29a97a", None),
     "rate_scan_two_point.json": ("rate-scan",
-        "41688fbd8838e96184090ecf2dcd0dca27bfc8c05b560836210361a59817dc52",
-        "d7b6c8e814795892fae0a209947e21c3a3a9d89ac17178c090b08664ca0c44be"),
+        "c4daa8519820324cb59132d919be97fe80b96a5465674e34c92040923b0bf6e8",
+        "91eb93e663c7cccaabe399cb17054a91bf3e04d72da8bbde20fc9eaf1a490eb1"),
     "rate_scan_bernoulli.json": ("rate-scan",
-        "557c59728b37cbb599a4c9ab767ad4fb069d1df7ba9b488ca24e6a978bace028",
-        "63cdd74583f3687fefe06d05b6f70c6b865fe05fcab0eb533297b74947300f00"),
+        "d209ac753f57a67fb34f94ec38a8d5dca6474f201cca07bf2284214e5843e610",
+        "25f9e74270a24e0af6b5dc1c106ada34cb6e69d1181cb531e2f5b9234f79f3aa"),
     "rate_scan_kl.json": ("rate-scan",
-        "fabc813d54d82ed487eb182571b127f9e5050ac6cbce981312b4f6039b9a6e19",
-        "5e63ce2eddb11787e450120ac728e44957e544fbd5ebf01e63efd96ccc953787"),
+        "9bea67eaef3371ccfad3b8bf5b068e7a8391aa71e2a1eec575c87b8ee81189be",
+        "a57596cea9bf6502b7d640e81bb9022605e5a5edcb903b1acdbdad50b4062d9b"),
     "concentration_weighted.json": ("concentration",
         "e6826f90bee6e4d13cf8865951d130ccababdf9120c2e5a266807ec7ff7764b2", None),
     "concentration_berry_esseen.json": ("concentration",
@@ -49,9 +49,9 @@ CASES = {
     "lsi_probe.json": ("lsi-probe",
         "4c5df4ac725c1500420a2071462372a4827fd381b8a610a75f0d909d9a299cdc", None),
     "t2_probe.json": ("t2-probe",
-        "2aeff90efe9e2a54e393d4fd84f9bbc8231e0f1b7ea62286713cca1206a829ba", None),
+        "d3df3084b6462043d7b0de0b42e98ddddce8700c2b5f9a159630654a59d93865", None),
     "phase_scan.json": ("phase-scan",
-        "6067b3f391dde7f159447b25b18547ddf03c18189b90a7f910385ddd240e8bc2", None),
+        "08895e8ff1c0b348bf520a3257cb8a3aacc348269c6dacf019a5311e49b4ec07", None),
 }
 
 # config file -> sha256 of <out>.plan.json, for the configs that write one

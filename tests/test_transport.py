@@ -1,9 +1,10 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from sotlab import transport
+from sotlab import constructions, functional_ineq, transport
 from sotlab.dist_core import (AtomicDistribution, SmoothedMixture,
                               _deep_quantiles)
 
@@ -95,6 +96,36 @@ def test_certification_flag(rng):
     assert ev.noise_bound >= 0.0
     assert ev.certified() == (ev.total > 10.0 * (ev.tail_bound + ev.noise_bound
                                                  + ev.quad_error))
+
+
+def _two_point_pair(K, n, k):
+    """(P_n * gamma, P * gamma) for P = bernoulli_two_point(2, K), sigma = 1,
+    and the P_n of an n-sample that drew k times at the h-atom."""
+    p = constructions.bernoulli_two_point(2.0, K)
+    p_n = p._from_counts(np.array([n - k, k]), n)
+    return SmoothedMixture(p_n, 1.0), SmoothedMixture(p, 1.0)
+
+
+def _t2_pair():
+    P, Q, _ = functional_ineq.check_t2_parameters(10.0, 2.0, 1.0, 0.1)
+    return SmoothedMixture(P, 1.0), SmoothedMixture(Q, 1.0)
+
+
+@pytest.mark.parametrize("pair", [
+    _two_point_pair(2.0, 128, 75), _two_point_pair(2.0, 1024, 609),
+    _two_point_pair(2.0, 1024, 641), _two_point_pair(0.5, 128, 3),
+    _t2_pair()], ids=["K2-n128-k75", "K2-n1024-k609", "K2-n1024-k641",
+                      "K0.5-n128-k3", "t2-h10"])
+def test_w2_within_documented_bound(pair):
+    """At the default tol, W2^2 lies within tol + tail_bound of its value at
+    tol 1e-12, and its quad_error covers that gap: the bound w2_squared
+    documents, and the error estimate it reports, hold."""
+    tol = 1e-9
+    ev = transport.w2_squared(*pair, tol=tol)
+    tight = transport.w2_squared(*pair, tol=1e-12)
+    gap = abs(ev.total - tight.total)
+    assert gap <= tol + ev.tail_bound
+    assert ev.quad_error >= gap
 
 
 def _bits(a):
