@@ -7,10 +7,9 @@ call to f. A panel's value is its Kronrod sum K15 and its error estimate is
 |K15 - G7|, against the 7-point Gauss sum on every other node. G7 is exact to
 degree 13 and K15 to degree 22, so on these smooth integrands a panel
 converges in a round or two and the estimate is far above K15's own error.
-Accepted contributions are summed in left-edge order so a given (integrand,
-breakpoints, tol) always reduces to the same float. Several integrands
-(members of a batch) can share those calls to f while each keeps its own
-panels, so each reduces to the float it gets alone.
+Accepted panels are summed in left-edge order, so a given (integrand,
+breakpoints, tol) always gives the same float, also when several integrands
+(members of a batch) share the calls to f.
 
 The entry points keep the names `adaptive_simpson` and `_simpson_members` of
 the adaptive Simpson rule this replaced, since callers and the benchmark's
@@ -61,9 +60,11 @@ def adaptive_simpson(f, breakpoints, tol: float, max_depth: int = 40,
                      max_eval: int = 2_000_000, strict: bool = True) -> QuadResult:
     """Integrate f over [min(breakpoints), max(breakpoints)].
 
-    f maps an ndarray of points to an ndarray of values. Each adjacent pair of
-    deduplicated breakpoints seeds one panel; panels are bisected until the
-    local |K15 - G7| error estimate fits within tol prorated by panel width.
+    f maps an ndarray of points to an ndarray of values, or to (values,
+    noise) with noise bounding each value's evaluation error. Each adjacent
+    pair of deduplicated breakpoints seeds one panel; panels are bisected
+    until the local |K15 - G7| error estimate fits within tol prorated by
+    panel width, or within what the noise can make of it, sum |K - G| noise.
 
     A panel that reaches max_depth is accepted with whatever error it has.
     Around a near-jump of the integrand (e.g. a transport map crossing a deep
@@ -107,7 +108,6 @@ def _simpson_members(f, breakpoints, tols, max_depth: int = 40,
     lo = np.concatenate([pts[:-1] for pts in seeds])
     hi = np.concatenate([pts[1:] for pts in seeds])
     depth, n_eval = np.zeros(lo.shape, dtype=np.int32), np.zeros(k, dtype=np.int64)
-
     acc_edges, acc_vals = [[] for _ in range(k)], [[] for _ in range(k)]
     acc_err, acc_tol = [0.0] * k, [0.0] * k
     converged = np.ones(k, dtype=bool)
@@ -115,18 +115,22 @@ def _simpson_members(f, breakpoints, tols, max_depth: int = 40,
     while lo.size:
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         t = mid[:, None] + half[:, None] * _NODES
-        fv = np.asarray(f(t.ravel(), np.repeat(member, 15)),
-                        dtype=float).reshape(t.shape)
+        fv = f(t.ravel(), np.repeat(member, 15))
+        fv, noise = fv if isinstance(fv, tuple) else (fv, 0.0)
+        fv = np.asarray(fv, dtype=float).reshape(t.shape)
         n_eval += 15 * np.bincount(member, minlength=k)
         # per-row sums in a fixed order (not BLAS), so a panel's bits do not
         # depend on which other panels share the round
         value = half * np.add.reduce(fv * _KRONROD, axis=1)
         err = np.abs(half * np.add.reduce(fv * (_KRONROD - _GAUSS), axis=1))
         local_tol = tol[member] * np.maximum((hi - lo) / span[member], 1e-300)
-        # estimates below the rounding floor of K15 itself cannot be refined
-        # away; accept them rather than splitting forever. The floor is the
-        # one Simpson's (S2 - S)/15 had, 8e-16 |S2|, on the unscaled gap
+        # a gap of 1.2e-14 |K15| (54 ulp) is within the rounding of the two
+        # 15-term sums on a same-signed integrand, which no bisection can
+        # remove; accept such a panel rather than split it forever
         local_tol = np.maximum(local_tol, 1.2e-14 * np.abs(value) + 1e-300)
+        if np.any(noise):
+            noise = np.reshape(noise, t.shape) * np.abs(_KRONROD - _GAUSS)
+            local_tol = np.maximum(local_tol, half * np.add.reduce(noise, axis=1))
         done = (err <= local_tol) | (depth >= max_depth) | \
                (hi - lo <= 1e-15 * (1.0 + np.abs(lo) + np.abs(hi)))
         # a member past its budget accepts every pending panel
@@ -137,21 +141,17 @@ def _simpson_members(f, breakpoints, tols, max_depth: int = 40,
         # the finished panels grouped by member, each member's in round order
         fin = np.flatnonzero(done)
         fin = fin[np.argsort(member[fin], kind="stable")]
-        fin_lo, fin_val = lo[fin], value[fin]
-        fin_err, fin_tol = err[fin], local_tol[fin]
-        start = 0
-        for i, count in enumerate(np.bincount(member[fin], minlength=k).tolist()):
-            if count:
-                sel = slice(start, start + count)
-                start += count
-                acc_edges[i].append(fin_lo[sel])
-                acc_vals[i].append(fin_val[sel])
-                acc_err[i] += float(fin_err[sel].sum())
-                acc_tol[i] += float(fin_tol[sel].sum())
+        ends = np.cumsum(np.bincount(member[fin], minlength=k))[:-1]
+        for i, sel in enumerate(np.split(fin, ends)):
+            if sel.size:
+                acc_edges[i].append(lo[sel])
+                acc_vals[i].append(value[sel])
+                acc_err[i] += float(err[sel].sum())
+                acc_tol[i] += float(local_tol[sel].sum())
         # bisect the survivors
         keep = ~done
-        lo, mid, hi = lo[keep], mid[keep], hi[keep]
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        lo, hi = (np.concatenate([lo[keep], mid[keep]]),
+                  np.concatenate([mid[keep], hi[keep]]))
         depth = np.tile(depth[keep] + 1, 2)
         member = np.tile(member[keep], 2)
 

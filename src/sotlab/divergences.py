@@ -57,7 +57,8 @@ def _kl_members(As, Bs, tol: float = 1e-10) -> list:
 
     def integrand(t, member):
         la = A.log_pdf(t, rows_a(member))
-        d = B.log_pdf(t, rows_b(member)) - la
+        lb = B.log_pdf(t, rows_b(member))
+        d = lb - la
         small = np.abs(d) < 1e-5
         g = np.where(small,
                      0.5 * d * d * (1.0 + d / 3.0 + d * d / 12.0),
@@ -66,7 +67,8 @@ def _kl_members(As, Bs, tol: float = 1e-10) -> list:
         out = np.exp(la) * g
         big = d > 30.0
         if np.any(big):
-            out = np.where(big, np.exp(la + d) - np.exp(la) * (1.0 + d), out)
+            # rho_B from its own log: la + d rounds at the scale of |la|
+            out = np.where(big, np.exp(lb) - np.exp(la) * (1.0 + d), out)
         return out
 
     results = _integrate_members(
@@ -128,8 +130,8 @@ def _default_radius(p: AtomicDistribution, sigma: float, tol: float) -> float:
 
 
 # seeds around each atom, in sigma; the last is the windows' reach. Each
-# seed costs a 15-point panel: the hard example's chi^2 MI takes 33,060
-# evaluations with these and 38,070, in the same time, with +-1, 4, 8 for +-6
+# seed costs a 15-point panel: the hard example's chi^2 MI takes 13,500
+# evaluations with these and 16,320 with +-1, 4, 8 for +-2, 6
 _MI_OFFSETS = np.array([-16.0, -6.0, -2.0, 0.0, 2.0, 6.0, 16.0])
 
 
@@ -160,16 +162,32 @@ def _mi_windows(p: AtomicDistribution, sigma: float, R: float) -> tuple:
     return windows, math.erfc(_MI_OFFSETS[-1] / math.sqrt(2.0))
 
 
-def _mi_atom_quad(f, bp, windows, tol: float):
+def _mi_atom_quad(f, bp, windows, locs, tol: float):
     """f integrated over the windows to within tol in total: one
     _simpson_members call whose members are the windows, each seeded with the
     breakpoints inside it and given a share of tol proportional to its width.
-    Returns (total, summed error estimate, n_eval)."""
+    Returns (total, summed error estimate, n_eval).
+
+    Each window is integrated in the offset u = y - c from its atom c nearest
+    its midpoint, and f(u, c) is the integrand at c + u: the nodes are exact
+    in u, where at |y| ~ 1e8 float64 would move each by up to 7e-9 and the
+    panels' |K15 - G7| could not shrink below that noise."""
     if not windows:
         return 0.0, 0.0, 0
     widths = np.array([b - a for a, b in windows])
-    res = _simpson_members(lambda t, member: f(t),
-                           [bp[(bp >= a) & (bp <= b)] for a, b in windows],
+    refs = [float(locs[np.argmin(np.abs(locs - 0.5 * (a + b)))])
+            for a, b in windows]
+
+    def by_window(u, member):
+        out = np.empty(u.shape)
+        for w in np.unique(member).tolist():
+            sel = member == w
+            out[sel] = f(u[sel], refs[w])
+        return out
+
+    res = _simpson_members(by_window,
+                           [bp[(bp >= a) & (bp <= b)] - c
+                            for (a, b), c in zip(windows, refs)],
                            tol * widths / widths.sum())
     return (float(np.sum([r.total for r in res])),
             float(np.sum([r.error_estimate for r in res])),
@@ -177,9 +195,11 @@ def _mi_atom_quad(f, bp, windows, tol: float):
 
 
 def _log_mix_rel(p: AtomicDistribution, sigma: float, k: int,
-                 y: np.ndarray) -> np.ndarray:
-    """s(y) = log(w_k phi_k(y) / rho(y)) <= 0, built from atom-relative
-    exponent differences so no large-magnitude cancellation enters.
+                 u: np.ndarray, c: float = 0.0) -> np.ndarray:
+    """s(y) = log(w_k phi_k(y) / rho(y)) <= 0 at y = c + u, built from
+    atom-relative exponent differences so no large-magnitude cancellation
+    enters. Each y - r_j is formed as u + (c - r_j), so with c an atom near u
+    the nodes keep their precision; with c = 0 the bits are those of y.
 
     The j-th relative exponent (logw_j + logphi_j) - (logw_k + logphi_k) is
     huge in magnitude wherever the two kernels differ a lot, but rounding there
@@ -190,58 +210,90 @@ def _log_mix_rel(p: AtomicDistribution, sigma: float, k: int,
     the calling thread's kernel scratch, and reduced over the atom axis; the
     bits are those of -logsumexp over the (points x atoms) array.
 
-    Points inside _owned_interval(p, sigma, k, y) are not built: there every
+    Points inside _owned_interval(p, sigma, k, u, c) are not built: there every
     other atom's exponent rounds below -746, so its exp is +0.0, atom k's own
     exponent is 0.0 and alone at the max, and the log-sum is
     log1p(0) + log(1) + 0.0, whose negation is -0.0. They get -0.0.
     """
     locs = p.locations
-    rk = locs[k]
+    to_atom = (c - locs)[:, None]
+    to_k = c - locs[k]
     lw_rel = (p.log_weights - p.log_weights[k])[:, None]
-    lo, hi = _owned_interval(p, sigma, k, y)
-    rest = ~((y > lo) & (y < hi))
-    y_rest = y[rest]
-    rel = np.empty(y_rest.shape)
-    for r in _row_slices(y_rest.size, locs.size):
-        yr = y_rest[r]
-        delta, e, ties = _scratch((locs.size, yr.size))
-        np.square(np.subtract(yr, locs[:, None], out=delta), out=delta)
-        np.subtract(np.square(yr - rk), delta, out=delta)
+    lo, hi = _owned_interval(p, sigma, k, u, c)
+    rest = ~((u > lo) & (u < hi))
+    u_rest = u[rest]
+    rel = np.empty(u_rest.shape)
+    for r in _row_slices(u_rest.size, locs.size):
+        ur = u_rest[r]
+        delta, e, ties = _scratch((locs.size, ur.size))
+        np.square(np.add(ur, to_atom, out=delta), out=delta)
+        np.subtract(np.square(ur + to_k), delta, out=delta)
         np.divide(delta, 2.0 * sigma * sigma, out=delta)
         np.add(lw_rel, delta, out=delta)
         rel[r] = _logsumexp_atoms(delta, e, ties)
-    out = np.zeros(y.shape)
+    out = np.zeros(u.shape)
     out[rest] = rel
     return np.negative(out, out=out)
 
 
 def _owned_interval(p: AtomicDistribution, sigma: float, k: int,
-                    y: np.ndarray) -> tuple:
-    """(lo, hi) such that, for every point of y in the open interval, each
-    atom j != k has a computed exponent of _log_mix_rel below -746.
+                    u: np.ndarray, c: float = 0.0) -> tuple:
+    """(lo, hi) such that, for every point of u in the open interval, each
+    atom j != k has a computed exponent of _log_mix_rel(p, sigma, k, u, c)
+    below -746.
 
     That exponent is exactly the linear form
     a_j(y) = (lw_j - lw_k) + (r_j - r_k)(2y - r_j - r_k) / (2 sigma^2),
     so a_j(y) < T bounds y above for r_j > r_k and below for r_j < r_k. With
     T = -746 - M, the margin M covers the float64 rounding of the computed
-    exponent (a few u((|y| + |r|)^2 / sigma^2 + |lw_j - lw_k|), u = 2^-53)
-    and that of the ends, which moves a_j by a few u(max|r|^2 / sigma^2 +
-    |T - (lw_j - lw_k)|); 32 times the first bound plus 1 holds both. Where M
-    is not finite (an overflow, or a NaN in y) the interval is empty.
+    exponent (a few e((|u| + |c| + |r|)^2 / sigma^2 + |lw_j - lw_k|),
+    e = 2^-53) and that of the ends, taken in y and then shifted by c, which
+    moves a_j by a few e((|c| + max|r|)^2 / sigma^2 + |T - (lw_j - lw_k)|);
+    32 times the first bound plus 1 holds both. Where M is not finite (an
+    overflow, or a NaN in u) the interval is empty.
     """
     locs, lw = p.locations, p.log_weights
     d = locs - locs[k]
+    margin = _exponent_margin(p, sigma, u, c)
     with np.errstate(all="ignore"):
-        q = np.abs(y).max(initial=0.0) + np.abs(locs).max()
-        margin = (32.0 * 2.0 ** -53
-                  * (q * q / (sigma * sigma) + 2.0 * np.abs(lw).max()) + 1.0)
         ends = (0.5 * (locs + locs[k])
-                + sigma * sigma * (-746.0 - margin - (lw - lw[k])) / d)
+                + sigma * sigma * (-746.0 - margin - (lw - lw[k])) / d) - c
     if not np.isfinite(margin):
         return 0.0, 0.0
     # d = 0 only at atom k itself
     return (float(ends[d < 0.0].max(initial=-np.inf)),
             float(ends[d > 0.0].min(initial=np.inf)))
+
+
+def _exponent_margin(p: AtomicDistribution, sigma: float, u: np.ndarray,
+                     c: float) -> float:
+    """32 e((|u| + |c| + |r|)^2 / sigma^2 + 2 max|lw|) + 1, e = 2^-53: a
+    bound on the float64 rounding of any exponent _log_mix_rel(p, sigma, k,
+    u, c) builds, and of log phi_k at c + u (see _owned_interval)."""
+    with np.errstate(all="ignore"):
+        q = np.abs(u).max(initial=0.0) + abs(c) + np.abs(p.locations).max()
+        return float(32.0 * 2.0 ** -53
+                     * (q * q / (sigma * sigma)
+                        + 2.0 * np.abs(p.log_weights).max()) + 1.0)
+
+
+def _log_mix_sum(p: AtomicDistribution, sigma: float, u: np.ndarray,
+                 c: float) -> np.ndarray:
+    """log sum_j w_j exp(-(y - r_j)^2 / (2 sigma^2)) at y = c + u, each
+    y - r_j formed as u + (c - r_j), in cache-sized slices like
+    _log_mix_rel."""
+    locs = p.locations
+    to_atom = (c - locs)[:, None]
+    lw = p.log_weights[:, None]
+    out = np.empty(u.shape)
+    for r in _row_slices(u.size, locs.size):
+        ur = u[r]
+        delta, e, ties = _scratch((locs.size, ur.size))
+        np.square(np.add(ur, to_atom, out=delta), out=delta)
+        np.divide(delta, -2.0 * sigma * sigma, out=delta)
+        np.add(lw, delta, out=delta)
+        out[r] = _logsumexp_atoms(delta, e, ties)
+    return out
 
 
 def chi2_mutual_information(p: AtomicDistribution, sigma: float,
@@ -268,18 +320,28 @@ def chi2_mutual_information(p: AtomicDistribution, sigma: float,
         rk = p.locations[k]
         lwk = p.log_weights[k]
 
-        def integrand(y, rk=rk, lwk=lwk, k=k):
-            lphi = -0.5 * ((y - rk) / sigma) ** 2 + log_norm
-            s = _log_mix_rel(p, sigma, k, y)
+        def integrand(u, c, rk=rk, lwk=lwk, k=k):
+            lphi = -0.5 * ((u + (c - rk)) / sigma) ** 2 + log_norm
+            s = _log_mix_rel(p, sigma, k, u, c)
             # w_k (phi_k - rho)^2 / rho = phi_k e^s (1 - rho/phi_k)^2 with
             # rho/phi_k = exp(logw_k - s); where that ratio overflows the
             # square is dominated by its cross-free term w_k rho
             big = (lwk - s) > 300.0
             ratio = np.exp(np.where(big, 0.0, lwk - s))
             out = np.exp(lphi + s) * (1.0 - ratio) ** 2
-            return np.where(big, np.exp(lphi + 2.0 * lwk - s), out)
+            log_wrho = lphi + 2.0 * lwk - s
+            out = np.where(big, np.exp(log_wrho), out)
+            # lphi - s cancels two (y - r_k)^2 / (2 sigma^2) terms, each
+            # rounded at its own scale; where w_k rho can be representable,
+            # it is taken from log rho itself
+            redo = big & (log_wrho > -746.0 - _exponent_margin(p, sigma, u, c))
+            if np.any(redo):
+                out[redo] = np.exp(lwk + log_norm
+                                   + _log_mix_sum(p, sigma, u[redo], c))
+            return out
 
-        total, err, evals = _mi_atom_quad(integrand, bp, windows, per_tol)
+        total, err, evals = _mi_atom_quad(integrand, bp, windows,
+                                          p.locations, per_tol)
         parts.append(max(total, 0.0))
         qerr += err
         n_eval += evals
@@ -316,16 +378,17 @@ def renyi_mutual_information(p: AtomicDistribution, sigma: float, lam: float,
 
         # phi_k^lam rho^(1-lam) = w_k^(1-lam) exp(g) with
         # g = log phi_k + (lam-1) s, s = log(w_k phi_k / rho) <= 0
-        def log_expo(y, rk=rk, k=k):
-            lphi = -0.5 * ((y - rk) / sigma) ** 2 + log_norm
-            return lphi + (lam - 1.0) * _log_mix_rel(p, sigma, k, y)
+        def log_expo(u, c, rk=rk, k=k):
+            lphi = -0.5 * ((u + (c - rk)) / sigma) ** 2 + log_norm
+            return lphi + (lam - 1.0) * _log_mix_rel(p, sigma, k, u, c)
 
-        shift = float(np.max(log_expo(seed)))
+        shift = float(np.max(log_expo(seed, 0.0)))
 
-        def integrand(y, shift=shift, rk=rk, k=k):
-            return np.exp(log_expo(y, rk, k) - shift)
+        def integrand(u, c, shift=shift, rk=rk, k=k):
+            return np.exp(log_expo(u, c, rk, k) - shift)
 
-        total, err, evals = _mi_atom_quad(integrand, bp, windows, tol)
+        total, err, evals = _mi_atom_quad(integrand, bp, windows,
+                                          p.locations, tol)
         # w_k J_k = w_k^(2-lam) exp(shift) * total
         log_weighted[k] = ((2.0 - lam) * p.log_weights[k] + shift
                            + math.log(max(total, 1e-300)))

@@ -99,6 +99,18 @@ def test_renyi_mi_matches_kl_oracle_near_one():
     assert abs(got - oracle) <= 1e-2 * (1 + oracle)
 
 
+def test_kl_sees_every_isolated_atom():
+    """Atoms 10 to 100 sigma apart overlap by less than 1e-20, so the KL of
+    the smoothed measures is that of the weights; every atom must be seen
+    by the quadrature, not only the first, middle and last."""
+    locs = np.array([0.0, 10.0, 20.0, 30.0, 100.0])
+    w = np.full(5, 0.2)
+    v = np.array([0.4, 0.1, 0.1, 0.1, 0.3])
+    A = SmoothedMixture(AtomicDistribution.from_weights(locs, w), 0.1)
+    B = SmoothedMixture(AtomicDistribution.from_weights(locs, v), 0.1)
+    assert abs(dv.kl_divergence(A, B) - float(np.sum(w * np.log(w / v)))) <= 1e-9
+
+
 def test_hard_example_increments_do_not_decay():
     c = cons.chi2_admissible_c(2.0)
     hard = cons.chi2_hard_example(2.0, c, 6)
@@ -115,19 +127,20 @@ def test_renyi_mi_deep_atoms_finite():
     assert np.isfinite(est.value) and est.value >= 0
 
 
-def _full_range_quad(f, bp, windows, tol):
+def _full_range_quad(f, bp, windows, locs, tol):
     # the quadrature the windows replace: one adaptive_simpson over all of
-    # [-R, R] per atom
-    res = adaptive_simpson(f, bp, tol)
+    # [-R, R] per atom, in y itself
+    res = adaptive_simpson(lambda y: f(y, 0.0), bp, tol)
     return res.total, res.error_estimate, res.n_eval
 
 
 # The full-range MIs of chi2_hard_example(2, c, 10) at tol 1e-9, from the
 # adaptive Simpson rule the Gauss-Kronrod rule replaced: (chi^2 value,
 # Renyi part sum) with each one's error estimate and n_eval. Over all of
-# [-R, R], R ~ 1.08e8, the Gauss-Kronrod rule raises QuadratureError: its
-# panels near the deepest atom, at ~1.08e8, are prorated far below what
-# float64 node positions there resolve.
+# [-R, R] in y, R ~ 1.08e8, the Gauss-Kronrod rule raises QuadratureError:
+# its panels near the deepest atom, at ~1.08e8, are prorated far below what
+# float64 node positions there resolve (the windows integrate in offsets
+# from their atoms, where the nodes are exact).
 HARD_10_FULL_RANGE = (
     SimpleNamespace(value=8.981400816071798, partial_by_atom=None,
                     quadrature_error=2.4694442355406906e-15, n_eval=470955),
@@ -175,6 +188,36 @@ def test_windowed_mi_matches_full_range(case, monkeypatch):
         assert got.n_eval < want.n_eval
 
 
+@pytest.mark.parametrize("tol", [1e-11, 1e-12, 1e-13])
+def test_hard_example_mi_at_tight_tol(tol):
+    """The windows of the atoms at 1.4e7 and 1.08e8 converge at tolerances
+    far below what float64 node positions at |y| ~ 1e8 resolve, and agree
+    with the recorded full-range values within both error estimates."""
+    p = cons.chi2_hard_example(2.0, cons.chi2_admissible_c(2.0), 10)
+    new = (dv.chi2_mutual_information(p, 1.0, None, tol),
+           dv.renyi_mutual_information(p, 1.0, 1.5, None, tol))
+    for got, want, key in zip(new, HARD_10_FULL_RANGE,
+                              (lambda e: e.value,
+                               lambda e: sum(e.partial_by_atom))):
+        assert got.quadrature_error + got.gap_bound <= tol
+        slack = got.quadrature_error + want.quadrature_error + got.gap_bound
+        assert abs(key(got) - key(want)) <= slack
+
+
+@pytest.mark.parametrize("far", [1e3, 1e6, 1e8])
+def test_mi_of_two_far_atoms(far):
+    """Two atoms of weight 1/2 at 0 and far >> sigma: each kernel sees the
+    other as noise-free, so the chi^2 MI is 1 and the Renyi MI log 2, to
+    far below tol. The chi^2 integrand of one atom in the other's window is
+    w_k rho; built as phi_k e^(-s) it would cancel two (far / sigma)^2
+    terms and come out 1.24 at far = 1e8."""
+    p = AtomicDistribution.from_weights(np.array([0.0, far]), np.array([0.5, 0.5]))
+    chi2 = dv.chi2_mutual_information(p, 1.0)
+    renyi = dv.renyi_mutual_information(p, 1.0, 1.5)
+    assert abs(chi2.value - 1.0) <= chi2.quadrature_error + chi2.gap_bound
+    assert abs(renyi.value - math.log(2.0)) <= 1e-12
+
+
 def test_mi_without_gaps_has_no_gap_bound():
     """With one window over all of [-R, R] nothing is left out, and doubling
     a radius that already holds every window changes no bit."""
@@ -188,12 +231,13 @@ def test_mi_without_gaps_has_no_gap_bound():
     assert e2.value == e3.value and e2.gap_bound > 0.0
 
 
-def _log_mix_rel_by_points(p, sigma, k, y):
+def _log_mix_rel_by_points(p, sigma, k, u, c=0.0):
     # the (points x atoms) formula that the atom-major _log_mix_rel reproduces
     rk = p.locations[k]
     lwk = p.log_weights[k]
     delta = ((p.log_weights[None, :] - lwk)
-             + ((y[:, None] - rk) ** 2 - (y[:, None] - p.locations[None, :]) ** 2)
+             + ((u[:, None] + (c - rk)) ** 2
+                - (u[:, None] + (c - p.locations[None, :])) ** 2)
              / (2.0 * sigma * sigma))
     return -logsumexp(delta, axis=1)
 
@@ -233,13 +277,16 @@ def _edge_straddle(e, Y):
     return pts[np.abs(pts) <= Y]
 
 
-@pytest.mark.parametrize("case", ["chi2_hard", "random_0.3", "random_1",
-                                  "random_3", "two_point"])
+@pytest.mark.parametrize("case", ["chi2_hard", "chi2_hard_offset", "random_0.3",
+                                  "random_1", "random_3", "two_point"])
 def test_log_mix_rel_skips_only_what_it_would_compute(case):
     """Points an atom provably owns get -0.0 without the log-sum; every bit
     of every atom's log-ratio is that of the (points x atoms) formula, on
-    dense grids across both ends of each owned interval."""
-    if case == "chi2_hard":
+    dense grids across both ends of each owned interval. chi2_hard_offset
+    takes the points as offsets from the deepest atom, as its MI window
+    does."""
+    c = 0.0
+    if case.startswith("chi2_hard"):
         sigma = 1.0
         p = cons.chi2_hard_example(2.0, cons.chi2_admissible_c(2.0), 10)
         Y = dv._default_radius(p, sigma, 1e-9)
@@ -250,19 +297,23 @@ def test_log_mix_rel_skips_only_what_it_would_compute(case):
         sigma = float(case.split("_")[1])
         p = random_mixture(np.random.default_rng(7), 7, sigma, 40.0 * sigma).base
         Y = float(np.max(np.abs(p.locations))) + 1000.0 * sigma
+    if case == "chi2_hard_offset":
+        c = float(p.locations[-1])
+        Y = 100.0 * sigma
     # a coarse grid over [-Y, Y] and a fine one around each atom
     base = np.concatenate([np.linspace(-Y, Y, 4001),
-                           (p.locations[:, None]
+                           (p.locations[:, None] - c
                             + np.linspace(-8.0, 8.0, 401) * sigma).ravel()])
+    base = base[np.abs(base) <= Y]
     for k in range(p.n_atoms):
-        lo, hi = dv._owned_interval(p, sigma, k, base)
+        lo, hi = dv._owned_interval(p, sigma, k, base, c)
         y = np.concatenate([base] + [_edge_straddle(e, Y) for e in (lo, hi)
                                      if np.isfinite(e)])
-        assert dv._owned_interval(p, sigma, k, y) == (lo, hi)
-        got = dv._log_mix_rel(p, sigma, k, y)
-        want = _log_mix_rel_by_points(p, sigma, k, y)
+        assert dv._owned_interval(p, sigma, k, y, c) == (lo, hi)
+        got = dv._log_mix_rel(p, sigma, k, y, c)
+        want = _log_mix_rel_by_points(p, sigma, k, y, c)
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), k
-        if case == "chi2_hard" and k >= 4:
+        if case == "chi2_hard" and k >= 4 or case == "chi2_hard_offset" and k == 10:
             assert np.any((y > lo) & (y < hi)), k
 
 

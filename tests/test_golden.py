@@ -22,20 +22,20 @@ CASES = {
     "construct_w2_schedule.json": ("construct",
         "f9c613f9d753a7320d2bc0516a9109cac7b39d345f9ac35928f2d7bf45cce1e5", None),
     "w2_inline_atoms.json": ("w2",
-        "a01346abdc3e7c53aba51f640d1944b204334b0fc24b72c5d80071810db601cb", None),
+        "fdfc8831b7d20c03d9e19fabb5f2add9ec315d2e45b1b31ac1b4bcfb5751fe47", None),
     "mi_probe_chi2.json": ("mi-probe",
-        "89033aa309aac317889a5bb8f5b1ff462d5077d6bea17d3abe822eb62bfc3354", None),
+        "fc18b6ac7549c9f077c0633405338622d029edb0733ee817a457f6cfe54f510e", None),
     "mi_probe_renyi.json": ("mi-probe",
         "a1c6765235fcab35b5d988d4a925ef31b7dc6229d1178bdb0bcfd2947e29a97a", None),
     "rate_scan_two_point.json": ("rate-scan",
-        "c4daa8519820324cb59132d919be97fe80b96a5465674e34c92040923b0bf6e8",
-        "91eb93e663c7cccaabe399cb17054a91bf3e04d72da8bbde20fc9eaf1a490eb1"),
+        "ed6a13c80cd03fb30109d3c8d4cba17f585a3f952cf947da48a6d886af92c5c0",
+        "6f28a9090a4d71cd6238afeec6a5bc6665341a7c3024d44584e3d1c80c10503c"),
     "rate_scan_bernoulli.json": ("rate-scan",
-        "d209ac753f57a67fb34f94ec38a8d5dca6474f201cca07bf2284214e5843e610",
-        "25f9e74270a24e0af6b5dc1c106ada34cb6e69d1181cb531e2f5b9234f79f3aa"),
+        "8e395ebc367bba92e8c40effe57124879c86aec4cea39b0c75d88363ab479856",
+        "a43bac6ddd618bfe8070ca7654cfe8fa2e6dddbb4a2def975784ce4a3d414ccd"),
     "rate_scan_kl.json": ("rate-scan",
-        "9bea67eaef3371ccfad3b8bf5b068e7a8391aa71e2a1eec575c87b8ee81189be",
-        "a57596cea9bf6502b7d640e81bb9022605e5a5edcb903b1acdbdad50b4062d9b"),
+        "867e1d358a290d6f262f0df30eb79a50bd18ca1b3b733b55431a5cda3aa6def0",
+        "ccc48f36811eeaa8f0c06892293c3cdac2e14c142ce967fb2b9d286953bb7e34"),
     "concentration_weighted.json": ("concentration",
         "e6826f90bee6e4d13cf8865951d130ccababdf9120c2e5a266807ec7ff7764b2", None),
     "concentration_berry_esseen.json": ("concentration",
@@ -49,9 +49,9 @@ CASES = {
     "lsi_probe.json": ("lsi-probe",
         "4c5df4ac725c1500420a2071462372a4827fd381b8a610a75f0d909d9a299cdc", None),
     "t2_probe.json": ("t2-probe",
-        "d3df3084b6462043d7b0de0b42e98ddddce8700c2b5f9a159630654a59d93865", None),
+        "36a8b2cd98e8b0d1d75e0a51987669e570a5b2709cb8635aeb9807e04b486f86", None),
     "phase_scan.json": ("phase-scan",
-        "08895e8ff1c0b348bf520a3257cb8a3aacc348269c6dacf019a5311e49b4ec07", None),
+        "691109f2085356b0f6449b21182904e32ca6c24bc9ccae44fe3c51cd465f87dc", None),
 }
 
 # config file -> sha256 of <out>.plan.json, for the configs that write one

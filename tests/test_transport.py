@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sotlab import constructions, functional_ineq, transport
+from sotlab import _quad, constructions, functional_ineq, transport
 from sotlab.dist_core import (AtomicDistribution, SmoothedMixture,
                               _deep_quantiles)
 
@@ -126,6 +126,55 @@ def test_w2_within_documented_bound(pair):
     gap = abs(ev.total - tight.total)
     assert gap <= tol + ev.tail_bound
     assert ev.quad_error >= gap
+
+
+def test_w2_sees_every_isolated_atom():
+    """Atoms spread far wider than sigma each get seeds of their own: W2^2
+    of 0.2 at 0, 10, 20, 30, 100 against a point mass at 0, both smoothed by
+    sigma = 0.1, lies within the smoothing's reach of sum w_i x_i^2 = 2280,
+    (sqrt(2280) - 2 sigma)^2 <= W2^2 <= 2280. Seeds around the first,
+    middle and last atom only would leave 30 between the nodes of an
+    accepted panel, and W2^2 near 2095."""
+    sigma = 0.1
+    A = SmoothedMixture(AtomicDistribution.from_weights(
+        np.array([0.0, 10.0, 20.0, 30.0, 100.0]), np.full(5, 0.2)), sigma)
+    B = SmoothedMixture(AtomicDistribution.from_weights(
+        np.array([0.0]), np.array([1.0])), sigma)
+    ev = transport.w2_squared(A, B)
+    assert (math.sqrt(2280.0) - 2.0 * sigma) ** 2 <= ev.total <= 2280.0
+    tight = transport.w2_squared(A, B, tol=1e-12)
+    assert abs(ev.total - tight.total) <= 1e-9 + ev.tail_bound
+
+
+def test_w2_across_deep_gap_stops_at_solver_noise():
+    """Where T crosses the 14-unit gap of B the quantile solver leaves T
+    loose by up to 0.03, so panels there cannot reach a prorated 1e-9; the
+    integrand declares that noise and the quadrature stops at it instead of
+    exhausting max_eval. The value agrees with the adaptive Simpson rule's
+    recorded 235.41162910500347 (quad_error 3.28e-10, 531,681 evaluations)."""
+    A = SmoothedMixture(AtomicDistribution.from_weights(
+        np.linspace(-20.0, 17.0, 13), np.full(13, 1.0 / 13.0)), 1.0)
+    B = SmoothedMixture(AtomicDistribution.from_weights(
+        np.array([3.0, 17.5]), np.array([0.35, 0.65])), 0.7)
+    ev = transport.w2_squared(A, B)
+    assert abs(ev.total - 235.41162910500347) <= ev.quad_error + 3.28e-10
+    assert ev.quad_error <= 1e-9 and ev.n_eval < 10_000
+
+
+def test_quadrature_noise_floor():
+    """An integrand that declares its evaluation noise is accepted at it;
+    the same values without the declaration cannot converge."""
+    rng = np.random.default_rng(0)
+
+    def f(t):
+        return np.exp(-t * t) + 1e-6 * rng.uniform(-1.0, 1.0, t.shape)
+
+    res = _quad.adaptive_simpson(lambda t: (f(t), np.full(t.shape, 1e-6)),
+                                 [-8.0, 0.0, 8.0], 1e-12)
+    assert abs(res.total - math.sqrt(math.pi)) <= 16e-6
+    assert res.n_eval < 1_000
+    with pytest.raises(_quad.QuadratureError):
+        _quad.adaptive_simpson(f, [-8.0, 0.0, 8.0], 1e-12, max_eval=100_000)
 
 
 def _bits(a):
