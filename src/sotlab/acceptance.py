@@ -160,13 +160,24 @@ def check_5_nonparametric_rate(quick=False, seed=20260823):
 
 def check_6_chi2_mi_phase(quick=False, seed=20260823):
     t0 = time.time()
-    # (a) K < sigma: truncation stability
-    p_small = constructions.bernoulli_two_point(2.0, 0.5)
-    e1 = divergences.chi2_mutual_information(p_small, 1.0)
-    e2 = divergences.chi2_mutual_information(p_small, 1.0,
-                                             truncation_radius=2 * e1.truncation_radius)
-    rel = abs(e2.value - e1.value) / e1.value
-    ok_a = rel < 1e-3
+    # (a) K < sigma: n E[chi2(P_n*N || P*N)] = I_chi2(P, sigma) at every n,
+    # as rho_n - rho is a mean of n iid zero-mean kernels; the binomial sum
+    # over k, the count on the h-atom, is taken whole (k = 0 and k = n are
+    # one-atom measures), so only the quadrature errors enter the limit
+    h, n, tol = 2.0, 4, 1e-10
+    p_small = constructions.bernoulli_two_point(h, 0.5)
+    w = math.exp(p_small.log_weights[1])
+    rho = SmoothedMixture(p_small, 1.0)
+    expected = 0.0
+    for k in range(n + 1):
+        pk = (_single_atom(h * k / n, 1.0) if k in (0, n) else SmoothedMixture(
+            constructions.two_point(h, math.log(k / n)), 1.0))
+        expected += (math.comb(n, k) * w ** k * (1.0 - w) ** (n - k)
+                     * divergences.chi2_divergence(pk, rho, tol))
+    mi = divergences.chi2_mutual_information(p_small, 1.0)
+    resid = abs(n * expected - mi.value)
+    limit = n * tol + mi.quadrature_error + mi.gap_bound
+    ok_a = resid <= limit
     # (b) K > sigma: non-decaying per-atom increments
     c = constructions.chi2_admissible_c(2.0)
     hard = constructions.chi2_hard_example(2.0, c, 10)
@@ -174,7 +185,8 @@ def check_6_chi2_mi_phase(quick=False, seed=20260823):
     floor = 0.5 * parts[2]
     ok_b = all(parts[k] >= floor for k in range(3, 11))
     return _result(6, "chi-square MI phase", ok_a and ok_b,
-                   f"(a) radius-doubling rel change {rel:.2e} (tol 1e-3); "
+                   f"(a) |n E[chi2] - I| = {resid:.2e} at n = {n} "
+                   f"(limit {limit:.2e}); "
                    f"(b) increments k=3..10 in [{min(parts[3:]):.4f}, "
                    f"{max(parts[3:]):.4f}] vs floor {floor:.4f}", t0)
 

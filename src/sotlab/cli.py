@@ -289,28 +289,24 @@ def w2(cfg, seed, out_path):
 @_subcommand("mi-probe", seed_required=False)
 def mi_probe(cfg, seed, out_path):
     """Chi-square or Renyi mutual information across the Gaussian channel."""
-    _known(cfg, ("dist", "sigma", "kind", "lam", "truncation_radius", "tol",
-                 "seed"))
+    _known(cfg, ("dist", "sigma", "kind", "lam", "tol", "seed"))
     dist, _ = _build_distribution(_get(cfg, "dist", dict), "dist")
     sigma = _sigma(cfg)
     kind = _get(cfg, "kind", str, choices={"chi2", "renyi"})
     lam = _get(cfg, "lam", float, required=(kind == "renyi"))
     if kind == "renyi" and not 1.0 < lam < 2.0:
         raise ConfigError("lam", "must lie in (1, 2)")
-    radius = _positive(cfg, "truncation_radius", required=False)
     tol = _get(cfg, "tol", float, required=False, default=1e-9)
     if not 0.0 < tol < 1.0:
         raise ConfigError("tol", "must lie in (0, 1)")
     if kind == "chi2":
-        est = divergences.chi2_mutual_information(dist, sigma, radius, tol)
+        est = divergences.chi2_mutual_information(dist, sigma, tol)
     else:
-        est = divergences.renyi_mutual_information(dist, sigma, lam, radius,
-                                                   tol)
+        est = divergences.renyi_mutual_information(dist, sigma, lam, tol)
     rows = [(k, float(x), part) for k, (x, part) in
             enumerate(zip(dist.locations, est.partial_by_atom))]
     return (["k", "location", "part"], rows,
-            {"value": est.value, "truncation_radius": est.truncation_radius,
-             "quadrature_error": est.quadrature_error,
+            {"value": est.value, "quadrature_error": est.quadrature_error,
              "gap_bound": est.gap_bound, "n_eval": est.n_eval})
 
 

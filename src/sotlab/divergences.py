@@ -110,56 +110,46 @@ def chi2_divergence(A: SmoothedMixture, B: SmoothedMixture,
 class MIEstimate:
     """quadrature_error sums the windows' Gauss-Kronrod error estimates,
     |K15 - G7| per accepted panel; gap_bound is the certified remainder of
-    the stretches of [-R, R] between the windows, which are not integrated;
-    n_eval counts integrand evaluations over all atoms and windows.
+    the rest of the line, between and beyond the windows, which is not
+    integrated; n_eval counts integrand evaluations over all atoms and
+    windows.
 
     Both errors bound the part sum S = sum(partial_by_atom). For the chi^2
     MI that is `value`; for the Renyi MI `value` is log(S) / (lam - 1), so
     an error eps of S moves it by about eps / ((lam - 1) S)."""
     value: float
-    truncation_radius: float
     partial_by_atom: tuple
     quadrature_error: float
     gap_bound: float
     n_eval: int
 
 
-def _default_radius(p: AtomicDistribution, sigma: float, tol: float) -> float:
-    return float(np.max(np.abs(p.locations))
-                 + sigma * math.sqrt(2.0 * math.log(1.0 / tol)) + 10.0 * sigma)
-
-
 # seeds around each atom, in sigma; the last is the windows' reach. Each
 # seed costs a 15-point panel: the hard example's chi^2 MI takes 13,500
 # evaluations with these and 16,320 with +-1, 4, 8 for +-2, 6
 _MI_OFFSETS = np.array([-16.0, -6.0, -2.0, 0.0, 2.0, 6.0, 16.0])
+# each kernel's two-sided tail mass beyond the windows' reach
+_GAP_MASS = math.erfc(_MI_OFFSETS[-1] / math.sqrt(2.0))
 
 
-def _mi_breakpoints(p: AtomicDistribution, sigma: float, R: float):
-    offs = _MI_OFFSETS * sigma
-    pts = (p.locations[:, None] + offs[None, :]).ravel()
-    return np.clip(np.concatenate([[-R, R], pts]), -R, R)
+def _mi_breakpoints(p: AtomicDistribution, sigma: float):
+    return (p.locations[:, None] + _MI_OFFSETS[None, :] * sigma).ravel()
 
 
-def _mi_windows(p: AtomicDistribution, sigma: float, R: float) -> tuple:
-    """(windows, gap_mass). The windows are where the kernels live: the
-    merged intervals [r_j - 16 sigma, r_j + 16 sigma] within [-R, R], in
-    order, as (lo, hi) pairs whose ends are _mi_breakpoints values. The
-    stretches of [-R, R] between them lie beyond 16 sigma of every kernel, so
-    each kernel has at most its two-sided tail mass beyond 16 sigma there,
-    gap_mass (0 when nothing is left out)."""
+def _mi_windows(p: AtomicDistribution, sigma: float) -> list:
+    """The windows where the kernels live: the merged intervals
+    [r_j - 16 sigma, r_j + 16 sigma], in order, as (lo, hi) pairs whose ends
+    are _mi_breakpoints values. The rest of the line lies beyond 16 sigma of
+    every kernel, so each kernel has at most _GAP_MASS of its mass there."""
     reach = _MI_OFFSETS[-1] * sigma
     locs = np.sort(p.locations)
     windows = []
-    for a, b in zip(np.clip(locs - reach, -R, R), np.clip(locs + reach, -R, R)):
+    for a, b in zip(locs - reach, locs + reach):
         if windows and a <= windows[-1][1]:
             windows[-1][1] = b
         elif a < b:
             windows.append([a, b])
-    windows = [(float(a), float(b)) for a, b in windows]
-    if windows == [(-R, R)]:
-        return windows, 0.0
-    return windows, math.erfc(_MI_OFFSETS[-1] / math.sqrt(2.0))
+    return [(float(a), float(b)) for a, b in windows]
 
 
 def _mi_atom_quad(f, bp, windows, locs, tol: float):
@@ -297,20 +287,18 @@ def _log_mix_sum(p: AtomicDistribution, sigma: float, u: np.ndarray,
 
 
 def chi2_mutual_information(p: AtomicDistribution, sigma: float,
-                            truncation_radius: float | None = None,
                             tol: float = 1e-9) -> MIEstimate:
     """Chi-square mutual information of S ~ p across Y = S + N(0, sigma^2).
 
     Decomposes as sum_k w_k chi2(phi_k || rho) with phi_k the noise kernel at
     atom k; per-atom increments are integrated separately over the kernels'
-    windows within |y| <= R (_mi_windows) and reported. The integrand is assembled as phi_k e^s (1 - e^(logw_k - s))^2
+    windows (_mi_windows) and reported, and gap_bound covers the rest of the
+    line. The integrand is assembled as phi_k e^s (1 - e^(logw_k - s))^2
     with s = log(w_k phi_k / rho), which stays float-stable even when the atom
     weights live at log-scale -1e8.
     """
-    R = truncation_radius if truncation_radius is not None else \
-        _default_radius(p, sigma, tol)
-    bp = _mi_breakpoints(p, sigma, R)
-    windows, gap_mass = _mi_windows(p, sigma, R)
+    bp = _mi_breakpoints(p, sigma)
+    windows = _mi_windows(p, sigma)
     log_norm = -math.log(sigma) - LOG_SQRT_2PI
     parts = []
     qerr = gap_bound = 0.0
@@ -346,14 +334,13 @@ def chi2_mutual_information(p: AtomicDistribution, sigma: float,
         qerr += err
         n_eval += evals
         # w_k (phi_k - rho)^2 / rho <= phi_k + w_k rho, as rho >= w_k phi_k
-        gap_bound += (1.0 + math.exp(lwk)) * gap_mass
-    return MIEstimate(value=float(np.sum(parts)), truncation_radius=R,
+        gap_bound += (1.0 + math.exp(lwk)) * _GAP_MASS
+    return MIEstimate(value=float(np.sum(parts)),
                       partial_by_atom=tuple(parts), quadrature_error=qerr,
                       gap_bound=gap_bound, n_eval=n_eval)
 
 
 def renyi_mutual_information(p: AtomicDistribution, sigma: float, lam: float,
-                             truncation_radius: float | None = None,
                              tol: float = 1e-9) -> MIEstimate:
     """I_lam(S;Y) = (1/(lam-1)) log sum_k w_k int phi_k^lam rho^(1-lam) dy.
 
@@ -363,10 +350,8 @@ def renyi_mutual_information(p: AtomicDistribution, sigma: float, lam: float,
     """
     if not (1.0 < lam < 2.0):
         raise ValueError("lambda must lie in (1, 2)")
-    R = truncation_radius if truncation_radius is not None else \
-        _default_radius(p, sigma, tol)
-    bp = _mi_breakpoints(p, sigma, R)
-    windows, gap_mass = _mi_windows(p, sigma, R)
+    bp = _mi_breakpoints(p, sigma)
+    windows = _mi_windows(p, sigma)
     log_norm = -math.log(sigma) - LOG_SQRT_2PI
     ordered = np.sort(bp)
     seed = np.unique(np.concatenate([bp, 0.5 * (ordered[:-1] + ordered[1:])]))
@@ -397,12 +382,11 @@ def renyi_mutual_information(p: AtomicDistribution, sigma: float, lam: float,
         n_eval += evals
         # the integrand is <= phi_k e^(-shift), as s <= 0; scaled by e^shift
         # as the error is
-        gap_bound += gap_mass
+        gap_bound += _GAP_MASS
     log_sum = float(logsumexp(log_weighted))
     value = log_sum / (lam - 1.0)
     parts = np.exp(log_weighted)
     return MIEstimate(value=max(value, 0.0) if value > -1e-6 else value,
-                      truncation_radius=R,
                       partial_by_atom=tuple(float(v) for v in parts),
                       quadrature_error=qerr, gap_bound=gap_bound,
                       n_eval=n_eval)

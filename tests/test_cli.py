@@ -54,6 +54,13 @@ TWO_POINT = {"family": "two_point", "h": 2.0, "K": 2.0}
      "<root>.c"),
     ("mi-probe", {"dist": TWO_POINT, "kind": "chi2", "radius": 5.0},
      "radius"),
+    # the MI covers the whole line: a radius is not a setting
+    ("mi-probe", {"dist": {"family": "two_point", "h": 4.0, "K": 2.0},
+                  "kind": "chi2", "truncation_radius": 0},
+     "truncation_radius"),
+    ("mi-probe", {"dist": {"family": "chi2_hard", "K": 2.0, "k_max": 10},
+                  "kind": "chi2", "truncation_radius": 50, "tol": -1e-9},
+     "truncation_radius"),
     ("rate-scan", {"family": "two_point", "K": 2.0, "n_list": [64, 128],
                    "trial": 4}, "trial"),
     ("phase-scan", {"K_list": [2.0], "n_list": [64, 128], "K": 2.0}, "K"),
@@ -72,7 +79,8 @@ TWO_POINT = {"family": "two_point", "h": 2.0, "K": 2.0}
     ("t2-probe", {"K": 2.0, "delta": 0.1, "h_list": [10.0], "Delta": 0.2},
      "Delta"),
 ], ids=["w2", "w2_construction", "w2_atoms", "construct_chi2_hard",
-        "construct_w2_schedule", "mi_probe", "rate_scan", "phase_scan",
+        "construct_w2_schedule", "mi_probe", "mi_probe_truncation_radius",
+        "mi_probe_negative_tol_with_radius", "rate_scan", "phase_scan",
         "weighted", "berry_esseen", "gap", "weighted_dist", "tail_probe",
         "lsi_probe", "t2_probe"])
 def test_unknown_field_exits_2(runner, tmp_path, command, cfg, field):
@@ -351,9 +359,6 @@ def test_tail_probe_nonpositive_K_exits_2(runner, tmp_path, K):
     ("rate-scan", {"family": "two_point", "K": 2.0, "h": 0,
                    "n_list": [64, 128, 256], "trials": 3}, "h",
      "h must be positive"),
-    ("mi-probe", {"dist": {"family": "two_point", "h": 4.0, "K": 2.0},
-                  "kind": "chi2", "truncation_radius": 0},
-     "truncation_radius", "truncation_radius must be positive"),
     ("tail-probe", {"dist": {"family": "two_point", "h": 4.0, "K": 2.0},
                     "K": 2.0, "epsilon": 0.1, "kind": "upper", "r_max": 8.0,
                     "sigma": 0.5}, "sigma",
@@ -396,9 +401,6 @@ def test_tail_probe_nonpositive_K_exits_2(runner, tmp_path, K):
                   "kind": "chi2", "tol": 0}, "tol", "must lie in (0, 1)"),
     ("mi-probe", {"dist": {"family": "chi2_hard", "K": 2.0, "k_max": 10},
                   "kind": "chi2", "tol": -1e-9}, "tol", "must lie in (0, 1)"),
-    ("mi-probe", {"dist": {"family": "chi2_hard", "K": 2.0, "k_max": 10},
-                  "kind": "chi2", "truncation_radius": 50, "tol": -1e-9},
-     "tol", "must lie in (0, 1)"),
     ("mi-probe", {"dist": {"family": "two_point", "h": 4.0, "K": 2.0},
                   "kind": "renyi", "lam": 1.5, "tol": 2.0}, "tol",
      "must lie in (0, 1)"),
@@ -407,16 +409,15 @@ def test_tail_probe_nonpositive_K_exits_2(runner, tmp_path, K):
         "phase_scan_K_list", "phase_scan_trials", "mi_probe_sigma",
         "phase_scan_sigma", "construct_sigma", "w2_sigma_a", "w2_sigma_b",
         "rate_scan_K", "lsi_probe_K", "t2_probe_K", "berry_esseen_K",
-        "gap_K", "rate_scan_h", "mi_probe_truncation_radius",
-        "tail_probe_sigma", "t2_probe_K_not_above_sigma",
+        "gap_K", "rate_scan_h", "tail_probe_sigma",
+        "t2_probe_K_not_above_sigma",
         "t2_probe_negative_h", "t2_probe_zero_h",
         "rate_scan_bernoulli_K_not_above_sigma", "t2_probe_delta",
         "t2_probe_h_below_perturbation", "lsi_probe_x1", "lsi_probe_x2",
         "lsi_probe_h_atom_underflow", "t2_probe_h_atom_underflow",
         "lsi_probe_tiny_h", "berry_esseen_negative_h", "berry_esseen_zero_h",
         "mi_probe_lam", "berry_esseen_n", "gap_n", "mi_probe_zero_tol",
-        "mi_probe_negative_tol", "mi_probe_negative_tol_with_radius",
-        "mi_probe_renyi_tol"])
+        "mi_probe_negative_tol", "mi_probe_renyi_tol"])
 def test_out_of_range_value_exits_2(runner, tmp_path, command, cfg, field,
                                     message):
     res = runner.invoke(main, [command, "--config",

@@ -58,14 +58,6 @@ def test_mi_single_atom_zero():
     assert dv.renyi_mutual_information(p, 1.0, 1.5).value <= 1e-9
 
 
-def test_mi_monotone_in_radius():
-    p = AtomicDistribution.from_weights(np.array([0.0, 1.0]),
-                                        np.array([0.5, 0.5]))
-    vals = [dv.chi2_mutual_information(p, 1.0, truncation_radius=r).value
-            for r in (3.0, 6.0, 12.0)]
-    assert all(y >= x - 1e-12 for x, y in zip(vals, vals[1:]))
-
-
 @pytest.mark.parametrize("K", [0.5, 2.0])
 @pytest.mark.parametrize("n", [8, 16, 64])
 def test_expected_chi2_is_chi2_mi_over_n(K, n):
@@ -127,17 +119,21 @@ def test_renyi_mi_deep_atoms_finite():
     assert np.isfinite(est.value) and est.value >= 0
 
 
-def _full_range_quad(f, bp, windows, locs, tol):
+def _full_range_quad(Y):
     # the quadrature the windows replace: one adaptive_simpson over all of
-    # [-R, R] per atom, in y itself
-    res = adaptive_simpson(lambda y: f(y, 0.0), bp, tol)
-    return res.total, res.error_estimate, res.n_eval
+    # [-Y, Y] per atom, in y itself
+    def quad(f, bp, windows, locs, tol):
+        res = adaptive_simpson(lambda y: f(y, 0.0),
+                               np.concatenate([[-Y, Y], bp]), tol)
+        return res.total, res.error_estimate, res.n_eval
+    return quad
 
 
 # The full-range MIs of chi2_hard_example(2, c, 10) at tol 1e-9, from the
 # adaptive Simpson rule the Gauss-Kronrod rule replaced: (chi^2 value,
-# Renyi part sum) with each one's error estimate and n_eval. Over all of
-# [-R, R] in y, R ~ 1.08e8, the Gauss-Kronrod rule raises QuadratureError:
+# Renyi part sum) with each one's error estimate and n_eval, over all of
+# [-Y, Y], Y = max|r| + 16.4 sigma ~ 1.08e8. Over that range in y the
+# Gauss-Kronrod rule raises QuadratureError:
 # its panels near the deepest atom, at ~1.08e8, are prorated far below what
 # float64 node positions there resolve (the windows integrate in offsets
 # from their atoms, where the nodes are exact).
@@ -149,13 +145,14 @@ HARD_10_FULL_RANGE = (
 
 
 @pytest.mark.parametrize("case", ["chi2_hard_4", "chi2_hard_10", "two_point",
-                                  "random_spread", "radius_cuts_window"])
+                                  "random_spread"])
 def test_windowed_mi_matches_full_range(case, monkeypatch):
-    """The MIs integrated over the kernels' windows agree with the full-range
-    quadrature within both error estimates plus the gap remainder, and stay
-    within tol. Renyi is compared on its parts, w_k J_k, whose errors are
-    what quadrature_error and gap_bound bound."""
-    tol, sigma, radius = 1e-9, 1.0, None
+    """The MIs integrated over the kernels' windows agree with the quadrature
+    over all of [-Y, Y], a span past every window, within both error
+    estimates plus the gap remainder, and stay within tol. Renyi is compared
+    on its parts, w_k J_k, whose errors are what quadrature_error and
+    gap_bound bound."""
+    tol, sigma = 1e-9, 1.0
     c = cons.chi2_admissible_c(2.0)
     if case == "chi2_hard_4":
         p = cons.chi2_hard_example(2.0, c, 4)
@@ -166,19 +163,17 @@ def test_windowed_mi_matches_full_range(case, monkeypatch):
     elif case == "random_spread":
         p = random_mixture(np.random.default_rng(11), 6, 0.8, 200.0).base
         sigma = 0.8
-    else:
-        # ends inside the third window, [460.0, 492.0]
-        p, radius = cons.chi2_hard_example(2.0, c, 4), 480.0
-    R = radius or dv._default_radius(p, sigma, tol)
-    assert dv._mi_windows(p, sigma, R)[1] > 0.0
-    new = (dv.chi2_mutual_information(p, sigma, radius, tol),
-           dv.renyi_mutual_information(p, sigma, 1.5, radius, tol))
+    Y = float(np.max(np.abs(p.locations))) + 17.0 * sigma
+    windows = dv._mi_windows(p, sigma)
+    assert -Y < windows[0][0] and windows[-1][1] < Y
+    new = (dv.chi2_mutual_information(p, sigma, tol),
+           dv.renyi_mutual_information(p, sigma, 1.5, tol))
     if case == "chi2_hard_10":
         ref = HARD_10_FULL_RANGE
     else:
-        monkeypatch.setattr(dv, "_mi_atom_quad", _full_range_quad)
-        ref = (dv.chi2_mutual_information(p, sigma, radius, tol),
-               dv.renyi_mutual_information(p, sigma, 1.5, radius, tol))
+        monkeypatch.setattr(dv, "_mi_atom_quad", _full_range_quad(Y))
+        ref = (dv.chi2_mutual_information(p, sigma, tol),
+               dv.renyi_mutual_information(p, sigma, 1.5, tol))
     for got, want, key in zip(new, ref, (lambda e: e.value,
                                          lambda e: sum(e.partial_by_atom))):
         assert 0.0 < got.gap_bound < 1e-50
@@ -194,8 +189,8 @@ def test_hard_example_mi_at_tight_tol(tol):
     far below what float64 node positions at |y| ~ 1e8 resolve, and agree
     with the recorded full-range values within both error estimates."""
     p = cons.chi2_hard_example(2.0, cons.chi2_admissible_c(2.0), 10)
-    new = (dv.chi2_mutual_information(p, 1.0, None, tol),
-           dv.renyi_mutual_information(p, 1.0, 1.5, None, tol))
+    new = (dv.chi2_mutual_information(p, 1.0, tol),
+           dv.renyi_mutual_information(p, 1.0, 1.5, tol))
     for got, want, key in zip(new, HARD_10_FULL_RANGE,
                               (lambda e: e.value,
                                lambda e: sum(e.partial_by_atom))):
@@ -218,17 +213,24 @@ def test_mi_of_two_far_atoms(far):
     assert abs(renyi.value - math.log(2.0)) <= 1e-12
 
 
-def test_mi_without_gaps_has_no_gap_bound():
-    """With one window over all of [-R, R] nothing is left out, and doubling
-    a radius that already holds every window changes no bit."""
-    p = cons.bernoulli_two_point(2.0, 0.5)
-    e1 = dv.chi2_mutual_information(p, 1.0, truncation_radius=10.0)
-    assert dv._mi_windows(p, 1.0, 10.0) == ([(-10.0, 10.0)], 0.0)
-    assert e1.gap_bound == 0.0
-    e2 = dv.chi2_mutual_information(p, 1.0)
-    e3 = dv.chi2_mutual_information(p, 1.0,
-                                    truncation_radius=2 * e2.truncation_radius)
-    assert e2.value == e3.value and e2.gap_bound > 0.0
+@pytest.mark.parametrize("s", [100.0, -1e6, 1e8])
+def test_mi_is_translation_invariant(s):
+    """The MIs of atoms {s, s + 1} with weights 1/2 are those of {0, 1},
+    within the certified error: each kernel is integrated over its own
+    window, wherever the pair sits. Cut to |y| <= 10, the pair at s = 100
+    lost both windows and read a chi^2 MI of 0 and a Renyi MI of -9484, each
+    with a certified error of 4e-57."""
+    def pair(x):
+        return AtomicDistribution.from_weights(np.array([x, x + 1.0]),
+                                               np.array([0.5, 0.5]))
+
+    for mi, key in ((lambda p: dv.chi2_mutual_information(p, 1.0),
+                     lambda e: e.value),
+                    (lambda p: dv.renyi_mutual_information(p, 1.0, 1.5),
+                     lambda e: sum(e.partial_by_atom))):
+        got, want = mi(pair(s)), mi(pair(0.0))
+        assert (abs(key(got) - key(want))
+                <= got.quadrature_error + got.gap_bound)
 
 
 def _log_mix_rel_by_points(p, sigma, k, u, c=0.0):
@@ -289,7 +291,7 @@ def test_log_mix_rel_skips_only_what_it_would_compute(case):
     if case.startswith("chi2_hard"):
         sigma = 1.0
         p = cons.chi2_hard_example(2.0, cons.chi2_admissible_c(2.0), 10)
-        Y = dv._default_radius(p, sigma, 1e-9)
+        Y = float(np.max(np.abs(p.locations))) + 17.0 * sigma
     elif case == "two_point":
         p, sigma = cons.bernoulli_two_point(2.0, 0.5), 1.0
         Y = 2.0 + 1000.0 * sigma

@@ -24,9 +24,9 @@ CASES = {
     "w2_inline_atoms.json": ("w2",
         "fdfc8831b7d20c03d9e19fabb5f2add9ec315d2e45b1b31ac1b4bcfb5751fe47", None),
     "mi_probe_chi2.json": ("mi-probe",
-        "fc18b6ac7549c9f077c0633405338622d029edb0733ee817a457f6cfe54f510e", None),
+        "9b8e9263d56fb6a24ec993bee467105617be379bfe4429be4e66cdc21fb8aa8c", None),
     "mi_probe_renyi.json": ("mi-probe",
-        "a1c6765235fcab35b5d988d4a925ef31b7dc6229d1178bdb0bcfd2947e29a97a", None),
+        "92fd132efc254bc75cb83bad3fecd5a2837150f6d2730971f1bacca16517fd28", None),
     "rate_scan_two_point.json": ("rate-scan",
         "ed6a13c80cd03fb30109d3c8d4cba17f585a3f952cf947da48a6d886af92c5c0",
         "6f28a9090a4d71cd6238afeec6a5bc6665341a7c3024d44584e3d1c80c10503c"),
