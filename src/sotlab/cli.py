@@ -299,10 +299,15 @@ def mi_probe(cfg, seed, out_path):
     tol = _get(cfg, "tol", float, required=False, default=1e-9)
     if not 0.0 < tol < 1.0:
         raise ConfigError("tol", "must lie in (0, 1)")
-    if kind == "chi2":
-        est = divergences.chi2_mutual_information(dist, sigma, tol)
-    else:
-        est = divergences.renyi_mutual_information(dist, sigma, lam, tol)
+    try:
+        if kind == "chi2":
+            est = divergences.chi2_mutual_information(dist, sigma, tol)
+        else:
+            est = divergences.renyi_mutual_information(dist, sigma, lam, tol)
+    except ValueError as exc:
+        # lam and tol are checked above: only a sigma too small for the
+        # atoms' magnitude is left
+        raise ConfigError("sigma", str(exc))
     rows = [(k, float(x), part) for k, (x, part) in
             enumerate(zip(dist.locations, est.partial_by_atom))]
     return (["k", "location", "part"], rows,

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import _integrate_members, _simpson_members, adaptive_simpson
+from ._quad import (QuadratureError, _integrate_members, _simpson_members,
+                    adaptive_simpson)
 from .dist_core import (LOG_SQRT_2PI, AtomicDistribution, SmoothedMixture,
                         _deep_quantiles, _logsumexp_atoms, _member_rows,
                         _row_slices, _scratch, _seed_breakpoints, logsumexp)
@@ -140,14 +141,24 @@ def _mi_windows(p: AtomicDistribution, sigma: float) -> list:
     """The windows where the kernels live: the merged intervals
     [r_j - 16 sigma, r_j + 16 sigma], in order, as (lo, hi) pairs whose ends
     are _mi_breakpoints values. The rest of the line lies beyond 16 sigma of
-    every kernel, so each kernel has at most _GAP_MASS of its mass there."""
+    every kernel, so each kernel has at most _GAP_MASS of its mass there.
+
+    Raises ValueError where sigma is so far below the float64 spacing at an
+    atom that r - 16 sigma and r + 16 sigma round to the same float: that
+    kernel would have no window, and none of its mass would be integrated.
+    """
     reach = _MI_OFFSETS[-1] * sigma
     locs = np.sort(p.locations)
+    collapsed = ~(locs - reach < locs + reach)
+    if np.any(collapsed):
+        raise ValueError(f"sigma = {sigma!r} is below the float64 spacing at "
+                         f"atom {float(locs[collapsed][0])!r}: its window "
+                         f"r +- 16 sigma is empty")
     windows = []
     for a, b in zip(locs - reach, locs + reach):
         if windows and a <= windows[-1][1]:
             windows[-1][1] = b
-        elif a < b:
+        else:
             windows.append([a, b])
     return [(float(a), float(b)) for a, b in windows]
 
@@ -162,8 +173,6 @@ def _mi_atom_quad(f, bp, windows, locs, tol: float):
     its midpoint, and f(u, c) is the integrand at c + u: the nodes are exact
     in u, where at |y| ~ 1e8 float64 would move each by up to 7e-9 and the
     panels' |K15 - G7| could not shrink below that noise."""
-    if not windows:
-        return 0.0, 0.0, 0
     widths = np.array([b - a for a, b in windows])
     refs = [float(locs[np.argmin(np.abs(locs - 0.5 * (a + b)))])
             for a, b in windows]
@@ -347,6 +356,12 @@ def renyi_mutual_information(p: AtomicDistribution, sigma: float, lam: float,
     Per-atom integrals are carried as logs (they scale like w_k^(1-lam), far
     outside float range for deep atoms); the reported per-atom parts are the
     bounded products w_k * J_k.
+
+    Atom k's integrand is integrated scaled by e^(-shift), shift its largest
+    log-value, and its error estimate is scaled back by e^shift. Where
+    shift > 0 (sigma below about 0.4) its quadrature gets tol e^(-shift) in
+    place of tol, so that the scaled error stays near tol; QuadratureError
+    is raised if the summed quadrature_error still exceeds tol.
     """
     if not (1.0 < lam < 2.0):
         raise ValueError("lambda must lie in (1, 2)")
@@ -372,17 +387,23 @@ def renyi_mutual_information(p: AtomicDistribution, sigma: float, lam: float,
         def integrand(u, c, shift=shift, rk=rk, k=k):
             return np.exp(log_expo(u, c, rk, k) - shift)
 
-        total, err, evals = _mi_atom_quad(integrand, bp, windows,
-                                          p.locations, tol)
-        # w_k J_k = w_k^(2-lam) exp(shift) * total
+        # the error is scaled by e^shift below, so where e^shift > 1 the
+        # tol is scaled down by it first
+        total, err, evals = _mi_atom_quad(
+            integrand, bp, windows, p.locations,
+            tol if shift <= 0.0 else tol * math.exp(-shift))
+        # w_k J_k = w_k^(2-lam) exp(shift) * total, whose error is at most
+        # e^shift err, as w_k <= 1; past exp's range that is not a float
         log_weighted[k] = ((2.0 - lam) * p.log_weights[k] + shift
                            + math.log(max(total, 1e-300)))
-        if shift < 700.0:
-            qerr += err * math.exp(shift)
+        if err:
+            qerr += err * math.exp(shift) if shift < 709.0 else math.inf
         n_eval += evals
         # the integrand is <= phi_k e^(-shift), as s <= 0; scaled by e^shift
         # as the error is
         gap_bound += _GAP_MASS
+    if qerr > tol:
+        raise QuadratureError(f"Renyi MI error above tol = {tol!r}", qerr)
     log_sum = float(logsumexp(log_weighted))
     value = log_sum / (lam - 1.0)
     parts = np.exp(log_weighted)

@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -311,6 +312,12 @@ def test_tail_probe_nonpositive_K_exits_2(runner, tmp_path, K):
     assert "config error at K: K must be positive" in res.output
 
 
+# two atoms of weight 1/2 near 1e8, where float64 spacing is 1.5e-8: at
+# sigma = 1e-10 each kernel's window r +- 16 sigma rounds to one point
+_FAR_PAIR = {"atoms": [{"x": 1e8, "logw": math.log(0.5)},
+                       {"x": 1e8 + 1.0, "logw": math.log(0.5)}]}
+
+
 @pytest.mark.parametrize("command,cfg,field,message", [
     ("rate-scan", {"family": "two_point", "K": 2.0, "h": 2.0,
                    "n_list": [64, 128, 256], "trials": 1}, "trials",
@@ -404,6 +411,13 @@ def test_tail_probe_nonpositive_K_exits_2(runner, tmp_path, K):
     ("mi-probe", {"dist": {"family": "two_point", "h": 4.0, "K": 2.0},
                   "kind": "renyi", "lam": 1.5, "tol": 2.0}, "tol",
      "must lie in (0, 1)"),
+    ("mi-probe", {"dist": _FAR_PAIR, "kind": "chi2", "sigma": 1e-10},
+     "sigma", "sigma = 1e-10 is below the float64 spacing at atom "
+     "100000000.0"),
+    ("mi-probe", {"dist": _FAR_PAIR, "kind": "renyi", "lam": 1.5,
+                  "sigma": 1e-10},
+     "sigma", "sigma = 1e-10 is below the float64 spacing at atom "
+     "100000000.0"),
 ], ids=["rate_scan_trials", "tail_probe_r_points", "weighted_n",
         "replications", "weighted_delta", "gap_k", "tail_probe_epsilon",
         "phase_scan_K_list", "phase_scan_trials", "mi_probe_sigma",
@@ -417,7 +431,8 @@ def test_tail_probe_nonpositive_K_exits_2(runner, tmp_path, K):
         "lsi_probe_h_atom_underflow", "t2_probe_h_atom_underflow",
         "lsi_probe_tiny_h", "berry_esseen_negative_h", "berry_esseen_zero_h",
         "mi_probe_lam", "berry_esseen_n", "gap_n", "mi_probe_zero_tol",
-        "mi_probe_negative_tol", "mi_probe_renyi_tol"])
+        "mi_probe_negative_tol", "mi_probe_renyi_tol",
+        "mi_probe_sigma_below_spacing", "mi_probe_renyi_sigma_below_spacing"])
 def test_out_of_range_value_exits_2(runner, tmp_path, command, cfg, field,
                                     message):
     res = runner.invoke(main, [command, "--config",

@@ -54,23 +54,104 @@ def test_concentration_statistics_match_single_calls():
         np.array(want).view(np.int64).tolist()
 
 
-def _full_grid_statistic(F, sample):
-    """The empirical-sample statistic over the sample points, their
-    midpoints, the 2n-1 quantile anchors F^{-1}(k/2n) and one point beyond
-    each end."""
-    n = sample.n
+def _full_grid(F, pts, n):
+    """The points pts, sorted, their midpoints, the 2n-1 quantile anchors
+    F^{-1}(k/2n) and one point beyond each end."""
     anchors = F.quantile(np.arange(1, 2 * n) / (2.0 * n))
-    pts = np.sort(sample.samples)
+    pts = np.sort(pts)
     mids = 0.5 * (pts[:-1] + pts[1:]) if pts.size > 1 else np.empty(0)
     lo = min(pts[0], anchors[0]) - 1.0
     hi = max(pts[-1], anchors[-1]) + 1.0
-    grid = np.unique(np.concatenate([pts, mids, anchors, [lo, hi]]))
+    return np.unique(np.concatenate([pts, mids, anchors, [lo, hi]]))
+
+
+def _full_grid_statistic(F, sample):
+    """The empirical-sample statistic over _full_grid of the sample
+    points."""
+    n = sample.n
+    grid = _full_grid(F, sample.samples, n)
     Ft = F.cdf(grid)
     right = np.searchsorted(sample.samples, grid, side="right") / n
     left = np.searchsorted(sample.samples, grid, side="left") / n
     dev = np.maximum(np.abs(Ft - right), np.abs(Ft - left))
     denom = np.sqrt(np.maximum(1.0 / n, np.minimum(Ft, 1.0 - Ft)))
     return float(np.max(dev / denom))
+
+
+def _smoothed_full_grid_statistic(F, sample, n):
+    """The smoothed-sample statistic with the sample's CDF evaluated on all
+    of _full_grid of the base atoms. Returns the statistic and the grid's
+    ratios and sample CDF."""
+    grid = _full_grid(F, sample.base.locations, n)
+    Ft = F.cdf(grid)
+    C = sample.cdf(grid)
+    dev = np.abs(Ft - C)
+    denom = np.sqrt(np.maximum(1.0 / n, np.minimum(Ft, 1.0 - Ft)))
+    ratios = dev / denom
+    return float(np.max(ratios)), ratios, C
+
+
+def _mixture(locs, w, sigma):
+    order = np.argsort(locs)
+    return SmoothedMixture(AtomicDistribution.from_weights(locs[order],
+                                                           w[order]), sigma)
+
+
+def _statistic_case(kind, seed, n_atoms):
+    """(F, sample) for test_smoothed_statistic_matches_full_grid."""
+    rng = np.random.default_rng(seed)
+    w = rng.dirichlet(np.ones(n_atoms))
+    if kind == "tie":
+        # F is 1/2 on the long plateau between its two far atoms, where the
+        # sample's CDF is 1: the sample's atoms and midpoints there all hold
+        # the same ratio, the max
+        F = _mixture(np.array([-1000.0, 1000.0]), np.array([0.5, 0.5]), 1.0)
+        return F, _mixture(np.array([-1000.0, -500.0, 0.0, 500.0]),
+                           np.array([1.0, 1e-20, 1e-20, 1e-20]), 1.0)
+    if kind == "far":
+        # atoms near +-1e8, where float64 spacing is 1.5e-8, and small sigma
+        c = float(rng.choice([-1e8, 1e8]))
+        F = _mixture(c + rng.normal(0.0, 1e-3, 3), rng.dirichlet(np.ones(3)),
+                     float(rng.uniform(1e-4, 1e-3)))
+        locs = np.unique(c + rng.normal(0.0, 2e-3, n_atoms))
+        return F, _mixture(locs, rng.dirichlet(np.ones(locs.size)),
+                           float(rng.uniform(1e-6, 1e-4)))
+    F = random_mixture(rng, int(rng.integers(1, 5)))
+    sigma = float(rng.uniform(0.05, 2.0))
+    locs = rng.normal(0.0, rng.uniform(0.5, 6.0), n_atoms)
+    if kind == "near_duplicates":
+        locs = np.unique(np.concatenate([locs, np.nextafter(locs, np.inf),
+                                         locs + 1e-12 * np.abs(locs)]))
+        w = rng.dirichlet(np.ones(locs.size))
+    elif kind == "light":
+        # weights spanning 1 down to 1e-12
+        w = 10.0 ** rng.uniform(-12.0, 0.0, n_atoms)
+    else:
+        locs = np.unique(locs)
+        w = w[:locs.size]
+    return F, _mixture(locs, w / w.sum(), sigma)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 300), st.integers(1, 200),
+       st.sampled_from(["spread", "far", "near_duplicates", "light", "tie"]))
+@example(1, 1, 1, "spread")
+@example(2, 300, 1, "light")
+@example(3, 50, 64, "far")
+@example(4, 40, 32, "near_duplicates")
+@example(5, 1, 1, "tie")
+@example(5, 1, 40, "tie")
+def test_smoothed_statistic_matches_full_grid(seed, n_atoms, n, kind):
+    """The bracketed search returns, bit for bit, the ratio's max over the
+    whole grid, and the computed sample CDF departs from monotone by far
+    less than the slack the search allows it."""
+    F, sample = _statistic_case(kind, seed, n_atoms)
+    got = conc.weighted_cdf_statistic(F, sample, n)
+    want, ratios, C = _smoothed_full_grid_statistic(F, sample, n)
+    assert np.array(got).view(np.int64) == np.array(want).view(np.int64)
+    assert np.max(np.maximum.accumulate(C) - C) <= 1e-3 * conc._CDF_SLACK
+    if kind == "tie":
+        assert np.count_nonzero(ratios == want) > 1
 
 
 @settings(max_examples=120, deadline=None)

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from sotlab import constructions as cons
 from sotlab import divergences as dv
-from sotlab._quad import adaptive_simpson
+from sotlab._quad import QuadratureError, adaptive_simpson
 from sotlab.dist_core import AtomicDistribution, SmoothedMixture, logsumexp
 
 from conftest import random_mixture
@@ -231,6 +231,45 @@ def test_mi_is_translation_invariant(s):
         got, want = mi(pair(s)), mi(pair(0.0))
         assert (abs(key(got) - key(want))
                 <= got.quadrature_error + got.gap_bound)
+
+
+def _far_pair():
+    # weights 1/2 near 1e8, where float64 spacing is 1.5e-8
+    return AtomicDistribution.from_weights(np.array([1e8, 1e8 + 1.0]),
+                                           np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("mi", ["chi2", "renyi"])
+def test_mi_refuses_a_sigma_below_the_spacing(mi):
+    """At sigma = 1e-10 each kernel's window r +- 16 sigma rounds to a point
+    at 1e8; with no window, nothing of the kernel was integrated and the
+    MIs read 0.0 and -1336.6 with n_eval 0."""
+    with pytest.raises(ValueError, match=r"sigma = 1e-10 .* atom 100000000\.0"):
+        if mi == "chi2":
+            dv.chi2_mutual_information(_far_pair(), 1e-10)
+        else:
+            dv.renyi_mutual_information(_far_pair(), 1e-10, 1.5)
+
+
+@pytest.mark.parametrize("sigma", [1e-9, 3e-9, 1e-3, 0.05])
+def test_renyi_mi_keeps_its_tol_at_small_sigma(sigma):
+    """Below sigma ~ 0.4 the Renyi integrand is scaled by e^-shift with
+    shift > 0, and its error by e^shift after. Each atom's tol is scaled
+    down to match, so the summed error stays within tol: it was 1.7e-5 at
+    sigma = 3e-9 against tol 1e-9. The two kernels do not overlap, so the
+    MI is log 2."""
+    tol = 1e-9
+    est = dv.renyi_mutual_information(_far_pair(), sigma, 1.5, tol)
+    assert est.quadrature_error <= tol
+    assert abs(est.value - math.log(2.0)) <= 1e-12
+
+
+def test_renyi_mi_raises_past_exps_range():
+    """At sigma = 1e-306 the shift is ~703, past where e^shift times the
+    error is a float: the error is no longer dropped, and the MI raises."""
+    p = AtomicDistribution.from_weights(np.array([0.0]), np.array([1.0]))
+    with np.errstate(all="ignore"), pytest.raises(QuadratureError):
+        dv.renyi_mutual_information(p, 1e-306, 1.5)
 
 
 def _log_mix_rel_by_points(p, sigma, k, u, c=0.0):
