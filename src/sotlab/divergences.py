@@ -208,72 +208,21 @@ def _log_mix_rel(p: AtomicDistribution, sigma: float, k: int,
     The (atoms x points) exponents are built in cache-sized slices of y, in
     the calling thread's kernel scratch, and reduced over the atom axis; the
     bits are those of -logsumexp over the (points x atoms) array.
-
-    Points inside _owned_interval(p, sigma, k, u, c) are not built: there every
-    other atom's exponent rounds below -746, so its exp is +0.0, atom k's own
-    exponent is 0.0 and alone at the max, and the log-sum is
-    log1p(0) + log(1) + 0.0, whose negation is -0.0. They get -0.0.
     """
     locs = p.locations
     to_atom = (c - locs)[:, None]
     to_k = c - locs[k]
     lw_rel = (p.log_weights - p.log_weights[k])[:, None]
-    lo, hi = _owned_interval(p, sigma, k, u, c)
-    rest = ~((u > lo) & (u < hi))
-    u_rest = u[rest]
-    rel = np.empty(u_rest.shape)
-    for r in _row_slices(u_rest.size, locs.size):
-        ur = u_rest[r]
+    out = np.empty(u.shape)
+    for r in _row_slices(u.size, locs.size):
+        ur = u[r]
         delta, e, ties = _scratch((locs.size, ur.size))
         np.square(np.add(ur, to_atom, out=delta), out=delta)
         np.subtract(np.square(ur + to_k), delta, out=delta)
         np.divide(delta, 2.0 * sigma * sigma, out=delta)
         np.add(lw_rel, delta, out=delta)
-        rel[r] = _logsumexp_atoms(delta, e, ties)
-    out = np.zeros(u.shape)
-    out[rest] = rel
+        out[r] = _logsumexp_atoms(delta, e, ties)
     return np.negative(out, out=out)
-
-
-def _owned_interval(p: AtomicDistribution, sigma: float, k: int,
-                    u: np.ndarray, c: float = 0.0) -> tuple:
-    """(lo, hi) such that, for every point of u in the open interval, each
-    atom j != k has a computed exponent of _log_mix_rel(p, sigma, k, u, c)
-    below -746.
-
-    That exponent is exactly the linear form
-    a_j(y) = (lw_j - lw_k) + (r_j - r_k)(2y - r_j - r_k) / (2 sigma^2),
-    so a_j(y) < T bounds y above for r_j > r_k and below for r_j < r_k. With
-    T = -746 - M, the margin M covers the float64 rounding of the computed
-    exponent (a few e((|u| + |c| + |r|)^2 / sigma^2 + |lw_j - lw_k|),
-    e = 2^-53) and that of the ends, taken in y and then shifted by c, which
-    moves a_j by a few e((|c| + max|r|)^2 / sigma^2 + |T - (lw_j - lw_k)|);
-    32 times the first bound plus 1 holds both. Where M is not finite (an
-    overflow, or a NaN in u) the interval is empty.
-    """
-    locs, lw = p.locations, p.log_weights
-    d = locs - locs[k]
-    margin = _exponent_margin(p, sigma, u, c)
-    with np.errstate(all="ignore"):
-        ends = (0.5 * (locs + locs[k])
-                + sigma * sigma * (-746.0 - margin - (lw - lw[k])) / d) - c
-    if not np.isfinite(margin):
-        return 0.0, 0.0
-    # d = 0 only at atom k itself
-    return (float(ends[d < 0.0].max(initial=-np.inf)),
-            float(ends[d > 0.0].min(initial=np.inf)))
-
-
-def _exponent_margin(p: AtomicDistribution, sigma: float, u: np.ndarray,
-                     c: float) -> float:
-    """32 e((|u| + |c| + |r|)^2 / sigma^2 + 2 max|lw|) + 1, e = 2^-53: a
-    bound on the float64 rounding of any exponent _log_mix_rel(p, sigma, k,
-    u, c) builds, and of log phi_k at c + u (see _owned_interval)."""
-    with np.errstate(all="ignore"):
-        q = np.abs(u).max(initial=0.0) + abs(c) + np.abs(p.locations).max()
-        return float(32.0 * 2.0 ** -53
-                     * (q * q / (sigma * sigma)
-                        + 2.0 * np.abs(p.log_weights).max()) + 1.0)
 
 
 def _log_mix_sum(p: AtomicDistribution, sigma: float, u: np.ndarray,
@@ -313,6 +262,8 @@ def chi2_mutual_information(p: AtomicDistribution, sigma: float,
     qerr = gap_bound = 0.0
     n_eval = 0
     per_tol = tol / p.n_atoms
+    r_max = np.abs(p.locations).max()
+    lw_2 = 2.0 * np.abs(p.log_weights).max()
     for k in range(p.n_atoms):
         rk = p.locations[k]
         lwk = p.log_weights[k]
@@ -329,9 +280,13 @@ def chi2_mutual_information(p: AtomicDistribution, sigma: float,
             log_wrho = lphi + 2.0 * lwk - s
             out = np.where(big, np.exp(log_wrho), out)
             # lphi - s cancels two (y - r_k)^2 / (2 sigma^2) terms, each
-            # rounded at its own scale; where w_k rho can be representable,
-            # it is taken from log rho itself
-            redo = big & (log_wrho > -746.0 - _exponent_margin(p, sigma, u, c))
+            # rounded at its own scale, by at most
+            # 2^-48 ((|u| + |c| + |r|)^2 / sigma^2 + 2 max|lw|) + 1; where
+            # w_k rho can be representable, it is taken from log rho itself
+            with np.errstate(all="ignore"):
+                q = np.abs(u).max(initial=0.0) + abs(c) + r_max
+                margin = 2.0 ** -48 * (q * q / (sigma * sigma) + lw_2) + 1.0
+            redo = big & (log_wrho > -746.0 - margin)
             if np.any(redo):
                 out[redo] = np.exp(lwk + log_norm
                                    + _log_mix_sum(p, sigma, u[redo], c))
