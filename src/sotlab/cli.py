@@ -305,8 +305,8 @@ def mi_probe(cfg, seed, out_path):
         else:
             est = divergences.renyi_mutual_information(dist, sigma, lam, tol)
     except ValueError as exc:
-        # lam and tol are checked above: only a sigma too small for the
-        # atoms' magnitude is left
+        # lam and tol are checked above: only a sigma whose square is not a
+        # normal float, or too small for the atoms' magnitude, is left
         raise ConfigError("sigma", str(exc))
     rows = [(k, float(x), part) for k, (x, part) in
             enumerate(zip(dist.locations, est.partial_by_atom))]

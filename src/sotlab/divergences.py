@@ -10,6 +10,7 @@ noise cannot produce impossible signs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,8 +113,9 @@ class MIEstimate:
     """quadrature_error sums the windows' Gauss-Kronrod error estimates,
     |K15 - G7| per accepted panel; gap_bound is the certified remainder of
     the rest of the line, between and beyond the windows, which is not
-    integrated; n_eval counts integrand evaluations over all atoms and
-    windows.
+    integrated; n_eval counts integrand evaluations over the atoms
+    integrated and all their windows (the Renyi MI skips an atom whose part
+    provably rounds to +0.0).
 
     Both errors bound the part sum S = sum(partial_by_atom). For the chi^2
     MI that is `value`; for the Renyi MI `value` is log(S) / (lam - 1), so
@@ -143,10 +145,14 @@ def _mi_windows(p: AtomicDistribution, sigma: float) -> list:
     are _mi_breakpoints values. The rest of the line lies beyond 16 sigma of
     every kernel, so each kernel has at most _GAP_MASS of its mass there.
 
-    Raises ValueError where sigma is so far below the float64 spacing at an
-    atom that r - 16 sigma and r + 16 sigma round to the same float: that
-    kernel would have no window, and none of its mass would be integrated.
+    Raises ValueError where sigma^2 is not a normal float, as the kernels'
+    exponents divide by it, and where sigma is so far below the float64
+    spacing at an atom that r - 16 sigma and r + 16 sigma round to the same
+    float: that kernel would have no window, and none of its mass would be
+    integrated.
     """
+    if not sys.float_info.min <= sigma * sigma <= sys.float_info.max:
+        raise ValueError(f"sigma = {sigma!r}: sigma^2 is not a normal float")
     reach = _MI_OFFSETS[-1] * sigma
     locs = np.sort(p.locations)
     collapsed = ~(locs - reach < locs + reach)
@@ -263,7 +269,7 @@ def chi2_mutual_information(p: AtomicDistribution, sigma: float,
     n_eval = 0
     per_tol = tol / p.n_atoms
     r_max = np.abs(p.locations).max()
-    lw_2 = 2.0 * np.abs(p.log_weights).max()
+    two_lw_max = 2.0 * np.abs(p.log_weights).max()
     for k in range(p.n_atoms):
         rk = p.locations[k]
         lwk = p.log_weights[k]
@@ -285,7 +291,8 @@ def chi2_mutual_information(p: AtomicDistribution, sigma: float,
             # w_k rho can be representable, it is taken from log rho itself
             with np.errstate(all="ignore"):
                 q = np.abs(u).max(initial=0.0) + abs(c) + r_max
-                margin = 2.0 ** -48 * (q * q / (sigma * sigma) + lw_2) + 1.0
+                margin = 2.0 ** -48 * (q * q / (sigma * sigma)
+                                       + two_lw_max) + 1.0
             redo = big & (log_wrho > -746.0 - margin)
             if np.any(redo):
                 out[redo] = np.exp(lwk + log_norm
@@ -317,6 +324,10 @@ def renyi_mutual_information(p: AtomicDistribution, sigma: float, lam: float,
     shift > 0 (sigma below about 0.4) its quadrature gets tol e^(-shift) in
     place of tol, so that the scaled error stays near tol; QuadratureError
     is raised if the summed quadrature_error still exceeds tol.
+
+    An atom whose part w_k J_k provably rounds to +0.0 is not integrated:
+    the integrand is <= phi_k <= e^log_norm, as s <= 0, so the part is at
+    most w_k^(2-lam) e^log_norm times the windows' total width.
     """
     if not (1.0 < lam < 2.0):
         raise ValueError("lambda must lie in (1, 2)")
@@ -325,11 +336,17 @@ def renyi_mutual_information(p: AtomicDistribution, sigma: float, lam: float,
     log_norm = -math.log(sigma) - LOG_SQRT_2PI
     ordered = np.sort(bp)
     seed = np.unique(np.concatenate([bp, 0.5 * (ordered[:-1] + ordered[1:])]))
+    log_width = math.log(sum(b - a for a, b in windows))
     log_weighted = np.empty(p.n_atoms)
     qerr = gap_bound = 0.0
     n_eval = 0
     for k in range(p.n_atoms):
         rk = p.locations[k]
+        # outside the windows, w_k^(2-lam) e^g <= phi_k as s <= 0
+        gap_bound += _GAP_MASS
+        if (2.0 - lam) * p.log_weights[k] + log_norm + log_width < -746.0:
+            log_weighted[k] = -np.inf
+            continue
 
         # phi_k^lam rho^(1-lam) = w_k^(1-lam) exp(g) with
         # g = log phi_k + (lam-1) s, s = log(w_k phi_k / rho) <= 0
@@ -348,15 +365,11 @@ def renyi_mutual_information(p: AtomicDistribution, sigma: float, lam: float,
             integrand, bp, windows, p.locations,
             tol if shift <= 0.0 else tol * math.exp(-shift))
         # w_k J_k = w_k^(2-lam) exp(shift) * total, whose error is at most
-        # e^shift err, as w_k <= 1; past exp's range that is not a float
+        # e^shift err, as w_k <= 1; shift <= log_norm < 355
         log_weighted[k] = ((2.0 - lam) * p.log_weights[k] + shift
                            + math.log(max(total, 1e-300)))
-        if err:
-            qerr += err * math.exp(shift) if shift < 709.0 else math.inf
+        qerr += err * math.exp(shift)
         n_eval += evals
-        # the integrand is <= phi_k e^(-shift), as s <= 0; scaled by e^shift
-        # as the error is
-        gap_bound += _GAP_MASS
     if qerr > tol:
         raise QuadratureError(f"Renyi MI error above tol = {tol!r}", qerr)
     log_sum = float(logsumexp(log_weighted))

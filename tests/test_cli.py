@@ -418,6 +418,9 @@ _FAR_PAIR = {"atoms": [{"x": 1e8, "logw": math.log(0.5)},
                   "sigma": 1e-10},
      "sigma", "sigma = 1e-10 is below the float64 spacing at atom "
      "100000000.0"),
+    ("mi-probe", {"dist": {"family": "chi2_hard", "K": 2.0, "k_max": 10},
+                  "kind": "chi2", "sigma": 1e-170},
+     "sigma", "sigma = 1e-170: sigma^2 is not a normal float"),
 ], ids=["rate_scan_trials", "tail_probe_r_points", "weighted_n",
         "replications", "weighted_delta", "gap_k", "tail_probe_epsilon",
         "phase_scan_K_list", "phase_scan_trials", "mi_probe_sigma",
@@ -432,7 +435,8 @@ _FAR_PAIR = {"atoms": [{"x": 1e8, "logw": math.log(0.5)},
         "lsi_probe_tiny_h", "berry_esseen_negative_h", "berry_esseen_zero_h",
         "mi_probe_lam", "berry_esseen_n", "gap_n", "mi_probe_zero_tol",
         "mi_probe_negative_tol", "mi_probe_renyi_tol",
-        "mi_probe_sigma_below_spacing", "mi_probe_renyi_sigma_below_spacing"])
+        "mi_probe_sigma_below_spacing", "mi_probe_renyi_sigma_below_spacing",
+        "mi_probe_sigma_squared_not_normal"])
 def test_out_of_range_value_exits_2(runner, tmp_path, command, cfg, field,
                                     message):
     res = runner.invoke(main, [command, "--config",

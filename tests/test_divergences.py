@@ -265,11 +265,61 @@ def test_renyi_mi_keeps_its_tol_at_small_sigma(sigma):
 
 
 def test_renyi_mi_raises_past_exps_range():
-    """At sigma = 1e-306 the shift is ~703, past where e^shift times the
-    error is a float: the error is no longer dropped, and the MI raises."""
+    """At sigma = 1e-306 the shift would be ~703, past where e^shift times
+    the error is a float; sigma^2 is 0.0 there, and sigma is refused."""
     p = AtomicDistribution.from_weights(np.array([0.0]), np.array([1.0]))
-    with np.errstate(all="ignore"), pytest.raises(QuadratureError):
+    with pytest.raises(ValueError, match=r"sigma = 1e-306: sigma\^2 is not"):
         dv.renyi_mutual_information(p, 1e-306, 1.5)
+
+
+@pytest.mark.parametrize("mi", ["chi2", "renyi"])
+@pytest.mark.parametrize("sigma", [1.4e-154, 1.5e-154])
+def test_mi_refuses_a_sigma_whose_square_is_not_normal(mi, sigma, monkeypatch):
+    """The kernels' exponents divide by sigma^2, whose smallest normal value
+    is at sigma = 1.49e-154. Below it the MIs refuse sigma: for atoms
+    {0, 1e-150} at sigma = 1e-160 the chi^2 MI had warned of an overflow in
+    exp, and both had raised QuadratureError. Just above it they take
+    sigma, and both integrands are finite over both windows, with no
+    floating-point warning."""
+    p = AtomicDistribution.from_weights(np.array([0.0, 1e-150]),
+                                        np.array([0.5, 0.5]))
+    windows = []
+
+    def quad(f, bp, wins, locs, tol):
+        for a, b in wins:
+            c = float(locs[np.argmin(np.abs(locs - 0.5 * (a + b)))])
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                assert np.all(np.isfinite(f(np.linspace(a, b, 65) - c, c)))
+        windows.append(wins)
+        return 1.0, 0.0, 0
+
+    monkeypatch.setattr(dv, "_mi_atom_quad", quad)
+    run = ((lambda: dv.chi2_mutual_information(p, sigma)) if mi == "chi2"
+           else (lambda: dv.renyi_mutual_information(p, sigma, 1.5)))
+    if sigma < 1.49e-154:
+        with pytest.raises(ValueError, match=r"sigma\^2 is not a normal"):
+            run()
+        assert windows == []
+    else:
+        run()
+        assert len(windows) == 2 and all(len(w) == 2 for w in windows)
+
+
+def test_renyi_mi_skips_atoms_whose_part_rounds_to_zero():
+    """At sigma = 3 the parts of the hard example's atoms 4 to 10 are below
+    e^-746, so +0.0. Their integrands e^(g - shift) have |g| up to ~5.5e5
+    and round at ~1e-10 relative, so at tol 1e-10 atom 5 exhausted its
+    evaluation budget and the MI raised QuadratureError. Those atoms are not
+    integrated; the part sum agrees with the one at tol 1e-9 within both
+    errors."""
+    p = cons.chi2_hard_example(2.0, cons.chi2_admissible_c(2.0), 10)
+    est = dv.renyi_mutual_information(p, 3.0, 1.5, 1e-10)
+    loose = dv.renyi_mutual_information(p, 3.0, 1.5, 1e-9)
+    assert est.partial_by_atom[4:] == (0.0,) * 7
+    assert est.quadrature_error <= 1e-10
+    assert est.n_eval < 6000
+    slack = est.quadrature_error + loose.quadrature_error + est.gap_bound
+    assert abs(sum(est.partial_by_atom) - sum(loose.partial_by_atom)) <= slack
 
 
 def _log_mix_rel_by_points(p, sigma, k, u, c=0.0):

@@ -27,6 +27,10 @@ CASES = {
         "9b8e9263d56fb6a24ec993bee467105617be379bfe4429be4e66cdc21fb8aa8c", None),
     "mi_probe_renyi.json": ("mi-probe",
         "92fd132efc254bc75cb83bad3fecd5a2837150f6d2730971f1bacca16517fd28", None),
+    "mi_probe_chi2_hard10.json": ("mi-probe",
+        "98b45ee087fa20f9803ee2c13782f76a2742b17617c543ef082b3406a38d9064", None),
+    "mi_probe_renyi_hard10.json": ("mi-probe",
+        "f0e7b6d49b5497e2287ec82676a766ae27510974b9c3bf72d758f10b5bf3c236", None),
     "rate_scan_two_point.json": ("rate-scan",
         "ed6a13c80cd03fb30109d3c8d4cba17f585a3f952cf947da48a6d886af92c5c0",
         "6f28a9090a4d71cd6238afeec6a5bc6665341a7c3024d44584e3d1c80c10503c"),
