@@ -22,19 +22,57 @@ from .dist_core import (LOG_SQRT_2PI, AtomicDistribution, SmoothedMixture,
                         _row_slices, _scratch, _seed_breakpoints, logsumexp)
 
 
-def _windows(A: SmoothedMixture, B: SmoothedMixture, rows_a=None, rows_b=None,
-             members: int = 1):
-    """Each member's joint deep-quantile window, as lists of lo and hi; the
-    rows are one per member."""
-    a_lo, a_hi = _deep_quantiles(A, rows_a, members)
-    b_lo, b_hi = _deep_quantiles(B, rows_b, members)
+def _divergence_members(As, Bs, integrand, tol: float):
+    """integrand(log rho_A, log rho_B) over each member's joint deep-quantile
+    window, seeded by _seed_breakpoints; member i is the pair As[i], Bs[i].
+    The As must share atoms and sigma, and so must the Bs: the kernel calls
+    are shared, and each member keeps its own window, breakpoints and
+    quadrature, so it gets the bits of its lone call. Returns each member's
+    QuadResult, and its mass of rho_A outside the window less that of rho_B."""
+    A, rows_a = As[0], _member_rows(As)
+    B, rows_b = Bs[0], _member_rows(Bs)
+    every = np.arange(len(As))
+    a_lo, a_hi = _deep_quantiles(A, rows_a(every), every.size)
+    b_lo, b_hi = _deep_quantiles(B, rows_b(every), every.size)
     lo = [min(float(a), float(b)) for a, b in zip(a_lo, b_lo)]
     hi = [max(float(a), float(b)) for a, b in zip(a_hi, b_hi)]
-    return lo, hi
+    results = _integrate_members(
+        adaptive_simpson,
+        lambda t, member: integrand(A.log_pdf(t, rows_a(member)),
+                                    B.log_pdf(t, rows_b(member))),
+        [_seed_breakpoints(A, B, lo[i], hi[i]) for i in every], tol)
+    a_tail, b_tail = (np.exp(m.log_cdf(lo, rows(every)))
+                      + np.exp(m.log_sf(hi, rows(every)))
+                      for m, rows in ((A, rows_a), (B, rows_b)))
+    return results, a_tail - b_tail
 
 
-def _tail_masses(m: SmoothedMixture, lo, hi, rows=None):
-    return np.exp(m.log_cdf(lo, rows)) + np.exp(m.log_sf(hi, rows))
+def _kl_integrand(la, lb):
+    """rho_B - rho_A - rho_A d with d = lb - la, the Bregman form of KL."""
+    d = lb - la
+    small = np.abs(d) < 1e-5
+    g = np.where(small,
+                 0.5 * d * d * (1.0 + d / 3.0 + d * d / 12.0),
+                 np.expm1(np.where(small | (d > 30.0), 0.0, d))
+                 - np.where(small | (d > 30.0), 0.0, d))
+    out = np.exp(la) * g
+    big = d > 30.0
+    if np.any(big):
+        # rho_B from its own log: la + d rounds at the scale of |la|
+        out = np.where(big, np.exp(lb) - np.exp(la) * (1.0 + d), out)
+    return out
+
+
+def _chi2_integrand(la, lb):
+    """(rho_A - rho_B)^2 / rho_B, as rho_B expm1(la - lb)^2."""
+    e = la - lb
+    big = e > 300.0
+    u = np.expm1(np.where(big, 0.0, e))
+    out = np.exp(lb) * u * u
+    if np.any(big):
+        with np.errstate(over="ignore"):
+            out = np.where(big, np.exp(2.0 * (e + lb) - lb), out)
+    return out
 
 
 def kl_divergence(A: SmoothedMixture, B: SmoothedMixture,
@@ -50,37 +88,11 @@ def kl_divergence(A: SmoothedMixture, B: SmoothedMixture,
 
 def _kl_members(As, Bs, tol: float = 1e-10) -> list:
     """kl_divergence(As[i], Bs[i], tol) for each member i, bit for bit, with
-    the kernel calls shared: the As must share atoms and sigma, and so must
-    the Bs. Each member keeps its own window, breakpoints and quadrature."""
-    A, rows_a = As[0], _member_rows(As)
-    B, rows_b = Bs[0], _member_rows(Bs)
-    every = np.arange(len(As))
-    lo, hi = _windows(A, B, rows_a(every), rows_b(every), every.size)
-
-    def integrand(t, member):
-        la = A.log_pdf(t, rows_a(member))
-        lb = B.log_pdf(t, rows_b(member))
-        d = lb - la
-        small = np.abs(d) < 1e-5
-        g = np.where(small,
-                     0.5 * d * d * (1.0 + d / 3.0 + d * d / 12.0),
-                     np.expm1(np.where(small | (d > 30.0), 0.0, d))
-                     - np.where(small | (d > 30.0), 0.0, d))
-        out = np.exp(la) * g
-        big = d > 30.0
-        if np.any(big):
-            # rho_B from its own log: la + d rounds at the scale of |la|
-            out = np.where(big, np.exp(lb) - np.exp(la) * (1.0 + d), out)
-        return out
-
-    results = _integrate_members(
-        adaptive_simpson, integrand,
-        [_seed_breakpoints(A, B, lo[i], hi[i]) for i in every], tol)
-    # int_w (rho_B - rho_A) = tail-mass(A) - tail-mass(B)
-    mass_corr = (_tail_masses(A, lo, hi, rows_a(every))
-                 - _tail_masses(B, lo, hi, rows_b(every)))
+    the kernel calls shared as in _divergence_members."""
+    results, clipped = _divergence_members(As, Bs, _kl_integrand, tol)
     values = []
-    for res, corr in zip(results, mass_corr):
+    # int_w (rho_B - rho_A) = tail-mass(A) - tail-mass(B)
+    for res, corr in zip(results, clipped):
         value = res.total - float(corr)
         if value < 0.0:
             value = 0.0 if value >= -10 * tol else value
@@ -91,21 +103,8 @@ def _kl_members(As, Bs, tol: float = 1e-10) -> list:
 def chi2_divergence(A: SmoothedMixture, B: SmoothedMixture,
                     tol: float = 1e-10) -> float:
     """int (rho_A - rho_B)^2 / rho_B over the joint deep-quantile window."""
-    (lo,), (hi,) = _windows(A, B)
-
-    def integrand(t):
-        lb = B.log_pdf(t)
-        e = A.log_pdf(t) - lb
-        big = e > 300.0
-        u = np.expm1(np.where(big, 0.0, e))
-        out = np.exp(lb) * u * u
-        if np.any(big):
-            with np.errstate(over="ignore"):
-                out = np.where(big, np.exp(2.0 * (e + lb) - lb), out)
-        return out
-
-    res = adaptive_simpson(integrand, _seed_breakpoints(A, B, lo, hi), tol)
-    return max(res.total, 0.0)
+    (res,), _ = _divergence_members([A], [B], _chi2_integrand, tol)
+    return res.total
 
 
 @dataclass(frozen=True)
