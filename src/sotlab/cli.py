@@ -274,6 +274,9 @@ def construct(cfg, seed, out_path):
 def w2(cfg, seed, out_path):
     """Exact quantile-coupling W2^2 between two smoothed mixtures."""
     _known(cfg, ("A", "B", "sigma", "sigma_a", "sigma_b", "tol", "seed"))
+    if "sigma" in cfg and "sigma_a" in cfg:
+        raise ConfigError("sigma", "not read where sigma_a is given, as sigma_b "
+                                   "defaults to sigma_a")
     A, _ = _build_distribution(_get(cfg, "A", dict), "A")
     B, _ = _build_distribution(_get(cfg, "B", dict), "B")
     sa = _positive(cfg, "sigma_a", required=False, default=_sigma(cfg))
@@ -286,13 +289,17 @@ def w2(cfg, seed, out_path):
             {"certified": ev.certified()})
 
 
+# the fields of each mi-probe kind besides kind, dist, sigma, tol and seed
+_MI_FIELDS = {"chi2": (), "renyi": ("lam",)}
+
+
 @_subcommand("mi-probe", seed_required=False)
 def mi_probe(cfg, seed, out_path):
     """Chi-square or Renyi mutual information across the Gaussian channel."""
-    _known(cfg, ("dist", "sigma", "kind", "lam", "tol", "seed"))
+    kind = _get(cfg, "kind", str, choices=set(_MI_FIELDS))
+    _known(cfg, ("kind", "dist", "sigma", "tol", "seed", *_MI_FIELDS[kind]))
     dist, _ = _build_distribution(_get(cfg, "dist", dict), "dist")
     sigma = _sigma(cfg)
-    kind = _get(cfg, "kind", str, choices={"chi2", "renyi"})
     lam = _get(cfg, "lam", float, required=(kind == "renyi"))
     if kind == "renyi" and not 1.0 < lam < 2.0:
         raise ConfigError("lam", "must lie in (1, 2)")
@@ -315,13 +322,19 @@ def mi_probe(cfg, seed, out_path):
              "gap_bound": est.gap_bound, "n_eval": est.n_eval})
 
 
+# the fields of each rate-scan family besides family, K, sigma, n_list,
+# trials, tol and seed
+_RATE_SCAN_FIELDS = {"two_point": ("h",), "kl": ("h",),
+                     "bernoulli": ("epsilon",)}
+
+
 @_subcommand("rate-scan", seed_required=True)
 def rate_scan(cfg, seed, out_path):
     """Monte Carlo n-sweep and log-log rate fit; writes <out>.fit.json too,
     and <out>.plan.json (the per-n h, t, p_h, feasible) for bernoulli."""
-    _known(cfg, ("family", "K", "sigma", "n_list", "trials", "tol", "h",
-                 "epsilon", "seed"))
-    family = _get(cfg, "family", str, choices={"two_point", "bernoulli", "kl"})
+    family = _get(cfg, "family", str, choices=set(_RATE_SCAN_FIELDS))
+    _known(cfg, ("family", "K", "sigma", "n_list", "trials", "tol", "seed",
+                 *_RATE_SCAN_FIELDS[family]))
     K = _positive(cfg, "K")
     sigma = _sigma(cfg)
     if family == "bernoulli":
@@ -331,11 +344,10 @@ def rate_scan(cfg, seed, out_path):
     # the estimator's own default: mc_expected_kl's, or mc_expected_w2sq's
     tol = _get(cfg, "tol", float, required=False,
                default=1e-10 if family == "kl" else 1e-8)
-    h = _positive(cfg, "h", required=False, default=2.0)
-    epsilon = _get(cfg, "epsilon", float, required=False, default=0.02)
     meta = {"family": family, "K": K, "sigma": sigma}
     plan = None
     if family == "bernoulli":
+        epsilon = _positive(cfg, "epsilon", required=False, default=0.02)
         plan, series = experiments.bernoulli_scan(K, sigma, epsilon, n_list,
                                                   trials, seed, tol)
         rows = [("w2",) + q for q in series.points]
@@ -343,6 +355,7 @@ def rate_scan(cfg, seed, out_path):
         meta.update({"epsilon": epsilon, "delta": plan.delta,
                      "zeta": plan.zeta})
     else:
+        h = _positive(cfg, "h", required=False, default=2.0)
         metric, mc = (("kl", experiments.mc_expected_kl) if family == "kl"
                       else ("w2sq", experiments.mc_expected_w2sq))
         series = experiments.rate_series(

@@ -81,7 +81,8 @@ def kl_divergence(A: SmoothedMixture, B: SmoothedMixture,
 
     Integrates the Bregman form rho_B - rho_A - rho_A d (d = log rho_B/rho_A),
     whose full-line integral equals the KL divergence; the window clipping is
-    compensated by the exact clipped-tail masses.
+    compensated by the exact clipped-tail masses. A result in [-10 tol, 0)
+    is reported as 0.0, and one below -10 tol as it is.
     """
     return _kl_members([A], [B], tol)[0]
 

@@ -261,7 +261,11 @@ def solve_delta(K: float, sigma: float, epsilon: float,
         (1+d)(1+k)^2 / (2(1-d)(1+k) - 4dk) = (1+k)^2/(2+2k) + 2 eps,
 
     k = sigma^2/K^2, found by bisection; the left side increases from the
-    eps=0 value at d=0 and blows up at the denominator root."""
+    eps=0 value at d=0 and blows up at the denominator root. Raises
+    ValueError for eps <= 0, where the slow-rate construction degenerates
+    (the bisection would end at d ~ 4.2e-11 for every such eps)."""
+    if not epsilon > 0.0:
+        raise ValueError(f"epsilon = {epsilon!r} must be > 0")
     kap = (sigma / K) ** 2
     target = (1.0 + kap) ** 2 / (2.0 + 2.0 * kap) + 2.0 * epsilon
 

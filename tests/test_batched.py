@@ -71,10 +71,15 @@ def test_batched_w2_matches_one_call_each(case):
 @settings(max_examples=12, deadline=None)
 @given(pairs)
 def test_batched_kl_matches_one_call_each(case):
+    """KL, and chi^2 through the same members driver."""
     As, Bs = _batch(*case)
     got = divergences._kl_members(As, Bs, tol=1e-10)
     want = [divergences.kl_divergence(A, B, tol=1e-10) for A, B in zip(As, Bs)]
     assert _bits(got) == _bits(want)
+    results, _ = divergences._divergence_members(
+        As, Bs, divergences._chi2_integrand, 1e-10)
+    want = [divergences.chi2_divergence(A, B, tol=1e-10) for A, B in zip(As, Bs)]
+    assert _bits([r.total for r in results]) == _bits(want)
 
 
 def test_batched_w2_noise_bound_and_swap():

@@ -64,6 +64,14 @@ TWO_POINT = {"family": "two_point", "h": 2.0, "K": 2.0}
      "truncation_radius"),
     ("rate-scan", {"family": "two_point", "K": 2.0, "n_list": [64, 128],
                    "trial": 4}, "trial"),
+    # a field another family or kind reads
+    ("rate-scan", {"family": "bernoulli", "K": 2.0, "n_list": [128, 256],
+                   "h": 99.0}, "h"),
+    ("rate-scan", {"family": "two_point", "K": 2.0, "n_list": [128, 256],
+                   "epsilon": 0.4}, "epsilon"),
+    ("rate-scan", {"family": "kl", "K": 2.0, "n_list": [128, 256],
+                   "epsilon": 0.4}, "epsilon"),
+    ("mi-probe", {"dist": TWO_POINT, "kind": "chi2", "lam": 7.0}, "lam"),
     ("phase-scan", {"K_list": [2.0], "n_list": [64, 128], "K": 2.0}, "K"),
     ("concentration", {"mode": "weighted", "n": 10, "delta": 0.1,
                        "replications": 2, "h": 2.0}, "h"),
@@ -81,7 +89,9 @@ TWO_POINT = {"family": "two_point", "h": 2.0, "K": 2.0}
      "Delta"),
 ], ids=["w2", "w2_construction", "w2_atoms", "construct_chi2_hard",
         "construct_w2_schedule", "mi_probe", "mi_probe_truncation_radius",
-        "mi_probe_negative_tol_with_radius", "rate_scan", "phase_scan",
+        "mi_probe_negative_tol_with_radius", "rate_scan",
+        "rate_scan_bernoulli_h", "rate_scan_two_point_epsilon",
+        "rate_scan_kl_epsilon", "mi_probe_chi2_lam", "phase_scan",
         "weighted", "berry_esseen", "gap", "weighted_dist", "tail_probe",
         "lsi_probe", "t2_probe"])
 def test_unknown_field_exits_2(runner, tmp_path, command, cfg, field):
@@ -421,6 +431,17 @@ _FAR_PAIR = {"atoms": [{"x": 1e8, "logw": math.log(0.5)},
     ("mi-probe", {"dist": {"family": "chi2_hard", "K": 2.0, "k_max": 10},
                   "kind": "chi2", "sigma": 1e-170},
      "sigma", "sigma = 1e-170: sigma^2 is not a normal float"),
+    ("rate-scan", {"family": "bernoulli", "K": 2.0, "n_list": [128, 256],
+                   "trials": 4, "epsilon": 0.0}, "epsilon",
+     "epsilon must be positive"),
+    ("rate-scan", {"family": "bernoulli", "K": 2.0, "n_list": [128, 256],
+                   "trials": 4, "epsilon": -1.0}, "epsilon",
+     "epsilon must be positive"),
+    # sigma_b defaults to sigma_a, so sigma would not be read
+    ("w2", {"A": ATOMS, "B": ATOMS, "sigma": 2.0, "sigma_a": 1.0,
+            "sigma_b": 1.5}, "sigma", "not read where sigma_a is given"),
+    ("w2", {"A": ATOMS, "B": ATOMS, "sigma": 2.0, "sigma_a": 1.0}, "sigma",
+     "not read where sigma_a is given"),
 ], ids=["rate_scan_trials", "tail_probe_r_points", "weighted_n",
         "replications", "weighted_delta", "gap_k", "tail_probe_epsilon",
         "phase_scan_K_list", "phase_scan_trials", "mi_probe_sigma",
@@ -436,7 +457,9 @@ _FAR_PAIR = {"atoms": [{"x": 1e8, "logw": math.log(0.5)},
         "mi_probe_lam", "berry_esseen_n", "gap_n", "mi_probe_zero_tol",
         "mi_probe_negative_tol", "mi_probe_renyi_tol",
         "mi_probe_sigma_below_spacing", "mi_probe_renyi_sigma_below_spacing",
-        "mi_probe_sigma_squared_not_normal"])
+        "mi_probe_sigma_squared_not_normal", "rate_scan_zero_epsilon",
+        "rate_scan_negative_epsilon", "w2_sigma_next_to_both_sides",
+        "w2_sigma_next_to_sigma_a"])
 def test_out_of_range_value_exits_2(runner, tmp_path, command, cfg, field,
                                     message):
     res = runner.invoke(main, [command, "--config",

@@ -234,6 +234,10 @@ def test_solve_delta():
     assert 0.0 < d < 0.5
     d2 = exp.solve_delta(2.0, 1.0, 0.08)
     assert d2 > d            # looser rate target allows a larger perturbation
+    # the bisection would end at delta ~ 4.2e-11 for every epsilon <= 0
+    for epsilon in (-1.0, 0.0, math.nan):
+        with pytest.raises(ValueError, match="must be > 0"):
+            exp.solve_delta(2.0, 1.0, epsilon)
     assert math.isclose(exp.zeta_constant(2.0, 1.0), 25.0 / 128.0,
                         rel_tol=1e-14)
 
@@ -253,6 +257,8 @@ def test_bernoulli_scan_plan():
         assert rec.t == pytest.approx(rec.h / 2 + rec.h / 8)  # sigma^2/(2K^2)
     with pytest.raises(ValueError):
         exp.bernoulli_scan(0.5, 1.0, 0.02, (128,), 4, 1)
+    with pytest.raises(ValueError, match="epsilon = 0.0 must be > 0"):
+        exp.bernoulli_scan(2.0, 1.0, 0.0, (128,), 4, 1)
 
 
 def test_phase_scan():
