@@ -159,8 +159,7 @@ def w2_hard_example(K: float, sigma: float, k_max: int):
     """Distribution + schedule for the W2 lower-bound construction.
 
     Returns (AtomicDistribution, HardExampleSchedule). The overall weight scale
-    C is pushed as high as the total atom mass budget of 1/2 allows (found by
-    bisection), and per-k sample sizes use the empirically measured interval
+    C is pushed as high as the total atom mass budget of 1/2 allows, and per-k sample sizes use the empirically measured interval
     constant C_u.
     """
     if sigma >= K:
@@ -169,20 +168,15 @@ def w2_hard_example(K: float, sigma: float, k_max: int):
         raise ValueError("k_max must be >= 1")
     kappa, M, c_k, r_k, t_k = _schedule_arrays(K, sigma, k_max)
     base_log_p = -math.log(math.sqrt(2.0 * math.pi) * K) - r_k ** 2 / (2.0 * K * K)
-    # largest C with sum_k p_k <= 1/2, by bisection on C (the mass is linear
-    # in C). All 200 steps run; after about 53 the bracket is two adjacent
-    # floats, and the rest leave C as it is
+    # largest C with sum_k p_k <= 1/2: the mass is linear in C, so
+    # C = 1/(2 mass) up to rounding, moved to the largest float that passes
+    # the test itself (the float a bisection on C ends at)
     log_target, log_mass = math.log(0.5), logsumexp(base_log_p)
-    lo, hi = 0.0, 1.0
-    while log_mass + math.log(hi) < log_target:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if log_mass + math.log(mid) <= log_target:
-            lo = mid
-        else:
-            hi = mid
-    C = lo
+    C = math.exp(log_target - log_mass)
+    while log_mass + math.log(C) > log_target:
+        C = math.nextafter(C, 0.0)
+    while log_mass + math.log(math.nextafter(C, math.inf)) <= log_target:
+        C = math.nextafter(C, math.inf)
     log_p = math.log(C) + base_log_p
     if not np.all(np.isfinite(log_p)):
         raise ValueError("k_max too large: atom log-weight overflows float64")

@@ -254,36 +254,24 @@ class BernoulliScanPlan:
             raise ValueError("zeta must exceed 1/(2K^2) when K > sigma")
 
 
-def solve_delta(K: float, sigma: float, epsilon: float,
-                tol: float = 1e-10) -> float:
-    """Smallest delta with
+def solve_delta(K: float, sigma: float, epsilon: float) -> float:
+    """The delta with
 
         (1+d)(1+k)^2 / (2(1-d)(1+k) - 4dk) = (1+k)^2/(2+2k) + 2 eps,
 
-    k = sigma^2/K^2, found by bisection; the left side increases from the
-    eps=0 value at d=0 and blows up at the denominator root. Raises
-    ValueError for eps <= 0, where the slow-rate construction degenerates
-    (the bisection would end at d ~ 4.2e-11 for every such eps)."""
+    k = sigma^2/K^2, in closed form:
+
+        d = 2 eps (1+k) / ((1+k)(1+2k) + 2 eps (1+3k)).
+
+    The left side is linear-fractional in d and increases from the eps=0
+    value at d=0 to its pole at (1+k)/(1+3k), so this is its only root there,
+    for every eps > 0. Raises ValueError for eps <= 0, where the slow-rate
+    construction degenerates."""
     if not epsilon > 0.0:
         raise ValueError(f"epsilon = {epsilon!r} must be > 0")
     kap = (sigma / K) ** 2
-    target = (1.0 + kap) ** 2 / (2.0 + 2.0 * kap) + 2.0 * epsilon
-
-    def g(d):
-        den = 2.0 * (1.0 - d) * (1.0 + kap) - 4.0 * d * kap
-        return (1.0 + d) * (1.0 + kap) ** 2 / den - target
-
-    hi = (1.0 + kap) / (1.0 + 3.0 * kap) * (1.0 - 1e-12)   # denominator root
-    lo = 0.0
-    if g(hi) < 0.0:
-        raise ValueError("no admissible delta below the denominator root")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return (2.0 * epsilon * (1.0 + kap)
+            / ((1.0 + kap) * (1.0 + 2.0 * kap) + 2.0 * epsilon * (1.0 + 3.0 * kap)))
 
 
 def zeta_constant(K: float, sigma: float) -> float:

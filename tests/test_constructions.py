@@ -79,6 +79,18 @@ def test_schedule_values():
     assert sch.n_k[0] == 16 and sch.n_k[1] is None
 
 
+@pytest.mark.parametrize("K, sigma, k_max", [(2.0, 1.0, 4), (1.2, 0.3, 1),
+                                             (3.0, 0.5, 5), (8.0, 1.0, 3)])
+def test_schedule_mass_scale_is_largest_passing_float(K, sigma, k_max):
+    # C is the largest float whose atom mass passes the half-mass test
+    _, sch = cons.w2_hard_example(K, sigma, k_max)
+    base_log_p = (-math.log(math.sqrt(2.0 * math.pi) * K)
+                  - sch.r_k ** 2 / (2.0 * K * K))
+    log_mass = cons.logsumexp(base_log_p)
+    assert log_mass + math.log(sch.C) <= math.log(0.5)
+    assert log_mass + math.log(math.nextafter(sch.C, math.inf)) > math.log(0.5)
+
+
 def test_schedule_deterministic():
     a = cons.w2_hard_example(2.0, 1.0, 4)
     b = cons.w2_hard_example(2.0, 1.0, 4)

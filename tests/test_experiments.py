@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -232,9 +233,22 @@ def test_expected_w2sq_decreases_with_n():
 def test_solve_delta():
     d = exp.solve_delta(2.0, 1.0, 0.02)
     assert 0.0 < d < 0.5
-    d2 = exp.solve_delta(2.0, 1.0, 0.08)
-    assert d2 > d            # looser rate target allows a larger perturbation
-    # the bisection would end at delta ~ 4.2e-11 for every epsilon <= 0
+    epsilons = (1e-6, 1e-3, 0.02, 0.08, 0.5, 5.0, 100.0)
+    for K, sigma in itertools.product((1.1, 2.0, 10.0, 100.0), (0.1, 0.5, 1.0)):
+        kap = (sigma / K) ** 2
+        deltas = []
+        for epsilon in epsilons:
+            d = exp.solve_delta(K, sigma, epsilon)
+            # the defining equation, to rounding: a bisection to 1e-10 in
+            # delta leaves residuals up to ~1e-8 of the target
+            target = (1.0 + kap) ** 2 / (2.0 + 2.0 * kap) + 2.0 * epsilon
+            lhs = ((1.0 + d) * (1.0 + kap) ** 2
+                   / (2.0 * (1.0 - d) * (1.0 + kap) - 4.0 * d * kap))
+            assert abs(lhs - target) <= 1e-12 * target, (K, sigma, epsilon)
+            assert 0.0 < d < (1.0 + kap) / (1.0 + 3.0 * kap)
+            deltas.append(d)
+        # a looser rate target allows a larger perturbation
+        assert all(b > a for a, b in zip(deltas, deltas[1:])), (K, sigma)
     for epsilon in (-1.0, 0.0, math.nan):
         with pytest.raises(ValueError, match="must be > 0"):
             exp.solve_delta(2.0, 1.0, epsilon)

@@ -35,8 +35,8 @@ CASES = {
         "ed6a13c80cd03fb30109d3c8d4cba17f585a3f952cf947da48a6d886af92c5c0",
         "6f28a9090a4d71cd6238afeec6a5bc6665341a7c3024d44584e3d1c80c10503c"),
     "rate_scan_bernoulli.json": ("rate-scan",
-        "8e395ebc367bba92e8c40effe57124879c86aec4cea39b0c75d88363ab479856",
-        "a43bac6ddd618bfe8070ca7654cfe8fa2e6dddbb4a2def975784ce4a3d414ccd"),
+        "5861dfdd1064fd1f70aa04f3f14c697074ad2eac94b4e4076fff9956af5c0489",
+        "4f7553064e37b08d585fa2d11925a0f8ce217ea571a6a00e47e0b6ff45f94f8f"),
     "rate_scan_kl.json": ("rate-scan",
         "867e1d358a290d6f262f0df30eb79a50bd18ca1b3b733b55431a5cda3aa6def0",
         "ccc48f36811eeaa8f0c06892293c3cdac2e14c142ce967fb2b9d286953bb7e34"),
@@ -61,7 +61,7 @@ CASES = {
 # config file -> sha256 of <out>.plan.json, for the configs that write one
 PLANS = {
     "rate_scan_bernoulli.json":
-        "9be5f54d9b1a272b21e82465a2f1d93951a88245beaf9a5eef69906828c9eca8",
+        "9e28ce268870adcc155af24ea42abd2f70ed79b84a1734050a128e2deafdcbe9",
 }
 
 
