@@ -14,11 +14,11 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from . import (concentration, constructions, divergences, experiments,
                functional_ineq, tail_bounds, transport)
-from .dist_core import (AtomicDistribution, SmoothedMixture,
-                        gaussian_tail_bound_check)
+from .dist_core import AtomicDistribution, SmoothedMixture
 
 
 @dataclass(frozen=True)
@@ -293,13 +293,15 @@ def check_13_subgaussianity(quick=False, seed=20260823):
     dist, _ = constructions.w2_hard_example(2.0, 1.0, 4)
     rep2 = constructions.mgf_subgaussian_check(dist, 2.0, alphas, centered=False,
                                                log_prefactor=math.log(2.0))
-    tails = gaussian_tail_bound_check(np.linspace(0.0, 10.0, 101))
-    ok = rep1.passed and rep2.passed and tails.passed
+    # 1 - Phi(l) <= exp(-l^2/2) on l in [0, 10]; the slack is least at l = 10
+    l = np.linspace(0.0, 10.0, 101)
+    tail_slack = float(np.min(np.exp(-0.5 * l * l)
+                              - 0.5 * special.erfc(l / math.sqrt(2.0))))
+    ok = rep1.passed and rep2.passed and tail_slack >= 0.0
     return _result(13, "subgaussian MGF and Gaussian tail checks", ok,
                    f"centered hard-example slack {rep1.max_slack:.2e}, "
                    f"uncentered schedule-family slack {rep2.max_slack:.2e} "
-                   f"(tol 1e-9), tail check min slack "
-                   f"{tails.max_slack:.2e}", t0)
+                   f"(tol 1e-9), tail check min slack {tail_slack:.2e}", t0)
 
 
 def check_14_exponent_identities(quick=False, seed=20260823):

@@ -121,9 +121,13 @@ def _check_probe(check, h_list: list, *args):
 
 
 def _n_list(cfg: dict) -> list:
+    """At least 3 distinct integers > 1: a rate fit needs 3 sample sizes."""
     n_list = _get(cfg, "n_list", list)
-    if not n_list or not all(isinstance(n, int) and n > 1 for n in n_list):
+    if not all(isinstance(n, int) and n > 1 for n in n_list):
         raise ConfigError("n_list", "expected a list of integers > 1")
+    if len(n_list) < 3 or len(set(n_list)) < len(n_list):
+        raise ConfigError("n_list", "expected at least 3 distinct sample "
+                                    "sizes to fit a rate")
     return n_list
 
 
@@ -348,8 +352,14 @@ def rate_scan(cfg, seed, out_path):
     plan = None
     if family == "bernoulli":
         epsilon = _positive(cfg, "epsilon", required=False, default=0.02)
-        plan, series = experiments.bernoulli_scan(K, sigma, epsilon, n_list,
-                                                  trials, seed, tol)
+        try:
+            plan, series = experiments.bernoulli_scan(K, sigma, epsilon, n_list,
+                                                      trials, seed, tol)
+        except constructions.ParameterError as exc:
+            # raised before any trial runs: epsilon past the construction's range
+            if exc.name != "epsilon":
+                raise
+            raise ConfigError("epsilon", str(exc))
         rows = [("w2",) + q for q in series.points]
         rows += [("w2sq",) + q for q in plan.w2sq_series.points]
         meta.update({"epsilon": epsilon, "delta": plan.delta,

@@ -12,10 +12,10 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, log_ndtr, ndtr, ndtri_exp
+from scipy.special import log_ndtr, ndtr, ndtri_exp
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _EPS = float(np.finfo(float).eps)
@@ -837,29 +837,3 @@ def _seed_breakpoints(A: SmoothedMixture, B: SmoothedMixture, lo: float,
     return np.clip(np.concatenate([[lo, hi],
                                    (np.array(centres)[:, None] + offs).ravel()]),
                    lo, hi)
-
-
-@dataclass(frozen=True)
-class TailBoundReport:
-    """Outcome of checking 1 - Phi(l) <= exp(-l^2/2) on a grid."""
-
-    passed: bool
-    max_slack: float
-    first_violation: float | None = None
-    violations: tuple = field(default_factory=tuple)
-
-
-def gaussian_tail_bound_check(l_grid) -> TailBoundReport:
-    l = np.asarray(l_grid, dtype=float)
-    if np.any(l < 0):
-        raise ValueError("grid values must be >= 0")
-    tail = 0.5 * erfc(l / math.sqrt(2.0))
-    bound = np.exp(-0.5 * l * l)
-    slack = bound - tail
-    bad = np.flatnonzero(slack < 0)
-    return TailBoundReport(
-        passed=bad.size == 0,
-        max_slack=float(np.max(slack)) if l.size else 0.0,
-        first_violation=float(l[bad[0]]) if bad.size else None,
-        violations=tuple(float(v) for v in l[bad]),
-    )

@@ -28,7 +28,7 @@ def _divergence_members(As, Bs, integrand, tol: float):
     The As must share atoms and sigma, and so must the Bs: the kernel calls
     are shared, and each member keeps its own window, breakpoints and
     quadrature, so it gets the bits of its lone call. Returns each member's
-    QuadResult, and its mass of rho_A outside the window less that of rho_B."""
+    QuadResult, and the windows' lower and upper ends."""
     A, rows_a = As[0], _member_rows(As)
     B, rows_b = Bs[0], _member_rows(Bs)
     every = np.arange(len(As))
@@ -41,10 +41,7 @@ def _divergence_members(As, Bs, integrand, tol: float):
         lambda t, member: integrand(A.log_pdf(t, rows_a(member)),
                                     B.log_pdf(t, rows_b(member))),
         [_seed_breakpoints(A, B, lo[i], hi[i]) for i in every], tol)
-    a_tail, b_tail = (np.exp(m.log_cdf(lo, rows(every)))
-                      + np.exp(m.log_sf(hi, rows(every)))
-                      for m, rows in ((A, rows_a), (B, rows_b)))
-    return results, a_tail - b_tail
+    return results, lo, hi
 
 
 def _kl_integrand(la, lb):
@@ -90,10 +87,14 @@ def kl_divergence(A: SmoothedMixture, B: SmoothedMixture,
 def _kl_members(As, Bs, tol: float = 1e-10) -> list:
     """kl_divergence(As[i], Bs[i], tol) for each member i, bit for bit, with
     the kernel calls shared as in _divergence_members."""
-    results, clipped = _divergence_members(As, Bs, _kl_integrand, tol)
+    results, lo, hi = _divergence_members(As, Bs, _kl_integrand, tol)
+    every = np.arange(len(As))
+    a_tail, b_tail = (np.exp(m.log_cdf(lo, rows)) + np.exp(m.log_sf(hi, rows))
+                      for m, rows in ((As[0], _member_rows(As)(every)),
+                                      (Bs[0], _member_rows(Bs)(every))))
     values = []
     # int_w (rho_B - rho_A) = tail-mass(A) - tail-mass(B)
-    for res, corr in zip(results, clipped):
+    for res, corr in zip(results, a_tail - b_tail):
         value = res.total - float(corr)
         if value < 0.0:
             value = 0.0 if value >= -10 * tol else value
@@ -104,7 +105,7 @@ def _kl_members(As, Bs, tol: float = 1e-10) -> list:
 def chi2_divergence(A: SmoothedMixture, B: SmoothedMixture,
                     tol: float = 1e-10) -> float:
     """int (rho_A - rho_B)^2 / rho_B over the joint deep-quantile window."""
-    (res,), _ = _divergence_members([A], [B], _chi2_integrand, tol)
+    (res,), _, _ = _divergence_members([A], [B], _chi2_integrand, tol)
     return res.total
 
 

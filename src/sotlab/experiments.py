@@ -295,14 +295,24 @@ def bernoulli_scan(K: float, sigma: float, epsilon: float, n_list, trials: int,
     Returns (plan, E[W2] series); per-trial W2 values are square roots of the
     exact quadratic transport costs, and the E[W2^2] series rides along on the
     plan. Points with n p_h < 128 (the regime where the one-sided CDF event is
-    not guaranteed) are flagged but still estimated.
+    not guaranteed) are flagged but still estimated. An epsilon whose delta
+    reaches min(1/2, 1 - 1/(2 K^2 zeta)) raises ParameterError naming epsilon,
+    before any trial runs.
     """
     if not K > sigma:
         raise ValueError("the adaptive scan requires K > sigma")
     delta = solve_delta(K, sigma, epsilon)
     z = zeta_constant(K, sigma)
-    if delta >= min(0.5, 1.0 - 1.0 / (2.0 * K * K * z)):
-        raise ValueError("epsilon too large: delta violates its admissible range")
+    d_max = min(0.5, 1.0 - 1.0 / (2.0 * K * K * z))
+    if delta >= d_max:
+        # delta(eps) increases, so d_max bounds eps through its inverse
+        kap = (sigma / K) ** 2
+        eps_max = (d_max * (1.0 + kap) * (1.0 + 2.0 * kap)
+                   / (2.0 * ((1.0 + kap) - d_max * (1.0 + 3.0 * kap))))
+        raise constructions.ParameterError(
+            "epsilon", f"epsilon = {epsilon!r} gives delta = {delta:.6g}; the "
+                       f"construction needs delta < {d_max:.6g}, that is "
+                       f"epsilon < {eps_max:.6g} at K = {K!r}, sigma = {sigma!r}")
     n_list = sorted(int(n) for n in n_list)
     children = seed_sequence(seed).spawn(len(n_list))
     records = []

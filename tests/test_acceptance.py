@@ -3,7 +3,8 @@ import time
 
 import pytest
 
-from sotlab import acceptance, divergences
+from sotlab import (acceptance, divergences, functional_ineq, tail_bounds,
+                    transport)
 
 
 @pytest.mark.parametrize("fn", acceptance.CRITERIA, ids=lambda f: f.__name__)
@@ -53,4 +54,51 @@ def test_criterion_6_rejects_planted_defect(defect, monkeypatch):
                         _planted_mi_defect(defect))
     result = acceptance.check_6_chi2_mi_phase(quick=True,
                                               seed=acceptance.DEFAULT_SEED)
+    assert not result.passed, result.detail
+
+
+def test_criterion_13_reports_min_tail_slack():
+    # e^(-l^2/2) - (1 - Phi(l)) over l in [0, 10] is least at l = 10 and
+    # greatest (5.79e-01) at l = 0.4; the gate rests on the least
+    result = acceptance.check_13_subgaussianity(quick=True,
+                                                seed=acceptance.DEFAULT_SEED)
+    assert result.passed, result.detail
+    assert result.detail.endswith("tail check min slack 1.85e-22")
+
+
+def _w2_off(real):
+    def wrong(A, B, *args, **kwargs):
+        ev = real(A, B, *args, **kwargs)
+        return dataclasses.replace(ev, total=ev.total * (1.0 + 1e-5))
+    return wrong
+
+
+def _lsi_capped(real):
+    cap = real(10.0, 2.0, 1.0).lsi_lower
+
+    def wrong(h, K, sigma):
+        probe = real(h, K, sigma)
+        return dataclasses.replace(probe, lsi_lower=min(probe.lsi_lower, cap))
+    return wrong
+
+
+def _alpha_off(real):
+    return lambda K, sigma: real(K, sigma) + 0.01
+
+
+@pytest.mark.parametrize("criterion, module, name, plant", [
+    (acceptance.check_1_closed_form_transport, transport, "w2_squared",
+     _w2_off),
+    # the bound saturates at its value at h = 10, K = 2, sigma = 1
+    (acceptance.check_11_lsi_divergence, functional_ineq, "lsi_lower_bound",
+     _lsi_capped),
+    (acceptance.check_14_exponent_identities, tail_bounds, "alpha_exponent",
+     _alpha_off),
+], ids=["1_w2_off_1e-5", "11_lsi_capped", "14_alpha_off_0.01"])
+def test_criterion_rejects_planted_defect(criterion, module, name, plant,
+                                          monkeypatch):
+    """One library function with a known error; the quick criterion at the
+    default seed must fail."""
+    monkeypatch.setattr(module, name, plant(getattr(module, name)))
+    result = criterion(quick=True, seed=acceptance.DEFAULT_SEED)
     assert not result.passed, result.detail

@@ -76,7 +76,7 @@ def test_batched_kl_matches_one_call_each(case):
     got = divergences._kl_members(As, Bs, tol=1e-10)
     want = [divergences.kl_divergence(A, B, tol=1e-10) for A, B in zip(As, Bs)]
     assert _bits(got) == _bits(want)
-    results, _ = divergences._divergence_members(
+    results, _, _ = divergences._divergence_members(
         As, Bs, divergences._chi2_integrand, 1e-10)
     want = [divergences.chi2_divergence(A, B, tol=1e-10) for A, B in zip(As, Bs)]
     assert _bits([r.total for r in results]) == _bits(want)

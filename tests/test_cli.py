@@ -431,12 +431,25 @@ _FAR_PAIR = {"atoms": [{"x": 1e8, "logw": math.log(0.5)},
     ("mi-probe", {"dist": {"family": "chi2_hard", "K": 2.0, "k_max": 10},
                   "kind": "chi2", "sigma": 1e-170},
      "sigma", "sigma = 1e-170: sigma^2 is not a normal float"),
+    ("rate-scan", {"family": "bernoulli", "K": 2.0,
+                   "n_list": [128, 256, 512], "trials": 4, "epsilon": 0.0},
+     "epsilon", "epsilon must be positive"),
+    ("rate-scan", {"family": "bernoulli", "K": 2.0,
+                   "n_list": [128, 256, 512], "trials": 4, "epsilon": -1.0},
+     "epsilon", "epsilon must be positive"),
+    # delta(epsilon) reaches the construction's bound 0.36 at epsilon 0.544
+    ("rate-scan", {"family": "bernoulli", "K": 2.0,
+                   "n_list": [128, 256, 512], "trials": 4, "epsilon": 5.0},
+     "epsilon", "epsilon = 5.0 gives delta = 0.645161; the construction "
+     "needs delta < 0.36, that is epsilon < 0.544355 at K = 2.0, "
+     "sigma = 1.0"),
+    # a rate fit needs 3 distinct sample sizes
     ("rate-scan", {"family": "bernoulli", "K": 2.0, "n_list": [128, 256],
-                   "trials": 4, "epsilon": 0.0}, "epsilon",
-     "epsilon must be positive"),
-    ("rate-scan", {"family": "bernoulli", "K": 2.0, "n_list": [128, 256],
-                   "trials": 4, "epsilon": -1.0}, "epsilon",
-     "epsilon must be positive"),
+                   "trials": 4}, "n_list", "expected at least 3 distinct"),
+    ("rate-scan", {"family": "two_point", "K": 2.0, "n_list": [64, 64, 128],
+                   "trials": 4}, "n_list", "expected at least 3 distinct"),
+    ("phase-scan", {"K_list": [0.7], "n_list": [64, 128], "trials": 4},
+     "n_list", "expected at least 3 distinct"),
     # sigma_b defaults to sigma_a, so sigma would not be read
     ("w2", {"A": ATOMS, "B": ATOMS, "sigma": 2.0, "sigma_a": 1.0,
             "sigma_b": 1.5}, "sigma", "not read where sigma_a is given"),
@@ -458,7 +471,9 @@ _FAR_PAIR = {"atoms": [{"x": 1e8, "logw": math.log(0.5)},
         "mi_probe_negative_tol", "mi_probe_renyi_tol",
         "mi_probe_sigma_below_spacing", "mi_probe_renyi_sigma_below_spacing",
         "mi_probe_sigma_squared_not_normal", "rate_scan_zero_epsilon",
-        "rate_scan_negative_epsilon", "w2_sigma_next_to_both_sides",
+        "rate_scan_negative_epsilon", "rate_scan_epsilon_past_range",
+        "rate_scan_two_n", "rate_scan_repeated_n", "phase_scan_two_n",
+        "w2_sigma_next_to_both_sides",
         "w2_sigma_next_to_sigma_a"])
 def test_out_of_range_value_exits_2(runner, tmp_path, command, cfg, field,
                                     message):

@@ -18,8 +18,8 @@ from scipy.special import log_ndtr
 
 from sotlab import dist_core
 from sotlab.dist_core import (AtomicDistribution, EmpiricalMeasure,
-                              SmoothedMixture, gaussian_tail_bound_check,
-                              log1mexp, logdiffexp, logsumexp, seed_sequence)
+                              SmoothedMixture, log1mexp, logdiffexp,
+                              logsumexp, seed_sequence)
 from sotlab.transport import _transport_map
 
 from conftest import random_mixture
@@ -371,13 +371,6 @@ def test_empirical_measure_cdf():
     assert e.n == 3
     np.testing.assert_allclose(e.cdf(np.array([0.0, 1.0, 2.5, 5.0])),
                                [0.0, 1 / 3, 2 / 3, 1.0])
-
-
-def test_gaussian_tail_bound():
-    rep = gaussian_tail_bound_check(np.linspace(0.0, 10.0, 101))
-    assert rep.passed
-    with pytest.raises(ValueError):
-        gaussian_tail_bound_check(np.array([-1.0]))
 
 
 # -- kernel row blocks ------------------------------------------------------------

@@ -256,6 +256,21 @@ def test_solve_delta():
                         rel_tol=1e-14)
 
 
+def test_bernoulli_scan_refuses_epsilon_past_range(monkeypatch):
+    # at K = 2, sigma = 1 delta must stay below 0.36, so epsilon below 0.5444
+    plan, _ = exp.bernoulli_scan(2.0, 1.0, 0.540, (128,), 2, 1)
+    assert plan.delta < 0.36
+
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(exp, "mc_w2sq_values", no_trials)
+    for epsilon in (0.545, 5.0):
+        with pytest.raises(cons.ParameterError, match="epsilon < 0.544355") as err:
+            exp.bernoulli_scan(2.0, 1.0, epsilon, (128, 256, 512), 4, 1)
+        assert err.value.name == "epsilon"
+
+
 def test_scan_h_increases_with_n():
     d = exp.solve_delta(2.0, 1.0, 0.02)
     hs = [exp.scan_h(n, 2.0, 1.0, d) for n in (128, 1024, 8192)]
