@@ -356,10 +356,11 @@ def rate_scan(cfg, seed, out_path):
             plan, series = experiments.bernoulli_scan(K, sigma, epsilon, n_list,
                                                       trials, seed, tol)
         except constructions.ParameterError as exc:
-            # raised before any trial runs: epsilon past the construction's range
-            if exc.name != "epsilon":
+            # raised before any trial runs: epsilon past the construction's
+            # range, or a sigma that makes h(n) too small for P_h
+            if exc.name not in ("epsilon", "sigma"):
                 raise
-            raise ConfigError("epsilon", str(exc))
+            raise ConfigError(exc.name, str(exc))
         rows = [("w2",) + q for q in series.points]
         rows += [("w2sq",) + q for q in plan.w2sq_series.points]
         meta.update({"epsilon": epsilon, "delta": plan.delta,

@@ -295,9 +295,10 @@ def bernoulli_scan(K: float, sigma: float, epsilon: float, n_list, trials: int,
     Returns (plan, E[W2] series); per-trial W2 values are square roots of the
     exact quadratic transport costs, and the E[W2^2] series rides along on the
     plan. Points with n p_h < 128 (the regime where the one-sided CDF event is
-    not guaranteed) are flagged but still estimated. An epsilon whose delta
-    reaches min(1/2, 1 - 1/(2 K^2 zeta)) raises ParameterError naming epsilon,
-    before any trial runs.
+    not guaranteed) are flagged but still estimated. Before any trial runs,
+    an epsilon whose delta reaches min(1/2, 1 - 1/(2 K^2 zeta)) raises
+    ParameterError naming epsilon, and a sigma so small against K that some
+    P_h(n)'s h-atom weight rounds to 1 raises it naming sigma.
     """
     if not K > sigma:
         raise ValueError("the adaptive scan requires K > sigma")
@@ -314,14 +315,21 @@ def bernoulli_scan(K: float, sigma: float, epsilon: float, n_list, trials: int,
                        f"construction needs delta < {d_max:.6g}, that is "
                        f"epsilon < {eps_max:.6g} at K = {K!r}, sigma = {sigma!r}")
     n_list = sorted(int(n) for n in n_list)
+    hs = [scan_h(n, K, sigma, delta) for n in n_list]
+    try:
+        ps = [constructions.bernoulli_two_point(h, K) for h in hs]
+    except constructions.ParameterError as exc:
+        # h(n) shrinks with sigma / K until P_h's h-atom weight rounds to 1
+        raise constructions.ParameterError(
+            "sigma", f"sigma = {sigma!r} is too small for K = {K!r}: the "
+                     f"scan's smallest h(n) = {hs[0]:.6g} at n = {n_list[0]}, "
+                     f"and {exc}") from exc
     children = seed_sequence(seed).spawn(len(n_list))
     records = []
     w_points = []
     wsq_points = []
-    for n, child in zip(n_list, children):
-        h = scan_h(n, K, sigma, delta)
+    for n, h, p, child in zip(n_list, hs, ps, children):
         t = 0.5 * h + sigma * sigma * h / (2.0 * K * K)
-        p = constructions.bernoulli_two_point(h, K)
         p_h = math.exp(p.log_weights[1])
         records.append(ScanRecord(n=n, h=h, t=t, p_h=p_h,
                                   feasible=bool(n * p_h >= 128.0)))

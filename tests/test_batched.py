@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sotlab import _quad, constructions, divergences, dist_core, transport
+from sotlab._quad import QuadratureError
 from sotlab.dist_core import (AtomicDistribution, QuantileSolveError,
                               SmoothedMixture)
 
@@ -70,15 +71,31 @@ def test_batched_w2_matches_one_call_each(case):
 
 @settings(max_examples=12, deadline=None)
 @given(pairs)
+# rho_B's tail is so much lighter than rho_A's that chi^2 is ~1e232 and
+# no panel meets its tol: the lone chi^2 raises, and so must the batch
+@example(case=(64, 2, 1, 1, True, False))
 def test_batched_kl_matches_one_call_each(case):
-    """KL, and chi^2 through the same members driver."""
+    """KL, and chi^2 through the same members driver. Where a lone chi^2
+    raises QuadratureError the batch raises it too, with the last estimate
+    of the first member that raises alone."""
     As, Bs = _batch(*case)
     got = divergences._kl_members(As, Bs, tol=1e-10)
     want = [divergences.kl_divergence(A, B, tol=1e-10) for A, B in zip(As, Bs)]
     assert _bits(got) == _bits(want)
+    want, raised = [], []
+    for A, B in zip(As, Bs):
+        try:
+            want.append(divergences.chi2_divergence(A, B, tol=1e-10))
+        except QuadratureError as exc:
+            raised.append(exc.estimate)
+    if raised:
+        with pytest.raises(QuadratureError) as ei:
+            divergences._divergence_members(As, Bs, divergences._chi2_integrand,
+                                            1e-10)
+        assert _bits([ei.value.estimate]) == _bits(raised[:1])
+        return
     results, _, _ = divergences._divergence_members(
         As, Bs, divergences._chi2_integrand, 1e-10)
-    want = [divergences.chi2_divergence(A, B, tol=1e-10) for A, B in zip(As, Bs)]
     assert _bits([r.total for r in results]) == _bits(want)
 
 
@@ -215,18 +232,41 @@ def test_count_draw_is_the_choice_draw(k, n):
         assert rng_counts.bit_generator.state == rng_atoms.bit_generator.state == state
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 9, 50])
+def test_draw_counts_are_the_drawn_atoms_counts(k):
+    """The counts equal np.bincount of the atoms drawn from the same seed,
+    by comparison passes and by the sort: n from 1 to 16384, on both sides
+    of n = (k - 1) * _COUNT_PASS_MIN, weights from near-point masses to
+    near-uniform."""
+    cut = (k - 1) * dist_core._COUNT_PASS_MIN
+    ns = sorted({n for n in (1, 2, 7, 128, 1023, 1024, 4096, 16384,
+                             cut - 1, cut, cut + 1) if 1 <= n <= 16384})
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        alpha = (0.05, 1.0, 50.0)[seed % 3]
+        w = np.maximum(rng.dirichlet(np.full(k, alpha)), 1e-300)
+        p = AtomicDistribution.from_weights(np.arange(k, dtype=float), w)
+        for n in ns:
+            atoms = p._draw_atoms(n, np.random.default_rng([seed, n]))
+            counts = p._draw_counts(n, np.random.default_rng([seed, n]))
+            assert counts.tolist() == np.bincount(atoms, minlength=k).tolist()
+
+
 # -- the quantile solver converges or raises ----------------------------------------
 
-# Found by a search over random mixtures and targets: plain safeguarded
-# Newton, started at x ~ -5.3716 (the greatest single-atom bound of this
-# upper target), settles into a cycle between x ~ 2.7277 and x ~ 6.0962,
-# each step just inside the bracket, and is still open at the cap. With the
-# bisection from iteration _BISECT_FROM on it converges at iteration 48.
+# Plain safeguarded Newton settles into a cycle between x ~ 2.7277 and
+# x ~ 6.0962 for this upper target, each step just inside the bracket, and
+# is still open at the cap; with the bisection from iteration _BISECT_FROM on
+# it converges at iteration 49. The first five atoms cycled from the old
+# per-atom start (found by a search over random mixtures); the start table
+# puts that target 3e-5 from its root. The sixth atom, of weight e^-40 and
+# ~5000 sigma out, stretches the table's 513-point grid to ~10 sigma spacing,
+# which puts the start at x ~ 2.7262, inside the cycle's basin.
 TWO_CYCLE = SmoothedMixture(AtomicDistribution(
     np.array([-6.1542075999091335, -6.059549683787808, 2.846055108667544,
-              4.232549096563387, 7.936331593023956]),
+              4.232549096563387, 7.936331593023956, 4701.696462923957]),
     np.array([-1.130505683871538, -1.0996822209024502, -2.8445929221955737,
-              -1.848321026828306, -2.051874210499546])),
+              -1.848321026828306, -2.051874210499546, -40.0])),
     0.9099389986127446)
 TWO_CYCLE_TARGET = -1.6353981059606415
 
@@ -242,7 +282,7 @@ def test_quantile_two_cycle_converges(monkeypatch):
 
 
 def test_quantile_cap_raises_with_the_count(monkeypatch):
-    # 48, 7 and 5 iterations with no cap
+    # 49, 4 and 5 iterations with no cap
     monkeypatch.setattr(dist_core, "_NEWTON_CAP", 3)
     targets = np.array([TWO_CYCLE_TARGET, -1.0, math.log(0.5)])
     with pytest.raises(QuantileSolveError, match=r"^3 quantile target\(s\) "
@@ -251,20 +291,32 @@ def test_quantile_cap_raises_with_the_count(monkeypatch):
     assert ei.value.unconverged == 3 and isinstance(ei.value, RuntimeError)
 
 
+def _fresh(m):
+    """An equal mixture with none of m's cached start tables."""
+    return SmoothedMixture(AtomicDistribution(m.base.locations,
+                                              m.base.log_weights), m.sigma)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.one_of(st.just(0), st.integers(1, 64)),
-       st.integers(0, 40), st.booleans())
+       st.integers(0, 400), st.booleans())
 def test_mixed_tail_solve_matches_one_solve_per_tail(seed, n_atoms, n_targets,
                                                      with_rows):
     """One solve over targets of both tails gives the bits of one solve per
-    tail, with and without per-target rows; n_atoms 0 stands for TWO_CYCLE.
-    Targets run from -700 to just below log(0.75), the two-cycle target
-    among them, and there may be none."""
+    tail, and of a lone solve of a few of its targets, with and without
+    per-target rows; n_atoms 0 stands for TWO_CYCLE. Targets run from -700
+    to just below log(0.75), two fifths of them from -30 (where the start
+    table serves), the two-cycle target among them, and there may be none.
+    The per-tail and lone solves run on fresh copies of the mixture, so each
+    builds its own start tables, from other rows than the mixed solve."""
     rng = np.random.default_rng(seed)
     m = TWO_CYCLE if n_atoms == 0 else random_mixture(
         rng, n_atoms, float(rng.uniform(0.3, 2.0)), span=max(4.0, n_atoms / 4.0))
     top = np.nextafter(math.log(0.75), -math.inf)
     targets = np.minimum(rng.uniform(-700.0, math.log(0.75), n_targets), top)
+    near = rng.random(n_targets) < 0.4
+    targets[near] = np.minimum(rng.uniform(-30.0, math.log(0.75), near.sum()),
+                               top)
     targets[rng.random(n_targets) < 0.2] = TWO_CYCLE_TARGET
     targets[rng.random(n_targets) < 0.1] = top
     upper = rng.random(n_targets) < 0.5
@@ -276,20 +328,25 @@ def test_mixed_tail_solve_matches_one_solve_per_tail(seed, n_atoms, n_targets,
     want = np.empty(n_targets)
     for flag in (False, True):
         on = upper == flag
-        want[on] = m.quantile_from_log_mass(
+        want[on] = _fresh(m).quantile_from_log_mass(
             targets[on], upper=flag, log_weights=None if rows is None else rows[on])
     assert got.shape == (n_targets,)
     assert _bits(got) == _bits(want)
+    for i in rng.choice(n_targets, min(n_targets, 3), replace=False):
+        lone = _fresh(m).quantile_from_log_mass(
+            targets[i:i + 1], upper=upper[i],
+            log_weights=None if rows is None else rows[i:i + 1])
+        assert _bits(lone) == _bits(got[i:i + 1])
 
 
 @pytest.mark.parametrize("cap, per_tail", [(8, [1, 1]), (10, [0, 1])])
 def test_mixed_tail_cap_counts_both_tails(monkeypatch, cap, per_tail):
     """At the cap a mixed solve raises with the open targets of both tails:
     the sum of what one solve per tail leaves open. With no cap the lower
-    targets take 4, 6 and 10 iterations, the upper ones 48, 5 and 1."""
+    targets take 4, 6 and 10 iterations, the upper ones 49, 5 and 5."""
     monkeypatch.setattr(dist_core, "_NEWTON_CAP", cap)
     targets = np.array([TWO_CYCLE_TARGET, -30.0, math.log(0.5),
-                        TWO_CYCLE_TARGET, -30.0, -1.0])
+                        TWO_CYCLE_TARGET, -30.0, -456.0])
     upper = np.array([True, False, True, False, True, False])
     open_ = []
     for flag in (False, True):

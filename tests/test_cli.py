@@ -443,6 +443,11 @@ _FAR_PAIR = {"atoms": [{"x": 1e8, "logw": math.log(0.5)},
      "epsilon", "epsilon = 5.0 gives delta = 0.645161; the construction "
      "needs delta < 0.36, that is epsilon < 0.544355 at K = 2.0, "
      "sigma = 1.0"),
+    # h(n) shrinks with sigma / K until P_h's h-atom weight rounds to 1
+    ("rate-scan", {"family": "bernoulli", "K": 2.0, "sigma": 1e-9,
+                   "n_list": [128, 256, 512], "trials": 4}, "sigma",
+     "sigma = 1e-09 is too small for K = 2.0: the scan's smallest h(n) = "
+     "1.444e-08 at n = 128"),
     # a rate fit needs 3 distinct sample sizes
     ("rate-scan", {"family": "bernoulli", "K": 2.0, "n_list": [128, 256],
                    "trials": 4}, "n_list", "expected at least 3 distinct"),
@@ -472,7 +477,7 @@ _FAR_PAIR = {"atoms": [{"x": 1e8, "logw": math.log(0.5)},
         "mi_probe_sigma_below_spacing", "mi_probe_renyi_sigma_below_spacing",
         "mi_probe_sigma_squared_not_normal", "rate_scan_zero_epsilon",
         "rate_scan_negative_epsilon", "rate_scan_epsilon_past_range",
-        "rate_scan_two_n", "rate_scan_repeated_n", "phase_scan_two_n",
+        "rate_scan_bernoulli_tiny_sigma", "rate_scan_two_n", "rate_scan_repeated_n", "phase_scan_two_n",
         "w2_sigma_next_to_both_sides",
         "w2_sigma_next_to_sigma_a"])
 def test_out_of_range_value_exits_2(runner, tmp_path, command, cfg, field,

@@ -16,7 +16,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import special
 from scipy.special import log_ndtr
 
-from sotlab import dist_core
+from sotlab import constructions, dist_core
 from sotlab.dist_core import (AtomicDistribution, EmpiricalMeasure,
                               SmoothedMixture, log1mexp, logdiffexp,
                               logsumexp, seed_sequence)
@@ -156,13 +156,19 @@ def test_quantile_cdf_roundtrip(m):
 
 def test_quantile_newton_step_overflow_is_quiet(monkeypatch):
     """A mixture with an outlier atom 75 units out (found by a search over
-    such mixtures): at an iterate in the gap the log-density underflows (below
-    -1000 where log F and log S are above -5), the Newton step g / deriv
-    divides by zero, and the bracket's bisection takes over. That is
-    expected, so it raises no warning, and the quantiles keep their bits."""
+    such mixtures), and one of weight e^-40 1e5 out: that one stretches the
+    start table's 513-point grid to ~280 sigma spacing, so the starts fall
+    back to the per-atom bracket's end (on a fine grid no iterate gets far
+    into the gap). At an iterate in the gap the log-density underflows
+    (below -1000 where log F and log S are above -5), the Newton step
+    g / deriv divides by zero, and the bracket's bisection takes over. That
+    is expected, so it raises no warning, and the quantiles keep their
+    bits."""
     m = SmoothedMixture(AtomicDistribution(
-        np.array([-0.18160172726167745, 0.6554051876408835, 74.95936876730595]),
-        np.array([-4.123330128061308, -0.8762747963793572, -0.5665523315149378])),
+        np.array([-0.18160172726167745, 0.6554051876408835, 74.95936876730595,
+                  1e5]),
+        np.array([-4.123330128061308, -0.8762747963793572, -0.5665523315149378,
+                  -40.0])),
         0.6956780597989105)
     lowest = []
     log_pdf = SmoothedMixture.log_pdf
@@ -178,7 +184,7 @@ def test_quantile_newton_step_overflow_is_quiet(monkeypatch):
         q = m.quantile(np.arange(1, 256) / 256)
     assert min(lowest) < -1000.0
     assert hashlib.sha256(q.tobytes()).hexdigest() == \
-        "befd11ba6000617bd01b3046a01761a197bc1bd1ca942b66eb1b6441292dd9cf"
+        "88a69b1d45a963c859a08ee6c42f74bac2e083b1a15555d187a6dcc28a4ef3c9"
 
 
 @settings(max_examples=60, deadline=None)
@@ -187,10 +193,13 @@ def test_quantile_newton_step_overflow_is_quiet(monkeypatch):
 def test_quantile_bracket_straddles_the_target(seed, n_atoms, with_rows,
                                                scale):
     """At the two ends of each target's start bracket the log-mass the solver
-    computes lies on either side of the target, with the start point between
-    them: mixtures of 1-64 atoms with weights down to about e^-600, spread
-    over up to 1e6 times the usual span, with and without per-target rows,
-    targets of both tails from -700 to just below log(0.75)."""
+    computes lies on either side of the target, with the per-atom start and
+    the Newton start (from the start table or not) between them: mixtures of
+    1-64 atoms with weights down to about e^-600, spread over up to 1e6
+    times the usual span, with and without per-target rows, targets of both
+    tails from -700 to just below log(0.75). A target whose bracket leaves
+    the table's grid, and every target of a one-atom mixture, keeps the
+    per-atom start."""
     rng = np.random.default_rng(seed)
     m = random_mixture(rng, n_atoms, float(rng.uniform(0.3, 2.0)),
                        span=max(4.0, n_atoms / 4.0) * scale)
@@ -215,6 +224,44 @@ def test_quantile_bracket_straddles_the_target(seed, n_atoms, with_rows,
     at_hi = sign * (m._atom_logsum(hi, sign, rows) - lm)
     assert np.all(at_lo <= 0.0) and np.all(at_hi >= 0.0)
     assert np.all((lo <= x0) & (x0 <= hi))
+    x = m._table_start(lm, up, rows, lo, hi, x0)
+    assert np.all(np.isfinite(x)) and np.all((lo <= x) & (x <= hi))
+    grid = m._start_grid()
+    kept = (n_atoms == 1) | (lo < grid[0]) | (hi > grid[-1])
+    assert _bits(x[kept]) == _bits(x0[kept])
+
+
+@pytest.mark.parametrize("h", [5.0, 7.0, 9.0, 12.0])
+def test_gap_quantiles_take_a_bounded_number_of_passes(h):
+    """Targets in the density gap of bernoulli_two_point(h, 2) at sigma = 1
+    (the log-masses the transport map inverts at 41 points at least sigma
+    from both atoms, off the table's grid), each solved alone on a new
+    mixture object so that its start table is built: at most 6 signed
+    passes at every h. The bound is the design's: one table pass; a start
+    within one sigma / 8 grid step of the root, from which Newton's
+    quadratic convergence (relative error 2^-3, 2^-6, ..., 2^-48) meets the
+    1e-13 stopping rule in 4 steps; and the pass that finds it done. From the
+    per-atom start the most passes grew with h: 8, 10, 12 and 15."""
+    base = constructions.bernoulli_two_point(h, 2.0)
+    m = SmoothedMixture(base, 1.0)
+    x = 1.0 + (h - 2.0) * (np.arange(41) + 0.5) / 41
+    lower, lc, ls = m._log_sides(x)
+    lm = np.where(lower, lc, ls)
+    passes = []
+    atom_logsum = SmoothedMixture._atom_logsum
+
+    def spy(self, t, sign=None, log_weights=None):
+        if sign is not None:
+            passes[-1] += 1
+        return atom_logsum(self, t, sign, log_weights)
+
+    with mock.patch.object(SmoothedMixture, "_atom_logsum", spy):
+        for i in range(x.size):
+            passes.append(0)
+            q = SmoothedMixture(base, 1.0).quantile_from_log_mass(
+                lm[i:i + 1], upper=~lower[i:i + 1])
+            assert abs(q[0] - x[i]) <= 1e-9 * (1.0 + h)
+    assert max(passes) <= 6, passes
 
 
 @settings(max_examples=25, deadline=None)

@@ -32,11 +32,11 @@ CASES = {
     "mi_probe_renyi_hard10.json": ("mi-probe",
         "f0e7b6d49b5497e2287ec82676a766ae27510974b9c3bf72d758f10b5bf3c236", None),
     "rate_scan_two_point.json": ("rate-scan",
-        "ed6a13c80cd03fb30109d3c8d4cba17f585a3f952cf947da48a6d886af92c5c0",
-        "6f28a9090a4d71cd6238afeec6a5bc6665341a7c3024d44584e3d1c80c10503c"),
+        "5fc3705355f5c3b0bcb53412d71b982a6a86ab8af669238e3aecf15e0a79a960",
+        "5dc9cad1d422bda2a7681ca3eb48206b8fa9de717706ca7ca2529374d94c0cd5"),
     "rate_scan_bernoulli.json": ("rate-scan",
-        "5861dfdd1064fd1f70aa04f3f14c697074ad2eac94b4e4076fff9956af5c0489",
-        "4f7553064e37b08d585fa2d11925a0f8ce217ea571a6a00e47e0b6ff45f94f8f"),
+        "c9d454c623cbb64268703227f6a633659e1a8e6abb9c658ef2f3c1064444f8c9",
+        "2c697c5ec8b7c833f912a75c65f43a26882d86438dc7c9e74bd97d8fa47904e9"),
     "rate_scan_kl.json": ("rate-scan",
         "867e1d358a290d6f262f0df30eb79a50bd18ca1b3b733b55431a5cda3aa6def0",
         "ccc48f36811eeaa8f0c06892293c3cdac2e14c142ce967fb2b9d286953bb7e34"),
@@ -53,9 +53,9 @@ CASES = {
     "lsi_probe.json": ("lsi-probe",
         "4c5df4ac725c1500420a2071462372a4827fd381b8a610a75f0d909d9a299cdc", None),
     "t2_probe.json": ("t2-probe",
-        "36a8b2cd98e8b0d1d75e0a51987669e570a5b2709cb8635aeb9807e04b486f86", None),
+        "b0f7c88e6fff8d95a78bedb69476849b46535c1834f9248c6549ea3a85f1c1a4", None),
     "phase_scan.json": ("phase-scan",
-        "691109f2085356b0f6449b21182904e32ca6c24bc9ccae44fe3c51cd465f87dc", None),
+        "c0ee0a59bdade8040dd812eb690929ce43d89d787097f783cdd32775368a9405", None),
 }
 
 # config file -> sha256 of <out>.plan.json, for the configs that write one
