@@ -2,16 +2,18 @@
 transport, Monte Carlo oracles, rate fits, mutual-information blow-up,
 concentration events, tail tightness, and the functional-inequality probes.
 
-Each criterion is a function (quick, seed) -> AcceptanceResult.
+Each criterion is a function (quick, seed) -> AcceptanceResult that only
+judges: it reads no clock, so its result is a function of (quick, seed).
+`run_all` times each criterion into the result's `seconds`.
 `quick` trades statistical resolution for runtime (the full suite targets the
 per-criterion budgets; quick mode finishes in well under two minutes); the
 assertions themselves are identical.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -20,19 +22,20 @@ from . import (concentration, constructions, divergences, experiments,
                functional_ineq, tail_bounds, transport)
 from .dist_core import AtomicDistribution, SmoothedMixture
 
+DEFAULT_SEED = 20260823
 
-@dataclass(frozen=True)
+
+@dataclasses.dataclass(frozen=True)
 class AcceptanceResult:
     criterion: int
     name: str
     passed: bool
     detail: str
-    seconds: float
+    seconds: float = 0.0    # wall time, set by run_all
 
-
-def _result(criterion, name, passed, detail, t0):
-    return AcceptanceResult(criterion=criterion, name=name, passed=bool(passed),
-                            detail=detail, seconds=time.time() - t0)
+    def __post_init__(self):
+        # a gate may evaluate to a numpy bool
+        object.__setattr__(self, "passed", bool(self.passed))
 
 
 def _single_atom(mu: float, sigma: float) -> SmoothedMixture:
@@ -48,8 +51,7 @@ def _random_mixture(rng, n_atoms: int, sigma: float) -> SmoothedMixture:
     return SmoothedMixture(AtomicDistribution.from_weights(locs, w), sigma)
 
 
-def check_1_closed_form_transport(quick=False, seed=20260823):
-    t0 = time.time()
+def check_1_closed_form_transport(quick=False, seed=DEFAULT_SEED):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(10):
@@ -57,12 +59,12 @@ def check_1_closed_form_transport(quick=False, seed=20260823):
         s = rng.uniform(0.5, 2.0)
         got = transport.w2_squared(_single_atom(mu1, s), _single_atom(mu2, s)).total
         worst = max(worst, abs(got - (mu1 - mu2) ** 2))
-    return _result(1, "closed-form single-atom transport", worst <= 1e-6,
-                   f"max |error| = {worst:.3e} (tol 1e-6)", t0)
+    return AcceptanceResult(
+        1, "closed-form single-atom transport", worst <= 1e-6,
+        f"max |error| = {worst:.3e} (tol 1e-6)")
 
 
-def check_2_mc_coupling_oracle(quick=False, seed=20260823):
-    t0 = time.time()
+def check_2_mc_coupling_oracle(quick=False, seed=DEFAULT_SEED):
     rng = np.random.default_rng(seed)
     pairs = 6 if quick else 20
     # the oracle's stderr comes from 50 batches, so z follows t with 49
@@ -94,12 +96,12 @@ def check_2_mc_coupling_oracle(quick=False, seed=20260823):
         z = abs(exact - oracle) / se if se > 0 else math.inf
         worst_z = max(worst_z, z)
         fails += z > 4.0
-    return _result(2, "sorted-sample MC coupling oracle", fails == 0,
-                   f"{pairs} pairs, worst |z| = {worst_z:.2f} (limit 4)", t0)
+    return AcceptanceResult(
+        2, "sorted-sample MC coupling oracle", fails == 0,
+        f"{pairs} pairs, worst |z| = {worst_z:.2f} (limit 4)")
 
 
-def check_3_crossing_bound(quick=False, seed=20260823):
-    t0 = time.time()
+def check_3_crossing_bound(quick=False, seed=DEFAULT_SEED):
     rng = np.random.default_rng(seed)
     target = 150 if quick else 1000
     cases, violations, worst = 0, 0, math.inf
@@ -121,26 +123,26 @@ def check_3_crossing_bound(quick=False, seed=20260823):
                 violations += 1
             if cases >= target:
                 break
-    return _result(3, "CDF-crossing W2 lower bound", violations == 0,
-                   f"{cases} premise-satisfying cases, {violations} violations,"
-                   f" min margin {worst:.3e}", t0)
+    return AcceptanceResult(
+        3, "CDF-crossing W2 lower bound", violations == 0,
+        f"{cases} premise-satisfying cases, {violations} violations,"
+        f" min margin {worst:.3e}")
 
 
-def check_4_parametric_rate(quick=False, seed=20260823):
-    t0 = time.time()
+def check_4_parametric_rate(quick=False, seed=DEFAULT_SEED):
     p = constructions.bernoulli_two_point(2.0, 0.5)
     n_list = [128, 512, 2048, 8192] if quick else [128, 256, 512, 1024, 2048, 4096, 8192]
     trials = 60 if quick else 200
     fit = experiments.fit_rate(experiments.rate_series(
         experiments.mc_expected_w2sq, p, 1.0, n_list, trials, seed))
     ok = abs(fit.slope - (-1.0)) <= 0.15
-    return _result(4, "parametric E[W2^2] rate (K < sigma)", ok,
-                   f"slope = {fit.slope:.4f} +- {fit.slope_stderr:.4f} "
-                   f"(want -1.0 +- 0.15)", t0)
+    return AcceptanceResult(
+        4, "parametric E[W2^2] rate (K < sigma)", ok,
+        f"slope = {fit.slope:.4f} +- {fit.slope_stderr:.4f} "
+        f"(want -1.0 +- 0.15)")
 
 
-def check_5_nonparametric_rate(quick=False, seed=20260823):
-    t0 = time.time()
+def check_5_nonparametric_rate(quick=False, seed=DEFAULT_SEED):
     alpha = tail_bounds.alpha_exponent(2.0, 1.0)
     n_list = ([2 ** 10, 2 ** 12, 2 ** 14, 2 ** 16] if quick
               else [2 ** k for k in range(10, 17)])
@@ -151,15 +153,15 @@ def check_5_nonparametric_rate(quick=False, seed=20260823):
     lo, hi = -0.46, -alpha + 0.1
     ok = lo <= fit.slope <= hi
     flags = sum(not r.feasible for r in plan.records)
-    return _result(5, "adaptive-scan E[W2] slowdown (K > sigma)", ok,
-                   f"slope = {fit.slope:.4f} +- {fit.slope_stderr:.4f} "
-                   f"(want in [{lo:.4f}, {hi:.4f}]); "
-                   f"{flags}/{len(plan.records)} points below the n*p_h >= 128 "
-                   f"event regime (estimated anyway)", t0)
+    return AcceptanceResult(
+        5, "adaptive-scan E[W2] slowdown (K > sigma)", ok,
+        f"slope = {fit.slope:.4f} +- {fit.slope_stderr:.4f} "
+        f"(want in [{lo:.4f}, {hi:.4f}]); "
+        f"{flags}/{len(plan.records)} points below the n*p_h >= 128 "
+        f"event regime (estimated anyway)")
 
 
-def check_6_chi2_mi_phase(quick=False, seed=20260823):
-    t0 = time.time()
+def check_6_chi2_mi_phase(quick=False, seed=DEFAULT_SEED):
     # (a) K < sigma: n E[chi2(P_n*N || P*N)] = I_chi2(P, sigma) at every n,
     # as rho_n - rho is a mean of n iid zero-mean kernels; the binomial sum
     # over k, the count on the h-atom, is taken whole (k = 0 and k = n are
@@ -184,15 +186,15 @@ def check_6_chi2_mi_phase(quick=False, seed=20260823):
     parts = divergences.chi2_mutual_information(hard, 1.0).partial_by_atom
     floor = 0.5 * parts[2]
     ok_b = all(parts[k] >= floor for k in range(3, 11))
-    return _result(6, "chi-square MI phase", ok_a and ok_b,
-                   f"(a) |n E[chi2] - I| = {resid:.2e} at n = {n} "
-                   f"(limit {limit:.2e}); "
-                   f"(b) increments k=3..10 in [{min(parts[3:]):.4f}, "
-                   f"{max(parts[3:]):.4f}] vs floor {floor:.4f}", t0)
+    return AcceptanceResult(
+        6, "chi-square MI phase", ok_a and ok_b,
+        f"(a) |n E[chi2] - I| = {resid:.2e} at n = {n} "
+        f"(limit {limit:.2e}); "
+        f"(b) increments k=3..10 in [{min(parts[3:]):.4f}, "
+        f"{max(parts[3:]):.4f}] vs floor {floor:.4f}")
 
 
-def check_7_soft_covering(quick=False, seed=20260823):
-    t0 = time.time()
+def check_7_soft_covering(quick=False, seed=DEFAULT_SEED):
     trials = 50 if quick else 200
     n_list = [256, 1024, 4096]
     msgs, ok = [], True
@@ -215,24 +217,24 @@ def check_7_soft_covering(quick=False, seed=20260823):
         if not (-1.25 <= fit.slope <= -0.80):
             ok = False
         msgs.append(f"{tag} slope {fit.slope:.3f}")
-    return _result(7, "soft-covering KL dominance and rate", ok,
-                   "; ".join(msgs) + " (want slopes in [-1.25, -0.80], "
-                   "E[KL] <= bound + 3SE everywhere)", t0)
+    return AcceptanceResult(
+        7, "soft-covering KL dominance and rate", ok,
+        "; ".join(msgs) + " (want slopes in [-1.25, -0.80], "
+        "E[KL] <= bound + 3SE everywhere)")
 
 
-def check_8_weighted_concentration(quick=False, seed=20260823):
-    t0 = time.time()
+def check_8_weighted_concentration(quick=False, seed=DEFAULT_SEED):
     reps = 100 if quick else 500
     std = _single_atom(0.0, 1.0)
     rep = concentration.weighted_cdf_concentration(std, 1024, 0.1, reps, seed)
     ok = rep.violation_rate <= 0.1
-    return _result(8, "weighted CDF concentration", ok,
-                   f"violation rate {rep.violation_rate:.4f} over {reps} reps "
-                   f"(limit 0.1), bound {rep.bound:.2f}", t0)
+    return AcceptanceResult(
+        8, "weighted CDF concentration", ok,
+        f"violation rate {rep.violation_rate:.4f} over {reps} reps "
+        f"(limit 0.1), bound {rep.bound:.2f}")
 
 
-def check_9_tail_density_tightness(quick=False, seed=20260823):
-    t0 = time.time()
+def check_9_tail_density_tightness(quick=False, seed=DEFAULT_SEED):
     K = 2.0
     beta = tail_bounds.beta_exponent(K)
     msgs, ok = [], True
@@ -244,48 +246,46 @@ def check_9_tail_density_tightness(quick=False, seed=20260823):
         if abs(ratio - beta) > 0.1 * beta:
             ok = False
         msgs.append(f"h={h:g}: log(1-F)/log rho = {ratio:.4f}")
-    return _result(9, "tail-density exponent tightness", ok,
-                   "; ".join(msgs) + f" (want {beta} +- {0.1 * beta:.3f})", t0)
+    return AcceptanceResult(
+        9, "tail-density exponent tightness", ok,
+        "; ".join(msgs) + f" (want {beta} +- {0.1 * beta:.3f})")
 
 
-def check_10_berry_esseen(quick=False, seed=20260823):
-    t0 = time.time()
+def check_10_berry_esseen(quick=False, seed=DEFAULT_SEED):
     reps = 400 if quick else 2000
     p_h = math.exp(-9.0 / 8.0)
     n = 2 * math.ceil(128.0 / p_h)
     fr = concentration.berry_esseen_event_frequency(3.0, 2.0, 1.0, n, reps, seed)
-    return _result(10, "Berry-Esseen gap event frequency",
-                   bool(fr.applicable and fr.passed),
-                   f"n={n}, frequency {fr.frequency:.4f} vs 1/16 - "
-                   f"{fr.band:.4f}", t0)
+    return AcceptanceResult(
+        10, "Berry-Esseen gap event frequency", fr.applicable and fr.passed,
+        f"n={n}, frequency {fr.frequency:.4f} vs 1/16 - {fr.band:.4f}")
 
 
-def check_11_lsi_divergence(quick=False, seed=20260823):
-    t0 = time.time()
+def check_11_lsi_divergence(quick=False, seed=DEFAULT_SEED):
     vals = [functional_ineq.lsi_lower_bound(h, 2.0, 1.0).lsi_lower
             for h in (5.0, 10.0, 15.0, 20.0)]
     increasing = all(b > a for a, b in zip(vals, vals[1:]))
     ratios = [vals[i + 1] / vals[i] for i in (1, 2)]   # beyond h = 10
     ok = increasing and all(r >= 2.0 for r in ratios)
-    return _result(11, "LSI lower-bound divergence", ok,
-                   f"bounds {['%.3g' % v for v in vals]}, ratios beyond h=10: "
-                   f"{['%.1f' % r for r in ratios]} (want >= 2)", t0)
+    return AcceptanceResult(
+        11, "LSI lower-bound divergence", ok,
+        f"bounds {['%.3g' % v for v in vals]}, ratios beyond h=10: "
+        f"{['%.1f' % r for r in ratios]} (want >= 2)")
 
 
-def check_12_t2_divergence(quick=False, seed=20260823):
-    t0 = time.time()
+def check_12_t2_divergence(quick=False, seed=DEFAULT_SEED):
     probes = [functional_ineq.t2_lower_bound(h, 2.0, 1.0, 0.1)
               for h in (10.0, 20.0, 30.0)]
     lr = [p.log_ratio for p in probes]     # log(W2^2 / KL)
     ok = all(b > a for a, b in zip(lr, lr[1:])) and \
         lr[-1] - lr[0] >= math.log(10.0)
-    return _result(12, "T2 ratio divergence", ok,
-                   f"W2^2/KL ratios {['%.3g' % math.exp(r) for r in lr]} "
-                   f"(methods {[p.method for p in probes]})", t0)
+    return AcceptanceResult(
+        12, "T2 ratio divergence", ok,
+        f"W2^2/KL ratios {['%.3g' % math.exp(r) for r in lr]} "
+        f"(methods {[p.method for p in probes]})")
 
 
-def check_13_subgaussianity(quick=False, seed=20260823):
-    t0 = time.time()
+def check_13_subgaussianity(quick=False, seed=DEFAULT_SEED):
     alphas = np.linspace(-3.0, 3.0, 61)
     c = constructions.chi2_admissible_c(2.0)
     hard = constructions.chi2_hard_example(2.0, c, 10)
@@ -298,14 +298,14 @@ def check_13_subgaussianity(quick=False, seed=20260823):
     tail_slack = float(np.min(np.exp(-0.5 * l * l)
                               - 0.5 * special.erfc(l / math.sqrt(2.0))))
     ok = rep1.passed and rep2.passed and tail_slack >= 0.0
-    return _result(13, "subgaussian MGF and Gaussian tail checks", ok,
-                   f"centered hard-example slack {rep1.max_slack:.2e}, "
-                   f"uncentered schedule-family slack {rep2.max_slack:.2e} "
-                   f"(tol 1e-9), tail check min slack {tail_slack:.2e}", t0)
+    return AcceptanceResult(
+        13, "subgaussian MGF and Gaussian tail checks", ok,
+        f"centered hard-example slack {rep1.max_slack:.2e}, "
+        f"uncentered schedule-family slack {rep2.max_slack:.2e} "
+        f"(tol 1e-9), tail check min slack {tail_slack:.2e}")
 
 
-def check_14_exponent_identities(quick=False, seed=20260823):
-    t0 = time.time()
+def check_14_exponent_identities(quick=False, seed=DEFAULT_SEED):
     Ks = np.geomspace(0.05, 20.0, 50)
     worst = 0.0
     for K in Ks:
@@ -315,9 +315,10 @@ def check_14_exponent_identities(quick=False, seed=20260823):
     eq_half = abs(tail_bounds.alpha_exponent(1.3, 1.3) - 0.5)
     limit = abs(tail_bounds.alpha_exponent(1e4, 1.0) - 0.25)
     ok = worst <= 1e-12 and eq_half <= 1e-12 and limit <= 1e-6
-    return _result(14, "exponent identities", ok,
-                   f"max |2a - 1/(2-b)| = {worst:.2e}, |a(K=s)-1/2| = "
-                   f"{eq_half:.2e}, |a(K->inf)-1/4| = {limit:.2e}", t0)
+    return AcceptanceResult(
+        14, "exponent identities", ok,
+        f"max |2a - 1/(2-b)| = {worst:.2e}, |a(K=s)-1/2| = "
+        f"{eq_half:.2e}, |a(K->inf)-1/4| = {limit:.2e}")
 
 
 CRITERIA = [
@@ -337,9 +338,14 @@ CRITERIA = [
     check_14_exponent_identities,
 ]
 
-DEFAULT_SEED = 20260823
-
 
 def run_all(quick: bool = False,
             seed: int = DEFAULT_SEED) -> list[AcceptanceResult]:
-    return [f(quick=quick, seed=seed) for f in CRITERIA]
+    """Every criterion in CRITERIA, each result with its wall time."""
+    results = []
+    for f in CRITERIA:
+        t0 = time.perf_counter()
+        result = f(quick=quick, seed=seed)
+        seconds = time.perf_counter() - t0
+        results.append(dataclasses.replace(result, seconds=seconds))
+    return results

@@ -7,7 +7,8 @@ provenance is preserved. A fixed (config, seed) pair always produces
 byte-identical output.
 
 Exit codes: 0 success, 2 config/schema problems (message names the offending
-field), 3 numeric failures inside a computation.
+field, or --out for an output file that cannot be written), 3 numeric failures
+inside a computation.
 """
 from __future__ import annotations
 
@@ -192,11 +193,16 @@ def _json_text(obj: dict) -> str:
 
 
 def _write(out: str | None, text: str):
+    """Write text to the file out, or to stdout; a file that cannot be
+    written is a config error at --out (exit 2)."""
     if out is None:
         click.echo(text, nl=False)
-    else:
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError("--out", str(exc))
 
 
 def _resolve_seed(cli_seed, cfg: dict, required: bool):
@@ -239,17 +245,17 @@ def _subcommand(name: str, seed_required: bool):
                 cfg, cfg_hash = _load_config(config_path)
                 rseed = _resolve_seed(seed, cfg, seed_required)
                 result = fn(cfg, rseed, out_path)
+                if isinstance(result, dict):
+                    head = {"version": __version__, "command": name,
+                            "seed": rseed, "config_sha256": cfg_hash}
+                    text = _json_text({**head, **result})
+                else:
+                    text = _csv_text(name, rseed, cfg_hash, *result)
+                _write(out_path, text)
             except ConfigError as exc:
                 _fail(2, str(exc))
             except Exception as exc:
                 _fail(3, f"numeric failure: {exc}")
-            if isinstance(result, dict):
-                head = {"version": __version__, "command": name,
-                        "seed": rseed, "config_sha256": cfg_hash}
-                text = _json_text({**head, **result})
-            else:
-                text = _csv_text(name, rseed, cfg_hash, *result)
-            _write(out_path, text)
         return command
     return register
 
@@ -537,7 +543,8 @@ def t2_probe(cfg, seed, out_path):
 @click.option("--quick", is_flag=True, default=False,
               help="reduced statistical resolution, same assertions")
 def accept(out_path, seed, quick):
-    """Run the full acceptance suite; exit 0 iff every criterion passes."""
+    """Run the full acceptance suite; exit 0 iff every criterion passes (2 if
+    --out cannot be written)."""
     rseed = seed if seed is not None else acceptance.DEFAULT_SEED
     try:
         results = acceptance.run_all(quick=quick, seed=rseed)
@@ -552,12 +559,15 @@ def accept(out_path, seed, quick):
     click.echo(f"{n_pass}/{len(results)} criteria passed "
                f"({'quick' if quick else 'full'} mode, seed {rseed})")
     if out_path is not None:
-        _write(out_path, _csv_text(
-            "accept", rseed, "-",
-            ["criterion", "name", "passed", "seconds", "detail"],
-            [(r.criterion, r.name, r.passed, r.seconds,
-              r.detail.replace(",", ";")) for r in results],
-            {"quick": quick}))
+        # no seconds: the file is a function of (quick, seed)
+        try:
+            _write(out_path, _csv_text(
+                "accept", rseed, "-", ["criterion", "name", "passed", "detail"],
+                [(r.criterion, r.name, r.passed, r.detail.replace(",", ";"))
+                 for r in results],
+                {"quick": quick}))
+        except ConfigError as exc:
+            _fail(2, str(exc))
     sys.exit(0 if n_pass == len(results) else 3)
 
 

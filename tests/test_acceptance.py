@@ -3,8 +3,8 @@ import time
 
 import pytest
 
-from sotlab import (acceptance, divergences, functional_ineq, tail_bounds,
-                    transport)
+from sotlab import (acceptance, constructions, divergences, functional_ineq,
+                    tail_bounds, transport)
 
 
 @pytest.mark.parametrize("fn", acceptance.CRITERIA, ids=lambda f: f.__name__)
@@ -82,6 +82,25 @@ def _lsi_capped(real):
     return wrong
 
 
+def _beta_off(real):
+    return lambda K: real(K) * 1.25
+
+
+def _t2_capped(real):
+    cap = real(10.0, 2.0, 1.0, 0.1).log_ratio
+
+    def wrong(h, K, sigma, delta):
+        probe = real(h, K, sigma, delta)
+        return dataclasses.replace(probe, log_ratio=min(probe.log_ratio, cap))
+    return wrong
+
+
+def _prefactor_ignored(real):
+    def wrong(p, K, alpha_grid, centered=True, log_prefactor=0.0, tol=1e-9):
+        return real(p, K, alpha_grid, centered=centered, tol=tol)
+    return wrong
+
+
 def _alpha_off(real):
     return lambda K, sigma: real(K, sigma) + 0.01
 
@@ -89,12 +108,24 @@ def _alpha_off(real):
 @pytest.mark.parametrize("criterion, module, name, plant", [
     (acceptance.check_1_closed_form_transport, transport, "w2_squared",
      _w2_off),
+    # the measured ratios 0.638 and 0.639 sit 0.16 from beta = 0.8, against
+    # a gate of +- 0.08
+    (acceptance.check_9_tail_density_tightness, tail_bounds, "beta_exponent",
+     _beta_off),
     # the bound saturates at its value at h = 10, K = 2, sigma = 1
     (acceptance.check_11_lsi_divergence, functional_ineq, "lsi_lower_bound",
      _lsi_capped),
+    # the ratio saturates at its value at h = 10, K = 2, sigma = 1
+    (acceptance.check_12_t2_divergence, functional_ineq, "t2_lower_bound",
+     _t2_capped),
+    # without its log 2 prefactor the schedule family's slack -6.18e-01
+    # reads +7.5e-02, against tol 1e-9
+    (acceptance.check_13_subgaussianity, constructions,
+     "mgf_subgaussian_check", _prefactor_ignored),
     (acceptance.check_14_exponent_identities, tail_bounds, "alpha_exponent",
      _alpha_off),
-], ids=["1_w2_off_1e-5", "11_lsi_capped", "14_alpha_off_0.01"])
+], ids=["1_w2_off_1e-5", "9_beta_times_1.25", "11_lsi_capped",
+        "12_t2_capped", "13_prefactor_ignored", "14_alpha_off_0.01"])
 def test_criterion_rejects_planted_defect(criterion, module, name, plant,
                                           monkeypatch):
     """One library function with a known error; the quick criterion at the

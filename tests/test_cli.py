@@ -1,13 +1,18 @@
+import hashlib
 import inspect
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from sotlab import dist_core, divergences, experiments, transport
+from sotlab import (acceptance, dist_core, divergences, experiments,
+                    transport)
 from sotlab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture()
@@ -141,7 +146,7 @@ def test_numeric_failure_exits_3(runner, tmp_path):
 
 def test_quantile_cap_exits_3(runner, monkeypatch):
     monkeypatch.setattr(dist_core, "_NEWTON_CAP", 1)
-    golden = Path(__file__).parent / "golden" / "w2_inline_atoms.json"
+    golden = GOLDEN / "w2_inline_atoms.json"
     res = runner.invoke(main, ["w2", "--config", str(golden)])
     assert res.exit_code == 3
     assert "unconverged after 1 Newton iterations" in res.output
@@ -178,7 +183,7 @@ def test_w2_csv_metadata(runner, tmp_path):
 
 
 def test_w2_inline_atoms(runner, tmp_path):
-    golden = Path(__file__).parent / "golden" / "w2_inline_atoms.json"
+    golden = GOLDEN / "w2_inline_atoms.json"
     res = runner.invoke(main, ["w2", "--config", str(golden)])
     assert res.exit_code == 0, res.output
     assert float(res.output.splitlines()[6].split(",")[0]) > 0
@@ -489,7 +494,40 @@ def test_out_of_range_value_exits_2(runner, tmp_path, command, cfg, field,
     assert f"config error at {field}: {message}" in res.output
 
 
-def test_accept_quick(runner):
-    res = runner.invoke(main, ["accept", "--quick"])
-    assert res.exit_code == 0, res.output
-    assert "14/14 criteria passed" in res.output
+@pytest.mark.parametrize("args", [
+    ["w2", "--config", str(GOLDEN / "w2_inline_atoms.json")],
+    # the <out>.fit.json sidecar is the first file written
+    ["rate-scan", "--config", str(GOLDEN / "rate_scan_two_point.json"),
+     "--seed", "7"],
+    ["accept", "--quick"],
+], ids=["w2", "rate_scan", "accept"])
+def test_unwritable_out_exits_2(runner, tmp_path, monkeypatch, args):
+    # accept writes after its suite runs; one criterion keeps this short
+    monkeypatch.setattr(acceptance, "CRITERIA", acceptance.CRITERIA[-1:])
+    out = tmp_path / "missing" / "x.csv"
+    res = runner.invoke(main, [*args, "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "config error at --out: " in res.output
+
+
+# sha256 of `accept --quick --out` at the default seed; a change that moves
+# a criterion's detail records the new hash here, and says why in CHANGES.md
+ACCEPT_QUICK_SHA256 = \
+    "00aa0154182f2b333c1a2c162d76ce4d11dafff520c0fe8504f61c4c371619ad"
+
+
+def test_accept_quick(runner, tmp_path):
+    outs = []
+    for name in ("a.csv", "b.csv"):
+        out = tmp_path / name
+        res = runner.invoke(main, ["accept", "--quick", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert "14/14 criteria passed" in res.output
+        outs.append(out.read_bytes())
+    # the console shows each criterion's seconds; the file holds no timing,
+    # so it repeats byte for byte
+    assert re.search(r"^\[PASS\]  1  .*  \d+\.\ds  max \|error\|", res.output,
+                     re.MULTILINE)
+    assert outs[0] == outs[1]
+    assert outs[0].decode().splitlines()[5] == "criterion,name,passed,detail"
+    assert hashlib.sha256(outs[0]).hexdigest() == ACCEPT_QUICK_SHA256
