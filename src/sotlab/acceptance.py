@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import time
 
 import numpy as np
@@ -38,6 +39,29 @@ class AcceptanceResult:
         object.__setattr__(self, "passed", bool(self.passed))
 
 
+# each criterion's name, also where it raised and made no result of its own
+NAMES = {
+    1: "closed-form single-atom transport",
+    2: "sorted-sample MC coupling oracle",
+    3: "CDF-crossing W2 lower bound",
+    4: "parametric E[W2^2] rate (K < sigma)",
+    5: "adaptive-scan E[W2] slowdown (K > sigma)",
+    6: "chi-square MI phase",
+    7: "soft-covering KL dominance and rate",
+    8: "weighted CDF concentration",
+    9: "tail-density exponent tightness",
+    10: "Berry-Esseen gap event frequency",
+    11: "LSI lower-bound divergence",
+    12: "T2 ratio divergence",
+    13: "subgaussian MGF and Gaussian tail checks",
+    14: "exponent identities",
+}
+
+
+def _result(criterion: int, passed, detail: str) -> AcceptanceResult:
+    return AcceptanceResult(criterion, NAMES[criterion], passed, detail)
+
+
 def _single_atom(mu: float, sigma: float) -> SmoothedMixture:
     return SmoothedMixture(AtomicDistribution.from_weights(
         np.array([mu]), np.array([1.0])), sigma)
@@ -59,8 +83,8 @@ def check_1_closed_form_transport(quick=False, seed=DEFAULT_SEED):
         s = rng.uniform(0.5, 2.0)
         got = transport.w2_squared(_single_atom(mu1, s), _single_atom(mu2, s)).total
         worst = max(worst, abs(got - (mu1 - mu2) ** 2))
-    return AcceptanceResult(
-        1, "closed-form single-atom transport", worst <= 1e-6,
+    return _result(
+        1, worst <= 1e-6,
         f"max |error| = {worst:.3e} (tol 1e-6)")
 
 
@@ -96,8 +120,8 @@ def check_2_mc_coupling_oracle(quick=False, seed=DEFAULT_SEED):
         z = abs(exact - oracle) / se if se > 0 else math.inf
         worst_z = max(worst_z, z)
         fails += z > 4.0
-    return AcceptanceResult(
-        2, "sorted-sample MC coupling oracle", fails == 0,
+    return _result(
+        2, fails == 0,
         f"{pairs} pairs, worst |z| = {worst_z:.2f} (limit 4)")
 
 
@@ -123,8 +147,8 @@ def check_3_crossing_bound(quick=False, seed=DEFAULT_SEED):
                 violations += 1
             if cases >= target:
                 break
-    return AcceptanceResult(
-        3, "CDF-crossing W2 lower bound", violations == 0,
+    return _result(
+        3, violations == 0,
         f"{cases} premise-satisfying cases, {violations} violations,"
         f" min margin {worst:.3e}")
 
@@ -136,8 +160,8 @@ def check_4_parametric_rate(quick=False, seed=DEFAULT_SEED):
     fit = experiments.fit_rate(experiments.rate_series(
         experiments.mc_expected_w2sq, p, 1.0, n_list, trials, seed))
     ok = abs(fit.slope - (-1.0)) <= 0.15
-    return AcceptanceResult(
-        4, "parametric E[W2^2] rate (K < sigma)", ok,
+    return _result(
+        4, ok,
         f"slope = {fit.slope:.4f} +- {fit.slope_stderr:.4f} "
         f"(want -1.0 +- 0.15)")
 
@@ -153,8 +177,8 @@ def check_5_nonparametric_rate(quick=False, seed=DEFAULT_SEED):
     lo, hi = -0.46, -alpha + 0.1
     ok = lo <= fit.slope <= hi
     flags = sum(not r.feasible for r in plan.records)
-    return AcceptanceResult(
-        5, "adaptive-scan E[W2] slowdown (K > sigma)", ok,
+    return _result(
+        5, ok,
         f"slope = {fit.slope:.4f} +- {fit.slope_stderr:.4f} "
         f"(want in [{lo:.4f}, {hi:.4f}]); "
         f"{flags}/{len(plan.records)} points below the n*p_h >= 128 "
@@ -186,8 +210,8 @@ def check_6_chi2_mi_phase(quick=False, seed=DEFAULT_SEED):
     parts = divergences.chi2_mutual_information(hard, 1.0).partial_by_atom
     floor = 0.5 * parts[2]
     ok_b = all(parts[k] >= floor for k in range(3, 11))
-    return AcceptanceResult(
-        6, "chi-square MI phase", ok_a and ok_b,
+    return _result(
+        6, ok_a and ok_b,
         f"(a) |n E[chi2] - I| = {resid:.2e} at n = {n} "
         f"(limit {limit:.2e}); "
         f"(b) increments k=3..10 in [{min(parts[3:]):.4f}, "
@@ -217,8 +241,8 @@ def check_7_soft_covering(quick=False, seed=DEFAULT_SEED):
         if not (-1.25 <= fit.slope <= -0.80):
             ok = False
         msgs.append(f"{tag} slope {fit.slope:.3f}")
-    return AcceptanceResult(
-        7, "soft-covering KL dominance and rate", ok,
+    return _result(
+        7, ok,
         "; ".join(msgs) + " (want slopes in [-1.25, -0.80], "
         "E[KL] <= bound + 3SE everywhere)")
 
@@ -228,8 +252,8 @@ def check_8_weighted_concentration(quick=False, seed=DEFAULT_SEED):
     std = _single_atom(0.0, 1.0)
     rep = concentration.weighted_cdf_concentration(std, 1024, 0.1, reps, seed)
     ok = rep.violation_rate <= 0.1
-    return AcceptanceResult(
-        8, "weighted CDF concentration", ok,
+    return _result(
+        8, ok,
         f"violation rate {rep.violation_rate:.4f} over {reps} reps "
         f"(limit 0.1), bound {rep.bound:.2f}")
 
@@ -246,8 +270,8 @@ def check_9_tail_density_tightness(quick=False, seed=DEFAULT_SEED):
         if abs(ratio - beta) > 0.1 * beta:
             ok = False
         msgs.append(f"h={h:g}: log(1-F)/log rho = {ratio:.4f}")
-    return AcceptanceResult(
-        9, "tail-density exponent tightness", ok,
+    return _result(
+        9, ok,
         "; ".join(msgs) + f" (want {beta} +- {0.1 * beta:.3f})")
 
 
@@ -256,8 +280,8 @@ def check_10_berry_esseen(quick=False, seed=DEFAULT_SEED):
     p_h = math.exp(-9.0 / 8.0)
     n = 2 * math.ceil(128.0 / p_h)
     fr = concentration.berry_esseen_event_frequency(3.0, 2.0, 1.0, n, reps, seed)
-    return AcceptanceResult(
-        10, "Berry-Esseen gap event frequency", fr.applicable and fr.passed,
+    return _result(
+        10, fr.applicable and fr.passed,
         f"n={n}, frequency {fr.frequency:.4f} vs 1/16 - {fr.band:.4f}")
 
 
@@ -267,8 +291,8 @@ def check_11_lsi_divergence(quick=False, seed=DEFAULT_SEED):
     increasing = all(b > a for a, b in zip(vals, vals[1:]))
     ratios = [vals[i + 1] / vals[i] for i in (1, 2)]   # beyond h = 10
     ok = increasing and all(r >= 2.0 for r in ratios)
-    return AcceptanceResult(
-        11, "LSI lower-bound divergence", ok,
+    return _result(
+        11, ok,
         f"bounds {['%.3g' % v for v in vals]}, ratios beyond h=10: "
         f"{['%.1f' % r for r in ratios]} (want >= 2)")
 
@@ -279,8 +303,8 @@ def check_12_t2_divergence(quick=False, seed=DEFAULT_SEED):
     lr = [p.log_ratio for p in probes]     # log(W2^2 / KL)
     ok = all(b > a for a, b in zip(lr, lr[1:])) and \
         lr[-1] - lr[0] >= math.log(10.0)
-    return AcceptanceResult(
-        12, "T2 ratio divergence", ok,
+    return _result(
+        12, ok,
         f"W2^2/KL ratios {['%.3g' % math.exp(r) for r in lr]} "
         f"(methods {[p.method for p in probes]})")
 
@@ -298,8 +322,8 @@ def check_13_subgaussianity(quick=False, seed=DEFAULT_SEED):
     tail_slack = float(np.min(np.exp(-0.5 * l * l)
                               - 0.5 * special.erfc(l / math.sqrt(2.0))))
     ok = rep1.passed and rep2.passed and tail_slack >= 0.0
-    return AcceptanceResult(
-        13, "subgaussian MGF and Gaussian tail checks", ok,
+    return _result(
+        13, ok,
         f"centered hard-example slack {rep1.max_slack:.2e}, "
         f"uncentered schedule-family slack {rep2.max_slack:.2e} "
         f"(tol 1e-9), tail check min slack {tail_slack:.2e}")
@@ -315,8 +339,8 @@ def check_14_exponent_identities(quick=False, seed=DEFAULT_SEED):
     eq_half = abs(tail_bounds.alpha_exponent(1.3, 1.3) - 0.5)
     limit = abs(tail_bounds.alpha_exponent(1e4, 1.0) - 0.25)
     ok = worst <= 1e-12 and eq_half <= 1e-12 and limit <= 1e-6
-    return AcceptanceResult(
-        14, "exponent identities", ok,
+    return _result(
+        14, ok,
         f"max |2a - 1/(2-b)| = {worst:.2e}, |a(K=s)-1/2| = "
         f"{eq_half:.2e}, |a(K->inf)-1/4| = {limit:.2e}")
 
@@ -339,13 +363,26 @@ CRITERIA = [
 ]
 
 
+def _raised(f, exc: Exception) -> AcceptanceResult:
+    """The failed result of criterion f (check_<k>_...) that raised exc."""
+    m = re.match(r"check_(\d+)_", f.__name__)
+    k = int(m.group(1)) if m else 0
+    return AcceptanceResult(k, NAMES.get(k, f.__name__), False,
+                            f"raised {type(exc).__name__}: {exc}")
+
+
 def run_all(quick: bool = False,
             seed: int = DEFAULT_SEED) -> list[AcceptanceResult]:
-    """Every criterion in CRITERIA, each result with its wall time."""
+    """Every criterion in CRITERIA, each result with its wall time. A
+    criterion that raises has failed: its result names the exception, and
+    the criteria after it still run."""
     results = []
     for f in CRITERIA:
         t0 = time.perf_counter()
-        result = f(quick=quick, seed=seed)
+        try:
+            result = f(quick=quick, seed=seed)
+        except Exception as exc:
+            result = _raised(f, exc)
         seconds = time.perf_counter() - t0
         results.append(dataclasses.replace(result, seconds=seconds))
     return results

@@ -16,6 +16,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 
 import click
@@ -192,6 +193,22 @@ def _json_text(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _check_out(out: str | None):
+    """Refuse, before anything is computed, an --out whose directory does
+    not exist or cannot be written, or that is a directory: a config error
+    at --out (exit 2). Its sidecars (<out>.fit.json, <out>.plan.json) lie in
+    the same directory. _write still reports a write that fails later."""
+    if out is None:
+        return
+    folder = os.path.dirname(out) or "."
+    if not os.path.isdir(folder):
+        raise ConfigError("--out", f"directory {folder!r} does not exist")
+    if not os.access(folder, os.W_OK | os.X_OK):
+        raise ConfigError("--out", f"directory {folder!r} is not writable")
+    if os.path.isdir(out):
+        raise ConfigError("--out", f"{out!r} is a directory")
+
+
 def _write(out: str | None, text: str):
     """Write text to the file out, or to stdout; a file that cannot be
     written is a config error at --out (exit 2)."""
@@ -242,6 +259,7 @@ def _subcommand(name: str, seed_required: bool):
                       help="JSON config file")
         def command(config_path, out_path, seed):
             try:
+                _check_out(out_path)
                 cfg, cfg_hash = _load_config(config_path)
                 rseed = _resolve_seed(seed, cfg, seed_required)
                 result = fn(cfg, rseed, out_path)
@@ -547,9 +565,11 @@ def accept(out_path, seed, quick):
     --out cannot be written)."""
     rseed = seed if seed is not None else acceptance.DEFAULT_SEED
     try:
-        results = acceptance.run_all(quick=quick, seed=rseed)
-    except Exception as exc:
-        _fail(3, f"numeric failure: {exc}")
+        _check_out(out_path)
+    except ConfigError as exc:
+        _fail(2, str(exc))
+    # a criterion that raises is a failed result, not an exception here
+    results = acceptance.run_all(quick=quick, seed=rseed)
     width = max(len(r.name) for r in results)
     for r in results:
         mark = "PASS" if r.passed else "FAIL"

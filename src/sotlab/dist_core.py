@@ -356,30 +356,37 @@ class AtomicDistribution:
             return -np.inf
         return float(logsumexp(self.log_weights[mask]))
 
-    def _draw(self, n: int, seed):
-        """(cdf, u): the draw of rng.choice(n_atoms, size=n, p=weights),
-        whose atom indices are cdf.searchsorted(u, side="right"), made as
-        numpy 2.4's choice makes it (one rng.random(n) call, so the generator
-        ends in the same state) without choice's checks of p."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        rng = _as_generator(seed)
+    def _draw_cdf(self) -> np.ndarray:
+        """The CDF over atom indices from which numpy 2.4's
+        rng.choice(n_atoms, p=weights) draws, computed as choice computes it
+        (without choice's checks of p)."""
         w = self.weights()
         cdf = (w / w.sum()).cumsum()
         cdf /= cdf[-1]
-        return cdf, rng.random(n)
+        return cdf
+
+    def _draw(self, n: int, seed, cdf=None):
+        """(cdf, u): the draw of rng.choice(n_atoms, size=n, p=weights),
+        whose atom indices are cdf.searchsorted(u, side="right"), made as
+        choice makes it: one rng.random(n) call, so the generator ends in the
+        same state. cdf is _draw_cdf()'s, or the caller's copy of it."""
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        rng = _as_generator(seed)
+        return (self._draw_cdf() if cdf is None else cdf), rng.random(n)
 
     def _draw_atoms(self, n: int, seed) -> np.ndarray:
         cdf, u = self._draw(n, seed)
         return cdf.searchsorted(u, side="right")
 
-    def _draw_counts(self, n: int, seed) -> np.ndarray:
+    def _draw_counts(self, n: int, seed, cdf=None) -> np.ndarray:
         """np.bincount(self._draw_atoms(n, seed), minlength=n_atoms): atom j
         is drawn #{u < cdf[j]} - #{u < cdf[j-1]} times. #{u < cdf[-1]} is n
         (cdf[-1] is 1.0 and u < 1); each other count is one comparison pass
         where n >= _COUNT_PASS_MIN per pass, and a search of the sorted u
-        otherwise."""
-        cdf, u = self._draw(n, seed)
+        otherwise. A caller drawing many samples passes _draw_cdf() once as
+        cdf."""
+        cdf, u = self._draw(n, seed, cdf)
         if (cdf.size - 1) * _COUNT_PASS_MIN <= n:
             below = np.array([np.count_nonzero(u < c) for c in cdf[:-1]] + [n])
         else:
@@ -388,11 +395,22 @@ class AtomicDistribution:
         return below
 
     def _from_counts(self, counts: np.ndarray, n: int) -> "AtomicDistribution":
-        """P_n of an n-sample that drew atom j counts[j] times."""
+        """P_n of an n-sample that drew atom j counts[j] times: the bits of
+        from_log_weights(locations[drawn], log(counts[drawn]) - log(n),
+        normalize=True), built without __post_init__'s checks, which the
+        drawn atoms of a valid distribution pass by construction (their
+        locations a subsequence of self's, their weights positive and just
+        normalized)."""
         drawn = counts > 0
+        locs = self.locations[drawn]
         logw = np.log(counts[drawn]) - math.log(n)
-        return AtomicDistribution.from_log_weights(self.locations[drawn], logw,
-                                                   normalize=True)
+        logw = logw - logsumexp(logw)
+        locs.setflags(write=False)
+        logw.setflags(write=False)
+        out = object.__new__(AtomicDistribution)
+        object.__setattr__(out, "locations", locs)
+        object.__setattr__(out, "log_weights", logw)
+        return out
 
     def sample(self, n: int, seed) -> "EmpiricalMeasure":
         return EmpiricalMeasure(np.sort(self.locations[self._draw_atoms(n, seed)]))
@@ -915,25 +933,32 @@ def _member_rows(mixtures):
 
 def _deep_quantiles(m: SmoothedMixture, rows, members: int):
     """The lower and upper LOG_MASS_EPS quantiles of m, one of each per
-    member, from one solve; rows are one per member, or None."""
-    eps = np.full(2 * members, LOG_MASS_EPS)
-    upper = np.arange(2 * members) >= members
+    member, from one solve; rows are one per member, or None where every
+    member is m itself (the shared truth of an MC batch), whose two
+    quantiles are then solved once. Each target's solve is its own
+    elementwise sequence, so the bits are those of a solve per member."""
+    k = members if rows is not None else 1
+    eps = np.full(2 * k, LOG_MASS_EPS)
+    upper = np.arange(2 * k) >= k
     rows = None if rows is None else np.concatenate([rows, rows])
     both = m.quantile_from_log_mass(eps, upper=upper, log_weights=rows)
-    return both[:members], both[members:]
+    return (np.broadcast_to(both[:k], members),
+            np.broadcast_to(both[k:], members))
 
 
-def _seed_breakpoints(A: SmoothedMixture, B: SmoothedMixture, lo: float,
-                      hi: float) -> np.ndarray:
-    """Seed panel edges of a W2 or KL quadrature over [lo, hi]: the window
-    ends, and 0, +-1, +-4 and +-12 sigma around the centre of each cluster of
-    the atoms of A and B together, a cluster being the atoms within 24 sigma
-    of its first one. Every atom then lies within 12 sigma of a centre, so
-    inside a seeded panel at most 8 sigma wide, whose 15 Gauss-Kronrod nodes
-    are less than a sigma apart: no atom's mass can fall between the nodes of
-    an accepted panel. Each further seed costs 15 evaluations, so samples
-    packed into a few clusters take a few seeds: a W2 of 4096 draws from
-    N(0, 4), sigma = 1, against N(0, 5) takes 240 evaluations."""
+def _seed_breakpoints(A: SmoothedMixture, B: SmoothedMixture, lo,
+                      hi) -> list:
+    """Seed panel edges of each member's W2 or KL quadrature over its window
+    [lo[i], hi[i]]: the window ends, and 0, +-1, +-4 and +-12 sigma around
+    the centre of each cluster of the atoms of A and B together, a cluster
+    being the atoms within 24 sigma of its first one. The members share
+    their atoms and sigma, so the clusters are found once for all of them.
+    Every atom then lies within 12 sigma of a centre, so inside a seeded
+    panel at most 8 sigma wide, whose 15 Gauss-Kronrod nodes are less than a
+    sigma apart: no atom's mass can fall between the nodes of an accepted
+    panel. Each further seed costs 15 evaluations, so samples packed into a
+    few clusters take a few seeds: a W2 of 4096 draws from N(0, 4),
+    sigma = 1, against N(0, 5) takes 240 evaluations."""
     s = max(A.sigma, B.sigma)
     locs = np.union1d(A.base.locations, B.base.locations)
     centres = []
@@ -943,6 +968,9 @@ def _seed_breakpoints(A: SmoothedMixture, B: SmoothedMixture, lo: float,
         centres.append(0.5 * (locs[i] + locs[j - 1]))
         i = j
     offs = np.array([-12.0, -4.0, -1.0, 0.0, 1.0, 4.0, 12.0]) * s
-    return np.clip(np.concatenate([[lo, hi],
-                                   (np.array(centres)[:, None] + offs).ravel()]),
-                   lo, hi)
+    seeds = (np.array(centres)[:, None] + offs).ravel()
+    lo = np.asarray(lo, dtype=float)[:, None]
+    hi = np.asarray(hi, dtype=float)[:, None]
+    edges = np.concatenate(
+        [lo, hi, np.broadcast_to(seeds, (lo.size, seeds.size))], axis=1)
+    return list(np.clip(edges, lo, hi))

@@ -27,8 +27,10 @@ def _divergence_members(As, Bs, integrand, tol: float):
     window, seeded by _seed_breakpoints; member i is the pair As[i], Bs[i].
     The As must share atoms and sigma, and so must the Bs: the kernel calls
     are shared, and each member keeps its own window, breakpoints and
-    quadrature, so it gets the bits of its lone call. Returns each member's
-    QuadResult, and the windows' lower and upper ends."""
+    quadrature, so it gets the bits of its lone call. A side that is one
+    mixture object for every member (the smoothed truth of an MC batch) has
+    its deep quantiles solved once. Returns each member's QuadResult, and
+    the windows' lower and upper ends."""
     A, rows_a = As[0], _member_rows(As)
     B, rows_b = Bs[0], _member_rows(Bs)
     every = np.arange(len(As))
@@ -40,7 +42,7 @@ def _divergence_members(As, Bs, integrand, tol: float):
         adaptive_simpson,
         lambda t, member: integrand(A.log_pdf(t, rows_a(member)),
                                     B.log_pdf(t, rows_b(member))),
-        [_seed_breakpoints(A, B, lo[i], hi[i]) for i in every], tol)
+        _seed_breakpoints(A, B, lo, hi), tol)
     return results, lo, hi
 
 

@@ -74,15 +74,17 @@ def _run_trials(p: AtomicDistribution, n: int, values_of, trials: int,
                 seed) -> np.ndarray:
     """Values of up to `trials` seeded trials, in trial order: trial i draws
     the atom counts of an n-sample of p from its own child of `seed`, the
-    draws of p.empirical(n, ...). Trials run a chunk at a time and stop at a
-    chunk boundary once the relative standard error drops below REL_STOP.
-    Each distinct count vector is one P_n, built and evaluated once per call:
+    draws of p.empirical(n, ...), against p's draw CDF computed once per
+    call. Trials run a chunk at a time and stop at a chunk boundary once the
+    relative standard error drops below REL_STOP. Each distinct count vector
+    is one P_n, built from its counts and evaluated once per call:
     values_of(measures) evaluates a chunk's new measures on one support in
     one batch. The earliest failed trial raises
     RuntimeError("trial i failed: ...")."""
     if trials < 2:
         raise ValueError("trials must be >= 2")
     children = seed_sequence(seed).spawn(trials)
+    cdf = p._draw_cdf()
     seen: dict = {}
     values: list[float] = []
     while len(values) < trials:
@@ -91,7 +93,8 @@ def _run_trials(p: AtomicDistribution, n: int, values_of, trials: int,
         keys, new = [], {}
         for i in range(start, stop):
             try:
-                counts = p._draw_counts(n, np.random.default_rng(children[i]))
+                counts = p._draw_counts(n, np.random.default_rng(children[i]),
+                                        cdf)
                 key = counts.tobytes()
                 if key not in seen and key not in new:
                     new[key] = p._from_counts(counts, n)

@@ -74,6 +74,9 @@ def _w2_members(As, Bs, tol: float = 1e-9,
     for bit, with the kernel calls shared: the As must share atoms and sigma,
     and so must the Bs. Each member keeps its own window, breakpoints and
     quadrature; one quantile solve and one integrand call serve all members.
+    A side that is one mixture object for every member (the smoothed truth
+    of an MC batch, on B, or on A after the swap) has its deep quantiles
+    and tail moments taken once.
     """
     if Bs[0].base.n_atoms > As[0].base.n_atoms:
         As, Bs = Bs, As
@@ -100,27 +103,20 @@ def _w2_members(As, Bs, tol: float = 1e-9,
         noise[gap] = dens[gap] * (2.0 * np.abs(T[gap] - t[gap]) * dT + dT * dT)
         return out, noise
 
-    results = _integrate_members(
-        adaptive_simpson, integrand,
-        [_seed_breakpoints(A, B, float(lo[i]), float(hi[i])) for i in every],
-        tol)
+    results = _integrate_members(adaptive_simpson, integrand,
+                                 _seed_breakpoints(A, B, lo, hi), tol)
 
     # tails: int_{tail} rho_A (T-t)^2 <= (sqrt(M2_A) + sqrt(M2_B))^2 where
     # the M2 are one-sided second moments past the equal-mass cut points
-    # (T pushes rho_A's clipped tail exactly onto rho_B's); the lower tail of
-    # member i is row i, its upper tail row n + i
-    n = every.size
-    upper = np.arange(2 * n) >= n
-    twice = np.concatenate([every, every])
-    m2a = A.log_tail_second_moment(np.concatenate([lo, hi]), upper,
-                                   rows_a(twice))
-    m2b = B.log_tail_second_moment(np.concatenate([b_lo, b_hi]), upper,
-                                   rows_b(twice))
+    # (T pushes rho_A's clipped tail exactly onto rho_B's)
+    m2a = _tail_moments(A, lo, hi, rows_a(every))
+    m2b = _tail_moments(B, b_lo, b_hi, rows_b(every))
     out = []
     for i, res in zip(every, results):
         tail = 0.0
-        for side in (i, n + i):
-            tail += (math.exp(0.5 * m2a[side]) + math.exp(0.5 * m2b[side])) ** 2
+        for side in (0, 1):
+            tail += (math.exp(0.5 * m2a[side, i])
+                     + math.exp(0.5 * m2b[side, i])) ** 2
         window = (float(lo[i]), float(hi[i]))
         noise = _noise_bound(As[i], Bs[i], *window) if with_noise_bound else 0.0
         out.append(TransportEvaluation(
@@ -128,6 +124,20 @@ def _w2_members(As, Bs, tol: float = 1e-9,
             quad_error=res.error_estimate, n_eval=res.n_eval, window=window,
             grid=res.panel_edges, contributions=res.panel_values))
     return out
+
+
+def _tail_moments(m: SmoothedMixture, lo, hi, rows) -> np.ndarray:
+    """(2, members) array: m.log_tail_second_moment below each member's lo
+    (row 0) and above its hi (row 1), with the member's log-weight row, or,
+    where rows is None and every member is m itself, at the shared two cuts
+    once."""
+    if rows is None:
+        pair = m.log_tail_second_moment(np.array([lo[0], hi[0]]),
+                                        np.array([False, True]))
+        return np.broadcast_to(pair[:, None], (2, lo.size))
+    upper = np.arange(2 * lo.size) >= lo.size
+    return m.log_tail_second_moment(np.concatenate([lo, hi]), upper,
+                                    np.concatenate([rows, rows])).reshape(2, -1)
 
 
 def _in_gap(B: SmoothedMixture, T: np.ndarray) -> np.ndarray:

@@ -30,6 +30,22 @@ def test_coupling_oracle_quick_at_seed_26():
     assert result.passed, result.detail
 
 
+def test_run_all_records_a_raising_criterion(monkeypatch):
+    """A criterion that raises is a failed result naming the exception, under
+    its own number and name; the criteria after it still run."""
+    def check_5_nonparametric_rate(quick, seed):
+        raise RuntimeError("trial 3 failed: no convergence")
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        [check_5_nonparametric_rate,
+                         acceptance.check_14_exponent_identities])
+    raised, last = acceptance.run_all(quick=True, seed=1)
+    assert (raised.criterion, raised.name, raised.passed) == \
+        (5, acceptance.NAMES[5], False)
+    assert raised.detail == "raised RuntimeError: trial 3 failed: no convergence"
+    assert raised.seconds >= 0.0
+    assert (last.criterion, last.passed) == (14, True)
+
+
 def _planted_mi_defect(defect):
     """chi2_mutual_information with one known error: the two-point MI off by
     a relative 1e-5, or the deepest part of a many-atom MI set to 0."""

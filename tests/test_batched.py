@@ -116,6 +116,104 @@ def test_members_must_share_atoms():
         transport._w2_members([A, other], [A, A])
 
 
+# -- a shared truth ---------------------------------------------------------------
+
+def _truth_and_members(shared_on):
+    """An MC batch: the smoothed truth, one object shared by every member,
+    and members on one support. With shared_on "A" the members have fewer
+    atoms than the truth, so the W2 batch swaps the truth onto A: one-atom
+    P_n (distinct objects of one measure, and one object twice), and
+    two-atom members of a three-atom truth. With "B" they are two-atom P_n
+    on the truth's atoms, with different counts."""
+    p = constructions.bernoulli_two_point(2.0, 2.0)
+    truth = SmoothedMixture(p, 1.0)
+    if shared_on == "B":
+        ms = [SmoothedMixture(p._from_counts(np.array([64 - k, k]), 64), 1.0)
+              for k in (1, 5, 23, 40, 63)]
+        return [(truth, ms)]
+    ones = [SmoothedMixture(p._from_counts(np.array([64, 0]), 64), 1.0)
+            for _ in range(3)]
+    three = SmoothedMixture(AtomicDistribution.from_weights(
+        np.array([-1.0, 0.5, 3.0]), np.array([0.2, 0.5, 0.3])), 0.8)
+    return [(truth, ones + ones[:1]), (three, _members(11, 2, 4))]
+
+
+def _deep_solves(monkeypatch, truth):
+    """Sizes of the deep-quantile solves made on the truth object."""
+    sizes = []
+    solve = SmoothedMixture.quantile_from_log_mass
+
+    def spy(self, log_mass, *args, **kwargs):
+        lm = np.atleast_1d(log_mass)
+        if self is truth and np.all(lm == dist_core.LOG_MASS_EPS):
+            sizes.append(lm.size)
+        return solve(self, log_mass, *args, **kwargs)
+    monkeypatch.setattr(SmoothedMixture, "quantile_from_log_mass", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("shared_on", ["A", "B"])
+def test_batch_with_a_shared_truth_matches_one_call_each(monkeypatch, shared_on):
+    """Members against one shared truth object, as in an MC batch, get the
+    bits of a lone call each, every field; the truth's two deep quantiles
+    are solved as 2 targets per batch, not 2 per member."""
+    for truth, ms in _truth_and_members(shared_on):
+        sizes = _deep_solves(monkeypatch, truth)
+        got = transport._w2_members(ms, [truth] * len(ms), tol=1e-8)
+        kl = divergences._kl_members(ms, [truth] * len(ms), tol=1e-10)
+        assert sizes == [2, 2]
+        monkeypatch.undo()
+        for ev, m, value in zip(got, ms, kl):
+            want = transport.w2_squared(m, truth, tol=1e-8)
+            for field in ("total", "tail_bound", "noise_bound", "quad_error",
+                          "window", "grid", "contributions"):
+                assert _bits(getattr(ev, field)) == \
+                    _bits(getattr(want, field)), field
+            assert ev.n_eval == want.n_eval
+            want_kl = divergences.kl_divergence(m, truth, 1e-10)
+            assert _bits([value]) == _bits([want_kl])
+
+
+# -- P_n from its counts ---------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 8), st.integers(1, 100_000))
+def test_from_counts_is_from_log_weights(seed, n_atoms, n):
+    """_from_counts, which skips the constructor's checks, gives the bits and
+    the read-only arrays of from_log_weights(..., normalize=True)."""
+    rng = np.random.default_rng(seed)
+    p = random_mixture(rng, n_atoms).base
+    counts = rng.multinomial(n, rng.dirichlet(np.full(n_atoms, 0.3)))
+    got = p._from_counts(counts, n)
+    drawn = counts > 0
+    want = AtomicDistribution.from_log_weights(
+        p.locations[drawn], np.log(counts[drawn]) - math.log(n), normalize=True)
+    assert type(got) is AtomicDistribution
+    for field in ("locations", "log_weights"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert _bits(a) == _bits(b) and a.dtype == b.dtype == np.float64
+        assert not a.flags.writeable and a.flags.owndata
+        assert not np.shares_memory(a, getattr(p, field))
+
+
+@pytest.mark.parametrize("n", [1, 7, 1024, 5000])
+@pytest.mark.parametrize("k", [1, 2, 3, 9])
+def test_count_draw_with_the_callers_cdf(k, n):
+    """A count draw given the caller's _draw_cdf() makes the counts of
+    _draw_counts(n, rng) and leaves the generator in the same state."""
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        w = np.maximum(rng.dirichlet(np.full(k, (0.05, 1.0, 50.0)[seed % 3])),
+                       1e-300)
+        p = AtomicDistribution.from_weights(np.arange(k, dtype=float), w)
+        cdf = p._draw_cdf()
+        mine, theirs = (np.random.default_rng([seed, n]) for _ in range(2))
+        for _ in range(3):
+            assert p._draw_counts(n, mine, cdf).tolist() == \
+                p._draw_counts(n, theirs).tolist()
+        assert mine.bit_generator.state == theirs.bit_generator.state
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 64), st.integers(2, 5),
        st.booleans())

@@ -494,20 +494,64 @@ def test_out_of_range_value_exits_2(runner, tmp_path, command, cfg, field,
     assert f"config error at {field}: {message}" in res.output
 
 
-@pytest.mark.parametrize("args", [
+# a subcommand, one that writes sidecars (<out>.fit.json) and accept
+OUT_COMMANDS = [
     ["w2", "--config", str(GOLDEN / "w2_inline_atoms.json")],
-    # the <out>.fit.json sidecar is the first file written
     ["rate-scan", "--config", str(GOLDEN / "rate_scan_two_point.json"),
      "--seed", "7"],
     ["accept", "--quick"],
-], ids=["w2", "rate_scan", "accept"])
+]
+
+
+def _forbid_computing(monkeypatch):
+    """Make any criterion, rate series or W2 fail the test if it runs."""
+    def must_not_run(*args, **kwargs):
+        pytest.fail("computed before --out was refused")
+
+    def check_1_closed_form_transport(quick, seed):
+        must_not_run()
+    monkeypatch.setattr(acceptance, "CRITERIA", [check_1_closed_form_transport])
+    monkeypatch.setattr(experiments, "rate_series", must_not_run)
+    monkeypatch.setattr(transport, "w2_squared", must_not_run)
+
+
+@pytest.mark.parametrize("args", OUT_COMMANDS, ids=["w2", "rate_scan", "accept"])
 def test_unwritable_out_exits_2(runner, tmp_path, monkeypatch, args):
-    # accept writes after its suite runs; one criterion keeps this short
-    monkeypatch.setattr(acceptance, "CRITERIA", acceptance.CRITERIA[-1:])
+    """An --out in a missing directory exits 2 naming --out before any
+    criterion, trial or W2 runs, and prints no criterion line."""
+    _forbid_computing(monkeypatch)
     out = tmp_path / "missing" / "x.csv"
     res = runner.invoke(main, [*args, "--out", str(out)])
     assert res.exit_code == 2, res.output
     assert "config error at --out: " in res.output
+    assert not re.search(r"^\[(PASS|FAIL)\]", res.output, re.MULTILINE)
+
+
+@pytest.mark.parametrize("args", OUT_COMMANDS, ids=["w2", "rate_scan", "accept"])
+def test_out_that_is_a_directory_exits_2(runner, tmp_path, monkeypatch, args):
+    _forbid_computing(monkeypatch)
+    res = runner.invoke(main, [*args, "--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert "config error at --out: " in res.output and "is a directory" in res.output
+
+
+def test_accept_reports_a_raising_criterion_as_failed(runner, monkeypatch):
+    """A criterion that raises is a FAIL line naming the exception; the
+    others still run and print, and the exit code is 3."""
+    def check_4_parametric_rate(quick, seed):
+        raise ValueError("stderr 0 at n = [128]: every trial gave the same "
+                         "value")
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        [check_4_parametric_rate,
+                         acceptance.check_14_exponent_identities])
+    res = runner.invoke(main, ["accept", "--quick"])
+    assert res.exit_code == 3, res.output
+    lines = re.findall(r"^\[(PASS|FAIL)\] +(\d+)  (.*)$", res.output,
+                       re.MULTILINE)
+    assert [(mark, int(k)) for mark, k, _ in lines] == [("FAIL", 4), ("PASS", 14)]
+    assert acceptance.NAMES[4] in lines[0][2]
+    assert "raised ValueError: stderr 0 at n = [128]" in lines[0][2]
+    assert "1/2 criteria passed" in res.output
 
 
 # sha256 of `accept --quick --out` at the default seed; a change that moves
