@@ -35,6 +35,9 @@ _GAUSS = np.zeros(15)
 _GAUSS[1::2] = [0.1294849661688697, 0.27970539148927664, 0.3818300505051189,
                 0.4179591836734694, 0.3818300505051189, 0.27970539148927664,
                 0.1294849661688697]
+# the error rule's node weights K15 - G7, and their magnitudes for noise
+_DIFF = _KRONROD - _GAUSS
+_ABS_DIFF = np.abs(_DIFF)
 
 
 class QuadratureError(RuntimeError):
@@ -116,33 +119,41 @@ def _simpson_members(f, breakpoints, tols, max_depth: int = 40,
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         t = mid[:, None] + half[:, None] * _NODES
         fv = f(t.ravel(), np.repeat(member, 15))
-        fv, noise = fv if isinstance(fv, tuple) else (fv, 0.0)
+        fv, noise = fv if isinstance(fv, tuple) else (fv, None)
         fv = np.asarray(fv, dtype=float).reshape(t.shape)
-        n_eval += 15 * np.bincount(member, minlength=k)
+        if k == 1:
+            n_eval += 15 * lo.size
+        else:
+            n_eval += 15 * np.bincount(member, minlength=k)
         # per-row sums in a fixed order (not BLAS), so a panel's bits do not
         # depend on which other panels share the round
         value = half * np.add.reduce(fv * _KRONROD, axis=1)
-        err = np.abs(half * np.add.reduce(fv * (_KRONROD - _GAUSS), axis=1))
+        err = np.abs(half * np.add.reduce(fv * _DIFF, axis=1))
         local_tol = tol[member] * np.maximum((hi - lo) / span[member], 1e-300)
         # a gap of 1.2e-14 |K15| (54 ulp) is within the rounding of the two
         # 15-term sums on a same-signed integrand, which no bisection can
         # remove; accept such a panel rather than split it forever
         local_tol = np.maximum(local_tol, 1.2e-14 * np.abs(value) + 1e-300)
-        if np.any(noise):
-            noise = np.reshape(noise, t.shape) * np.abs(_KRONROD - _GAUSS)
+        if noise is not None and np.any(noise):
+            noise = np.reshape(noise, t.shape) * _ABS_DIFF
             local_tol = np.maximum(local_tol, half * np.add.reduce(noise, axis=1))
         done = (err <= local_tol) | (depth >= max_depth) | \
                (hi - lo <= 1e-15 * (1.0 + np.abs(lo) + np.abs(hi)))
         # a member past its budget accepts every pending panel
         over = n_eval > max_eval
-        if np.any(over):
+        if over.any():
             done |= over[member]
             converged &= ~over
-        # the finished panels grouped by member, each member's in round order
         fin = np.flatnonzero(done)
-        fin = fin[np.argsort(member[fin], kind="stable")]
-        ends = np.cumsum(np.bincount(member[fin], minlength=k))[:-1]
-        for i, sel in enumerate(np.split(fin, ends)):
+        if k == 1:
+            groups = [fin]
+        else:
+            # the finished panels grouped by member, each member's in round
+            # order
+            fin = fin[np.argsort(member[fin], kind="stable")]
+            groups = np.split(fin, np.cumsum(np.bincount(member[fin],
+                                                         minlength=k))[:-1])
+        for i, sel in enumerate(groups):
             if sel.size:
                 acc_edges[i].append(lo[sel])
                 acc_vals[i].append(value[sel])
@@ -152,8 +163,10 @@ def _simpson_members(f, breakpoints, tols, max_depth: int = 40,
         keep = ~done
         lo, hi = (np.concatenate([lo[keep], mid[keep]]),
                   np.concatenate([mid[keep], hi[keep]]))
-        depth = np.tile(depth[keep] + 1, 2)
-        member = np.tile(member[keep], 2)
+        depth = depth[keep] + 1
+        depth = np.concatenate([depth, depth])
+        member = member[keep]
+        member = np.concatenate([member, member])
 
     results = []
     for i in range(k):

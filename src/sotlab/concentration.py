@@ -116,10 +116,18 @@ def weighted_cdf_statistic(F: SmoothedMixture, sample, n: int | None = None) -> 
     if isinstance(sample, EmpiricalMeasure):
         if n is None:
             n = sample.n
-        grid = np.unique(sample.samples)
+        # the distinct points of the sorted sample, each where its run of
+        # ties starts: F_n's left limit there is its start / n, its value
+        # the next run's start / n
+        x = sample.samples
+        first = np.empty(x.size, dtype=bool)
+        first[0] = True
+        np.not_equal(x[1:], x[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        grid = x[starts]
         Ft = F.cdf(grid)
-        right = np.searchsorted(sample.samples, grid, side="right") / n
-        left = np.searchsorted(sample.samples, grid, side="left") / n
+        right = np.append(starts[1:], x.size) / n
+        left = starts / n
         dev = np.maximum(np.abs(Ft - right), np.abs(Ft - left))
         return float(np.max(dev / _denominator(Ft, n)))
     if isinstance(sample, SmoothedMixture):

@@ -143,8 +143,9 @@ def _logsumexp_atoms(a, e, ties):
         np.copyto(e, 0.0, where=ties)
         s = _pairwise_sum(e) / m
         out = np.log1p(s) + np.log(m) + a_max
-    bad = ~np.isfinite(out)
-    if bad.any():
+    finite = np.isfinite(out)
+    if not finite.all():
+        bad = ~finite
         with np.errstate(divide="ignore", over="ignore"):
             out[bad] = np.log(_pairwise_sum(np.exp(a[:, bad])))
     return out
@@ -261,14 +262,13 @@ def _row_blocks(n_rows: int, n_atoms: int, block) -> None:
     so the output bits do not depend on the budget or on the number of
     workers.
     """
-    slices = _row_slices(n_rows, n_atoms)
-    if len(slices) <= 1:
-        for rows in slices:
-            block(rows)
+    if n_rows * n_atoms <= _BLOCK_BUDGET or n_rows == 1:
+        if n_rows:
+            block(slice(0, n_rows))
         return
     pool = _kernel_pool()
     futures = [pool.submit(contextvars.copy_context().run, block, rows)
-               for rows in slices]
+               for rows in _row_slices(n_rows, n_atoms)]
     wait(futures)
     for f in futures:
         f.result()
@@ -413,7 +413,8 @@ class AtomicDistribution:
         return out
 
     def sample(self, n: int, seed) -> "EmpiricalMeasure":
-        return EmpiricalMeasure(np.sort(self.locations[self._draw_atoms(n, seed)]))
+        return EmpiricalMeasure._from_sorted(
+            np.sort(self.locations[self._draw_atoms(n, seed)]))
 
     def empirical(self, n: int, seed) -> "AtomicDistribution":
         """P_n of an n-sample: sample(n, seed).to_atomic() bit for bit, from
@@ -450,6 +451,16 @@ class EmpiricalMeasure:
             raise ValueError("samples must be sorted ascending")
         vals.setflags(write=False)
         object.__setattr__(self, "samples", vals)
+
+    @classmethod
+    def _from_sorted(cls, vals: np.ndarray) -> "EmpiricalMeasure":
+        """The measure of a fresh, sorted, non-empty 1-d float array, taken
+        as it is: the bits of EmpiricalMeasure(vals) without
+        __post_init__'s copy and checks, which such an array passes."""
+        vals.setflags(write=False)
+        out = object.__new__(cls)
+        object.__setattr__(out, "samples", vals)
+        return out
 
     @property
     def n(self) -> int:
@@ -516,6 +527,16 @@ class SmoothedMixture:
     reduces it over the atoms with _logsumexp_atoms, so that numpy runs along
     the points rather than once per short row; each point's operations, and
     so its bits, are the same in either layout.
+
+    Lean path: a call on at most _ATOM_MAJOR_MAX atoms whose points x atoms
+    fit in one block (_BLOCK_BUDGET pairs) builds its (atoms x points)
+    arrays fresh and reduces them directly (_few_atom_logsum), with no row
+    blocks, closure or thread scratch; the quantile solver's start bracket
+    takes the same rule. Such a call would run inline as one block anyway,
+    and its arrays are at most a few KB for the 2-atom calls of the Monte
+    Carlo and exact paths, so the pool and the scratch buy nothing there.
+    Only calls of more than one block or more than 7 atoms take the row
+    blocks.
     """
 
     base: AtomicDistribution
@@ -534,15 +555,18 @@ class SmoothedMixture:
         one per point. The tail divides by sign * sigma, which IEEE division
         makes sign * z bit for bit."""
         t = np.asarray(t, dtype=float)
-        flat = np.atleast_1d(t).ravel()
+        flat = t.reshape(-1)
         locs = self.base.locations
-        if log_weights is None:
-            rows = self.base.log_weights[None, :]
-        else:
-            rows = np.reshape(log_weights, (flat.size, locs.size))
+        rows = None if log_weights is None else \
+            np.reshape(log_weights, (flat.size, locs.size))
         scale = self.sigma if sign is None else np.multiply(sign, self.sigma)
         if np.ndim(scale):
-            scale = scale.ravel()[:, None]
+            scale = scale.reshape(-1)
+        if locs.size <= _ATOM_MAJOR_MAX and flat.size * locs.size <= _BLOCK_BUDGET:
+            out = _few_atom_logsum(flat, locs, scale, sign is None,
+                                   self.base.log_weights[:, None]
+                                   if rows is None else rows.T)
+            return out.reshape(t.shape) if t.shape else out[0]
         out = np.empty(flat.shape, dtype=float)
         atom_major = 1 < locs.size <= _ATOM_MAJOR_MAX
 
@@ -557,12 +581,12 @@ class SmoothedMixture:
             else:
                 z, term, ties = _scratch((r.stop - r.start, locs.size))
             np.divide(np.subtract(flat[r, None], locs, out=z),
-                      scale[r] if np.ndim(scale) else scale, out=z)
+                      scale[r, None] if np.ndim(scale) else scale, out=z)
             if sign is None:
                 np.multiply(np.multiply(z, -0.5, out=term), z, out=term)
             else:
                 log_ndtr(z, out=term)
-            lw = rows if log_weights is None else rows[r]
+            lw = self.base.log_weights if rows is None else rows[r]
             np.add(lw, term, out=term)
             out[r] = (_logsumexp_atoms(term.T, z.T, ties.T) if atom_major
                       else _logsumexp(term, 1, z, ties)[:, 0])
@@ -607,7 +631,7 @@ class SmoothedMixture:
         first = self._atom_logsum(t, sign, log_weights)
         other = np.zeros(t.shape)
         todo = ~(first < _LOG_HALF_DECIDED)
-        if np.any(todo):
+        if todo.any():
             other[todo] = self._atom_logsum(
                 t[todo], -sign[todo],
                 None if log_weights is None else log_weights[todo])
@@ -672,12 +696,14 @@ class SmoothedMixture:
         up to 8 to 15.
         """
         lm = np.atleast_1d(np.asarray(log_mass, dtype=float))
-        if np.any(lm >= math.log(0.75)) or np.any(~np.isfinite(lm)):
+        if not ((lm < math.log(0.75)) & (lm > -math.inf)).all():
             raise ValueError("log-mass targets must be finite and <= log(0.75); "
                              "split at the median for the upper half")
         shape = lm.shape
         lm = lm.ravel()
-        up = np.broadcast_to(np.asarray(upper, dtype=bool), shape).ravel()
+        up = np.empty(shape, dtype=bool)
+        up[...] = upper
+        up = up.ravel()
         rows = None if log_weights is None else \
             np.reshape(log_weights, (lm.size, self.base.n_atoms))
         lo, hi, x = self._quantile_bracket(lm, up, rows)
@@ -687,44 +713,46 @@ class SmoothedMixture:
         # the loop state holds the open targets only; `at` is their position
         at = np.arange(lm.size)
         out = np.empty(lm.size)
-        for it in range(_NEWTON_CAP):
-            if at.size == 0:
-                break
-            logm = self._atom_logsum(x, sign, rows)
-            g = logm - lm
-            # bracket update: the root lies right of x where sign * g < 0
-            go_right = sign * g < 0.0
-            lo_n = np.where(go_right, x, lo)
-            hi_n = np.where(go_right, hi, x)
-            done = (np.abs(g) <= 1e-13) | (hi_n - lo_n <= 1e-14 * (1.0 + np.abs(x)))
-            if done.any():
-                out[at[done]] = x[done]
-                keep = ~done
-                x, lo, hi, lo_n, hi_n, g, logm, lm, sign, at = (
-                    a[keep] for a in (x, lo, hi, lo_n, hi_n, g, logm, lm,
-                                      sign, at))
-                if rows is not None:
-                    rows = rows[keep]
+        # a Newton step may divide by an underflowed density; bisection
+        # takes over there
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for it in range(_NEWTON_CAP):
                 if at.size == 0:
                     break
-            # Newton step on g(x); d/dx log F = pdf/F, d/dx log S = -pdf/S
-            deriv = sign * np.exp(self.log_pdf(x, rows) - logm)
-            with np.errstate(divide="ignore", over="ignore",
-                             invalid="ignore"):
-                step = g / deriv
-            xn = x - step
-            bad = ~np.isfinite(xn) | (xn <= lo_n) | (xn >= hi_n)
-            if it >= _BISECT_FROM:
-                bad |= ~(hi_n - lo_n <= 0.5 * (hi - lo))
-            x, lo, hi = np.where(bad, 0.5 * (lo_n + hi_n), xn), lo_n, hi_n
+                logm = self._atom_logsum(x, sign, rows)
+                g = logm - lm
+                # bracket update: the root lies right of x where sign * g < 0
+                go_right = sign * g < 0.0
+                lo_n = np.where(go_right, x, lo)
+                hi_n = np.where(go_right, hi, x)
+                done = (np.abs(g) <= 1e-13) | \
+                    (hi_n - lo_n <= 1e-14 * (1.0 + np.abs(x)))
+                if done.any():
+                    out[at[done]] = x[done]
+                    keep = ~done
+                    x, lo, hi, lo_n, hi_n, g, logm, lm, sign, at = (
+                        a[keep] for a in (x, lo, hi, lo_n, hi_n, g, logm, lm,
+                                          sign, at))
+                    if rows is not None:
+                        rows = rows[keep]
+                    if at.size == 0:
+                        break
+                # Newton step on g(x); d/dx log F = pdf/F, d/dx log S = -pdf/S
+                step = g / (sign * np.exp(self.log_pdf(x, rows) - logm))
+                xn = x - step
+                bad = ~np.isfinite(xn) | (xn <= lo_n) | (xn >= hi_n)
+                if it >= _BISECT_FROM:
+                    bad |= ~(hi_n - lo_n <= 0.5 * (hi - lo))
+                x, lo, hi = np.where(bad, 0.5 * (lo_n + hi_n), xn), lo_n, hi_n
         if at.size:
             raise QuantileSolveError(int(at.size))
         return out.reshape(shape)
 
     def _quantile_bracket(self, lm, up, rows):
         """(lo, hi, x0) for quantile_from_log_mass: each target's start
-        bracket and start point (see there). The per-atom bounds are taken in
-        blocks of _row_slices' size, and the widened one at x0's atom only."""
+        bracket and start point (see there). The per-atom bounds are taken on
+        the lean path's rule (see the class docstring) or in blocks of
+        _row_slices' size, and the widened one at x0's atom only."""
         locs, sigma = self.base.locations, self.sigma
         flip = np.where(up, -1.0, 1.0)
         # atom locations in each target's frame; their least and greatest
@@ -734,8 +762,7 @@ class SmoothedMixture:
         best = np.empty(lm.size)
         j_best = np.empty(lm.size, dtype=np.intp)
 
-        def block(r):
-            q, b, _ = _scratch((r.stop - r.start, locs.size))
+        def bounds(r, q, b):
             lw = self.base.log_weights if rows is None else rows[r]
             # lm >= lw_j gives no bound: ndtri_exp(0) = inf
             np.minimum(np.subtract(lm[r, None], lw, out=q), 0.0, out=q)
@@ -745,7 +772,13 @@ class SmoothedMixture:
             j_best[r] = j = np.argmin(b, axis=1)
             best[r] = b[np.arange(j.size), j]
 
-        _row_blocks(lm.size, locs.size, block)
+        if locs.size <= _ATOM_MAJOR_MAX and lm.size * locs.size <= _BLOCK_BUDGET:
+            # the lean path's rule (see _atom_logsum): fresh arrays, no blocks
+            bounds(slice(None), np.empty((lm.size, locs.size)),
+                   np.empty((lm.size, locs.size)))
+        else:
+            _row_blocks(lm.size, locs.size, lambda r: bounds(
+                r, *_scratch((r.stop - r.start, locs.size))[:2]))
         x0 = np.minimum(r_max + sigma * ndtri_exp(lm), best)
         tau = 16.0 * _EPS * (1.0 - lm)
         lw_best = self.base.log_weights[j_best] if rows is None else \
@@ -762,15 +795,20 @@ class SmoothedMixture:
 
     def _start_grid(self):
         """The start table's grid (see quantile_from_log_mass), or None where
-        its ends overflow."""
-        locs, s = self.base.locations, self.sigma
-        a, b = locs[0] - 8.0 * s, locs[-1] + 8.0 * s
-        if not (math.isfinite(a) and math.isfinite(b)):
-            return None
-        steps = (b - a) / (s / 8.0)
-        n = _TABLE_MAX if not steps < _TABLE_MAX else \
-            max(_TABLE_MIN, math.ceil(steps) + 1)
-        return np.linspace(a, b, n)
+        its ends overflow; made once per mixture object and cached on it
+        beside its start tables."""
+        cache = self.__dict__
+        if "_grid" not in cache:
+            locs, s = self.base.locations, self.sigma
+            a, b = locs[0] - 8.0 * s, locs[-1] + 8.0 * s
+            grid = None
+            if math.isfinite(a) and math.isfinite(b):
+                steps = (b - a) / (s / 8.0)
+                n = _TABLE_MAX if not steps < _TABLE_MAX else \
+                    max(_TABLE_MIN, math.ceil(steps) + 1)
+                grid = np.linspace(a, b, n)
+            cache["_grid"] = grid
+        return cache["_grid"]
 
     def _table_start(self, lm, up, rows, lo, hi, x0):
         """Newton start points for quantile_from_log_mass: x0, except that a
@@ -801,7 +839,9 @@ class SmoothedMixture:
             for tail, table, sgn in ((~u, log_f, 1.0), (u, neg_log_s, -1.0)):
                 if tail.any():
                     x[at[tail]] = _interpolate(grid, table, sgn * lm[at[tail]])
-        x[use] = np.clip(x[use], lo[use], hi[use])
+        # np.clip's bits, +-0 ties included, without its wrapper: with array
+        # bounds x is np.maximum's first operand
+        x[use] = np.minimum(np.maximum(x[use], lo[use]), hi[use])
         return x
 
     def _start_table(self, grid, row):
@@ -900,17 +940,41 @@ class SmoothedMixture:
         rng = _as_generator(seed)
         idx = self.base._draw_atoms(n, rng)
         vals = self.base.locations[idx] + rng.normal(0.0, self.sigma, size=n)
-        return EmpiricalMeasure(np.sort(vals))
+        return EmpiricalMeasure._from_sorted(np.sort(vals))
+
+
+def _few_atom_logsum(flat, locs, scale, density, lw):
+    """SmoothedMixture._atom_logsum of a call on at most _ATOM_MAJOR_MAX
+    atoms that fits in one block: the (atoms x points) arrays built and
+    reduced directly, on fresh arrays, with no row blocks and no scratch.
+    scale is sigma, or sign * sigma, one for all points or one per point; lw
+    is (atoms x 1) or (atoms x points). Each point's operations are those of
+    the block path, so are its bits."""
+    z = np.subtract(flat, locs[:, None])
+    np.divide(z, scale, out=z)
+    if density:
+        term = np.multiply(z, -0.5)
+        np.multiply(term, z, out=term)
+    else:
+        term = log_ndtr(z)
+    np.add(lw, term, out=term)
+    if locs.size == 1:
+        # _logsumexp's one-term path
+        return 0.0 + term[0]
+    return _logsumexp_atoms(term, z, np.empty(term.shape, dtype=bool))
 
 
 def _interpolate(grid, table, y):
     """Where the nondecreasing table, linear between the grid points, meets
     each y; the grid's ends past the table's, and a flat segment's midpoint
     on it."""
-    i = np.clip(np.searchsorted(table, y, side="right") - 1, 0, grid.size - 2)
+    # np.clip's bits, +-0 ties included, without its wrapper: with scalar
+    # bounds the bound is np.maximum's and np.minimum's first operand
+    i = np.minimum(np.maximum(np.searchsorted(table, y, side="right") - 1, 0),
+                   grid.size - 2)
     a, b = table[i], table[i + 1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        f = np.clip((y - a) / (b - a), 0.0, 1.0)
+        f = np.minimum(1.0, np.maximum(0.0, (y - a) / (b - a)))
     f = np.where(np.isnan(f), 0.5, f)
     return grid[i] + f * (grid[i + 1] - grid[i])
 

@@ -181,19 +181,15 @@ def _mi_atom_quad(f, bp, windows, locs, tol: float):
     Each window is integrated in the offset u = y - c from its atom c nearest
     its midpoint, and f(u, c) is the integrand at c + u: the nodes are exact
     in u, where at |y| ~ 1e8 float64 would move each by up to 7e-9 and the
-    panels' |K15 - G7| could not shrink below that noise."""
+    panels' |K15 - G7| could not shrink below that noise. A round's points
+    of all windows go to f in one call, c holding each point's own atom;
+    that atom lies inside its window, so the windows' atoms differ, and f
+    tells the windows apart by c. f also takes one scalar c for all
+    points."""
     widths = np.array([b - a for a, b in windows])
-    refs = [float(locs[np.argmin(np.abs(locs - 0.5 * (a + b)))])
-            for a, b in windows]
-
-    def by_window(u, member):
-        out = np.empty(u.shape)
-        for w in np.unique(member).tolist():
-            sel = member == w
-            out[sel] = f(u[sel], refs[w])
-        return out
-
-    res = _simpson_members(by_window,
+    refs = np.array([locs[np.argmin(np.abs(locs - 0.5 * (a + b)))]
+                     for a, b in windows])
+    res = _simpson_members(lambda u, member: f(u, refs[member]),
                            [bp[(bp >= a) & (bp <= b)] - c
                             for (a, b), c in zip(windows, refs)],
                            tol * widths / widths.sum())
@@ -202,12 +198,25 @@ def _mi_atom_quad(f, bp, windows, locs, tol: float):
             sum(r.n_eval for r in res))
 
 
+def _window_reach(u, c):
+    """max |u| over the points that share each point's c, plus |c|: with c
+    one per point (see _mi_atom_quad), each window's own largest offset in
+    this call; with a scalar c, the largest of all points."""
+    if np.ndim(c) == 0:
+        return np.abs(u).max(initial=0.0) + abs(c)
+    refs, window = np.unique(c, return_inverse=True)
+    reach = np.zeros(refs.size)
+    np.maximum.at(reach, window, np.abs(u))
+    return reach[window] + np.abs(c)
+
+
 def _log_mix_rel(p: AtomicDistribution, sigma: float, k: int,
-                 u: np.ndarray, c: float = 0.0) -> np.ndarray:
+                 u: np.ndarray, c=0.0) -> np.ndarray:
     """s(y) = log(w_k phi_k(y) / rho(y)) <= 0 at y = c + u, built from
     atom-relative exponent differences so no large-magnitude cancellation
-    enters. Each y - r_j is formed as u + (c - r_j), so with c an atom near u
-    the nodes keep their precision; with c = 0 the bits are those of y.
+    enters. c is one offset for all points or one per point. Each y - r_j is
+    formed as u + (c - r_j), so with c an atom near u the nodes keep their
+    precision; with c = 0 the bits are those of y.
 
     The j-th relative exponent (logw_j + logphi_j) - (logw_k + logphi_k) is
     huge in magnitude wherever the two kernels differ a lot, but rounding there
@@ -219,15 +228,14 @@ def _log_mix_rel(p: AtomicDistribution, sigma: float, k: int,
     bits are those of -logsumexp over the (points x atoms) array.
     """
     locs = p.locations
-    to_atom = (c - locs)[:, None]
-    to_k = c - locs[k]
     lw_rel = (p.log_weights - p.log_weights[k])[:, None]
     out = np.empty(u.shape)
     for r in _row_slices(u.size, locs.size):
-        ur = u[r]
+        ur, cr = u[r], (c[r] if np.ndim(c) else c)
         delta, e, ties = _scratch((locs.size, ur.size))
-        np.square(np.add(ur, to_atom, out=delta), out=delta)
-        np.subtract(np.square(ur + to_k), delta, out=delta)
+        np.add(ur, np.subtract(cr, locs[:, None], out=delta), out=delta)
+        np.square(delta, out=delta)
+        np.subtract(np.square(ur + (cr - locs[k])), delta, out=delta)
         np.divide(delta, 2.0 * sigma * sigma, out=delta)
         np.add(lw_rel, delta, out=delta)
         out[r] = _logsumexp_atoms(delta, e, ties)
@@ -235,18 +243,18 @@ def _log_mix_rel(p: AtomicDistribution, sigma: float, k: int,
 
 
 def _log_mix_sum(p: AtomicDistribution, sigma: float, u: np.ndarray,
-                 c: float) -> np.ndarray:
+                 c) -> np.ndarray:
     """log sum_j w_j exp(-(y - r_j)^2 / (2 sigma^2)) at y = c + u, each
     y - r_j formed as u + (c - r_j), in cache-sized slices like
     _log_mix_rel."""
     locs = p.locations
-    to_atom = (c - locs)[:, None]
     lw = p.log_weights[:, None]
     out = np.empty(u.shape)
     for r in _row_slices(u.size, locs.size):
-        ur = u[r]
+        ur, cr = u[r], (c[r] if np.ndim(c) else c)
         delta, e, ties = _scratch((locs.size, ur.size))
-        np.square(np.add(ur, to_atom, out=delta), out=delta)
+        np.add(ur, np.subtract(cr, locs[:, None], out=delta), out=delta)
+        np.square(delta, out=delta)
         np.divide(delta, -2.0 * sigma * sigma, out=delta)
         np.add(lw, delta, out=delta)
         out[r] = _logsumexp_atoms(delta, e, ties)
@@ -290,16 +298,19 @@ def chi2_mutual_information(p: AtomicDistribution, sigma: float,
             out = np.where(big, np.exp(log_wrho), out)
             # lphi - s cancels two (y - r_k)^2 / (2 sigma^2) terms, each
             # rounded at its own scale, by at most
-            # 2^-48 ((|u| + |c| + |r|)^2 / sigma^2 + 2 max|lw|) + 1; where
-            # w_k rho can be representable, it is taken from log rho itself
+            # 2^-48 ((|u| + |c| + |r|)^2 / sigma^2 + 2 max|lw|) + 1, |u| the
+            # largest of the window's points; where w_k rho can be
+            # representable, it is taken from log rho itself
+            if not big.any():
+                return out
             with np.errstate(all="ignore"):
-                q = np.abs(u).max(initial=0.0) + abs(c) + r_max
+                q = _window_reach(u, c) + r_max
                 margin = 2.0 ** -48 * (q * q / (sigma * sigma)
                                        + two_lw_max) + 1.0
             redo = big & (log_wrho > -746.0 - margin)
-            if np.any(redo):
-                out[redo] = np.exp(lwk + log_norm
-                                   + _log_mix_sum(p, sigma, u[redo], c))
+            if redo.any():
+                out[redo] = np.exp(lwk + log_norm + _log_mix_sum(
+                    p, sigma, u[redo], c[redo] if np.ndim(c) else c))
             return out
 
         total, err, evals = _mi_atom_quad(integrand, bp, windows,

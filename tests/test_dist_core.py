@@ -521,10 +521,12 @@ def test_log_interval_prob_keeps_both_branch_bits(pools, n_atoms):
 @pytest.mark.parametrize("n_atoms", range(1, 10))
 def test_few_atom_kernel_matches_row_major_bitwise(pools, n_atoms, with_rows):
     """log_pdf, log_cdf, log_sf and the signed log-mass pass of the quantile
-    solver give the bits of logsumexp(lw + term, axis=1) over the (points x
-    atoms) array, whichever layout the kernel builds, inline and on pools of
-    1 and 2 workers: at +-inf, NaN, +-1e300 and at the atoms themselves, with
-    log-weights near -700."""
+    solver, with one sign per point, give the bits of logsumexp(lw + term,
+    axis=1) over the (points x atoms) array, whichever layout the kernel
+    builds: on the lean path (up to 7 atoms in one block) and in row blocks
+    on pools of 1 and 2 workers; at +-inf, NaN, +-1e300 and at the atoms
+    themselves, with log-weights and log-weight rows at -700; for a 0-d, an
+    empty, a 1-d and a 2-D t, each output of t's shape."""
     rng = np.random.default_rng(n_atoms)
     locs = np.sort(rng.uniform(-4.0, 4.0, n_atoms))
     lw = np.log(rng.dirichlet(np.ones(n_atoms)))
@@ -544,29 +546,60 @@ def test_few_atom_kernel_matches_row_major_bitwise(pools, n_atoms, with_rows):
         want = [special.logsumexp(lws + term, axis=1) for term in
                 (-0.5 * z * z, log_ndtr(z), log_ndtr(-z), log_ndtr(z * sign[:, None]))]
         want[0] = want[0] - math.log(m.sigma) - dist_core.LOG_SQRT_2PI
-        want = [_bits(w) for w in want]
-        for budget, pool in ((10 ** 9, None), (2 * n_atoms, pools[1]),
-                             (5 * n_atoms, pools[2])):
-            with mock.patch.object(dist_core, "_BLOCK_BUDGET", budget), \
-                    mock.patch.object(dist_core, "_pool", pool):
-                got = [m.log_pdf(t, rows), m.log_cdf(t, rows), m.log_sf(t, rows),
-                       m._atom_logsum(t, sign, rows)]
-            assert [_bits(g) for g in got] == want, budget
+    # points of t in the shapes of each case: 0-d at NaN, +inf and a point
+    # between the atoms, empty, all of t, and 2-D
+    cases = [np.array(i) for i in (2, 1, t.size - 30)]
+    cases += [np.arange(0), np.arange(t.size), np.arange(40).reshape(5, 8)]
+    for at in cases:
+        tc, sc = t[at], sign[at]
+        rc = None if rows is None else rows[at.reshape(-1)]
+        with np.errstate(all="ignore"):
+            for budget, pool in ((10 ** 9, None), (2 * n_atoms, pools[1]),
+                                 (5 * n_atoms, pools[2])):
+                with mock.patch.object(dist_core, "_BLOCK_BUDGET", budget), \
+                        mock.patch.object(dist_core, "_pool", pool):
+                    got = [m.log_pdf(tc, rc), m.log_cdf(tc, rc),
+                           m.log_sf(tc, rc), m._atom_logsum(tc, sc, rc)]
+                assert [np.shape(g) for g in got] == [at.shape] * 4
+                assert [_bits(g) for g in got] == \
+                    [_bits(w[at]) for w in want], (at.shape, budget)
 
 
 def test_row_blocks_keep_shapes_and_types(monkeypatch):
+    """Shapes and scalar types of the kernel's outputs, in row blocks and on
+    the lean path (5 atoms in one block)."""
     m = random_mixture(np.random.default_rng(3), 5)
-    monkeypatch.setattr(dist_core, "_BLOCK_BUDGET", 6)
-    for x, shape in ((np.empty(0), (0,)), (np.empty((0, 3)), (0, 3)),
-                     (np.linspace(-3, 3, 12).reshape(3, 4), (3, 4))):
-        for name in ("log_cdf", "log_sf", "log_pdf"):
-            got = getattr(m, name)(x)
-            assert isinstance(got, np.ndarray) and got.shape == shape
-        assert m.log_interval_prob(x, x + 1.0).shape == shape
-    for x in (0.3, np.float64(0.3), np.array(0.3)):
-        for name in ("log_cdf", "log_sf", "log_pdf"):
-            assert type(getattr(m, name)(x)) is np.float64
-        assert type(m.log_interval_prob(x, 1.0)) is float
+    for budget in (6, dist_core._BLOCK_BUDGET):
+        monkeypatch.setattr(dist_core, "_BLOCK_BUDGET", budget)
+        for x, shape in ((np.empty(0), (0,)), (np.empty((0, 3)), (0, 3)),
+                         (np.linspace(-3, 3, 12).reshape(3, 4), (3, 4))):
+            for name in ("log_cdf", "log_sf", "log_pdf"):
+                got = getattr(m, name)(x)
+                assert isinstance(got, np.ndarray) and got.shape == shape
+            assert m.log_interval_prob(x, x + 1.0).shape == shape
+        for x in (0.3, np.float64(0.3), np.array(0.3)):
+            for name in ("log_cdf", "log_sf", "log_pdf"):
+                assert type(getattr(m, name)(x)) is np.float64
+            assert type(m.log_interval_prob(x, 1.0)) is float
+
+
+def test_small_calls_take_the_lean_path(monkeypatch):
+    """A 2-atom, 30-point log_cdf, log_pdf and signed pass, and a quantile
+    solve on 2 atoms, never reach the row blocks, so the lean path cannot
+    fall back to them unnoticed; the 8-atom call does."""
+    def no_blocks(*args):
+        raise AssertionError("reached _row_blocks")
+
+    t = np.linspace(-3.0, 5.0, 30)
+    m = SmoothedMixture(constructions.bernoulli_two_point(2.0, 2.0), 1.0)
+    want = _bits(m.log_cdf(t))
+    monkeypatch.setattr(dist_core, "_row_blocks", no_blocks)
+    assert _bits(m.log_cdf(t)) == want
+    m.log_pdf(t)
+    m._atom_logsum(t, np.where(t < 1.0, 1.0, -1.0))
+    m.quantile_from_log_mass(np.log([1e-30, 0.3]), upper=[False, True])
+    with pytest.raises(AssertionError, match="reached _row_blocks"):
+        random_mixture(np.random.default_rng(3), 8).log_cdf(t)
 
 
 def test_block_exception_reaches_the_caller(monkeypatch, pools):

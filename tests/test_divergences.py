@@ -323,7 +323,9 @@ def test_renyi_mi_skips_atoms_whose_part_rounds_to_zero():
 
 
 def _log_mix_rel_by_points(p, sigma, k, u, c=0.0):
-    # the (points x atoms) formula that the atom-major _log_mix_rel reproduces
+    # the (points x atoms) formula that the atom-major _log_mix_rel
+    # reproduces; c is one offset for all points or one per point
+    c = np.broadcast_to(c, u.shape)[:, None]
     rk = p.locations[k]
     lwk = p.log_weights[k]
     delta = ((p.log_weights[None, :] - lwk)
@@ -352,6 +354,68 @@ def test_mi_keeps_the_points_by_atoms_bits(monkeypatch):
     got = bits()
     monkeypatch.setattr(dv, "_log_mix_rel", _log_mix_rel_by_points)
     assert got == bits()
+
+
+def _mi_atom_quad_by_window(f, bp, windows, locs, tol):
+    # the reference _mi_atom_quad: the integrand called once per window per
+    # round, with that window's atom as a scalar c
+    widths = np.array([b - a for a, b in windows])
+    refs = [float(locs[np.argmin(np.abs(locs - 0.5 * (a + b)))])
+            for a, b in windows]
+
+    def by_window(u, member):
+        out = np.empty(u.shape)
+        for w in np.unique(member).tolist():
+            sel = member == w
+            out[sel] = f(u[sel], refs[w])
+        return out
+
+    res = dv._simpson_members(by_window,
+                              [bp[(bp >= a) & (bp <= b)] - c
+                               for (a, b), c in zip(windows, refs)],
+                              tol * widths / widths.sum())
+    return (float(np.sum([r.total for r in res])),
+            float(np.sum([r.error_estimate for r in res])),
+            sum(r.n_eval for r in res))
+
+
+@pytest.mark.parametrize("case", ["chi2_hard", "far_pair", "spread"])
+def test_mi_keeps_the_by_window_bits(case, monkeypatch):
+    """One integrand call per round for all of an atom's windows, each point
+    with its own c, gives every bit of one call per window: value, parts,
+    quadrature error and n_eval of both MIs."""
+    if case == "chi2_hard":
+        p = cons.chi2_hard_example(2.0, cons.chi2_admissible_c(2.0), 10)
+    elif case == "far_pair":
+        p = AtomicDistribution.from_weights(np.array([0.0, 1e6, 1e8]),
+                                            np.array([0.5, 0.3, 0.2]))
+    else:
+        p = random_mixture(np.random.default_rng(11), 6, 0.8, 200.0).base
+
+    def ests():
+        return [(e.value, e.quadrature_error, e.n_eval, *e.partial_by_atom)
+                for e in (dv.chi2_mutual_information(p, 1.0),
+                          dv.renyi_mutual_information(p, 1.0, 1.5))]
+
+    got = ests()
+    monkeypatch.setattr(dv, "_mi_atom_quad", _mi_atom_quad_by_window)
+    assert np.array_equal(np.array(got).view(np.int64),
+                          np.array(ests()).view(np.int64))
+
+
+def test_window_reach_is_per_window():
+    """The chi^2 integrand's rounding margin comes from each window's own
+    largest |u| in the call: with one c per point, each point gets the
+    reach of a scalar-c call on the points sharing its c."""
+    rng = np.random.default_rng(0)
+    c = np.repeat([-1e8, 0.0, 3.5], [5, 7, 4])
+    rng.shuffle(c)
+    u = rng.uniform(-40.0, 40.0, c.size)
+    got = dv._window_reach(u, c)
+    for ref in (-1e8, 0.0, 3.5):
+        sel = c == ref
+        assert np.all(got[sel] == dv._window_reach(u[sel], ref))
+        assert np.unique(got[sel]).size == 1
 
 
 @pytest.mark.parametrize("case", ["chi2_hard", "chi2_hard_offset", "random_0.3",
