@@ -194,12 +194,16 @@ def check_6_chi2_mi_phase(quick=False, seed=DEFAULT_SEED):
     p_small = constructions.bernoulli_two_point(h, 0.5)
     w = math.exp(p_small.log_weights[1])
     rho = SmoothedMixture(p_small, 1.0)
+    # k = 1 .. n - 1 share the atoms {0, h}, so their chi2 terms are one batch
+    inner = divergences._chi2_members(
+        [SmoothedMixture(constructions.two_point(h, math.log(k / n)), 1.0)
+         for k in range(1, n)], [rho] * (n - 1), tol)
+    first, last = (divergences.chi2_divergence(_single_atom(h * k / n, 1.0),
+                                               rho, tol) for k in (0, n))
+    chi2 = [first, *inner, last]
     expected = 0.0
     for k in range(n + 1):
-        pk = (_single_atom(h * k / n, 1.0) if k in (0, n) else SmoothedMixture(
-            constructions.two_point(h, math.log(k / n)), 1.0))
-        expected += (math.comb(n, k) * w ** k * (1.0 - w) ** (n - k)
-                     * divergences.chi2_divergence(pk, rho, tol))
+        expected += math.comb(n, k) * w ** k * (1.0 - w) ** (n - k) * chi2[k]
     mi = divergences.chi2_mutual_information(p_small, 1.0)
     resid = abs(n * expected - mi.value)
     limit = n * tol + mi.quadrature_error + mi.gap_bound

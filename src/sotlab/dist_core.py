@@ -680,7 +680,12 @@ class SmoothedMixture:
         that the log-mass the solver computes straddles the target.
 
         Newton starts at the least of these upper bounds, the root itself for
-        one atom, except where a multi-atom target's bracket lies inside the
+        one atom (_quantile_start). A one-atom solve takes iteration 0's
+        signed pass at that root before any bracket is built, and builds it
+        only for the targets the pass leaves with a residual above 1e-13;
+        they go on from iteration 0's bracket update, so every target's
+        sequence is the one it has with its bracket built first. A multi-atom
+        target starts at that bound except where its bracket lies inside the
         start grid: [r_min - 8 sigma, r_max + 8 sigma] at sigma / 8 spacing,
         clamped to 65-513 points. There it starts where the log-mass of its
         tail, tabulated on the grid and linearly interpolated, meets its
@@ -706,20 +711,37 @@ class SmoothedMixture:
         up = up.ravel()
         rows = None if log_weights is None else \
             np.reshape(log_weights, (lm.size, self.base.n_atoms))
-        lo, hi, x = self._quantile_bracket(lm, up, rows)
-        x = self._table_start(lm, up, rows, lo, hi, x)
         # the sign of d(log-mass)/dx: F increases, S decreases
         sign = np.where(up, -1.0, 1.0)
         # the loop state holds the open targets only; `at` is their position
         at = np.arange(lm.size)
         out = np.empty(lm.size)
+        logm = None
+        if self.base.n_atoms == 1:
+            # iteration 0's signed pass at the closed-form root; only the
+            # targets it leaves open need a bracket
+            x = sign * self._quantile_start(lm, up, rows)[0]
+            logm = self._atom_logsum(x, sign, rows)
+            done = np.abs(logm - lm) <= 1e-13
+            out[done] = x[done]
+            keep = ~done
+            x, logm, lm, up, sign, at = (a[keep] for a in (x, logm, lm, up,
+                                                            sign, at))
+            if rows is not None:
+                rows = rows[keep]
+            if at.size:
+                lo, hi, _ = self._quantile_bracket(lm, up, rows)
+        else:
+            lo, hi, x = self._quantile_bracket(lm, up, rows)
+            x = self._table_start(lm, up, rows, lo, hi, x)
         # a Newton step may divide by an underflowed density; bisection
         # takes over there
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for it in range(_NEWTON_CAP):
                 if at.size == 0:
                     break
-                logm = self._atom_logsum(x, sign, rows)
+                if it or logm is None:
+                    logm = self._atom_logsum(x, sign, rows)
                 g = logm - lm
                 # bracket update: the root lies right of x where sign * g < 0
                 go_right = sign * g < 0.0
@@ -748,16 +770,14 @@ class SmoothedMixture:
             raise QuantileSolveError(int(at.size))
         return out.reshape(shape)
 
-    def _quantile_bracket(self, lm, up, rows):
-        """(lo, hi, x0) for quantile_from_log_mass: each target's start
-        bracket and start point (see there). The per-atom bounds are taken on
-        the lean path's rule (see the class docstring) or in blocks of
-        _row_slices' size, and the widened one at x0's atom only."""
+    def _quantile_start(self, lm, up, rows):
+        """(x0, j_best) for quantile_from_log_mass, in each target's frame:
+        its per-atom start, the least of r_max + sigma q(lm) and its atoms'
+        bounds (see there), the root itself for one atom, and the atom of its
+        tightest bound. The per-atom bounds are taken on the lean path's rule
+        (see the class docstring) or in blocks of _row_slices' size."""
         locs, sigma = self.base.locations, self.sigma
         flip = np.where(up, -1.0, 1.0)
-        # atom locations in each target's frame; their least and greatest
-        r_min = np.where(up, -locs[-1], locs[0])
-        r_max = np.where(up, -locs[0], locs[-1])
         # the tightest per-atom bound of each target, and its atom
         best = np.empty(lm.size)
         j_best = np.empty(lm.size, dtype=np.intp)
@@ -779,7 +799,19 @@ class SmoothedMixture:
         else:
             _row_blocks(lm.size, locs.size, lambda r: bounds(
                 r, *_scratch((r.stop - r.start, locs.size))[:2]))
-        x0 = np.minimum(r_max + sigma * ndtri_exp(lm), best)
+        r_max = np.where(up, -locs[0], locs[-1])
+        return np.minimum(r_max + sigma * ndtri_exp(lm), best), j_best
+
+    def _quantile_bracket(self, lm, up, rows):
+        """(lo, hi, x0) for quantile_from_log_mass: each target's start
+        bracket and per-atom start point (see there), the bracket widened at
+        x0's atom only."""
+        locs, sigma = self.base.locations, self.sigma
+        flip = np.where(up, -1.0, 1.0)
+        x0, j_best = self._quantile_start(lm, up, rows)
+        # atom locations in each target's frame; their least and greatest
+        r_min = np.where(up, -locs[-1], locs[0])
+        r_max = np.where(up, -locs[0], locs[-1])
         tau = 16.0 * _EPS * (1.0 - lm)
         lw_best = self.base.log_weights[j_best] if rows is None else \
             rows[np.arange(lm.size), j_best]
@@ -811,11 +843,12 @@ class SmoothedMixture:
         return cache["_grid"]
 
     def _table_start(self, lm, up, rows, lo, hi, x0):
-        """Newton start points for quantile_from_log_mass: x0, except that a
-        target of a multi-atom mixture whose bracket [lo, hi] lies inside the
-        start grid starts where its tail's tabulated log-mass, linearly
-        interpolated, meets its target, clipped into [lo, hi]."""
-        grid = None if self.base.n_atoms == 1 else self._start_grid()
+        """Newton start points for the targets of a multi-atom mixture in
+        quantile_from_log_mass: x0, except that a target whose bracket
+        [lo, hi] lies inside the start grid starts where its tail's tabulated
+        log-mass, linearly interpolated, meets its target, clipped into
+        [lo, hi]."""
+        grid = self._start_grid()
         if grid is None:
             return x0
         use = np.flatnonzero((lo >= grid[0]) & (hi <= grid[-1]))

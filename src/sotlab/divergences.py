@@ -107,8 +107,14 @@ def _kl_members(As, Bs, tol: float = 1e-10) -> list:
 def chi2_divergence(A: SmoothedMixture, B: SmoothedMixture,
                     tol: float = 1e-10) -> float:
     """int (rho_A - rho_B)^2 / rho_B over the joint deep-quantile window."""
-    (res,), _, _ = _divergence_members([A], [B], _chi2_integrand, tol)
-    return res.total
+    return _chi2_members([A], [B], tol)[0]
+
+
+def _chi2_members(As, Bs, tol: float = 1e-10) -> list:
+    """chi2_divergence(As[i], Bs[i], tol) for each member i, bit for bit, with
+    the kernel calls shared as in _divergence_members."""
+    results, _, _ = _divergence_members(As, Bs, _chi2_integrand, tol)
+    return [res.total for res in results]
 
 
 @dataclass(frozen=True)

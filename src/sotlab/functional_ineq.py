@@ -172,9 +172,12 @@ def t2_lower_bound(h: float, K: float, sigma: float, delta: float) -> T2Probe:
 
     Q_h shifts exp(-(1-delta)(1+sigma^2/K^2)^2 h^2 / (8 sigma^2)) of mass from
     the h-atom to the origin. W2^2 comes from the exact quantile coupling when
-    its quadrature noise bound certifies the result, and otherwise from the
-    CDF-crossing lower bound (the signal sits far below the noise floor of
-    linear-density quadrature for large h). All three numbers are logs.
+    it is certified with its noise bound (TransportEvaluation.certified), and
+    otherwise from the CDF-crossing lower bound (the signal sits far below the
+    noise floor of linear-density quadrature for large h). w2_squared
+    computes the noise bound only where the coupling certifies without it: a
+    bound >= 0 can only add to the errors, so elsewhere the crossing bound is
+    taken as it would be with it. All three numbers are logs.
     """
     if not K > sigma:
         raise ValueError("the probe requires K > sigma")

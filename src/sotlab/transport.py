@@ -64,6 +64,9 @@ def w2_squared(A: SmoothedMixture, B: SmoothedMixture, tol: float = 1e-9,
     unchanged. Absolute error is bounded by max(tol, quad_error) +
     tail_bound (+ noise_bound when requested); quad_error exceeds tol only
     where panels across a deep gap of B were accepted at the solver's noise.
+    The noise bound is computed only where it can change certified(): where
+    the value is not ten times its tail and quadrature errors alone, no bound
+    >= 0 can certify it, and noise_bound is left 0.
     """
     return _w2_members([A], [B], tol, with_noise_bound)[0]
 
@@ -118,7 +121,10 @@ def _w2_members(As, Bs, tol: float = 1e-9,
             tail += (math.exp(0.5 * m2a[side, i])
                      + math.exp(0.5 * m2b[side, i])) ** 2
         window = (float(lo[i]), float(hi[i]))
-        noise = _noise_bound(As[i], Bs[i], *window) if with_noise_bound else 0.0
+        # a noise bound >= 0 only adds to the errors, so it is computed only
+        # where it can change certified()
+        noise = (_noise_bound(As[i], Bs[i], *window) if with_noise_bound
+                 and res.total > 10.0 * (tail + res.error_estimate) else 0.0)
         out.append(TransportEvaluation(
             total=max(res.total, 0.0), tail_bound=tail, noise_bound=noise,
             quad_error=res.error_estimate, n_eval=res.n_eval, window=window,

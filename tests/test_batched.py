@@ -90,13 +90,27 @@ def test_batched_kl_matches_one_call_each(case):
             raised.append(exc.estimate)
     if raised:
         with pytest.raises(QuadratureError) as ei:
-            divergences._divergence_members(As, Bs, divergences._chi2_integrand,
-                                            1e-10)
+            divergences._chi2_members(As, Bs, tol=1e-10)
         assert _bits([ei.value.estimate]) == _bits(raised[:1])
         return
-    results, _, _ = divergences._divergence_members(
-        As, Bs, divergences._chi2_integrand, 1e-10)
-    assert _bits([r.total for r in results]) == _bits(want)
+    assert _bits(divergences._chi2_members(As, Bs, tol=1e-10)) == _bits(want)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("h", [2.0, 5.0])
+def test_chi2_members_match_one_call_each(n, h):
+    """The two-point measures with k = 1 .. n - 1 of n atoms at h, as in
+    criterion 6(a)'s binomial sum, against their shared smoothed truth and,
+    reversed, against each other: each member's chi^2 has the bits of its
+    lone chi2_divergence."""
+    ms = [SmoothedMixture(constructions.two_point(h, math.log(k / n)), 1.0)
+          for k in range(1, n)]
+    rho = SmoothedMixture(constructions.bernoulli_two_point(h, 0.5), 1.0)
+    for As, Bs in ((ms, [rho] * len(ms)), (ms, ms[::-1])):
+        got = divergences._chi2_members(As, Bs, tol=1e-10)
+        want = [divergences.chi2_divergence(A, B, tol=1e-10)
+                for A, B in zip(As, Bs)]
+        assert _bits(got) == _bits(want)
 
 
 def test_batched_w2_noise_bound_and_swap():

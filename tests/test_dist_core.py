@@ -197,9 +197,9 @@ def test_quantile_bracket_straddles_the_target(seed, n_atoms, with_rows,
     the Newton start (from the start table or not) between them: mixtures of
     1-64 atoms with weights down to about e^-600, spread over up to 1e6
     times the usual span, with and without per-target rows, targets of both
-    tails from -700 to just below log(0.75). A target whose bracket leaves
-    the table's grid, and every target of a one-atom mixture, keeps the
-    per-atom start."""
+    tails from -700 to just below log(0.75). A target of a multi-atom
+    mixture whose bracket leaves the table's grid keeps the per-atom start
+    (a one-atom solve takes no table start)."""
     rng = np.random.default_rng(seed)
     m = random_mixture(rng, n_atoms, float(rng.uniform(0.3, 2.0)),
                        span=max(4.0, n_atoms / 4.0) * scale)
@@ -224,10 +224,12 @@ def test_quantile_bracket_straddles_the_target(seed, n_atoms, with_rows,
     at_hi = sign * (m._atom_logsum(hi, sign, rows) - lm)
     assert np.all(at_lo <= 0.0) and np.all(at_hi >= 0.0)
     assert np.all((lo <= x0) & (x0 <= hi))
+    if n_atoms == 1:
+        return
     x = m._table_start(lm, up, rows, lo, hi, x0)
     assert np.all(np.isfinite(x)) and np.all((lo <= x) & (x <= hi))
     grid = m._start_grid()
-    kept = (n_atoms == 1) | (lo < grid[0]) | (hi > grid[-1])
+    kept = (lo < grid[0]) | (hi > grid[-1])
     assert _bits(x[kept]) == _bits(x0[kept])
 
 
@@ -291,6 +293,56 @@ def test_one_atom_quantile_takes_one_kernel_pass(r, sigma, seed):
     sign = np.where(up, -1.0, 1.0)
     residual = np.abs(m._atom_logsum(x, sign) - lm)
     assert np.all(residual[:-1] <= 1e-13)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(-4.0, 4.0), st.floats(0.3, 2.0), st.integers(0, 10_000))
+def test_one_atom_open_targets_match_one_solve_each(r, sigma, seed):
+    """A one-atom solve starts at the start bracket's x0 and, where its
+    first pass leaves targets open, gives every target the bits of a solve
+    of that target alone, building the bracket for the open targets only.
+    The members, one atom each, carry log-weights 0 and +-5e-13 (within
+    AtomicDistribution's 1e-12 normalisation), given as per-target rows
+    from _member_rows: at -5e-13 the closed-form start is off the root by
+    the row's weight, so those targets stay open and take Newton steps from
+    the bracket; at -700 the log-mass may not resolve the root, and then
+    the bracket collapses. Where the first pass finishes every target, no
+    bracket is built."""
+    ms = [SmoothedMixture(AtomicDistribution(np.array([r]), np.array([lw])),
+                          sigma) for lw in (0.0, -5e-13, 5e-13)]
+    rng = np.random.default_rng(seed)
+    top = np.nextafter(math.log(0.75), -math.inf)
+    lm = np.minimum(rng.uniform(-30.0, math.log(0.75), 40), top)
+    lm[::8] = -700.0
+    up = rng.random(lm.size) < 0.5
+    member = rng.integers(0, len(ms), lm.size)
+    member[1] = 1
+    rows = dist_core._member_rows(ms)(member)
+    m = ms[0]
+    sign = np.where(up, -1.0, 1.0)
+    x0 = m._quantile_bracket(lm, up, rows)[2]
+    open_ = ~(np.abs(m._atom_logsum(x0, sign, rows) - lm) <= 1e-13)
+    assert open_[(member == 1) & (lm != -700.0)].all() and not open_.all()
+    seen = []
+    bracket = SmoothedMixture._quantile_bracket
+
+    def spy(self, lm, up, rows):
+        seen.append((lm, up, rows))
+        return bracket(self, lm, up, rows)
+
+    with mock.patch.object(SmoothedMixture, "_quantile_bracket", spy):
+        got = m.quantile_from_log_mass(lm, upper=up, log_weights=rows)
+        ((s_lm, s_up, s_rows),) = seen
+        assert _bits(s_lm) == _bits(lm[open_])
+        assert s_up.tolist() == up[open_].tolist()
+        assert _bits(s_rows) == _bits(rows[open_])
+        want = [ms[j].quantile_from_log_mass(lm[i:i + 1], upper=up[i:i + 1])[0]
+                for i, j in enumerate(member)]
+        assert _bits(got) == _bits(want)
+        seen.clear()
+        done = lm != -700.0
+        m.quantile_from_log_mass(lm[done], upper=up[done])
+        assert seen == []
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from sotlab import functional_ineq as fi
-from sotlab.dist_core import log1mexp, logsumexp
+from sotlab import functional_ineq as fi, transport
+from sotlab.dist_core import SmoothedMixture, log1mexp, logsumexp
 
 
 def test_lsi_partition_sums_to_one():
@@ -120,3 +121,36 @@ def test_t2_deterministic():
 def test_t2_guards():
     with pytest.raises(ValueError):
         fi.t2_lower_bound(10.0, 0.5, 1.0, 0.1)     # requires K > sigma
+
+
+def test_t2_noise_bound_only_where_it_can_certify(monkeypatch):
+    """The probe computes the W2 noise bound only where the coupling
+    certifies without it (h = 10 of criterion 12's 10, 20, 30, and not at
+    55), and at each h takes the value the full decision gives: the
+    coupling's log W2^2 where it certifies with the noise bound computed
+    in every case, else the crossing bound."""
+    calls = []
+    noise_bound = transport._noise_bound
+
+    def spy(*args):
+        calls.append(args)
+        return noise_bound(*args)
+
+    for h in (10.0, 20.0, 30.0, 55.0):
+        calls.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(transport, "_noise_bound", spy)
+            probe = fi.t2_lower_bound(h, 2.0, 1.0, 0.1)
+        assert len(calls) == (1 if h == 10.0 else 0), h
+        P, Q, _ = fi.check_t2_parameters(h, 2.0, 1.0, 0.1)
+        mP, mQ = SmoothedMixture(P, 1.0), SmoothedMixture(Q, 1.0)
+        # P and Q have two atoms each: w2_squared integrates over mP
+        ev = transport.w2_squared(mP, mQ)
+        ev = replace(ev, noise_bound=transport._noise_bound(mP, mQ, *ev.window))
+        if ev.certified():
+            want = (math.log(ev.total), "quadrature")
+        else:
+            best = transport.best_crossing_lower_bound(
+                mQ, mP, np.linspace(0.25 * h, h, 41))
+            want = (best.log_value, "crossing")
+        assert (probe.log_w2sq, probe.method) == want, h

@@ -221,3 +221,23 @@ def test_tail_moment_rows_match_per_member_calls(seed, n_atoms, n_members):
             m2b = b.log_tail_second_moment(float(b_cut), upper)
             tail += (math.exp(0.5 * m2a) + math.exp(0.5 * m2b)) ** 2
         assert _bits(ev.tail_bound) == _bits(tail)
+
+
+@settings(max_examples=10, deadline=None)
+@given(mixtures, mixtures)
+def test_noise_bound_only_where_it_can_certify(a, b):
+    """with_noise_bound computes the bound only where the value is ten times
+    its tail and quadrature errors alone, and certified() reads as it does
+    with the bound computed in every case; the value's bits are unchanged.
+    The pair against itself, W2^2 = 0, is the case that skips it."""
+    for A, B in ((a, b), (a, a)):
+        plain = transport.w2_squared(A, B)
+        ev = transport.w2_squared(A, B, with_noise_bound=True)
+        assert ev.total.hex() == plain.total.hex()
+        # the side w2_squared integrates over is _noise_bound's first
+        side = (B, A) if B.base.n_atoms > A.base.n_atoms else (A, B)
+        full = transport._noise_bound(*side, *ev.window)
+        open_ = plain.total > 10.0 * (plain.tail_bound + plain.quad_error)
+        assert ev.noise_bound == (full if open_ else 0.0)
+        assert ev.certified() == (plain.total > 10.0 * (
+            plain.tail_bound + full + plain.quad_error))
