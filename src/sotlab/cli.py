@@ -68,6 +68,9 @@ def _get(cfg: dict, field: str, typ, required: bool = True, default=None,
     if typ is not None and not isinstance(v, typ):
         raise ConfigError(loc, f"expected {getattr(typ, '__name__', typ)}, "
                                f"got {type(v).__name__}")
+    # JSON's NaN and Infinity, and 1e999, parse to such floats
+    if typ is float and not math.isfinite(v):
+        raise ConfigError(loc, f"must be a finite number, got {v!r}")
     if choices is not None and v not in choices:
         raise ConfigError(loc, f"must be one of {sorted(choices)}")
     if minimum is not None and v < minimum:
@@ -98,10 +101,19 @@ def _sigma(cfg: dict, path: str = "") -> float:
     return _positive(cfg, "sigma", required=False, default=1.0, path=path)
 
 
+def _tol(cfg: dict, default: float) -> float:
+    """The quadrature tolerance field tol, in (0, 1)."""
+    tol = _get(cfg, "tol", float, required=False, default=default)
+    if not 0.0 < tol < 1.0:
+        raise ConfigError("tol", "must lie in (0, 1)")
+    return tol
+
+
 def _positive_list(cfg: dict, field: str) -> list:
     """A required, nonempty list field of positive numbers, as floats."""
     v = _get(cfg, field, list)
-    if not v or not all(isinstance(x, (int, float)) and x > 0 for x in v):
+    if not v or not all(isinstance(x, (int, float)) and 0 < x < math.inf
+                        for x in v):
         raise ConfigError(field, "expected a list of positive numbers")
     return [float(x) for x in v]
 
@@ -309,7 +321,7 @@ def w2(cfg, seed, out_path):
     B, _ = _build_distribution(_get(cfg, "B", dict), "B")
     sa = _positive(cfg, "sigma_a", required=False, default=_sigma(cfg))
     sb = _positive(cfg, "sigma_b", required=False, default=sa)
-    tol = _get(cfg, "tol", float, required=False, default=1e-9)
+    tol = _tol(cfg, 1e-9)
     ev = transport.w2_squared(SmoothedMixture(A, sa), SmoothedMixture(B, sb),
                               tol=tol)
     return (["w2sq", "tail_bound", "quad_error", "n_eval"],
@@ -331,18 +343,11 @@ def mi_probe(cfg, seed, out_path):
     lam = _get(cfg, "lam", float, required=(kind == "renyi"))
     if kind == "renyi" and not 1.0 < lam < 2.0:
         raise ConfigError("lam", "must lie in (1, 2)")
-    tol = _get(cfg, "tol", float, required=False, default=1e-9)
-    if not 0.0 < tol < 1.0:
-        raise ConfigError("tol", "must lie in (0, 1)")
-    try:
-        if kind == "chi2":
-            est = divergences.chi2_mutual_information(dist, sigma, tol)
-        else:
-            est = divergences.renyi_mutual_information(dist, sigma, lam, tol)
-    except ValueError as exc:
-        # lam and tol are checked above: only a sigma whose square is not a
-        # normal float, or too small for the atoms' magnitude, is left
-        raise ConfigError("sigma", str(exc))
+    tol = _tol(cfg, 1e-9)
+    if kind == "chi2":
+        est = divergences.chi2_mutual_information(dist, sigma, tol)
+    else:
+        est = divergences.renyi_mutual_information(dist, sigma, lam, tol)
     rows = [(k, float(x), part) for k, (x, part) in
             enumerate(zip(dist.locations, est.partial_by_atom))]
     return (["k", "location", "part"], rows,
@@ -370,8 +375,7 @@ def rate_scan(cfg, seed, out_path):
     n_list = _n_list(cfg)
     trials = _get(cfg, "trials", int, required=False, default=200, minimum=2)
     # the estimator's own default: mc_expected_kl's, or mc_expected_w2sq's
-    tol = _get(cfg, "tol", float, required=False,
-               default=1e-10 if family == "kl" else 1e-8)
+    tol = _tol(cfg, 1e-10 if family == "kl" else 1e-8)
     meta = {"family": family, "K": K, "sigma": sigma}
     plan = None
     if family == "bernoulli":

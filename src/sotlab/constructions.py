@@ -87,9 +87,9 @@ def chi2_hard_example(K: float, c: float, k_max: int) -> AtomicDistribution:
     The remainder mass sits at 0, so truncation at k_max only moves mass toward
     the origin and cannot hurt the subgaussian certificate.
     """
-    if K <= 1:
+    if not K > 1:
         raise ValueError("requires K > 1")
-    if c <= 2:
+    if not c > 2:
         raise ValueError("requires geometric ratio c > 2")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")

@@ -10,7 +10,6 @@ noise cannot produce impossible signs.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ from ._quad import (QuadratureError, _integrate_members, _simpson_members,
                     adaptive_simpson)
 from .dist_core import (LOG_SQRT_2PI, AtomicDistribution, SmoothedMixture,
                         _deep_quantiles, _logsumexp_atoms, _member_rows,
-                        _row_slices, _scratch, _seed_breakpoints, logsumexp)
+                        _row_slices, _seed_breakpoints, logsumexp)
 
 
 def _divergence_members(As, Bs, integrand, tol: float):
@@ -29,13 +28,15 @@ def _divergence_members(As, Bs, integrand, tol: float):
     are shared, and each member keeps its own window, breakpoints and
     quadrature, so it gets the bits of its lone call. A side that is one
     mixture object for every member (the smoothed truth of an MC batch) has
-    its deep quantiles solved once. Returns each member's QuadResult, and
-    the windows' lower and upper ends."""
+    its deep quantiles solved once. Returns each member's QuadResult, the
+    windows' lower and upper ends, and each side's log-weight rows, one per
+    member (None where that side is one mixture object)."""
     A, rows_a = As[0], _member_rows(As)
     B, rows_b = Bs[0], _member_rows(Bs)
     every = np.arange(len(As))
-    a_lo, a_hi = _deep_quantiles(A, rows_a(every), every.size)
-    b_lo, b_hi = _deep_quantiles(B, rows_b(every), every.size)
+    all_a, all_b = rows_a(every), rows_b(every)
+    a_lo, a_hi = _deep_quantiles(A, all_a, every.size)
+    b_lo, b_hi = _deep_quantiles(B, all_b, every.size)
     lo = [min(float(a), float(b)) for a, b in zip(a_lo, b_lo)]
     hi = [max(float(a), float(b)) for a, b in zip(a_hi, b_hi)]
     results = _integrate_members(
@@ -43,7 +44,7 @@ def _divergence_members(As, Bs, integrand, tol: float):
         lambda t, member: integrand(A.log_pdf(t, rows_a(member)),
                                     B.log_pdf(t, rows_b(member))),
         _seed_breakpoints(A, B, lo, hi), tol)
-    return results, lo, hi
+    return results, lo, hi, all_a, all_b
 
 
 def _kl_integrand(la, lb):
@@ -89,11 +90,10 @@ def kl_divergence(A: SmoothedMixture, B: SmoothedMixture,
 def _kl_members(As, Bs, tol: float = 1e-10) -> list:
     """kl_divergence(As[i], Bs[i], tol) for each member i, bit for bit, with
     the kernel calls shared as in _divergence_members."""
-    results, lo, hi = _divergence_members(As, Bs, _kl_integrand, tol)
-    every = np.arange(len(As))
+    results, lo, hi, rows_a, rows_b = _divergence_members(As, Bs,
+                                                          _kl_integrand, tol)
     a_tail, b_tail = (np.exp(m.log_cdf(lo, rows)) + np.exp(m.log_sf(hi, rows))
-                      for m, rows in ((As[0], _member_rows(As)(every)),
-                                      (Bs[0], _member_rows(Bs)(every))))
+                      for m, rows in ((As[0], rows_a), (Bs[0], rows_b)))
     values = []
     # int_w (rho_B - rho_A) = tail-mass(A) - tail-mass(B)
     for res, corr in zip(results, a_tail - b_tail):
@@ -113,7 +113,7 @@ def chi2_divergence(A: SmoothedMixture, B: SmoothedMixture,
 def _chi2_members(As, Bs, tol: float = 1e-10) -> list:
     """chi2_divergence(As[i], Bs[i], tol) for each member i, bit for bit, with
     the kernel calls shared as in _divergence_members."""
-    results, _, _ = _divergence_members(As, Bs, _chi2_integrand, tol)
+    results = _divergence_members(As, Bs, _chi2_integrand, tol)[0]
     return [res.total for res in results]
 
 
@@ -142,129 +142,88 @@ class MIEstimate:
 _MI_OFFSETS = np.array([-16.0, -6.0, -2.0, 0.0, 2.0, 6.0, 16.0])
 # each kernel's two-sided tail mass beyond the windows' reach
 _GAP_MASS = math.erfc(_MI_OFFSETS[-1] / math.sqrt(2.0))
+# the largest |offset| of an atom from a window, in sigma: a kernel farther
+# away is exp(-5e299) = 0 there either way, and with the cap every
+# (v + d)^2 is finite, so no relative exponent is inf - inf
+_FAR = 1e150
 
 
-def _mi_breakpoints(p: AtomicDistribution, sigma: float):
-    return (p.locations[:, None] + _MI_OFFSETS[None, :] * sigma).ravel()
+def _mi_windows(p: AtomicDistribution, sigma: float):
+    """The windows where the kernels live, in units of sigma: each cluster
+    of atoms whose gaps are at most 32 sigma, widened by 16 sigma on both
+    sides. The rest of the line lies beyond 16 sigma of every kernel, so
+    each kernel has at most _GAP_MASS of its mass there.
 
-
-def _mi_windows(p: AtomicDistribution, sigma: float) -> list:
-    """The windows where the kernels live: the merged intervals
-    [r_j - 16 sigma, r_j + 16 sigma], in order, as (lo, hi) pairs whose ends
-    are _mi_breakpoints values. The rest of the line lies beyond 16 sigma of
-    every kernel, so each kernel has at most _GAP_MASS of its mass there.
-
-    Raises ValueError where sigma^2 is not a normal float, as the kernels'
-    exponents divide by it, and where sigma is so far below the float64
-    spacing at an atom that r - 16 sigma and r + 16 sigma round to the same
-    float: that kernel would have no window, and none of its mass would be
-    integrated.
+    Window w is integrated in v = (y - c_w) / sigma, c_w its atom nearest
+    its midpoint: the MIs are scale-free, and measured from an atom the
+    nodes stay exact, where at |y| ~ 1e8 float64 would move each by up to
+    7e-9 and the panels' |K15 - G7| could not shrink below that noise. Returns (d, seeds): d[j, w] = (c_w - r_j) / sigma, capped at
+    +-_FAR, is atom j's offset from window w, so that its kernel there is
+    the standard normal density at v + d[j, w]; seeds[w] are window w's
+    breakpoints -d[j, w] + _MI_OFFSETS over its atoms j, sorted, the
+    window's ends among them.
     """
-    if not sys.float_info.min <= sigma * sigma <= sys.float_info.max:
-        raise ValueError(f"sigma = {sigma!r}: sigma^2 is not a normal float")
-    reach = _MI_OFFSETS[-1] * sigma
-    locs = np.sort(p.locations)
-    collapsed = ~(locs - reach < locs + reach)
-    if np.any(collapsed):
-        raise ValueError(f"sigma = {sigma!r} is below the float64 spacing at "
-                         f"atom {float(locs[collapsed][0])!r}: its window "
-                         f"r +- 16 sigma is empty")
-    windows = []
-    for a, b in zip(locs - reach, locs + reach):
-        if windows and a <= windows[-1][1]:
-            windows[-1][1] = b
-        else:
-            windows.append([a, b])
-    return [(float(a), float(b)) for a, b in windows]
+    if not sigma > 0.0:
+        raise ValueError("sigma must be positive")
+    locs = p.locations
+    with np.errstate(over="ignore"):
+        cut = np.flatnonzero(np.diff(locs) / sigma > 2.0 * _MI_OFFSETS[-1])
+        clusters = np.split(np.arange(locs.size), cut + 1)
+        refs = np.array([locs[c][np.argmin(np.abs(
+            locs[c] - 0.5 * (locs[c[0]] + locs[c[-1]])))] for c in clusters])
+        d = np.clip((refs[None, :] - locs[:, None]) / sigma, -_FAR, _FAR)
+    seeds = [np.unique(_MI_OFFSETS[None, :] - d[c, w][:, None])
+             for w, c in enumerate(clusters)]
+    return d, seeds
 
 
-def _mi_atom_quad(f, bp, windows, locs, tol: float):
+def _mi_atom_quad(f, seeds, tol: float):
     """f integrated over the windows to within tol in total: one
-    _simpson_members call whose members are the windows, each seeded with the
-    breakpoints inside it and given a share of tol proportional to its width.
-    Returns (total, summed error estimate, n_eval).
-
-    Each window is integrated in the offset u = y - c from its atom c nearest
-    its midpoint, and f(u, c) is the integrand at c + u: the nodes are exact
-    in u, where at |y| ~ 1e8 float64 would move each by up to 7e-9 and the
-    panels' |K15 - G7| could not shrink below that noise. A round's points
-    of all windows go to f in one call, c holding each point's own atom;
-    that atom lies inside its window, so the windows' atoms differ, and f
-    tells the windows apart by c. f also takes one scalar c for all
-    points."""
-    widths = np.array([b - a for a, b in windows])
-    refs = np.array([locs[np.argmin(np.abs(locs - 0.5 * (a + b)))]
-                     for a, b in windows])
-    res = _simpson_members(lambda u, member: f(u, refs[member]),
-                           [bp[(bp >= a) & (bp <= b)] - c
-                            for (a, b), c in zip(windows, refs)],
-                           tol * widths / widths.sum())
+    _simpson_members call whose members are the windows, each seeded with
+    its breakpoints (see _mi_windows) and given a share of tol proportional
+    to its width. f(v, w) is the integrand at points v of the windows w,
+    one per point, so a round's points of all windows go to f in one call.
+    Returns (total, summed error estimate, n_eval)."""
+    widths = np.array([s[-1] - s[0] for s in seeds])
+    res = _simpson_members(f, seeds, tol * widths / widths.sum())
     return (float(np.sum([r.total for r in res])),
             float(np.sum([r.error_estimate for r in res])),
             sum(r.n_eval for r in res))
 
 
-def _window_reach(u, c):
-    """max |u| over the points that share each point's c, plus |c|: with c
-    one per point (see _mi_atom_quad), each window's own largest offset in
-    this call; with a scalar c, the largest of all points."""
-    if np.ndim(c) == 0:
-        return np.abs(u).max(initial=0.0) + abs(c)
-    refs, window = np.unique(c, return_inverse=True)
-    reach = np.zeros(refs.size)
-    np.maximum.at(reach, window, np.abs(u))
-    return reach[window] + np.abs(c)
+def _log_mix(p: AtomicDistribution, v: np.ndarray, d: np.ndarray,
+             w: np.ndarray, k=None) -> np.ndarray:
+    """log sum_j w_j exp(-(v + d_j)^2 / 2) at each point v, d_j = d[j, w]
+    its offset from atom j in its window w (see _mi_windows). With k, the
+    log-ratio s = log(w_k phi_k / rho) <= 0 instead, built from the
+    exponents relative to atom k's, log(w_j / w_k) + (v + d_k)^2 / 2
+    - (v + d_j)^2 / 2, so no large-magnitude cancellation enters: such an
+    exponent is huge in magnitude wherever the two kernels differ a lot, but
+    rounding there is harmless because the term is negligible; near
+    crossovers the difference is small and exact.
 
-
-def _log_mix_rel(p: AtomicDistribution, sigma: float, k: int,
-                 u: np.ndarray, c=0.0) -> np.ndarray:
-    """s(y) = log(w_k phi_k(y) / rho(y)) <= 0 at y = c + u, built from
-    atom-relative exponent differences so no large-magnitude cancellation
-    enters. c is one offset for all points or one per point. Each y - r_j is
-    formed as u + (c - r_j), so with c an atom near u the nodes keep their
-    precision; with c = 0 the bits are those of y.
-
-    The j-th relative exponent (logw_j + logphi_j) - (logw_k + logphi_k) is
-    huge in magnitude wherever the two kernels differ a lot, but rounding there
-    is harmless because the corresponding term is negligible; near crossovers
-    the difference is small and exact.
-
-    The (atoms x points) exponents are built in cache-sized slices of y, in
-    the calling thread's kernel scratch, and reduced over the atom axis; the
-    bits are those of -logsumexp over the (points x atoms) array.
+    The (atoms x points) exponents are built on fresh arrays in cache-sized
+    slices of the points, each gathering its points' columns of d, and
+    reduced over the atom axis; the bits are those of logsumexp over the
+    (points x atoms) array.
     """
-    locs = p.locations
-    lw_rel = (p.log_weights - p.log_weights[k])[:, None]
-    out = np.empty(u.shape)
-    for r in _row_slices(u.size, locs.size):
-        ur, cr = u[r], (c[r] if np.ndim(c) else c)
-        delta, e, ties = _scratch((locs.size, ur.size))
-        np.add(ur, np.subtract(cr, locs[:, None], out=delta), out=delta)
-        np.square(delta, out=delta)
-        np.subtract(np.square(ur + (cr - locs[k])), delta, out=delta)
-        np.divide(delta, 2.0 * sigma * sigma, out=delta)
-        np.add(lw_rel, delta, out=delta)
-        out[r] = _logsumexp_atoms(delta, e, ties)
-    return np.negative(out, out=out)
-
-
-def _log_mix_sum(p: AtomicDistribution, sigma: float, u: np.ndarray,
-                 c) -> np.ndarray:
-    """log sum_j w_j exp(-(y - r_j)^2 / (2 sigma^2)) at y = c + u, each
-    y - r_j formed as u + (c - r_j), in cache-sized slices like
-    _log_mix_rel."""
-    locs = p.locations
-    lw = p.log_weights[:, None]
-    out = np.empty(u.shape)
-    for r in _row_slices(u.size, locs.size):
-        ur, cr = u[r], (c[r] if np.ndim(c) else c)
-        delta, e, ties = _scratch((locs.size, ur.size))
-        np.add(ur, np.subtract(cr, locs[:, None], out=delta), out=delta)
-        np.square(delta, out=delta)
-        np.divide(delta, -2.0 * sigma * sigma, out=delta)
-        np.add(lw, delta, out=delta)
-        out[r] = _logsumexp_atoms(delta, e, ties)
-    return out
+    lw = (p.log_weights if k is None
+          else p.log_weights - p.log_weights[k])[:, None]
+    out = np.empty(v.shape)
+    for r in _row_slices(v.size, p.n_atoms):
+        x = np.take(d, w[r], axis=1)
+        np.add(x, v[r], out=x)
+        np.square(x, out=x)
+        if k is None:
+            np.multiply(x, -0.5, out=x)
+        else:
+            # numpy reads the row x[k] before writing over it
+            np.subtract(x[k], x, out=x)
+            np.multiply(x, 0.5, out=x)
+        np.add(lw, x, out=x)
+        out[r] = _logsumexp_atoms(x, np.empty_like(x),
+                                  np.empty(x.shape, dtype=bool))
+    return out if k is None else np.negative(out, out=out)
 
 
 def chi2_mutual_information(p: AtomicDistribution, sigma: float,
@@ -273,54 +232,47 @@ def chi2_mutual_information(p: AtomicDistribution, sigma: float,
 
     Decomposes as sum_k w_k chi2(phi_k || rho) with phi_k the noise kernel at
     atom k; per-atom increments are integrated separately over the kernels'
-    windows (_mi_windows) and reported, and gap_bound covers the rest of the
-    line. The integrand is assembled as phi_k e^s (1 - e^(logw_k - s))^2
-    with s = log(w_k phi_k / rho), which stays float-stable even when the atom
-    weights live at log-scale -1e8.
+    windows (_mi_windows), in units of sigma, and reported, and gap_bound
+    covers the rest of the line. The integrand is assembled as
+    phi_k e^s (1 - e^(logw_k - s))^2 with s = log(w_k phi_k / rho), which
+    stays float-stable even when the atom weights live at log-scale -1e8.
     """
-    bp = _mi_breakpoints(p, sigma)
-    windows = _mi_windows(p, sigma)
-    log_norm = -math.log(sigma) - LOG_SQRT_2PI
+    d, seeds = _mi_windows(p, sigma)
+    # each window's largest |d|
+    reach = np.abs(d).max(axis=0)
     parts = []
     qerr = gap_bound = 0.0
     n_eval = 0
     per_tol = tol / p.n_atoms
-    r_max = np.abs(p.locations).max()
     two_lw_max = 2.0 * np.abs(p.log_weights).max()
     for k in range(p.n_atoms):
-        rk = p.locations[k]
         lwk = p.log_weights[k]
 
-        def integrand(u, c, rk=rk, lwk=lwk, k=k):
-            lphi = -0.5 * ((u + (c - rk)) / sigma) ** 2 + log_norm
-            s = _log_mix_rel(p, sigma, k, u, c)
+        def integrand(v, w, k=k, lwk=lwk):
+            lphi = -0.5 * (v + d[k, w]) ** 2 - LOG_SQRT_2PI
+            s = _log_mix(p, v, d, w, k)
             # w_k (phi_k - rho)^2 / rho = phi_k e^s (1 - rho/phi_k)^2 with
-            # rho/phi_k = exp(logw_k - s); where that ratio overflows the
-            # square is dominated by its cross-free term w_k rho
+            # rho/phi_k = exp(logw_k - s); where that ratio is above e^300
+            # this reads 0, and the square is its cross-free term w_k rho
             big = (lwk - s) > 300.0
             ratio = np.exp(np.where(big, 0.0, lwk - s))
             out = np.exp(lphi + s) * (1.0 - ratio) ** 2
-            log_wrho = lphi + 2.0 * lwk - s
-            out = np.where(big, np.exp(log_wrho), out)
-            # lphi - s cancels two (y - r_k)^2 / (2 sigma^2) terms, each
-            # rounded at its own scale, by at most
-            # 2^-48 ((|u| + |c| + |r|)^2 / sigma^2 + 2 max|lw|) + 1, |u| the
-            # largest of the window's points; where w_k rho can be
-            # representable, it is taken from log rho itself
             if not big.any():
                 return out
-            with np.errstate(all="ignore"):
-                q = _window_reach(u, c) + r_max
-                margin = 2.0 ** -48 * (q * q / (sigma * sigma)
-                                       + two_lw_max) + 1.0
-            redo = big & (log_wrho > -746.0 - margin)
+            # w_k rho rounds to 0 below e^-746. Its log lphi + 2 logw_k - s
+            # errs by what lphi - s cancels, two (v + d_k)^2 / 2 terms each
+            # rounded at its own scale: at most
+            # 2^-48 ((|v| + max_j |d_j|)^2 + 2 max|lw|) + 1. Where it can be
+            # representable, w_k rho is taken from log rho itself
+            q = np.abs(v) + reach[w]
+            redo = big & (lphi + 2.0 * lwk - s
+                          > -746.0 - (2.0 ** -48 * (q * q + two_lw_max) + 1.0))
             if redo.any():
-                out[redo] = np.exp(lwk + log_norm + _log_mix_sum(
-                    p, sigma, u[redo], c[redo] if np.ndim(c) else c))
+                out[redo] = np.exp(lwk - LOG_SQRT_2PI
+                                   + _log_mix(p, v[redo], d, w[redo]))
             return out
 
-        total, err, evals = _mi_atom_quad(integrand, bp, windows,
-                                          p.locations, per_tol)
+        total, err, evals = _mi_atom_quad(integrand, seeds, per_tol)
         parts.append(max(total, 0.0))
         qerr += err
         n_eval += evals
@@ -339,53 +291,49 @@ def renyi_mutual_information(p: AtomicDistribution, sigma: float, lam: float,
     outside float range for deep atoms); the reported per-atom parts are the
     bounded products w_k * J_k.
 
-    Atom k's integrand is integrated scaled by e^(-shift), shift its largest
-    log-value, and its error estimate is scaled back by e^shift. Where
-    shift > 0 (sigma below about 0.4) its quadrature gets tol e^(-shift) in
-    place of tol, so that the scaled error stays near tol; QuadratureError
-    is raised if the summed quadrature_error still exceeds tol.
+    Atom k's integrand is integrated in units of sigma (_mi_windows), scaled
+    by e^(-shift), shift its largest log-value on the windows' seeds, and
+    its error estimate is scaled back by e^shift. There the integrand is at
+    most the standard normal density, so shift <= -log sqrt(2 pi) < 0 and
+    the scaled error is below the one the quadrature met.
+    QuadratureError is raised if the summed quadrature_error exceeds tol.
 
     An atom whose part w_k J_k provably rounds to +0.0 is not integrated:
-    the integrand is <= phi_k <= e^log_norm, as s <= 0, so the part is at
-    most w_k^(2-lam) e^log_norm times the windows' total width.
+    the integrand is <= phi_k <= 1/sqrt(2 pi), as s <= 0, so the part is at
+    most w_k^(2-lam) / sqrt(2 pi) times the windows' total width.
     """
     if not (1.0 < lam < 2.0):
         raise ValueError("lambda must lie in (1, 2)")
-    bp = _mi_breakpoints(p, sigma)
-    windows = _mi_windows(p, sigma)
-    log_norm = -math.log(sigma) - LOG_SQRT_2PI
-    ordered = np.sort(bp)
-    seed = np.unique(np.concatenate([bp, 0.5 * (ordered[:-1] + ordered[1:])]))
-    log_width = math.log(sum(b - a for a, b in windows))
+    d, seeds = _mi_windows(p, sigma)
+    # each window's breakpoints and the midpoints between them
+    seed = [np.concatenate([s, 0.5 * (s[:-1] + s[1:])]) for s in seeds]
+    seed_w = np.repeat(np.arange(len(seed)), [s.size for s in seed])
+    seed = np.concatenate(seed)
+    log_width = math.log(sum(s[-1] - s[0] for s in seeds))
     log_weighted = np.empty(p.n_atoms)
     qerr = gap_bound = 0.0
     n_eval = 0
     for k in range(p.n_atoms):
-        rk = p.locations[k]
         # outside the windows, w_k^(2-lam) e^g <= phi_k as s <= 0
         gap_bound += _GAP_MASS
-        if (2.0 - lam) * p.log_weights[k] + log_norm + log_width < -746.0:
+        if (2.0 - lam) * p.log_weights[k] - LOG_SQRT_2PI + log_width < -746.0:
             log_weighted[k] = -np.inf
             continue
 
         # phi_k^lam rho^(1-lam) = w_k^(1-lam) exp(g) with
         # g = log phi_k + (lam-1) s, s = log(w_k phi_k / rho) <= 0
-        def log_expo(u, c, rk=rk, k=k):
-            lphi = -0.5 * ((u + (c - rk)) / sigma) ** 2 + log_norm
-            return lphi + (lam - 1.0) * _log_mix_rel(p, sigma, k, u, c)
+        def log_expo(v, w, k=k):
+            return (-0.5 * (v + d[k, w]) ** 2 - LOG_SQRT_2PI
+                    + (lam - 1.0) * _log_mix(p, v, d, w, k))
 
-        shift = float(np.max(log_expo(seed, 0.0)))
+        shift = float(np.max(log_expo(seed, seed_w)))
 
-        def integrand(u, c, shift=shift, rk=rk, k=k):
-            return np.exp(log_expo(u, c, rk, k) - shift)
+        def integrand(v, w, shift=shift, k=k):
+            return np.exp(log_expo(v, w, k) - shift)
 
-        # the error is scaled by e^shift below, so where e^shift > 1 the
-        # tol is scaled down by it first
-        total, err, evals = _mi_atom_quad(
-            integrand, bp, windows, p.locations,
-            tol if shift <= 0.0 else tol * math.exp(-shift))
+        total, err, evals = _mi_atom_quad(integrand, seeds, tol)
         # w_k J_k = w_k^(2-lam) exp(shift) * total, whose error is at most
-        # e^shift err, as w_k <= 1; shift <= log_norm < 355
+        # e^shift err, as w_k <= 1
         log_weighted[k] = ((2.0 - lam) * p.log_weights[k] + shift
                            + math.log(max(total, 1e-300)))
         qerr += err * math.exp(shift)

@@ -328,9 +328,34 @@ def test_tail_probe_nonpositive_K_exits_2(runner, tmp_path, K):
 
 
 # two atoms of weight 1/2 near 1e8, where float64 spacing is 1.5e-8: at
-# sigma = 1e-10 each kernel's window r +- 16 sigma rounds to one point
+# sigma = 1e-10, in y, each kernel's window r +- 16 sigma rounded to one
+# point
 _FAR_PAIR = {"atoms": [{"x": 1e8, "logw": math.log(0.5)},
                        {"x": 1e8 + 1.0, "logw": math.log(0.5)}]}
+
+
+@pytest.mark.parametrize("cfg, want", [
+    ({"dist": _FAR_PAIR, "kind": "chi2", "sigma": 1e-10}, 1.0),
+    ({"dist": _FAR_PAIR, "kind": "renyi", "lam": 1.5, "sigma": 1e-10},
+     math.log(2.0)),
+    ({"dist": {"family": "chi2_hard", "K": 2.0, "k_max": 10}, "kind": "chi2",
+      "sigma": 1e-170}, 10.0),
+], ids=["mi_probe_sigma_below_spacing", "mi_probe_renyi_sigma_below_spacing",
+        "mi_probe_sigma_squared_not_normal"])
+def test_mi_probe_takes_extreme_sigma(runner, tmp_path, cfg, want):
+    """The MIs are integrated in units of sigma, so no sigma is refused:
+    where the kernels are apart, the chi^2 MI is atoms - 1 and the Renyi MI
+    of two equal atoms log 2, within the certified error (for Renyi that of
+    the part sum S, over (lam - 1) S)."""
+    res = runner.invoke(main, ["mi-probe", "--config",
+                               write_cfg(tmp_path, "c.json", cfg)])
+    assert res.exit_code == 0, res.output
+    meta = dict(line[2:].split(": ", 1) for line in res.output.splitlines()
+                if line.startswith("# "))
+    err = float(meta["quadrature_error"]) + float(meta["gap_bound"])
+    if cfg["kind"] == "renyi":
+        err /= 0.5 * math.exp(0.5 * float(meta["value"]))
+    assert abs(float(meta["value"]) - want) <= err
 
 
 @pytest.mark.parametrize("command,cfg,field,message", [
@@ -426,16 +451,40 @@ _FAR_PAIR = {"atoms": [{"x": 1e8, "logw": math.log(0.5)},
     ("mi-probe", {"dist": {"family": "two_point", "h": 4.0, "K": 2.0},
                   "kind": "renyi", "lam": 1.5, "tol": 2.0}, "tol",
      "must lie in (0, 1)"),
-    ("mi-probe", {"dist": _FAR_PAIR, "kind": "chi2", "sigma": 1e-10},
-     "sigma", "sigma = 1e-10 is below the float64 spacing at atom "
-     "100000000.0"),
-    ("mi-probe", {"dist": _FAR_PAIR, "kind": "renyi", "lam": 1.5,
-                  "sigma": 1e-10},
-     "sigma", "sigma = 1e-10 is below the float64 spacing at atom "
-     "100000000.0"),
-    ("mi-probe", {"dist": {"family": "chi2_hard", "K": 2.0, "k_max": 10},
-                  "kind": "chi2", "sigma": 1e-170},
-     "sigma", "sigma = 1e-170: sigma^2 is not a normal float"),
+    # a float field must be finite: JSON's NaN and 1e999 parse to NaN and
+    # inf (json.dumps writes inf as Infinity, which parses the same)
+    ("w2", {"A": ATOMS, "B": ATOMS, "tol": math.nan}, "tol",
+     "must be a finite number, got nan"),
+    ("w2", {"A": ATOMS, "B": ATOMS, "tol": -1.0}, "tol",
+     "must lie in (0, 1)"),
+    ("w2", {"A": ATOMS, "B": ATOMS, "sigma": 1e999}, "sigma",
+     "must be a finite number, got inf"),
+    ("tail-probe", {"dist": {"family": "two_point", "h": 4.0, "K": 2.0},
+                    "K": 2.0, "epsilon": 0.1, "kind": "upper",
+                    "r_max": 1e999}, "r_max",
+     "must be a finite number, got inf"),
+    ("tail-probe", {"dist": {"family": "two_point", "h": 4.0, "K": 2.0},
+                    "K": 2.0, "epsilon": 0.1, "kind": "upper",
+                    "r_max": math.nan}, "r_max",
+     "must be a finite number, got nan"),
+    ("concentration", {"mode": "weighted", "n": 128, "delta": 1e999,
+                       "replications": 3}, "delta",
+     "must be a finite number, got inf"),
+    ("rate-scan", {"family": "two_point", "K": 2.0, "h": 2.0,
+                   "n_list": [64, 128, 256], "trials": 3, "tol": math.nan},
+     "tol", "must be a finite number, got nan"),
+    ("rate-scan", {"family": "two_point", "K": 2.0, "h": 2.0,
+                   "n_list": [64, 128, 256], "trials": 3, "tol": 0.0},
+     "tol", "must lie in (0, 1)"),
+    ("rate-scan", {"family": "bernoulli", "K": 1e999,
+                   "n_list": [128, 256, 512], "trials": 4}, "K",
+     "must be a finite number, got inf"),
+    ("construct", {"family": "chi2_hard", "K": 2.0, "k_max": 4,
+                   "c": math.nan}, "<root>.c",
+     "must be a finite number, got nan"),
+    ("phase-scan", {"K_list": [1e999], "n_list": [64, 128, 256],
+                    "trials": 3}, "K_list",
+     "expected a list of positive numbers"),
     ("rate-scan", {"family": "bernoulli", "K": 2.0,
                    "n_list": [128, 256, 512], "trials": 4, "epsilon": 0.0},
      "epsilon", "epsilon must be positive"),
@@ -479,8 +528,11 @@ _FAR_PAIR = {"atoms": [{"x": 1e8, "logw": math.log(0.5)},
         "lsi_probe_tiny_h", "berry_esseen_negative_h", "berry_esseen_zero_h",
         "mi_probe_lam", "berry_esseen_n", "gap_n", "mi_probe_zero_tol",
         "mi_probe_negative_tol", "mi_probe_renyi_tol",
-        "mi_probe_sigma_below_spacing", "mi_probe_renyi_sigma_below_spacing",
-        "mi_probe_sigma_squared_not_normal", "rate_scan_zero_epsilon",
+        "w2_nan_tol", "w2_negative_tol", "w2_infinite_sigma",
+        "tail_probe_infinite_r_max", "tail_probe_nan_r_max",
+        "weighted_infinite_delta", "rate_scan_nan_tol", "rate_scan_zero_tol",
+        "rate_scan_infinite_K", "construct_nan_c",
+        "phase_scan_infinite_K_list", "rate_scan_zero_epsilon",
         "rate_scan_negative_epsilon", "rate_scan_epsilon_past_range",
         "rate_scan_bernoulli_tiny_sigma", "rate_scan_two_n", "rate_scan_repeated_n", "phase_scan_two_n",
         "w2_sigma_next_to_both_sides",

@@ -23,6 +23,15 @@ def test_two_point_guards():
         cons.bernoulli_two_point(1e-9, 1.0)         # weight rounds to 1
 
 
+@pytest.mark.parametrize("K, c", [(2.0, 2.0), (2.0, math.nan), (1.0, 3.0),
+                                  (math.nan, 3.0)])
+def test_chi2_hard_example_guards(K, c):
+    """c > 2 and K > 1, NaN refused too: with c = NaN every atom but 0 had
+    been dropped, and a 5-atom request gave 2 atoms."""
+    with pytest.raises(ValueError, match="requires"):
+        cons.chi2_hard_example(K, c, 4)
+
+
 def test_two_point_keeps_a_subnormal_h_atom():
     # exp(-741.125) is subnormal but positive, so P_h is still two-point
     p = cons.bernoulli_two_point(77.0, 2.0)

@@ -7,7 +7,6 @@ from scipy.integrate import quad
 
 from sotlab import constructions as cons
 from sotlab import divergences as dv
-from sotlab._quad import QuadratureError, adaptive_simpson
 from sotlab.dist_core import AtomicDistribution, SmoothedMixture, logsumexp
 
 from conftest import random_mixture
@@ -120,13 +119,14 @@ def test_renyi_mi_deep_atoms_finite():
 
 
 def _full_range_quad(Y):
-    # the quadrature the windows replace: one adaptive_simpson over all of
-    # [-Y, Y] per atom, in y itself
-    def quad(f, bp, windows, locs, tol):
-        res = adaptive_simpson(lambda y: f(y, 0.0),
-                               np.concatenate([[-Y, Y], bp]), tol)
-        return res.total, res.error_estimate, res.n_eval
-    return quad
+    # the quadrature the windows replace, as a stand-in for _mi_windows: one
+    # window over all of [-Y, Y], so one adaptive_simpson per atom, in
+    # v = y / sigma from 0, seeded with every atom's breakpoints
+    def windows(p, sigma):
+        d = -p.locations[:, None] / sigma
+        return d, [np.unique(np.concatenate([[-Y / sigma, Y / sigma],
+                                             (dv._MI_OFFSETS - d).ravel()]))]
+    return windows
 
 
 # The full-range MIs of chi2_hard_example(2, c, 10) at tol 1e-9, from the
@@ -164,14 +164,16 @@ def test_windowed_mi_matches_full_range(case, monkeypatch):
         p = random_mixture(np.random.default_rng(11), 6, 0.8, 200.0).base
         sigma = 0.8
     Y = float(np.max(np.abs(p.locations))) + 17.0 * sigma
-    windows = dv._mi_windows(p, sigma)
-    assert -Y < windows[0][0] and windows[-1][1] < Y
+    d, seeds = dv._mi_windows(p, sigma)
+    # each window's ends in y, from its reference atom, where d is 0
+    for c, s in zip(p.locations[np.argmin(np.abs(d), axis=0)], seeds):
+        assert -Y < c + sigma * s[0] and c + sigma * s[-1] < Y
     new = (dv.chi2_mutual_information(p, sigma, tol),
            dv.renyi_mutual_information(p, sigma, 1.5, tol))
     if case == "chi2_hard_10":
         ref = HARD_10_FULL_RANGE
     else:
-        monkeypatch.setattr(dv, "_mi_atom_quad", _full_range_quad(Y))
+        monkeypatch.setattr(dv, "_mi_windows", _full_range_quad(Y))
         ref = (dv.chi2_mutual_information(p, sigma, tol),
                dv.renyi_mutual_information(p, sigma, 1.5, tol))
     for got, want, key in zip(new, ref, (lambda e: e.value,
@@ -239,70 +241,116 @@ def _far_pair():
                                            np.array([0.5, 0.5]))
 
 
+def _mi_within_its_error(p, sigma, mi, want):
+    """The chi^2 MI, or the Renyi MI at lam = 1.5, of p at sigma, checked
+    against want within its certified error: that of the part sum for Renyi,
+    which moves the value by about error / ((lam - 1) S). No floating-point
+    overflow, invalid operation or division by zero may occur."""
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        est = (dv.chi2_mutual_information(p, sigma) if mi == "chi2"
+               else dv.renyi_mutual_information(p, sigma, 1.5))
+    S = sum(est.partial_by_atom)
+    err = est.quadrature_error + est.gap_bound
+    if mi == "renyi":
+        err /= 0.5 * S
+    assert np.isfinite(est.value) and est.n_eval > 0
+    assert abs(est.value - want) <= err
+    return est
+
+
 @pytest.mark.parametrize("mi", ["chi2", "renyi"])
-def test_mi_refuses_a_sigma_below_the_spacing(mi):
-    """At sigma = 1e-10 each kernel's window r +- 16 sigma rounds to a point
-    at 1e8; with no window, nothing of the kernel was integrated and the
-    MIs read 0.0 and -1336.6 with n_eval 0."""
-    with pytest.raises(ValueError, match=r"sigma = 1e-10 .* atom 100000000\.0"):
-        if mi == "chi2":
-            dv.chi2_mutual_information(_far_pair(), 1e-10)
-        else:
-            dv.renyi_mutual_information(_far_pair(), 1e-10, 1.5)
+def test_mi_takes_a_sigma_below_the_spacing(mi):
+    """At sigma = 1e-10 the atoms near 1e8 lie 1e10 sigma apart, and float64
+    spacing there is 150 sigma: in y, each window r +- 16 sigma rounded to a
+    point, and the MIs were refused. In units of sigma each kernel has its
+    own window, and as the two do not overlap the chi^2 MI is 1 and the
+    Renyi MI log 2."""
+    _mi_within_its_error(_far_pair(), 1e-10, mi,
+                         1.0 if mi == "chi2" else math.log(2.0))
 
 
 @pytest.mark.parametrize("sigma", [1e-9, 3e-9, 1e-3, 0.05])
 def test_renyi_mi_keeps_its_tol_at_small_sigma(sigma):
-    """Below sigma ~ 0.4 the Renyi integrand is scaled by e^-shift with
-    shift > 0, and its error by e^shift after. Each atom's tol is scaled
-    down to match, so the summed error stays within tol: it was 1.7e-5 at
-    sigma = 3e-9 against tol 1e-9. The two kernels do not overlap, so the
-    MI is log 2."""
+    """Each atom's Renyi integrand is scaled by e^-shift and its error by
+    e^shift after. Measured in y, shift was above 0 below sigma ~ 0.4, and
+    the summed error reached 1.7e-5 at sigma = 3e-9 against tol 1e-9 before
+    each atom's tol was scaled down to match. In units of sigma shift is at
+    most -log sqrt(2 pi), and the summed error stays within tol. The two
+    kernels do not overlap, so the MI is log 2."""
     tol = 1e-9
     est = dv.renyi_mutual_information(_far_pair(), sigma, 1.5, tol)
     assert est.quadrature_error <= tol
     assert abs(est.value - math.log(2.0)) <= 1e-12
 
 
-def test_renyi_mi_raises_past_exps_range():
-    """At sigma = 1e-306 the shift would be ~703, past where e^shift times
-    the error is a float; sigma^2 is 0.0 there, and sigma is refused."""
+@pytest.mark.parametrize("mi", ["chi2", "renyi"])
+@pytest.mark.parametrize("sigma", [1e-16, 1e-306])
+def test_mi_of_one_atom_at_tiny_sigma(mi, sigma):
+    """One atom's MIs are 0 at every sigma. In y, the Renyi MI raised
+    QuadratureError at sigma = 1e-16, its panels below the quadrature's
+    absolute width floor, and sigma = 1e-306, whose square is 0.0, was
+    refused."""
     p = AtomicDistribution.from_weights(np.array([0.0]), np.array([1.0]))
-    with pytest.raises(ValueError, match=r"sigma = 1e-306: sigma\^2 is not"):
-        dv.renyi_mutual_information(p, 1e-306, 1.5)
+    assert _mi_within_its_error(p, sigma, mi, 0.0).value == 0.0
 
 
 @pytest.mark.parametrize("mi", ["chi2", "renyi"])
-@pytest.mark.parametrize("sigma", [1.4e-154, 1.5e-154])
-def test_mi_refuses_a_sigma_whose_square_is_not_normal(mi, sigma, monkeypatch):
-    """The kernels' exponents divide by sigma^2, whose smallest normal value
-    is at sigma = 1.49e-154. Below it the MIs refuse sigma: for atoms
-    {0, 1e-150} at sigma = 1e-160 the chi^2 MI had warned of an overflow in
-    exp, and both had raised QuadratureError. Just above it they take
-    sigma, and both integrands are finite over both windows, with no
-    floating-point warning."""
+@pytest.mark.parametrize("sigma", [1e-160, 1.4e-154, 1.5e-154])
+def test_mi_takes_a_sigma_whose_square_is_not_normal(mi, sigma):
+    """The atoms {0, 1e-150} lie at least 6,000 sigma apart, so the chi^2 MI
+    is 1 and the Renyi MI log 2. In y the kernels' exponents divided by
+    sigma^2, which is subnormal below sigma = 1.49e-154: there the MIs were
+    refused, and at sigma = 1e-160, before that refusal, the chi^2 MI had
+    warned of an overflow in exp and both had raised QuadratureError."""
     p = AtomicDistribution.from_weights(np.array([0.0, 1e-150]),
                                         np.array([0.5, 0.5]))
-    windows = []
+    _mi_within_its_error(p, sigma, mi, 1.0 if mi == "chi2" else math.log(2.0))
 
-    def quad(f, bp, wins, locs, tol):
-        for a, b in wins:
-            c = float(locs[np.argmin(np.abs(locs - 0.5 * (a + b)))])
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                assert np.all(np.isfinite(f(np.linspace(a, b, 65) - c, c)))
-        windows.append(wins)
-        return 1.0, 0.0, 0
 
-    monkeypatch.setattr(dv, "_mi_atom_quad", quad)
-    run = ((lambda: dv.chi2_mutual_information(p, sigma)) if mi == "chi2"
-           else (lambda: dv.renyi_mutual_information(p, sigma, 1.5)))
-    if sigma < 1.49e-154:
-        with pytest.raises(ValueError, match=r"sigma\^2 is not a normal"):
-            run()
-        assert windows == []
+@pytest.mark.parametrize("mi", ["chi2", "renyi"])
+@pytest.mark.parametrize("case, sigma, want", [
+    ("pair", 1e150, 0.0), ("pair", 1e153, 0.0), ("chi2_hard_10", 1e-170, 10.0)])
+def test_mi_at_extreme_sigma(mi, case, sigma, want):
+    """Finite values within their certified errors where, measured in y,
+    the MIs raised or misread: {0, 1} at sigma = 1e150 (the Renyi MI read
+    2.24e-13, beyond its error) and 1e153 ((16 sigma)^2 overflowed), and
+    the hard example's 11 atoms at sigma = 1e-170, where the kernels are
+    apart and the chi^2 MI is atoms - 1 = 10. At 1e-170 atom k's offset from
+    the windows far from it is capped (_FAR), so that no relative exponent
+    is inf - inf."""
+    if case == "pair":
+        p = AtomicDistribution.from_weights(np.array([0.0, 1.0]),
+                                            np.array([0.5, 0.5]))
     else:
-        run()
-        assert len(windows) == 2 and all(len(w) == 2 for w in windows)
+        p = cons.chi2_hard_example(2.0, cons.chi2_admissible_c(2.0), 10)
+        if mi == "renyi":
+            # apart, I_lam = log(sum_k w_k^(2 - lam)) / (lam - 1)
+            want = 2.0 * float(logsumexp(0.5 * p.log_weights))
+    _mi_within_its_error(p, sigma, mi, want)
+
+
+@pytest.mark.parametrize("case", ["chi2_hard_4", "two_point", "random_spread"])
+@pytest.mark.parametrize("s", [1e-150, 1e-20, 1e20, 1e150])
+def test_mi_is_scale_invariant(case, s):
+    """I(S; S + sigma N) = I(sS; sS + s sigma N): the MIs of p.scale(s) at
+    s sigma are those of p at sigma within both certified errors (the part
+    sum for Renyi)."""
+    sigma = 1.0
+    if case == "chi2_hard_4":
+        p = cons.chi2_hard_example(2.0, cons.chi2_admissible_c(2.0), 4)
+    elif case == "two_point":
+        p = cons.bernoulli_two_point(2.0, 2.0)
+    else:
+        p = random_mixture(np.random.default_rng(11), 6, 0.8, 200.0).base
+        sigma = 0.8
+    for mi, key in ((lambda p, s: dv.chi2_mutual_information(p, s),
+                     lambda e: e.value),
+                    (lambda p, s: dv.renyi_mutual_information(p, s, 1.5),
+                     lambda e: sum(e.partial_by_atom))):
+        got, want = mi(p.scale(s), s * sigma), mi(p, sigma)
+        slack = (got.quadrature_error + want.quadrature_error
+                 + got.gap_bound + want.gap_bound)
+        assert abs(key(got) - key(want)) <= slack
 
 
 def test_renyi_mi_skips_atoms_whose_part_rounds_to_zero():
@@ -322,16 +370,14 @@ def test_renyi_mi_skips_atoms_whose_part_rounds_to_zero():
     assert abs(sum(est.partial_by_atom) - sum(loose.partial_by_atom)) <= slack
 
 
-def _log_mix_rel_by_points(p, sigma, k, u, c=0.0):
-    # the (points x atoms) formula that the atom-major _log_mix_rel
-    # reproduces; c is one offset for all points or one per point
-    c = np.broadcast_to(c, u.shape)[:, None]
-    rk = p.locations[k]
-    lwk = p.log_weights[k]
-    delta = ((p.log_weights[None, :] - lwk)
-             + ((u[:, None] + (c - rk)) ** 2
-                - (u[:, None] + (c - p.locations[None, :])) ** 2)
-             / (2.0 * sigma * sigma))
+def _log_mix_rel_by_points(p, v, d, w, k=None):
+    # the (points x atoms) formula that the atom-major _log_mix reproduces:
+    # point i's offsets d[:, w[i]]; with k, the log-ratio relative to atom k
+    sq = (v[:, None] + d[:, w].T) ** 2
+    if k is None:
+        return logsumexp(p.log_weights[None, :] + sq * -0.5, axis=1)
+    delta = ((p.log_weights[None, :] - p.log_weights[k])
+             + (sq[:, k:k + 1] - sq) * 0.5)
     return -logsumexp(delta, axis=1)
 
 
@@ -352,28 +398,23 @@ def test_mi_keeps_the_points_by_atoms_bits(monkeypatch):
                 .view(np.int64).tolist() for e in ests]
 
     got = bits()
-    monkeypatch.setattr(dv, "_log_mix_rel", _log_mix_rel_by_points)
+    monkeypatch.setattr(dv, "_log_mix", _log_mix_rel_by_points)
     assert got == bits()
 
 
-def _mi_atom_quad_by_window(f, bp, windows, locs, tol):
+def _mi_atom_quad_by_window(f, seeds, tol):
     # the reference _mi_atom_quad: the integrand called once per window per
-    # round, with that window's atom as a scalar c
-    widths = np.array([b - a for a, b in windows])
-    refs = [float(locs[np.argmin(np.abs(locs - 0.5 * (a + b)))])
-            for a, b in windows]
+    # round, on that window's points alone
+    widths = np.array([s[-1] - s[0] for s in seeds])
 
-    def by_window(u, member):
-        out = np.empty(u.shape)
+    def by_window(v, member):
+        out = np.empty(v.shape)
         for w in np.unique(member).tolist():
             sel = member == w
-            out[sel] = f(u[sel], refs[w])
+            out[sel] = f(v[sel], member[sel])
         return out
 
-    res = dv._simpson_members(by_window,
-                              [bp[(bp >= a) & (bp <= b)] - c
-                               for (a, b), c in zip(windows, refs)],
-                              tol * widths / widths.sum())
+    res = dv._simpson_members(by_window, seeds, tol * widths / widths.sum())
     return (float(np.sum([r.total for r in res])),
             float(np.sum([r.error_estimate for r in res])),
             sum(r.n_eval for r in res))
@@ -382,8 +423,8 @@ def _mi_atom_quad_by_window(f, bp, windows, locs, tol):
 @pytest.mark.parametrize("case", ["chi2_hard", "far_pair", "spread"])
 def test_mi_keeps_the_by_window_bits(case, monkeypatch):
     """One integrand call per round for all of an atom's windows, each point
-    with its own c, gives every bit of one call per window: value, parts,
-    quadrature error and n_eval of both MIs."""
+    with its own window, gives every bit of one call per window: value,
+    parts, quadrature error and n_eval of both MIs."""
     if case == "chi2_hard":
         p = cons.chi2_hard_example(2.0, cons.chi2_admissible_c(2.0), 10)
     elif case == "far_pair":
@@ -403,29 +444,14 @@ def test_mi_keeps_the_by_window_bits(case, monkeypatch):
                           np.array(ests()).view(np.int64))
 
 
-def test_window_reach_is_per_window():
-    """The chi^2 integrand's rounding margin comes from each window's own
-    largest |u| in the call: with one c per point, each point gets the
-    reach of a scalar-c call on the points sharing its c."""
-    rng = np.random.default_rng(0)
-    c = np.repeat([-1e8, 0.0, 3.5], [5, 7, 4])
-    rng.shuffle(c)
-    u = rng.uniform(-40.0, 40.0, c.size)
-    got = dv._window_reach(u, c)
-    for ref in (-1e8, 0.0, 3.5):
-        sel = c == ref
-        assert np.all(got[sel] == dv._window_reach(u[sel], ref))
-        assert np.unique(got[sel]).size == 1
-
-
 @pytest.mark.parametrize("case", ["chi2_hard", "chi2_hard_offset", "random_0.3",
                                   "random_1", "random_3", "two_point"])
 def test_log_mix_rel_matches_points_by_atoms(case):
-    """Every bit of every atom's atom-major log-ratio is that of the
-    (points x atoms) formula, on a coarse grid over [-Y, Y] and a fine one
-    around each atom; where one atom owns a point, both read -0.0.
-    chi2_hard_offset takes the points as offsets from the deepest atom, as
-    its MI window does."""
+    """Every bit of every atom's atom-major log-ratio, and of the log-sum, is
+    that of the (points x atoms) formula, on a coarse grid over [-Y, Y] and
+    a fine one around each atom; where one atom owns a point, both read
+    -0.0. chi2_hard_offset takes the points as offsets from the deepest
+    atom, as its MI window does."""
     c = 0.0
     if case.startswith("chi2_hard"):
         sigma = 1.0
@@ -444,10 +470,12 @@ def test_log_mix_rel_matches_points_by_atoms(case):
     y = np.concatenate([np.linspace(-Y, Y, 4001),
                         (p.locations[:, None] - c
                          + np.linspace(-8.0, 8.0, 401) * sigma).ravel()])
-    y = y[np.abs(y) <= Y]
-    for k in range(p.n_atoms):
-        got = dv._log_mix_rel(p, sigma, k, y, c)
-        want = _log_mix_rel_by_points(p, sigma, k, y, c)
+    v = y[np.abs(y) <= Y] / sigma
+    d = ((c - p.locations) / sigma)[:, None]
+    w = np.zeros(v.size, dtype=int)
+    for k in [*range(p.n_atoms), None]:
+        got = dv._log_mix(p, v, d, w, k)
+        want = _log_mix_rel_by_points(p, v, d, w, k)
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), k
 
 

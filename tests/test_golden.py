@@ -24,13 +24,13 @@ CASES = {
     "w2_inline_atoms.json": ("w2",
         "fdfc8831b7d20c03d9e19fabb5f2add9ec315d2e45b1b31ac1b4bcfb5751fe47", None),
     "mi_probe_chi2.json": ("mi-probe",
-        "9b8e9263d56fb6a24ec993bee467105617be379bfe4429be4e66cdc21fb8aa8c", None),
+        "bcee2711eb15b73f1abac21017d5542f5e96019152a0709b0739734cf1c88381", None),
     "mi_probe_renyi.json": ("mi-probe",
         "92fd132efc254bc75cb83bad3fecd5a2837150f6d2730971f1bacca16517fd28", None),
     "mi_probe_chi2_hard10.json": ("mi-probe",
-        "98b45ee087fa20f9803ee2c13782f76a2742b17617c543ef082b3406a38d9064", None),
+        "34fa6cd30a3938ce2d57ea1374fc4f4c5ffb49ed73d39677e3bde6b6aa27db37", None),
     "mi_probe_renyi_hard10.json": ("mi-probe",
-        "f0e7b6d49b5497e2287ec82676a766ae27510974b9c3bf72d758f10b5bf3c236", None),
+        "812218ee6d9bb95fe38544da8b642a7b978b19ae1215931b8ac50df7ede1af1b", None),
     "rate_scan_two_point.json": ("rate-scan",
         "5fc3705355f5c3b0bcb53412d71b982a6a86ab8af669238e3aecf15e0a79a960",
         "5dc9cad1d422bda2a7681ca3eb48206b8fa9de717706ca7ca2529374d94c0cd5"),
