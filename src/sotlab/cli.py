@@ -124,14 +124,14 @@ def _above_sigma(K: float, sigma: float):
         raise ConfigError("K", f"must be > sigma = {sigma!r}")
 
 
-def _check_probe(check, h_list: list, *args):
-    """check(h, *args), a two-point parameter check, at every h: a
-    ParameterError is a config error at the field it names (h_list for h)."""
+def _checked(h_field: str, fn, *args):
+    """fn(*args), which checks its two-point parameters before any trial or
+    probe runs: a ParameterError is a config error at the field it names, or
+    at h_field, the field that sets or moves P_h, where it names h."""
     try:
-        for h in h_list:
-            check(h, *args)
+        return fn(*args)
     except constructions.ParameterError as exc:
-        raise ConfigError("h_list" if exc.name == "h" else exc.name, str(exc))
+        raise ConfigError(h_field if exc.name == "h" else exc.name, str(exc))
 
 
 def _n_list(cfg: dict) -> list:
@@ -380,15 +380,10 @@ def rate_scan(cfg, seed, out_path):
     plan = None
     if family == "bernoulli":
         epsilon = _positive(cfg, "epsilon", required=False, default=0.02)
-        try:
-            plan, series = experiments.bernoulli_scan(K, sigma, epsilon, n_list,
-                                                      trials, seed, tol)
-        except constructions.ParameterError as exc:
-            # raised before any trial runs: epsilon past the construction's
-            # range, or a sigma that makes h(n) too small for P_h
-            if exc.name not in ("epsilon", "sigma"):
-                raise
-            raise ConfigError(exc.name, str(exc))
+        # refused before any trial runs: epsilon past the construction's
+        # range, or a sigma that leaves h(n) too small for P_h or not positive
+        plan, series = _checked("sigma", experiments.bernoulli_scan, K, sigma,
+                                epsilon, n_list, trials, seed, tol)
         rows = [("w2",) + q for q in series.points]
         rows += [("w2sq",) + q for q in plan.w2sq_series.points]
         meta.update({"epsilon": epsilon, "delta": plan.delta,
@@ -397,9 +392,9 @@ def rate_scan(cfg, seed, out_path):
         h = _positive(cfg, "h", required=False, default=2.0)
         metric, mc = (("kl", experiments.mc_expected_kl) if family == "kl"
                       else ("w2sq", experiments.mc_expected_w2sq))
-        series = experiments.rate_series(
-            mc, constructions.bernoulli_two_point(h, K), sigma, n_list,
-            trials, seed, tol)
+        p = _checked("h", constructions.bernoulli_two_point, h, K)
+        series = experiments.rate_series(mc, p, sigma, n_list, trials, seed,
+                                         tol)
         rows = [(metric,) + q for q in series.points]
         meta["h"] = h
     fit = experiments.fit_rate(series)
@@ -422,7 +417,9 @@ def phase_scan(cfg, seed, out_path):
     sigma = _sigma(cfg)
     n_list = _n_list(cfg)
     trials = _get(cfg, "trials", int, required=False, default=100, minimum=2)
-    rows = experiments.phase_scan(K_list, sigma, n_list, trials, seed)
+    # phase_scan builds every K's P_h before its first trial; its h is fixed
+    rows = _checked("K_list", experiments.phase_scan, K_list, sigma, n_list,
+                    trials, seed)
     return (["K", "slope", "slope_stderr", "r_squared", "alpha"],
             [(r["K"], r["slope"], r["slope_stderr"], r["r_squared"],
               tail_bounds.alpha_exponent(r["K"], sigma)) for r in rows], {})
@@ -534,7 +531,8 @@ def lsi_probe(cfg, seed, out_path):
     K = _positive(cfg, "K")
     sigma = _sigma(cfg)
     h_list = _positive_list(cfg, "h_list")
-    _check_probe(constructions.bernoulli_two_point, h_list, K)
+    for h in h_list:
+        _checked("h_list", constructions.bernoulli_two_point, h, K)
     probes = [functional_ineq.lsi_lower_bound(h, K, sigma) for h in h_list]
     return (["h", "log_q3", "log_q4", "log_q5", "bound"],
             [(p.h, *p.log_q, p.lsi_lower) for p in probes], {})
@@ -549,7 +547,9 @@ def t2_probe(cfg, seed, out_path):
     _above_sigma(K, sigma)
     delta = _get(cfg, "delta", float)
     h_list = _positive_list(cfg, "h_list")
-    _check_probe(functional_ineq.check_t2_parameters, h_list, K, sigma, delta)
+    for h in h_list:
+        _checked("h_list", functional_ineq.check_t2_parameters, h, K, sigma,
+                 delta)
     probes = [functional_ineq.t2_lower_bound(h, K, sigma, delta)
               for h in h_list]
     return (["h", "log_q_h", "log_w2sq", "log_kl", "log_ratio", "method"],

@@ -185,33 +185,27 @@ def w2_hard_example(K: float, sigma: float, k_max: int):
     logw = np.concatenate([[log_p0], log_p])
     p = AtomicDistribution.from_log_weights(locs, logw, normalize=True)
 
-    n_k = [None] * k_max
-    c_u = [math.nan] * k_max
-    from . import tail_bounds  # local import; tail_bounds is schedule-agnostic
-
-    proto = HardExampleSchedule(kappa, M, C, c_k, r_k, t_k, log_p,
-                                t_k * r_k, tuple([None] * k_max),
-                                tuple([math.nan] * k_max))
-    log_c_u = [tail_bounds.interval_prob_bounds(proto, p, sigma, i + 1).log_C_u_hat
-               for i in range(k_max)]
+    # each level's implied upper constant: P(X in (t_k r_k, t_k r_k + 2])
+    # over its envelope exp(-(t_k^2 - kappa c_k - c_k)(r_k - 2)^2 / (2 sigma^2))
+    probe = t_k * r_k
+    log_env = (-(t_k * t_k - kappa * c_k - c_k) * (r_k - 2.0) ** 2
+               / (2.0 * sigma * sigma))
+    log_c_u = (SmoothedMixture(p, sigma).log_interval_prob(probe, probe + 2.0)
+               - log_env).tolist()
     # the stated (r_k - 2)^2 envelope is loose for k >= 2, so the per-k
     # implied constants decay; the honest k-independent envelope is the max
     log_c_u_env = max(log_c_u)
+    c_u = [math.exp(x) if x > -745.0 else 0.0 for x in log_c_u]
+    n_k = []
     for i in range(k_max):
-        c_u[i] = math.exp(log_c_u[i]) if log_c_u[i] > -745.0 else 0.0
         log_n = (-math.log(4.0) - 2.0 * log_c_u_env
                  + (t_k[i] ** 2 - c_k[i] * kappa - c_k[i]) * (r_k[i] - 2.0) ** 2 / sigma ** 2
                  - c_k[i] ** 2 * r_k[i] ** 2 / (2.0 * K * K))
-        if log_n < 0.0:
-            n_k[i] = None  # rounds to zero
-        elif log_n > math.log(2.0 ** 62):
-            n_k[i] = None  # beyond any feasible run
-        else:
-            n_k[i] = int(math.floor(math.exp(log_n)))
-            if n_k[i] < 1:
-                n_k[i] = None
+        # None where n rounds to zero or lies beyond any feasible run
+        n_k.append(int(math.floor(math.exp(log_n)))
+                   if 0.0 <= log_n <= math.log(2.0 ** 62) else None)
     sched = HardExampleSchedule(kappa, M, C, c_k, r_k, t_k, log_p,
-                                t_k * r_k, tuple(n_k), tuple(c_u))
+                                probe, tuple(n_k), tuple(c_u))
     return p, sched
 
 

@@ -41,13 +41,13 @@ _LOG_HALF_DECIDED = math.log(0.5) - 1e-6
 #   4000 points x  512 atoms: 189 / 179 / 170 / 155 / 182 / 198 / 218
 _BLOCK_BUDGET = 65_536
 
-# SmoothedMixture kernels of 2 up to this many atoms build each block as
-# (atoms x points) and reduce it over the leading atom axis
-# (_logsumexp_atoms): below 8 terms _pairwise_sum is one in-sequence reduce
-# that runs along the points, where the row-major reduction runs numpy's
-# inner loop once per short row. Sweep of log_pdf + a signed log-mass pass +
-# log_pdf with per-point rows, atom-major time over row-major time, median
-# of 15 interleaved runs on 2 cores, at 32 / 256 / 2048 points:
+# SmoothedMixture kernels of up to this many atoms build (atoms x points)
+# arrays and reduce them over the leading atom axis (_few_atom_logsum): below
+# 8 terms _pairwise_sum is one in-sequence reduce that runs along the points,
+# where the row-major kernel runs numpy's inner loop once per short row.
+# Sweep of log_pdf + a signed log-mass pass + log_pdf with per-point rows,
+# atom-major time over row-major time, median of 15 interleaved runs on 2
+# cores, at 32 / 256 / 2048 points:
 #    2 atoms: 0.96 / 0.68 / 0.43      4 atoms: 0.97 / 0.67 / 0.49
 #    8 atoms: 1.14 / 0.80 / 0.53     11 atoms: 1.18 / 0.80 / 0.71
 #   16 atoms: 1.05 / 0.85 / 0.83
@@ -231,9 +231,9 @@ _scratch_of_thread = threading.local()
 
 def _scratch(shape):
     """Two float arrays and a bool array of `shape`: views of the calling
-    thread's kernel buffers, which it keeps for its life and grows to the
-    largest block it has run. Reusing them spares each block the page faults
-    of fresh temporaries."""
+    thread's buffers for the row-major kernel (_row_major_logsum), which it
+    keeps for its life and grows to the largest block it has run. Reusing
+    them spares each block the page faults of fresh temporaries."""
     n = shape[0] * shape[1]
     bufs = getattr(_scratch_of_thread, "bufs", None)
     if bufs is None or bufs[0].size < n:
@@ -251,18 +251,24 @@ def _row_slices(n_rows: int, n_atoms: int) -> list:
     return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
 
 
+def _one_block(n_rows: int, n_atoms: int) -> bool:
+    """Whether n_rows x n_atoms kernel pairs are one block, which runs
+    inline: at most _BLOCK_BUDGET pairs, or a single row."""
+    return n_rows * n_atoms <= _BLOCK_BUDGET or n_rows == 1
+
+
 def _row_blocks(n_rows: int, n_atoms: int, block) -> None:
     """Call block(rows) on each slice `rows` of _row_slices(n_rows, n_atoms).
 
-    One slice runs inline. More run on the kernel pool, numpy and scipy
-    ufunc loops releasing the GIL, each slice in a copy of the caller's
-    context so that the caller's np.errstate holds in it; once all are done,
-    the first slice to have raised, in row order, raises in the caller. A
-    block writes its own rows only and reduces each row along that row alone,
-    so the output bits do not depend on the budget or on the number of
-    workers.
+    One block (_one_block) runs inline. More run on the kernel pool, numpy
+    and scipy ufunc loops releasing the GIL, each slice in a copy of the
+    caller's context so that the caller's np.errstate holds in it; once all
+    are done, the first slice to have raised, in row order, raises in the
+    caller. A block writes its own rows only and reduces each row along that
+    row alone, so the output bits do not depend on the budget or on the
+    number of workers.
     """
-    if n_rows * n_atoms <= _BLOCK_BUDGET or n_rows == 1:
+    if _one_block(n_rows, n_atoms):
         if n_rows:
             block(slice(0, n_rows))
         return
@@ -519,24 +525,16 @@ class SmoothedMixture:
     gets the same bits as a call on its own mixture. Without rows every
     point uses base.log_weights.
 
-    Kernel layout: each evaluation is logsumexp(lw + term, axis=1) over a
-    (points x atoms) array, cut into row blocks (_row_blocks). A one-atom
-    mixture takes _logsumexp's one-term path, and a mixture of more than
-    _ATOM_MAJOR_MAX (7) atoms reduces its row-major blocks with _logsumexp.
-    A mixture of 2 to 7 atoms builds each block as (atoms x points) and
-    reduces it over the atoms with _logsumexp_atoms, so that numpy runs along
-    the points rather than once per short row; each point's operations, and
-    so its bits, are the same in either layout.
-
-    Lean path: a call on at most _ATOM_MAJOR_MAX atoms whose points x atoms
-    fit in one block (_BLOCK_BUDGET pairs) builds its (atoms x points)
-    arrays fresh and reduces them directly (_few_atom_logsum), with no row
-    blocks, closure or thread scratch; the quantile solver's start bracket
-    takes the same rule. Such a call would run inline as one block anyway,
-    and its arrays are at most a few KB for the 2-atom calls of the Monte
-    Carlo and exact paths, so the pool and the scratch buy nothing there.
-    Only calls of more than one block or more than 7 atoms take the row
-    blocks.
+    Kernel layout: each evaluation is logsumexp(lw + term, axis=1) over the
+    (points x atoms) pairs, by one of two kernels chosen by the atom count
+    alone. Up to _ATOM_MAJOR_MAX (7) atoms, _few_atom_logsum lays the pairs
+    out as (atoms x points) on fresh arrays and reduces them over the atoms
+    with _logsumexp_atoms (one atom: _logsumexp's one-term path), so that
+    numpy runs along the points rather than once per short row. More atoms
+    take _row_major_logsum, on the thread's scratch, reduced with
+    _logsumexp. A call of one block (_one_block) calls its kernel directly;
+    a larger one calls it once per row block (_row_blocks). Each point's
+    operations, and so its bits, are the same whatever the kernel or block.
     """
 
     base: AtomicDistribution
@@ -557,41 +555,24 @@ class SmoothedMixture:
         t = np.asarray(t, dtype=float)
         flat = t.reshape(-1)
         locs = self.base.locations
-        rows = None if log_weights is None else \
+        lw = self.base.log_weights if log_weights is None else \
             np.reshape(log_weights, (flat.size, locs.size))
         scale = self.sigma if sign is None else np.multiply(sign, self.sigma)
-        if np.ndim(scale):
+        if sign is not None and scale.ndim:
             scale = scale.reshape(-1)
-        if locs.size <= _ATOM_MAJOR_MAX and flat.size * locs.size <= _BLOCK_BUDGET:
-            out = _few_atom_logsum(flat, locs, scale, sign is None,
-                                   self.base.log_weights[:, None]
-                                   if rows is None else rows.T)
-            return out.reshape(t.shape) if t.shape else out[0]
-        out = np.empty(flat.shape, dtype=float)
-        atom_major = 1 < locs.size <= _ATOM_MAJOR_MAX
+        kernel = _few_atom_logsum if locs.size <= _ATOM_MAJOR_MAX \
+            else _row_major_logsum
+        if _one_block(flat.size, locs.size):
+            out = kernel(flat, locs, scale, sign is None, lw)
+        else:
+            out = np.empty(flat.shape, dtype=float)
 
-        # per block: logsumexp(lw + term, axis=1), by the same operations as
-        # on fresh arrays, written into this thread's scratch; z's array then
-        # holds logsumexp's exp terms. With few atoms the three arrays are
-        # transposed views of (atoms x points) scratch (see the class
-        # docstring)
-        def block(r):
-            if atom_major:
-                z, term, ties = (a.T for a in _scratch((locs.size, r.stop - r.start)))
-            else:
-                z, term, ties = _scratch((r.stop - r.start, locs.size))
-            np.divide(np.subtract(flat[r, None], locs, out=z),
-                      scale[r, None] if np.ndim(scale) else scale, out=z)
-            if sign is None:
-                np.multiply(np.multiply(z, -0.5, out=term), z, out=term)
-            else:
-                log_ndtr(z, out=term)
-            lw = self.base.log_weights if rows is None else rows[r]
-            np.add(lw, term, out=term)
-            out[r] = (_logsumexp_atoms(term.T, z.T, ties.T) if atom_major
-                      else _logsumexp(term, 1, z, ties)[:, 0])
+            def block(r):
+                out[r] = kernel(flat[r], locs,
+                                scale[r] if np.ndim(scale) else scale,
+                                sign is None, lw if lw.ndim == 1 else lw[r])
 
-        _row_blocks(flat.size, locs.size, block)
+            _row_blocks(flat.size, locs.size, block)
         return out.reshape(t.shape) if t.shape else out[0]
 
     def log_pdf(self, t, log_weights=None):
@@ -774,31 +755,28 @@ class SmoothedMixture:
         """(x0, j_best) for quantile_from_log_mass, in each target's frame:
         its per-atom start, the least of r_max + sigma q(lm) and its atoms'
         bounds (see there), the root itself for one atom, and the atom of its
-        tightest bound. The per-atom bounds are taken on the lean path's rule
-        (see the class docstring) or in blocks of _row_slices' size."""
+        tightest bound. The per-atom bounds are taken on fresh arrays, in one
+        block or in row blocks as the kernel's (see the class docstring)."""
         locs, sigma = self.base.locations, self.sigma
         flip = np.where(up, -1.0, 1.0)
         # the tightest per-atom bound of each target, and its atom
         best = np.empty(lm.size)
         j_best = np.empty(lm.size, dtype=np.intp)
 
-        def bounds(r, q, b):
+        def bounds(r):
             lw = self.base.log_weights if rows is None else rows[r]
             # lm >= lw_j gives no bound: ndtri_exp(0) = inf
-            np.minimum(np.subtract(lm[r, None], lw, out=q), 0.0, out=q)
-            ndtri_exp(q, out=q)
-            np.add(np.multiply(flip[r, None], locs, out=b),
-                   np.multiply(q, sigma, out=q), out=b)
+            q = np.subtract(lm[r, None], lw)
+            ndtri_exp(np.minimum(q, 0.0, out=q), out=q)
+            b = np.multiply(flip[r, None], locs)
+            np.add(b, np.multiply(q, sigma, out=q), out=b)
             j_best[r] = j = np.argmin(b, axis=1)
             best[r] = b[np.arange(j.size), j]
 
-        if locs.size <= _ATOM_MAJOR_MAX and lm.size * locs.size <= _BLOCK_BUDGET:
-            # the lean path's rule (see _atom_logsum): fresh arrays, no blocks
-            bounds(slice(None), np.empty((lm.size, locs.size)),
-                   np.empty((lm.size, locs.size)))
+        if _one_block(lm.size, locs.size):
+            bounds(slice(None))
         else:
-            _row_blocks(lm.size, locs.size, lambda r: bounds(
-                r, *_scratch((r.stop - r.start, locs.size))[:2]))
+            _row_blocks(lm.size, locs.size, bounds)
         r_max = np.where(up, -locs[0], locs[-1])
         return np.minimum(r_max + sigma * ndtri_exp(lm), best), j_best
 
@@ -977,12 +955,12 @@ class SmoothedMixture:
 
 
 def _few_atom_logsum(flat, locs, scale, density, lw):
-    """SmoothedMixture._atom_logsum of a call on at most _ATOM_MAJOR_MAX
-    atoms that fits in one block: the (atoms x points) arrays built and
-    reduced directly, on fresh arrays, with no row blocks and no scratch.
-    scale is sigma, or sign * sigma, one for all points or one per point; lw
-    is (atoms x 1) or (atoms x points). Each point's operations are those of
-    the block path, so are its bits."""
+    """SmoothedMixture._atom_logsum's kernel on at most _ATOM_MAJOR_MAX atoms
+    for the points flat: logsumexp(lw + term, axis=1), built as (atoms x
+    points) on fresh arrays and reduced over the atoms. scale is sigma, or
+    sign * sigma, one for all points or one per point; lw is the atoms'
+    log-weights, or one row of them per point. Each point's operations are
+    those of _row_major_logsum, so are its bits."""
     z = np.subtract(flat, locs[:, None])
     np.divide(z, scale, out=z)
     if density:
@@ -990,11 +968,26 @@ def _few_atom_logsum(flat, locs, scale, density, lw):
         np.multiply(term, z, out=term)
     else:
         term = log_ndtr(z)
-    np.add(lw, term, out=term)
+    np.add(lw[:, None] if lw.ndim == 1 else lw.T, term, out=term)
     if locs.size == 1:
         # _logsumexp's one-term path
         return 0.0 + term[0]
     return _logsumexp_atoms(term, z, np.empty(term.shape, dtype=bool))
+
+
+def _row_major_logsum(flat, locs, scale, density, lw):
+    """_few_atom_logsum's sum and arguments, for more atoms: built as (points
+    x atoms) in this thread's _scratch and reduced along each row with
+    _logsumexp, z's array then holding its exp terms."""
+    z, term, ties = _scratch((flat.size, locs.size))
+    np.divide(np.subtract(flat[:, None], locs, out=z),
+              scale[:, None] if np.ndim(scale) else scale, out=z)
+    if density:
+        np.multiply(np.multiply(z, -0.5, out=term), z, out=term)
+    else:
+        log_ndtr(z, out=term)
+    np.add(lw, term, out=term)
+    return _logsumexp(term, 1, z, ties)[:, 0]
 
 
 def _interpolate(grid, table, y):

@@ -301,7 +301,8 @@ def bernoulli_scan(K: float, sigma: float, epsilon: float, n_list, trials: int,
     not guaranteed) are flagged but still estimated. Before any trial runs,
     an epsilon whose delta reaches min(1/2, 1 - 1/(2 K^2 zeta)) raises
     ParameterError naming epsilon, and a sigma so small against K that some
-    P_h(n)'s h-atom weight rounds to 1 raises it naming sigma.
+    P_h(n)'s h-atom weight rounds to 1, or so large that h(n) is not positive
+    at the smallest n, raises it naming sigma.
     """
     if not K > sigma:
         raise ValueError("the adaptive scan requires K > sigma")
@@ -318,6 +319,13 @@ def bernoulli_scan(K: float, sigma: float, epsilon: float, n_list, trials: int,
                        f"construction needs delta < {d_max:.6g}, that is "
                        f"epsilon < {eps_max:.6g} at K = {K!r}, sigma = {sigma!r}")
     n_list = sorted(int(n) for n in n_list)
+    n0 = n_list[0]
+    if not 12.0 * math.sqrt(n0) / (math.sqrt(math.pi) * sigma) > 1.0:
+        # scan_h's log argument, which h(n) > 0 needs above 1
+        raise constructions.ParameterError("sigma", (
+            f"sigma = {sigma!r} gives no h(n) at n = {n0}: h(n) needs 12 "
+            f"sqrt(n) > sqrt(pi) sigma at the smallest n, that is sigma < "
+            f"{12.0 * math.sqrt(n0 / math.pi):.6g}"))
     hs = [scan_h(n, K, sigma, delta) for n in n_list]
     try:
         ps = [constructions.bernoulli_two_point(h, K) for h in hs]
@@ -351,13 +359,14 @@ def phase_scan(K_list, sigma: float, n_list, trials: int, seed,
                h: float = 2.0):
     """Fitted E[W2^2] log-log slope for each K across the K = sigma boundary,
     on the two-point family with the displacement held fixed at `h`. Returns
-    a list of dicts with K, slope, slope_stderr, r_squared.
+    a list of dicts with K, slope, slope_stderr, r_squared. A K that leaves
+    no P_h raises ParameterError naming h before any trial runs.
     """
     K_list = list(K_list)
+    ps = [constructions.bernoulli_two_point(h, K) for K in K_list]
     children = seed_sequence(seed).spawn(max(len(K_list), 1))
     table = []
-    for K, child in zip(K_list, children):
-        p = constructions.bernoulli_two_point(h, K)
+    for K, p, child in zip(K_list, ps, children):
         fit = fit_rate(rate_series(mc_expected_w2sq, p, sigma, n_list, trials,
                                    child))
         table.append({"K": float(K), "slope": fit.slope,

@@ -32,6 +32,17 @@ def test_coupling_oracle_quick_at_seed_26():
     assert result.passed, result.detail
 
 
+# A known defect: with p = e^-8, all 50 quick trials at n = 128 draw no spike
+# with probability (1 - e^-8)^(128 * 50) = 0.117 per seed. The early stop then
+# takes the 50 equal values as converged, and fit_rate refuses the stderr-0
+# point. Seed 25 is the first such seed; a mend of the MC rule, or an exact
+# estimator, makes this pass.
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="stderr 0 at n = 128: no trial drew the spike")
+def test_criterion_4_quick_at_seed_25():
+    assert acceptance.check_4_parametric_rate(quick=True, seed=25).passed
+
+
 def test_run_all_records_a_raising_criterion(monkeypatch):
     """A criterion that raises is a failed result naming the exception, under
     its own number and name; the criteria after it still run."""

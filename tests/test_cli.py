@@ -514,6 +514,22 @@ def test_mi_probe_takes_extreme_sigma(runner, tmp_path, cfg, want):
             "sigma_b": 1.5}, "sigma", "not read where sigma_a is given"),
     ("w2", {"A": ATOMS, "B": ATOMS, "sigma": 2.0, "sigma_a": 1.0}, "sigma",
      "not read where sigma_a is given"),
+    # two-point configs out of range: h(n) of the bernoulli scan needs
+    # 12 sqrt(n) > sqrt(pi) sigma (0.77 at n = 128), and P_h's h-atom weight
+    # exp(-h^2/(2 K^2)) must not underflow to 0
+    ("rate-scan", {"family": "bernoulli", "K": 200, "sigma": 100,
+                   "n_list": [128, 256, 512]}, "sigma",
+     "sigma = 100.0 gives no h(n) at n = 128: h(n) needs 12 sqrt(n) > "
+     "sqrt(pi) sigma at the smallest n, that is sigma < 76.5969"),
+    ("rate-scan", {"family": "two_point", "K": 2.0, "h": 100,
+                   "n_list": [128, 256, 512], "trials": 4}, "h",
+     "h = 100.0 gives the h-atom weight exp(-1250.0) = 0.0"),
+    ("rate-scan", {"family": "kl", "K": 0.01, "h": 2,
+                   "n_list": [128, 256, 512], "trials": 4}, "h",
+     "h = 2.0 gives the h-atom weight exp(-20000.0) = 0.0"),
+    ("phase-scan", {"K_list": [2.0, 0.01], "n_list": [128, 256, 512],
+                    "trials": 4}, "K_list",
+     "h = 2.0 gives the h-atom weight exp(-20000.0) = 0.0"),
 ], ids=["rate_scan_trials", "tail_probe_r_points", "weighted_n",
         "replications", "weighted_delta", "gap_k", "tail_probe_epsilon",
         "phase_scan_K_list", "phase_scan_trials", "mi_probe_sigma",
@@ -536,9 +552,15 @@ def test_mi_probe_takes_extreme_sigma(runner, tmp_path, cfg, want):
         "rate_scan_negative_epsilon", "rate_scan_epsilon_past_range",
         "rate_scan_bernoulli_tiny_sigma", "rate_scan_two_n", "rate_scan_repeated_n", "phase_scan_two_n",
         "w2_sigma_next_to_both_sides",
-        "w2_sigma_next_to_sigma_a"])
-def test_out_of_range_value_exits_2(runner, tmp_path, command, cfg, field,
-                                    message):
+        "w2_sigma_next_to_sigma_a", "rate_scan_bernoulli_large_sigma",
+        "rate_scan_h_atom_underflow", "rate_scan_kl_h_atom_underflow",
+        "phase_scan_h_atom_underflow"])
+def test_out_of_range_value_exits_2(runner, tmp_path, monkeypatch, command,
+                                    cfg, field, message):
+    """Each is a config error naming the field, refused before any trial."""
+    def must_not_run(*args):
+        pytest.fail("a trial ran before the config was refused")
+    monkeypatch.setattr(experiments, "_run_trials", must_not_run)
     res = runner.invoke(main, [command, "--config",
                                write_cfg(tmp_path, "c.json", cfg),
                                "--seed", "1"])

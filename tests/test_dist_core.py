@@ -618,8 +618,8 @@ def test_few_atom_kernel_matches_row_major_bitwise(pools, n_atoms, with_rows):
 
 
 def test_row_blocks_keep_shapes_and_types(monkeypatch):
-    """Shapes and scalar types of the kernel's outputs, in row blocks and on
-    the lean path (5 atoms in one block)."""
+    """Shapes and scalar types of the kernel's outputs, in row blocks and in
+    one block (5 atoms)."""
     m = random_mixture(np.random.default_rng(3), 5)
     for budget in (6, dist_core._BLOCK_BUDGET):
         monkeypatch.setattr(dist_core, "_BLOCK_BUDGET", budget)
@@ -637,8 +637,11 @@ def test_row_blocks_keep_shapes_and_types(monkeypatch):
 
 def test_small_calls_take_the_lean_path(monkeypatch):
     """A 2-atom, 30-point log_cdf, log_pdf and signed pass, and a quantile
-    solve on 2 atoms, never reach the row blocks, so the lean path cannot
-    fall back to them unnoticed; the 8-atom call does."""
+    solve on 2 atoms, never reach the row blocks, so a one-block call cannot
+    fall back to them unnoticed. The kernel is chosen by the atom count
+    alone and the blocks by the call's size alone: one-block calls on 7 and
+    8 atoms run the few-atom and the row-major kernel directly, and a 2-atom
+    call of more than one block takes the row blocks."""
     def no_blocks(*args):
         raise AssertionError("reached _row_blocks")
 
@@ -650,8 +653,20 @@ def test_small_calls_take_the_lean_path(monkeypatch):
     m.log_pdf(t)
     m._atom_logsum(t, np.where(t < 1.0, 1.0, -1.0))
     m.quantile_from_log_mass(np.log([1e-30, 0.3]), upper=[False, True])
+    used = []
+
+    def spy(name):
+        real = getattr(dist_core, name)
+        return lambda *args: used.append(name) or real(*args)
+
+    for name in ("_few_atom_logsum", "_row_major_logsum"):
+        monkeypatch.setattr(dist_core, name, spy(name))
+    for n_atoms in (7, 8):
+        random_mixture(np.random.default_rng(3), n_atoms).log_cdf(t)
+    assert used == ["_few_atom_logsum", "_row_major_logsum"]
+    monkeypatch.setattr(dist_core, "_BLOCK_BUDGET", 2 * 29)
     with pytest.raises(AssertionError, match="reached _row_blocks"):
-        random_mixture(np.random.default_rng(3), 8).log_cdf(t)
+        m.log_cdf(t)
 
 
 def test_block_exception_reaches_the_caller(monkeypatch, pools):
