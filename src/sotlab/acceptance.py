@@ -269,7 +269,7 @@ def check_9_tail_density_tightness(quick=False, seed=DEFAULT_SEED):
     for h in (20.0, 30.0):
         p = constructions.bernoulli_two_point(h, K)
         m = SmoothedMixture(p, 1.0)
-        r = (K * K + 1.0) * h / (2.0 * K * K)
+        r = constructions.two_point_probe(h, K, 1.0)
         ratio = float(m.log_sf(np.array([r]))[0] / m.log_pdf(np.array([r]))[0])
         if abs(ratio - beta) > 0.1 * beta:
             ok = False

@@ -220,7 +220,7 @@ def berry_esseen_event_frequency(h: float, K: float, sigma: float, n: int,
                                frequency=None, level=1.0 / 16.0, band=None,
                                passed=None,
                                diagnostic=f"n*p_h = {n * p_h:.1f} < 128")
-    t = 0.5 * h + sigma * sigma * h / (2.0 * K * K)
+    t = constructions.two_point_probe(h, K, sigma)
     factor = float(ndtr((t - h) / sigma) - ndtr(t / sigma))   # < 0
     thr = math.exp(-h * h / (4.0 * K * K)) / math.sqrt(18.0 * n)
     # gap >= thr  <=>  p^ - p <= thr / factor (factor negative)

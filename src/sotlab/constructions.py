@@ -28,6 +28,11 @@ def two_point_log_weight(h: float, K: float) -> float:
     return -h * h / (2.0 * K * K)
 
 
+def two_point_probe(h: float, K: float, sigma: float) -> float:
+    """t = h/2 + sigma^2 h / (2K^2), where P_h's smoothed CDF gap is probed."""
+    return 0.5 * h + sigma * sigma * h / (2.0 * K * K)
+
+
 def two_point(h: float, log_w: float) -> AtomicDistribution:
     """(1-w) delta_0 + w delta_h from the h-atom's log-weight log w, with
     log(1-w) = log1mexp(log w). Raises ParameterError naming h unless
@@ -113,9 +118,10 @@ def chi2_hard_example(K: float, c: float, k_max: int) -> AtomicDistribution:
 class HardExampleSchedule:
     """Bookkeeping for the super-geometric lower-bound family.
 
-    Arrays are indexed k = 1..k_max. probe_k = t_k * r_k is where the smoothed
-    CDF gap is measured; n_k is the target sample size implied by the interval
-    upper bound (None when it overflows desk scale or rounds to zero).
+    Arrays are indexed k = 1..k_max. t_k * r_k is where the smoothed CDF gap
+    is measured; n_k is the target sample size implied by the interval upper
+    bound (None when it overflows desk scale or rounds to zero), and
+    log_C_u_emp holds the log of each level's measured upper interval constant.
     """
 
     kappa: float
@@ -125,9 +131,8 @@ class HardExampleSchedule:
     r_k: np.ndarray
     t_k: np.ndarray
     log_p_k: np.ndarray
-    probe_k: np.ndarray
     n_k: tuple
-    C_u_emp: tuple
+    log_C_u_emp: tuple
 
     def __post_init__(self):
         if not (0.0 < self.kappa < 1.0):
@@ -195,7 +200,6 @@ def w2_hard_example(K: float, sigma: float, k_max: int):
     # the stated (r_k - 2)^2 envelope is loose for k >= 2, so the per-k
     # implied constants decay; the honest k-independent envelope is the max
     log_c_u_env = max(log_c_u)
-    c_u = [math.exp(x) if x > -745.0 else 0.0 for x in log_c_u]
     n_k = []
     for i in range(k_max):
         log_n = (-math.log(4.0) - 2.0 * log_c_u_env
@@ -205,7 +209,7 @@ def w2_hard_example(K: float, sigma: float, k_max: int):
         n_k.append(int(math.floor(math.exp(log_n)))
                    if 0.0 <= log_n <= math.log(2.0 ** 62) else None)
     sched = HardExampleSchedule(kappa, M, C, c_k, r_k, t_k, log_p,
-                                probe, tuple(n_k), tuple(c_u))
+                                tuple(n_k), tuple(log_c_u))
     return p, sched
 
 

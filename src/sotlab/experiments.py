@@ -340,7 +340,7 @@ def bernoulli_scan(K: float, sigma: float, epsilon: float, n_list, trials: int,
     w_points = []
     wsq_points = []
     for n, h, p, child in zip(n_list, hs, ps, children):
-        t = 0.5 * h + sigma * sigma * h / (2.0 * K * K)
+        t = constructions.two_point_probe(h, K, sigma)
         p_h = math.exp(p.log_weights[1])
         records.append(ScanRecord(n=n, h=h, t=t, p_h=p_h,
                                   feasible=bool(n * p_h >= 128.0)))
@@ -360,10 +360,16 @@ def phase_scan(K_list, sigma: float, n_list, trials: int, seed,
     """Fitted E[W2^2] log-log slope for each K across the K = sigma boundary,
     on the two-point family with the displacement held fixed at `h`. Returns
     a list of dicts with K, slope, slope_stderr, r_squared. A K that leaves
-    no P_h raises ParameterError naming h before any trial runs.
+    no P_h raises ParameterError naming h (and that K) before any trial runs.
     """
     K_list = list(K_list)
-    ps = [constructions.bernoulli_two_point(h, K) for K in K_list]
+    ps = []
+    for K in K_list:
+        try:
+            ps.append(constructions.bernoulli_two_point(h, K))
+        except constructions.ParameterError as exc:
+            raise constructions.ParameterError(
+                exc.name, f"K = {K!r}: {exc}") from exc
     children = seed_sequence(seed).spawn(max(len(K_list), 1))
     table = []
     for K, p, child in zip(K_list, ps, children):

@@ -1,4 +1,4 @@
-"""Tail-mass vs smoothed-density exponent machinery and interval-probability probes.
+"""Tail-mass vs smoothed-density exponent machinery and its empirical probes.
 
 The exponent beta links the tail of a K-subgaussian distribution to the tail of
 its Gaussian smoothing (1 - F(r) <~ rho(r)^beta at sigma = 1); alpha is the
@@ -122,10 +122,9 @@ def density_tail_lower_probe(p: AtomicDistribution, K: float,
     top = r >= (np.max(r) / 10.0 if np.max(r) > 0 else np.max(r))
     tail_min = log_ratio[top]
     tail_min = tail_min[np.isfinite(tail_min)]
-    if tail_min.size:
-        last_decade = _safe_exp(float(np.min(tail_min)))
-    else:
-        last_decade = math.inf
+    log_last = float(np.min(tail_min)) if tail_min.size else math.inf
+    last_decade = (math.inf if log_last > 700.0 else
+                   0.0 if log_last < -745.0 else math.exp(log_last))
     return DensityLowerReport(
         C_hat=float(np.exp(log_c)) if np.isfinite(log_c) else math.inf,
         log_C_hat=log_c,
@@ -136,73 +135,3 @@ def density_tail_lower_probe(p: AtomicDistribution, K: float,
         beta=beta,
         epsilon=epsilon,
     )
-
-
-@dataclass(frozen=True)
-class IntervalProbBounds:
-    """Exact interval probabilities near a schedule probe vs their exponent envelopes."""
-
-    k: int
-    probe: float
-    log_lower_prob: float   # log P(X in [probe+1, probe+2])
-    log_upper_prob: float   # log P(X in [probe, probe+2])
-    log_lower_envelope: float
-    log_upper_envelope: float
-    C_l_hat: float          # may overflow to +inf; see log fields
-    C_u_hat: float
-    log_C_l_hat: float
-    log_C_u_hat: float
-    C_l_floor: float        # the explicit 1/(2 pi sigma K)
-    lower_ok: bool
-
-
-def interval_prob_bounds(schedule, p: AtomicDistribution, sigma: float,
-                         k: int) -> IntervalProbBounds:
-    """Exact probe-interval probabilities for the super-geometric schedule.
-
-    Returns the implied constants relative to the exponent envelopes
-    exp(-(t_k^2 - kappa c_k - c_k) (r_k +/- 2)^2 / (2 sigma^2)). Everything is
-    carried in log-space; linear fields saturate when the log is out of range.
-    """
-    i = k - 1
-    if not (0 <= i < schedule.c_k.size):
-        raise ValueError("k out of schedule range")
-    c = float(schedule.c_k[i])
-    kappa = schedule.kappa
-    need = max(math.sqrt(2.0 / kappa), (kappa + 3.0) / (1.0 - kappa))
-    if c < need:
-        raise ValueError("schedule ratio c_k violates the upper-bound precondition")
-    r = float(schedule.r_k[i])
-    t = float(schedule.t_k[i])
-    probe = t * r
-    m = SmoothedMixture(p, sigma)
-    log_lo = float(m.log_interval_prob(probe + 1.0, probe + 2.0))
-    log_up = float(m.log_interval_prob(probe, probe + 2.0))
-    expo = t * t - kappa * c - c
-    log_env_lo = -expo * (r + 2.0) ** 2 / (2.0 * sigma * sigma)
-    log_env_up = -expo * (r - 2.0) ** 2 / (2.0 * sigma * sigma)
-    log_cl = log_lo - log_env_lo
-    log_cu = log_up - log_env_up
-    floor = 1.0 / (2.0 * math.pi * sigma * K_of(schedule, sigma))
-    return IntervalProbBounds(
-        k=k, probe=probe,
-        log_lower_prob=log_lo, log_upper_prob=log_up,
-        log_lower_envelope=log_env_lo, log_upper_envelope=log_env_up,
-        C_l_hat=_safe_exp(log_cl), C_u_hat=_safe_exp(log_cu),
-        log_C_l_hat=log_cl, log_C_u_hat=log_cu,
-        C_l_floor=floor,
-        lower_ok=bool(log_cl >= math.log(floor)),
-    )
-
-
-def K_of(schedule, sigma: float) -> float:
-    """Recover K from a schedule's kappa = sigma^2/K^2."""
-    return sigma / math.sqrt(schedule.kappa)
-
-
-def _safe_exp(x: float) -> float:
-    if x > 700.0:
-        return math.inf
-    if x < -745.0:
-        return 0.0
-    return math.exp(x)

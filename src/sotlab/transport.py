@@ -12,7 +12,7 @@ panels there stop at it rather than bisect noise until max_eval runs out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -121,14 +121,15 @@ def _w2_members(As, Bs, tol: float = 1e-9,
             tail += (math.exp(0.5 * m2a[side, i])
                      + math.exp(0.5 * m2b[side, i])) ** 2
         window = (float(lo[i]), float(hi[i]))
-        # a noise bound >= 0 only adds to the errors, so it is computed only
-        # where it can change certified()
-        noise = (_noise_bound(As[i], Bs[i], *window) if with_noise_bound
-                 and res.total > 10.0 * (tail + res.error_estimate) else 0.0)
-        out.append(TransportEvaluation(
-            total=max(res.total, 0.0), tail_bound=tail, noise_bound=noise,
+        ev = TransportEvaluation(
+            total=max(res.total, 0.0), tail_bound=tail, noise_bound=0.0,
             quad_error=res.error_estimate, n_eval=res.n_eval, window=window,
-            grid=res.panel_edges, contributions=res.panel_values))
+            grid=res.panel_edges, contributions=res.panel_values)
+        # a noise bound >= 0 only adds to the errors: it can matter only
+        # where certified() holds without it
+        if with_noise_bound and ev.certified():
+            ev = replace(ev, noise_bound=_noise_bound(As[i], Bs[i], *window))
+        out.append(ev)
     return out
 
 

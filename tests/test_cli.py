@@ -529,7 +529,7 @@ def test_mi_probe_takes_extreme_sigma(runner, tmp_path, cfg, want):
      "h = 2.0 gives the h-atom weight exp(-20000.0) = 0.0"),
     ("phase-scan", {"K_list": [2.0, 0.01], "n_list": [128, 256, 512],
                     "trials": 4}, "K_list",
-     "h = 2.0 gives the h-atom weight exp(-20000.0) = 0.0"),
+     "K = 0.01: h = 2.0 gives the h-atom weight exp(-20000.0) = 0.0"),
 ], ids=["rate_scan_trials", "tail_probe_r_points", "weighted_n",
         "replications", "weighted_delta", "gap_k", "tail_probe_epsilon",
         "phase_scan_K_list", "phase_scan_trials", "mi_probe_sigma",

@@ -80,8 +80,7 @@ def test_schedule_values():
     np.testing.assert_allclose(sch.c_k, sch.M ** np.arange(1, 5), rtol=1e-12)
     np.testing.assert_allclose(
         sch.r_k, sch.M ** (np.arange(1, 5) * np.arange(0, 4) / 2.0), rtol=1e-12)
-    # probes t_k r_k and the origin atom carrying the residual half mass
-    np.testing.assert_allclose(sch.probe_k, sch.t_k * sch.r_k, rtol=1e-14)
+    # the origin atom carries the residual half mass
     assert dist.locations[0] == 0.0
     assert math.isclose(dist.weights()[0], 0.5, rel_tol=1e-9)
     # only the first sample size is desk-feasible
@@ -105,7 +104,7 @@ def test_schedule_deterministic():
     b = cons.w2_hard_example(2.0, 1.0, 4)
     np.testing.assert_array_equal(a[0].log_weights, b[0].log_weights)
     np.testing.assert_array_equal(a[1].log_p_k, b[1].log_p_k)
-    assert a[1].n_k == b[1].n_k and a[1].C_u_emp == b[1].C_u_emp
+    assert a[1].n_k == b[1].n_k and a[1].log_C_u_emp == b[1].log_C_u_emp
     assert a[1].C == b[1].C
 
 

@@ -444,6 +444,30 @@ def test_mi_keeps_the_by_window_bits(case, monkeypatch):
                           np.array(ests()).view(np.int64))
 
 
+def test_chi2_mi_margin_covers_the_window_reach(monkeypatch):
+    """Atom 0's chi^2 integrand on atom 1's window, 1e9 sigma away, is its
+    cross-free term w_0 rho wherever that is representable. There lphi - s
+    cancels two squares of (v + 1e9), each rounded at its scale, so the
+    test for recomputing from log rho needs a margin that grows with the
+    window's reach, not with |v| alone."""
+    lw = np.array([-700.0, math.log1p(-math.exp(-700.0))])
+    p = AtomicDistribution(np.array([0.0, 1e9]), lw)
+    fs = []
+
+    def capture(f, seeds, tol):
+        fs.append(f)
+        return 0.0, 0.0, 0
+
+    monkeypatch.setattr(dv, "_mi_atom_quad", capture)
+    dv.chi2_mutual_information(p, 1.0)
+    v = np.linspace(-16.0, 16.0, 200_001)
+    got = fs[0](v, np.ones(v.size, dtype=int))
+    want = np.exp(lw[0] + lw[1] - 0.5 * v * v - dv.LOG_SQRT_2PI)
+    live = want > 0.0
+    assert live.sum() > 100_000
+    np.testing.assert_allclose(got[live], want[live], rtol=1e-9, atol=0.0)
+
+
 @pytest.mark.parametrize("case", ["chi2_hard", "chi2_hard_offset", "random_0.3",
                                   "random_1", "random_3", "two_point"])
 def test_log_mix_rel_matches_points_by_atoms(case):

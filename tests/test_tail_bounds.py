@@ -97,25 +97,16 @@ def test_density_lower_probe():
     assert rep.passed and rep.C_hat > 0
 
 
-def test_interval_prob_bounds_first_level():
-    dist, sch = cons.w2_hard_example(2.0, 1.0, 4)
-    b = tb.interval_prob_bounds(sch, dist, 1.0, 1)
-    assert b.lower_ok and b.C_l_hat >= 1.0 / (4.0 * math.pi)
-    for k in (1, 2, 3, 4):
-        bb = tb.interval_prob_bounds(sch, dist, 1.0, k)
-        assert bb.log_lower_prob <= 0.0 and bb.log_upper_prob <= 0.0
-        assert bb.log_lower_prob <= bb.log_upper_prob
-
-
 def test_interval_prob_matches_monte_carlo():
+    # level 1's probe interval on a mixture whose atoms span many scales
     dist, sch = cons.w2_hard_example(2.0, 1.0, 4)
-    b = tb.interval_prob_bounds(sch, dist, 1.0, 1)
-    prob = math.exp(b.log_lower_prob)
-    assert prob >= 1e-5
+    probe = float(sch.t_k[0] * sch.r_k[0])
     m = SmoothedMixture(dist, 1.0)
+    prob = math.exp(float(m.log_interval_prob(probe + 1.0, probe + 2.0)))
+    assert prob >= 1e-5
     n = 10_000_000
     x = m.sample(n, 123).samples
-    hits = np.count_nonzero((x >= b.probe + 1.0) & (x <= b.probe + 2.0))
+    hits = np.count_nonzero((x >= probe + 1.0) & (x <= probe + 2.0))
     est = hits / n
     se = math.sqrt(est * (1 - est) / n)
     assert abs(est - prob) <= 4 * se
@@ -124,16 +115,7 @@ def test_interval_prob_matches_monte_carlo():
 def test_upper_interval_constant_not_reusable_across_levels():
     # the implied upper constant shrinks super-exponentially with the level,
     # so sample sizes use the max over levels as a safe envelope
-    dist, sch = cons.w2_hard_example(2.0, 1.0, 4)
-    logs = [tb.interval_prob_bounds(sch, dist, 1.0, k).log_C_u_hat
-            for k in (1, 2, 3)]
-    assert logs[0] > logs[1] > logs[2]
-    assert max(sch.C_u_emp) == pytest.approx(math.exp(logs[0]))
-
-
-def test_interval_prob_guards():
-    dist, sch = cons.w2_hard_example(2.0, 1.0, 4)
-    with pytest.raises(ValueError):
-        tb.interval_prob_bounds(sch, dist, 1.0, 0)
-    with pytest.raises(ValueError):
-        tb.interval_prob_bounds(sch, dist, 1.0, 5)
+    _, sch = cons.w2_hard_example(2.0, 1.0, 4)
+    log_c_u = sch.log_C_u_emp
+    assert log_c_u[0] > log_c_u[1] > log_c_u[2]
+    assert max(log_c_u) == log_c_u[0]
