@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,15 @@ def random_mixture(rng, n_atoms=None, sigma=None, span=4.0):
         locs = np.sort(rng.uniform(-span, span, n_atoms))
     w = rng.dirichlet(np.ones(n_atoms))
     return SmoothedMixture(AtomicDistribution.from_weights(locs, w), sigma)
+
+
+def sample_and_truth(n):
+    """The sigma = 1 smoothing of n N(0, 4) draws (numpy seed 1) and the
+    smoothed truth N(0, 5): the W2 and KL inputs of many atoms."""
+    x = np.random.default_rng(1).normal(0.0, 2.0, n)
+    truth = AtomicDistribution.from_weights(np.array([0.0]), np.array([1.0]))
+    return (SmoothedMixture(AtomicDistribution.from_samples(x), 1.0),
+            SmoothedMixture(truth, math.sqrt(5.0)))
 
 
 @pytest.fixture

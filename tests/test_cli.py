@@ -295,6 +295,19 @@ def test_t2_probe_runs_to_the_end_of_the_h_range(runner, tmp_path):
     assert all(y > x for x, y in zip(log_ratios, log_ratios[1:]))
 
 
+# Known defect: at h = 12-16 W2^2 (3e-11 down to 1e-19) lies far below
+# w2_squared's absolute tol of 1e-9, so the coupling never certifies, and the
+# crossing premise fails at every t of the probe's grid. The probe raises
+# and the README's t2-probe recipe exits 3 (numeric failure). A W2 tol
+# relative to h^2 dq, which bounds W2^2 from above, certifies those h.
+@pytest.mark.xfail(strict=True, reason="no certified W2 at h = 15")
+def test_readme_t2_probe_recipe_exits_0(runner, tmp_path):
+    cfg = write_cfg(tmp_path, "c.json", {"K": 2.0, "delta": 0.1,
+                                         "h_list": [5, 10, 15, 20, 25, 30]})
+    res = runner.invoke(main, ["t2-probe", "--config", cfg])
+    assert res.exit_code == 0, res.output
+
+
 def test_concentration_weighted(runner, tmp_path):
     cfg = write_cfg(tmp_path, "c.json",
                     {"mode": "weighted", "n": 128, "delta": 0.1,

@@ -9,7 +9,7 @@ from sotlab import constructions as cons
 from sotlab import divergences as dv
 from sotlab.dist_core import AtomicDistribution, SmoothedMixture, logsumexp
 
-from conftest import random_mixture
+from conftest import random_mixture, sample_and_truth
 
 
 def gaussians(d):
@@ -100,6 +100,41 @@ def test_kl_sees_every_isolated_atom():
     A = SmoothedMixture(AtomicDistribution.from_weights(locs, w), 0.1)
     B = SmoothedMixture(AtomicDistribution.from_weights(locs, v), 0.1)
     assert abs(dv.kl_divergence(A, B) - float(np.sum(w * np.log(w / v)))) <= 1e-9
+
+
+@pytest.mark.parametrize("distance", [18.0, 30.0])
+def test_kl_sees_isolated_atom_past_many_atom_cluster(distance):
+    """Next to a cluster of 64 atoms, seeded densely, a lone atom of weight
+    1e-3 under A and 4e-3 under B, `distance` sigma from the cluster's
+    mean, is still seen. The kernels of the two parts overlap by less than
+    1e-13, and within the cluster A and B are proportional, so the KL is
+    that of the two parts' weights."""
+    x = np.sort(np.random.default_rng(3).normal(0.0, 1.0, 64))
+    locs = np.append(x, x.mean() + distance)
+    a, b = 1e-3, 4e-3
+    A, B = (SmoothedMixture(AtomicDistribution.from_weights(
+        locs, np.append(np.full(64, (1.0 - p) / 64), p)), 1.0) for p in (a, b))
+    want = (1.0 - a) * math.log((1.0 - a) / (1.0 - b)) + a * math.log(a / b)
+    assert abs(dv.kl_divergence(A, B) - want) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [512, 4096])
+def test_many_atom_kl_within_tol(n):
+    """On the dense seeds of a many-atom cluster, KL at the default tol lies
+    within 10 tol of its tol-1e-13 value."""
+    tol = 1e-10
+    pair = sample_and_truth(n)
+    got = dv.kl_divergence(*pair, tol=tol)
+    assert abs(got - dv.kl_divergence(*pair, tol=1e-13)) <= 10 * tol
+
+
+def test_many_atom_kl_evaluations():
+    """The 4096-atom KL takes at most its recorded 300 evaluations, and at
+    most a tenth of them lie in panels the quadrature bisected away."""
+    A, B = sample_and_truth(4096)
+    [res], *_ = dv._divergence_members([A], [B], dv._kl_integrand, 1e-10)
+    assert res.n_eval <= 300
+    assert res.n_eval - 15 * len(res.panel_edges) <= 0.1 * res.n_eval
 
 
 def test_hard_example_increments_do_not_decay():

@@ -111,6 +111,20 @@ def test_t2_ratio_consistency_and_method():
     assert q.method == "quadrature"      # certified transport cost at small h
 
 
+# Known defect: from h = 26 Q_h's weights round to P_h's, and the probe
+# decides the crossing premise F_Q(t) >= F_P(t + 2) by comparing two rounded
+# log-CDFs. In 300-digit arithmetic the premise fails at h = 30 and 40, and
+# from h = 35 the reported bound exceeds h^2 dq.
+@pytest.mark.xfail(strict=True, reason="crossing premise decided by rounding")
+def test_t2_w2_bound_within_unsmoothed_cost():
+    """No W2^2 of the smoothed pair exceeds h^2 dq, the cost of moving dq
+    of mass from h to 0 before smoothing."""
+    h = 35.0
+    _, _, log_dq = fi.check_t2_parameters(h, 2.0, 1.0, 0.1)
+    assert fi.t2_lower_bound(h, 2.0, 1.0, 0.1).log_w2sq <= \
+        math.log(h * h) + log_dq
+
+
 def test_t2_deterministic():
     a = fi.t2_lower_bound(20.0, 2.0, 1.0, 0.1)
     b = fi.t2_lower_bound(20.0, 2.0, 1.0, 0.1)

@@ -23,6 +23,9 @@ CASES = {
         "f9c613f9d753a7320d2bc0516a9109cac7b39d345f9ac35928f2d7bf45cce1e5", None),
     "w2_inline_atoms.json": ("w2",
         "fdfc8831b7d20c03d9e19fabb5f2add9ec315d2e45b1b31ac1b4bcfb5751fe47", None),
+    # 16 atoms in one cluster, so the W2 runs on the many-atom seeds
+    "w2_many_atoms.json": ("w2",
+        "96d831352cff9ef1a491f693cb90cd2c4ca00d9b775b17b84dbce172144237ab", None),
     "mi_probe_chi2.json": ("mi-probe",
         "bcee2711eb15b73f1abac21017d5542f5e96019152a0709b0739734cf1c88381", None),
     "mi_probe_renyi.json": ("mi-probe",

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from sotlab import _quad, constructions, functional_ineq, transport
 from sotlab.dist_core import (AtomicDistribution, SmoothedMixture,
-                              _deep_quantiles)
+                              _deep_quantiles, _seed_breakpoints)
 
-from conftest import random_mixture
+from conftest import random_mixture, sample_and_truth
 
 mixtures = st.builds(
     lambda seed, n, sigma: random_mixture(np.random.default_rng(seed), n, sigma),
@@ -144,6 +144,86 @@ def test_w2_sees_every_isolated_atom():
     assert (math.sqrt(2280.0) - 2.0 * sigma) ** 2 <= ev.total <= 2280.0
     tight = transport.w2_squared(A, B, tol=1e-12)
     assert abs(ev.total - tight.total) <= 1e-9 + ev.tail_bound
+
+
+@pytest.mark.parametrize("distance", [18.0, 30.0])
+def test_w2_sees_isolated_atom_past_many_atom_cluster(distance):
+    """Next to 64 atoms (N(0, 1) draws) holding 1 - 1e-3 of the mass, whose
+    cluster is seeded densely, a lone atom of weight 1e-3 `distance` sigma
+    above their mean is still seen: W2^2 of a translation by sigma is 1,
+    where a W2 that missed the atom would read 1 - 1e-3. At distance 18 the
+    atom falls in the draws' cluster (within 24 sigma of its first atom),
+    at 30 in a cluster of its own."""
+    x = np.sort(np.random.default_rng(3).normal(0.0, 1.0, 64))
+    locs = np.append(x, x.mean() + distance)
+    w = np.append(np.full(64, (1.0 - 1e-3) / 64), 1e-3)
+    A = SmoothedMixture(AtomicDistribution.from_weights(locs, w), 1.0)
+    B = SmoothedMixture(A.base.shift(1.0), 1.0)
+    ev = transport.w2_squared(A, B)
+    assert abs(ev.total - 1.0) <= 1e-9 + ev.quad_error + ev.tail_bound
+
+
+@pytest.mark.parametrize("n", [512, 4096])
+def test_many_atom_w2_within_documented_bound(n):
+    """On the dense seeds of a many-atom cluster, W2^2 at the default tol
+    lies within max(tol, quad_error) + tail_bound of its tol-1e-13 value."""
+    tol = 1e-9
+    pair = sample_and_truth(n)
+    ev = transport.w2_squared(*pair, tol=tol)
+    tight = transport.w2_squared(*pair, tol=1e-13)
+    assert abs(ev.total - tight.total) <= max(tol, ev.quad_error) + ev.tail_bound
+
+
+def test_many_atom_w2_evaluations():
+    """The 4096-atom W2 takes at most its recorded 240 evaluations, and at
+    most a tenth of them lie in panels the quadrature bisected away: its
+    round-0 panels are nearly all final."""
+    ev = transport.w2_squared(*sample_and_truth(4096))
+    assert ev.n_eval <= 240
+    assert ev.n_eval - 15 * len(ev.grid) <= 0.1 * ev.n_eval
+
+
+def test_seed_breakpoints_few_atom_clusters():
+    """Clusters of 1 to 7 atoms are seeded at 0, +-1, +-4 and +-12 sigma
+    around their centres, bit for bit, and each member's seeds are clipped
+    to its own window."""
+    rng = np.random.default_rng(5)
+    sigma = 0.7
+    offs = np.array([-12.0, -4.0, -1.0, 0.0, 1.0, 4.0, 12.0]) * sigma
+    lo, hi = np.array([-40.0, -9.0]), np.array([140.0, 60.0])
+    for k in range(1, 8):
+        x = np.sort(rng.uniform(-5.0, 5.0, k))
+        locs = np.concatenate([x, x + 100.0])
+        m = SmoothedMixture(AtomicDistribution.from_weights(
+            locs, np.full(2 * k, 0.5 / k)), sigma)
+        centres = np.array([0.5 * (x[0] + x[-1]), 0.5 * (locs[k] + locs[-1])])
+        seeds = (centres[:, None] + offs).ravel()
+        got = _seed_breakpoints(m, m, lo, hi)
+        for i in range(2):
+            want = np.clip(np.concatenate([[lo[i], hi[i]], seeds]), lo[i], hi[i])
+            assert _bits(got[i]) == _bits(want)
+
+
+@pytest.mark.parametrize("locs, grid", [
+    (np.arange(8.0), np.arange(-2.5, 10.0)),
+    (np.array([0.0, 1.0, 2.0, 3.0, 12.0, 13.0, 14.0, 15.0]),
+     np.concatenate([np.arange(-2.5, 6.0), np.arange(9.5, 18.0)]))],
+    ids=["compact", "two-clumps"])
+def test_seed_breakpoints_many_atom_cluster(locs, grid):
+    """A cluster of 8 or more atoms, counted over A and B together, is
+    seeded at every multiple of sigma from its centre that lies within 3
+    sigma of one of its atoms, and at 4, 8 and 12 sigma past its first and
+    last atoms; a gap of more than 6 sigma between its atoms gets no seed
+    inside."""
+    A = SmoothedMixture(AtomicDistribution.from_weights(
+        locs[:-1], np.full(locs.size - 1, 1.0 / (locs.size - 1))), 1.0)
+    B = SmoothedMixture(AtomicDistribution.from_weights(
+        locs[-1:], np.array([1.0])), 0.5)
+    [got] = _seed_breakpoints(A, B, [-100.0], [100.0])
+    past = np.array([4.0, 8.0, 12.0])
+    want = np.concatenate([[-100.0, 100.0], locs[0] - past, grid,
+                           locs[-1] + past])
+    assert np.array_equal(np.sort(got), np.sort(want))
 
 
 def test_w2_across_deep_gap_stops_at_solver_noise():
