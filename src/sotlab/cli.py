@@ -462,8 +462,8 @@ def concentration_cmd(cfg, seed, out_path):
         sigma = _sigma(cfg)
         n = _get(cfg, "n", int, minimum=1)
         reps = _get(cfg, "replications", int, minimum=1)
-        fr = concentration.berry_esseen_event_frequency(h, K, sigma, n, reps,
-                                                        seed)
+        fr = _checked("h", concentration.berry_esseen_event_frequency, h, K,
+                      sigma, n, reps, seed)
     else:
         K = _positive(cfg, "K")
         sigma = _sigma(cfg)
@@ -473,7 +473,8 @@ def concentration_cmd(cfg, seed, out_path):
             raise ConfigError("k", f"must be < k_max = {k_max}")
         reps = _get(cfg, "replications", int, minimum=1)
         n = _get(cfg, "n", int, required=False, minimum=1)
-        dist, schedule = constructions.w2_hard_example(K, sigma, k_max)
+        dist, schedule = _checked("K", constructions.w2_hard_example, K,
+                                  sigma, k_max)
         fr = concentration.schedule_gap_dominance(schedule, dist, sigma, k,
                                                   reps, seed, n=n)
     row = (fr.applicable, fr.replications,

@@ -214,7 +214,9 @@ def berry_esseen_event_frequency(h: float, K: float, sigma: float, n: int,
         raise ValueError("replications must be >= 1")
     p_h = math.exp(constructions.two_point_log_weight(h, K))
     if p_h >= 0.5:
-        raise ValueError("requires p_h < 1/2 (h too small for this K)")
+        raise constructions.ParameterError(
+            "h", f"h = {h!r} gives p_h = {p_h:.6g} at K = {K!r}; the event "
+                 f"needs p_h < 1/2, h > {K * math.sqrt(math.log(4.0)):.6g}")
     if n * p_h < 128.0:
         return FrequencyReport(applicable=False, replications=replications,
                                frequency=None, level=1.0 / 16.0, band=None,

@@ -168,11 +168,21 @@ def w2_hard_example(K: float, sigma: float, k_max: int):
     constant C_u.
     """
     if sigma >= K:
-        raise ValueError("requires sigma < K")
+        raise ParameterError("K", f"K = {K!r} must be > sigma = {sigma!r}")
     if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    kappa, M, c_k, r_k, t_k = _schedule_arrays(K, sigma, k_max)
-    base_log_p = -math.log(math.sqrt(2.0 * math.pi) * K) - r_k ** 2 / (2.0 * K * K)
+        raise ParameterError("k_max", "k_max must be >= 1")
+    with np.errstate(over="ignore"):
+        kappa, M, c_k, r_k, t_k = _schedule_arrays(K, sigma, k_max)
+        base_log_p = (-math.log(math.sqrt(2.0 * math.pi) * K)
+                      - r_k ** 2 / (2.0 * K * K))
+        # each level's implied upper constant: P(X in (t_k r_k, t_k r_k + 2])
+        # over its (r_k - 2)^2 envelope exp(log_env)
+        probe = t_k * r_k
+        log_env = (-(t_k * t_k - kappa * c_k - c_k) * (r_k - 2.0) ** 2
+                   / (2.0 * sigma * sigma))
+    if not np.all(np.isfinite(np.concatenate([base_log_p, probe, log_env]))):
+        raise ParameterError("k_max", f"k_max = {k_max!r} too large: an "
+                             "atom's log-weight or envelope overflows float64")
     # largest C with sum_k p_k <= 1/2: the mass is linear in C, so
     # C = 1/(2 mass) up to rounding, moved to the largest float that passes
     # the test itself (the float a bisection on C ends at)
@@ -183,18 +193,10 @@ def w2_hard_example(K: float, sigma: float, k_max: int):
     while log_mass + math.log(math.nextafter(C, math.inf)) <= log_target:
         C = math.nextafter(C, math.inf)
     log_p = math.log(C) + base_log_p
-    if not np.all(np.isfinite(log_p)):
-        raise ValueError("k_max too large: atom log-weight overflows float64")
     log_p0 = float(log1mexp(logsumexp(log_p)))
     locs = np.concatenate([[0.0], r_k])
     logw = np.concatenate([[log_p0], log_p])
     p = AtomicDistribution.from_log_weights(locs, logw, normalize=True)
-
-    # each level's implied upper constant: P(X in (t_k r_k, t_k r_k + 2])
-    # over its envelope exp(-(t_k^2 - kappa c_k - c_k)(r_k - 2)^2 / (2 sigma^2))
-    probe = t_k * r_k
-    log_env = (-(t_k * t_k - kappa * c_k - c_k) * (r_k - 2.0) ** 2
-               / (2.0 * sigma * sigma))
     log_c_u = (SmoothedMixture(p, sigma).log_interval_prob(probe, probe + 2.0)
                - log_env).tolist()
     # the stated (r_k - 2)^2 envelope is loose for k >= 2, so the per-k

@@ -69,6 +69,8 @@ _COUNT_PASS_MIN = 1024
 # step that did not halve its target's bracket is replaced by bisection
 _NEWTON_CAP = 200
 _BISECT_FROM = 20
+# the quantile solver's stopping rule: |log-mass residual| at most this
+_RESIDUAL_TOL = 1e-13
 
 # the quantile solver's start table of a multi-atom mixture (_start_grid):
 # [r_min - 8 sigma, r_max + 8 sigma] at sigma / 8 spacing, clamped to this
@@ -703,7 +705,7 @@ class SmoothedMixture:
             # targets it leaves open need a bracket
             x = sign * self._quantile_start(lm, up, rows)[0]
             logm = self._atom_logsum(x, sign, rows)
-            done = np.abs(logm - lm) <= 1e-13
+            done = np.abs(logm - lm) <= _RESIDUAL_TOL
             out[done] = x[done]
             keep = ~done
             x, logm, lm, up, sign, at = (a[keep] for a in (x, logm, lm, up,
@@ -728,7 +730,7 @@ class SmoothedMixture:
                 go_right = sign * g < 0.0
                 lo_n = np.where(go_right, x, lo)
                 hi_n = np.where(go_right, hi, x)
-                done = (np.abs(g) <= 1e-13) | \
+                done = (np.abs(g) <= _RESIDUAL_TOL) | \
                     (hi_n - lo_n <= 1e-14 * (1.0 + np.abs(x)))
                 if done.any():
                     out[at[done]] = x[done]
@@ -773,10 +775,7 @@ class SmoothedMixture:
             j_best[r] = j = np.argmin(b, axis=1)
             best[r] = b[np.arange(j.size), j]
 
-        if _one_block(lm.size, locs.size):
-            bounds(slice(None))
-        else:
-            _row_blocks(lm.size, locs.size, bounds)
+        _row_blocks(lm.size, locs.size, bounds)
         r_max = np.where(up, -locs[0], locs[-1])
         return np.minimum(r_max + sigma * ndtri_exp(lm), best), j_best
 

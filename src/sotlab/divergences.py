@@ -18,7 +18,8 @@ from ._quad import (QuadratureError, _integrate_members, _simpson_members,
                     adaptive_simpson)
 from .dist_core import (LOG_SQRT_2PI, AtomicDistribution, SmoothedMixture,
                         _deep_quantiles, _logsumexp_atoms, _member_rows,
-                        _row_slices, _seed_breakpoints, logsumexp)
+                        _row_slices, _seed_breakpoints, logdiffexp,
+                        logsumexp)
 
 
 def _divergence_members(As, Bs, integrand, tol: float):
@@ -191,12 +192,12 @@ def _mi_atom_quad(f, seeds, tol: float):
             sum(r.n_eval for r in res))
 
 
-def _log_mix(p: AtomicDistribution, v: np.ndarray, d: np.ndarray,
+def _log_mix(log_w: np.ndarray, v: np.ndarray, d: np.ndarray,
              w: np.ndarray, k=None) -> np.ndarray:
-    """log sum_j w_j exp(-(v + d_j)^2 / 2) at each point v, d_j = d[j, w]
-    its offset from atom j in its window w (see _mi_windows). With k, the
-    log-ratio s = log(w_k phi_k / rho) <= 0 instead, built from the
-    exponents relative to atom k's, log(w_j / w_k) + (v + d_k)^2 / 2
+    """log sum_j w_j exp(-(v + d_j)^2 / 2) at each point v, w_j = e^log_w[j]
+    and d_j = d[j, w] its offset from atom j in its window w (_mi_windows).
+    With k, the log-ratio s = log(w_k phi_k / rho) <= 0 instead, built from
+    the exponents relative to atom k's, log(w_j / w_k) + (v + d_k)^2 / 2
     - (v + d_j)^2 / 2, so no large-magnitude cancellation enters: such an
     exponent is huge in magnitude wherever the two kernels differ a lot, but
     rounding there is harmless because the term is negligible; near
@@ -207,10 +208,9 @@ def _log_mix(p: AtomicDistribution, v: np.ndarray, d: np.ndarray,
     reduced over the atom axis; the bits are those of logsumexp over the
     (points x atoms) array.
     """
-    lw = (p.log_weights if k is None
-          else p.log_weights - p.log_weights[k])[:, None]
+    lw = (log_w if k is None else log_w - log_w[k])[:, None]
     out = np.empty(v.shape)
-    for r in _row_slices(v.size, p.n_atoms):
+    for r in _row_slices(v.size, lw.size):
         x = np.take(d, w[r], axis=1)
         np.add(x, v[r], out=x)
         np.square(x, out=x)
@@ -224,6 +224,42 @@ def _log_mix(p: AtomicDistribution, v: np.ndarray, d: np.ndarray,
         out[r] = _logsumexp_atoms(x, np.empty_like(x),
                                   np.empty(x.shape, dtype=bool))
     return out if k is None else np.negative(out, out=out)
+
+
+def _log_kl_by_differences(p: AtomicDistribution, sigma: float, sign,
+                           log_delta) -> float:
+    """log KL(P*N || Q*N) for Q = P + Delta on P's atoms, from P, sigma and
+    Delta_j = sign[j] exp(log_delta[j]) (-inf where Q_j = P_j); Q's weights
+    must be positive: a = max |Delta_j| / w_j over Delta_j < 0 is below 1.
+
+    The Bregman form rho_P (u - log(1+u)), u = sum_j Delta_j phi_j / rho_P,
+    each sign of the sum taken in log space (_log_mix) so that rho_Q and
+    rho_P are never subtracted, is integrated over the kernels' windows
+    (_mi_windows) in units of sigma, divided inside its one exp by the
+    discrete chi^2 scale S = sum_j Delta_j^2 / w_j: tol 1e-9 is relative to
+    S. Off the windows u - log(1+u) <= u^2 / (2 (1 - a)) as u >= -a, and
+    (sum_j Delta_j phi_j)^2 / rho_P <= sum_j (Delta_j^2 / w_j) phi_j by
+    Cauchy-Schwarz; each phi_j has at most _GAP_MASS of its mass there, so
+    the remainder is at most _GAP_MASS S / (2 (1 - a)).
+    """
+    d, seeds = _mi_windows(p, sigma)
+    pos = sign > 0
+    log_scale = float(logsumexp(2.0 * log_delta - p.log_weights))
+
+    def integrand(v, w):
+        log_rho = _log_mix(p.log_weights, v, d, w)
+        lp = _log_mix(log_delta[pos], v, d[pos], w)
+        ln = _log_mix(log_delta[~pos], v, d[~pos], w)
+        log_u = logdiffexp(np.maximum(lp, ln), np.minimum(lp, ln)) - log_rho
+        u = np.where(lp >= ln, 1.0, -1.0) * np.exp(log_u)
+        small = np.abs(u) < 1e-5
+        safe = np.where(small, 1.0, u)
+        # log(u - log(1+u)), a series in u on the small branch
+        log_g = np.where(small, 2.0 * log_u + np.log(0.5 - u / 3 + u * u / 4),
+                         np.log(safe - np.log1p(safe)))
+        return np.exp(log_rho - LOG_SQRT_2PI - log_scale + log_g)
+
+    return log_scale + math.log(_mi_atom_quad(integrand, seeds, 1e-9)[0])
 
 
 def chi2_mutual_information(p: AtomicDistribution, sigma: float,
@@ -250,7 +286,7 @@ def chi2_mutual_information(p: AtomicDistribution, sigma: float,
 
         def integrand(v, w, k=k, lwk=lwk):
             lphi = -0.5 * (v + d[k, w]) ** 2 - LOG_SQRT_2PI
-            s = _log_mix(p, v, d, w, k)
+            s = _log_mix(p.log_weights, v, d, w, k)
             # w_k (phi_k - rho)^2 / rho = phi_k e^s (1 - rho/phi_k)^2 with
             # rho/phi_k = exp(logw_k - s); where that ratio is above e^300
             # this reads 0, and the square is its cross-free term w_k rho
@@ -268,8 +304,8 @@ def chi2_mutual_information(p: AtomicDistribution, sigma: float,
             redo = big & (lphi + 2.0 * lwk - s
                           > -746.0 - (2.0 ** -48 * (q * q + two_lw_max) + 1.0))
             if redo.any():
-                out[redo] = np.exp(lwk - LOG_SQRT_2PI
-                                   + _log_mix(p, v[redo], d, w[redo]))
+                out[redo] = np.exp(lwk - LOG_SQRT_2PI + _log_mix(
+                    p.log_weights, v[redo], d, w[redo]))
             return out
 
         total, err, evals = _mi_atom_quad(integrand, seeds, per_tol)
@@ -324,7 +360,7 @@ def renyi_mutual_information(p: AtomicDistribution, sigma: float, lam: float,
         # g = log phi_k + (lam-1) s, s = log(w_k phi_k / rho) <= 0
         def log_expo(v, w, k=k):
             return (-0.5 * (v + d[k, w]) ** 2 - LOG_SQRT_2PI
-                    + (lam - 1.0) * _log_mix(p, v, d, w, k))
+                    + (lam - 1.0) * _log_mix(p.log_weights, v, d, w, k))
 
         shift = float(np.max(log_expo(seed, seed_w)))
 

@@ -7,9 +7,10 @@ both bounds blow up along h, witnessing that no uniform constant exists.
 
 The interesting regime pushes every probability to the bottom of the float
 range (masses like exp(-158) appear already at h = 20), so all mass
-arithmetic is carried in log-space and the T2 KL integral is assembled from
-the perturbation difference itself rather than from two nearly equal
-densities. P_h and the T2 probe's Q_h are built from their h-atom's
+arithmetic is carried in log-space. The T2 KL is taken from P_h and the
+exact log dq that Q_h moves (divergences._log_kl_by_differences), never
+from two nearly equal densities; this module integrates nothing itself.
+P_h and the T2 probe's Q_h are built from their h-atom's
 log-weight (constructions.two_point), so h may run up to ~38.6 K, where that
 weight leaves float64.
 
@@ -26,10 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import constructions, transport
-from ._quad import adaptive_simpson
-from .dist_core import (SmoothedMixture, LOG_SQRT_2PI, log1mexp, logdiffexp,
-                        logsumexp)
+from . import constructions, divergences, transport
+from .dist_core import SmoothedMixture, log1mexp, logsumexp
 
 
 @dataclass(frozen=True)
@@ -81,49 +80,6 @@ def lsi_lower_bound(h: float, K: float, sigma: float) -> LSIProbe:
 # ---------------------------------------------------------------------------
 # T2 probe
 # ---------------------------------------------------------------------------
-
-def _log_perturbation_kl(h: float, sigma: float, log_w, log_dq: float,
-                         tol_rel: float = 1e-9) -> float:
-    """log KL(P_h*N || Q_h*N) where Q_h moves mass exp(log_dq) from the
-    h-atom to the 0-atom, log_w being P_h's log-weights (log(1 - p_h),
-    log p_h).
-
-    Uses the Bregman form int rho_P (u - log(1+u)) with
-    u = (rho_Q - rho_P)/rho_P = dq (phi_0 - phi_h)/rho_P, assembled from
-    log |phi_0 - phi_h| so the two near-equal mixture densities never get
-    subtracted in linear arithmetic. The integrand is divided by the
-    discrete data-processing scale 2 dq^2 / p_h inside its one exp, so the
-    integral is O(1) and meets tol_rel at any h where P_h exists.
-    """
-    lp0, log_p = map(float, log_w)
-    log_norm = -math.log(sigma) - LOG_SQRT_2PI
-    log_scale = math.log(2.0) + 2.0 * log_dq - log_p
-
-    def integrand(y):
-        e0 = -0.5 * (y / sigma) ** 2 + log_norm
-        eh = -0.5 * ((y - h) / sigma) ** 2 + log_norm
-        log_rho = np.logaddexp(lp0 + e0, log_p + eh)
-        log_u = (log_dq + logdiffexp(np.maximum(e0, eh), np.minimum(e0, eh))
-                 - log_rho)                              # log |u|
-        sign = np.where(y < 0.5 * h, 1.0, -1.0)  # phi_0 > phi_h left of h/2
-        u = sign * np.exp(log_u)
-        small = np.abs(u) < 1e-5
-        safe = np.where(small, 1.0, u)
-        # log(u - log(1+u)), a series in u on the small branch
-        log_g = np.where(small, 2.0 * log_u + np.log(0.5 - u / 3 + u * u / 4),
-                         np.log(safe - np.log1p(safe)))
-        return np.exp(log_rho - log_scale + log_g)
-
-    c = 20.0 * sigma
-    feats = (np.array([0.0, 0.5 * h, h])[:, None]
-             + sigma * np.array([-4.0, -1.0, 0.0, 1.0, 4.0])[None, :]).ravel()
-    bp = np.unique(np.concatenate([[-c, h + c], feats]))
-    bp = bp[(bp >= -c) & (bp <= h + c)]
-    total = adaptive_simpson(integrand, bp, tol_rel).total
-    if not total > 0.0:
-        raise RuntimeError(f"KL integral {total!r} <= 0 at h = {h!r}")
-    return log_scale + math.log(total)
-
 
 def _g(u: float) -> float:
     """u - log(1+u), nonnegative, exact for tiny u."""
@@ -182,7 +138,8 @@ def t2_lower_bound(h: float, K: float, sigma: float, delta: float) -> T2Probe:
     if not K > sigma:
         raise ValueError("the probe requires K > sigma")
     P, Q, log_dq = check_t2_parameters(h, K, sigma, delta)
-    log_kl = _log_perturbation_kl(h, sigma, P.log_weights, log_dq)
+    log_kl = divergences._log_kl_by_differences(      # Q_h = P_h + (dq, -dq)
+        P, sigma, np.array([1.0, -1.0]), np.full(2, log_dq))
     mP, mQ = SmoothedMixture(P, sigma), SmoothedMixture(Q, sigma)
     ev = transport.w2_squared(mP, mQ, with_noise_bound=True)
     if ev.certified():

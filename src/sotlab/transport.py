@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._quad import _integrate_members, adaptive_simpson
-from .dist_core import (SmoothedMixture, _deep_quantiles, _member_rows,
-                        _seed_breakpoints)
+from .dist_core import (_RESIDUAL_TOL, SmoothedMixture, _deep_quantiles,
+                        _member_rows, _seed_breakpoints)
 
 
 @dataclass(frozen=True)
@@ -161,9 +161,10 @@ def _in_gap(B: SmoothedMixture, T: np.ndarray) -> np.ndarray:
 def _solver_noise(B: SmoothedMixture, T, log_mass, rows=None):
     """Bound on the displacement error of T = F_B^{-1}(exp(log_mass)) that
     the quantile solver's stopping rule leaves: it stops at |log-mass
-    residual| <= 1e-13 or an absolute bracket."""
+    residual| <= _RESIDUAL_TOL or an absolute bracket."""
     with np.errstate(over="ignore"):
-        return (1e-13 * np.exp(np.minimum(log_mass - B.log_pdf(T, rows), 700.0))
+        return (_RESIDUAL_TOL
+                * np.exp(np.minimum(log_mass - B.log_pdf(T, rows), 700.0))
                 + 1e-13 * (1.0 + np.abs(T)))
 
 

@@ -543,6 +543,18 @@ def test_mi_probe_takes_extreme_sigma(runner, tmp_path, cfg, want):
     ("phase-scan", {"K_list": [2.0, 0.01], "n_list": [128, 256, 512],
                     "trials": 4}, "K_list",
      "K = 0.01: h = 2.0 gives the h-atom weight exp(-20000.0) = 0.0"),
+    # berry_esseen's event needs p_h < 1/2; the gap mode's schedule
+    # needs sigma < K, and its levels overflow float64 from k_max = 22 at K = 2
+    ("concentration", {"mode": "berry_esseen", "h": 1.0, "K": 2.0, "n": 800,
+                       "replications": 5}, "h",
+     "h = 1.0 gives p_h = 0.882497 at K = 2.0; the event needs p_h < 1/2, "
+     "h > 2.35482"),
+    ("concentration", {"mode": "gap", "K": 0.5, "k": 1, "replications": 5},
+     "K", "K = 0.5 must be > sigma = 1.0"),
+    ("concentration", {"mode": "gap", "K": 2.0, "k_max": 40, "k": 1,
+                       "replications": 5}, "k_max",
+     "k_max = 40 too large: an atom's log-weight or envelope overflows "
+     "float64"),
 ], ids=["rate_scan_trials", "tail_probe_r_points", "weighted_n",
         "replications", "weighted_delta", "gap_k", "tail_probe_epsilon",
         "phase_scan_K_list", "phase_scan_trials", "mi_probe_sigma",
@@ -567,7 +579,8 @@ def test_mi_probe_takes_extreme_sigma(runner, tmp_path, cfg, want):
         "w2_sigma_next_to_both_sides",
         "w2_sigma_next_to_sigma_a", "rate_scan_bernoulli_large_sigma",
         "rate_scan_h_atom_underflow", "rate_scan_kl_h_atom_underflow",
-        "phase_scan_h_atom_underflow"])
+        "phase_scan_h_atom_underflow", "berry_esseen_p_h_above_half",
+        "gap_K_not_above_sigma", "gap_k_max_overflow"])
 def test_out_of_range_value_exits_2(runner, tmp_path, monkeypatch, command,
                                     cfg, field, message):
     """Each is a config error naming the field, refused before any trial."""

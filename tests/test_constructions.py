@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,20 @@ def test_schedule_deterministic():
 def test_schedule_guards():
     with pytest.raises(ValueError):
         cons.w2_hard_example(0.5, 1.0, 4)       # needs kappa < 1
+
+
+@pytest.mark.parametrize("k_max", [22, 40])
+def test_schedule_overflow_names_k_max_without_warnings(k_max):
+    """At K = 2 a level's envelope overflows float64 from k_max = 22 (its
+    log C_u read nan), and its atom's log-weight from 23: the schedule is
+    refused, naming k_max, with no numpy overflow warning. k_max = 21
+    builds without one."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(cons.ParameterError) as exc:
+            cons.w2_hard_example(2.0, 1.0, k_max)
+        assert exc.value.name == "k_max"
+        cons.w2_hard_example(2.0, 1.0, 21)
 
 
 def test_mgf_check_rejects_bad_scale():

@@ -636,23 +636,32 @@ def test_row_blocks_keep_shapes_and_types(monkeypatch):
 
 
 def test_small_calls_take_the_lean_path(monkeypatch):
-    """A 2-atom, 30-point log_cdf, log_pdf and signed pass, and a quantile
-    solve on 2 atoms, never reach the row blocks, so a one-block call cannot
-    fall back to them unnoticed. The kernel is chosen by the atom count
-    alone and the blocks by the call's size alone: one-block calls on 7 and
-    8 atoms run the few-atom and the row-major kernel directly, and a 2-atom
-    call of more than one block takes the row blocks."""
+    """A 2-atom, 30-point log_cdf, log_pdf and signed pass never reach the
+    row blocks, so a one-block call cannot fall back to them unnoticed; a
+    quantile solve on 2 atoms takes its start bounds through _row_blocks,
+    which runs one block inline, and never reaches the kernel pool. The
+    kernel is chosen by the atom count alone and the blocks by the call's
+    size alone: one-block calls on 7 and 8 atoms run the few-atom and the
+    row-major kernel directly, and a 2-atom call of more than one block
+    takes the row blocks."""
     def no_blocks(*args):
         raise AssertionError("reached _row_blocks")
+
+    def no_pool():
+        raise AssertionError("reached the kernel pool")
 
     t = np.linspace(-3.0, 5.0, 30)
     m = SmoothedMixture(constructions.bernoulli_two_point(2.0, 2.0), 1.0)
     want = _bits(m.log_cdf(t))
+    row_blocks = dist_core._row_blocks
     monkeypatch.setattr(dist_core, "_row_blocks", no_blocks)
     assert _bits(m.log_cdf(t)) == want
     m.log_pdf(t)
     m._atom_logsum(t, np.where(t < 1.0, 1.0, -1.0))
+    monkeypatch.setattr(dist_core, "_row_blocks", row_blocks)
+    monkeypatch.setattr(dist_core, "_kernel_pool", no_pool)
     m.quantile_from_log_mass(np.log([1e-30, 0.3]), upper=[False, True])
+    monkeypatch.setattr(dist_core, "_row_blocks", no_blocks)
     used = []
 
     def spy(name):

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from sotlab import constructions as cons
 from sotlab import divergences as dv
+from sotlab import functional_ineq as fi
 from sotlab.dist_core import AtomicDistribution, SmoothedMixture, logsumexp
 
 from conftest import random_mixture, sample_and_truth
@@ -405,13 +406,13 @@ def test_renyi_mi_skips_atoms_whose_part_rounds_to_zero():
     assert abs(sum(est.partial_by_atom) - sum(loose.partial_by_atom)) <= slack
 
 
-def _log_mix_rel_by_points(p, v, d, w, k=None):
+def _log_mix_rel_by_points(log_w, v, d, w, k=None):
     # the (points x atoms) formula that the atom-major _log_mix reproduces:
     # point i's offsets d[:, w[i]]; with k, the log-ratio relative to atom k
     sq = (v[:, None] + d[:, w].T) ** 2
     if k is None:
-        return logsumexp(p.log_weights[None, :] + sq * -0.5, axis=1)
-    delta = ((p.log_weights[None, :] - p.log_weights[k])
+        return logsumexp(log_w[None, :] + sq * -0.5, axis=1)
+    delta = ((log_w[None, :] - log_w[k])
              + (sq[:, k:k + 1] - sq) * 0.5)
     return -logsumexp(delta, axis=1)
 
@@ -533,9 +534,43 @@ def test_log_mix_rel_matches_points_by_atoms(case):
     d = ((c - p.locations) / sigma)[:, None]
     w = np.zeros(v.size, dtype=int)
     for k in [*range(p.n_atoms), None]:
-        got = dv._log_mix(p, v, d, w, k)
-        want = _log_mix_rel_by_points(p, v, d, w, k)
+        got = dv._log_mix(p.log_weights, v, d, w, k)
+        want = _log_mix_rel_by_points(p.log_weights, v, d, w, k)
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), k
+
+
+@pytest.mark.parametrize("h", [10.0, 55.0])
+def test_kl_by_differences_is_scale_free(h):
+    """The T2 pair's KL from its weight differences, Q_h = P_h + (dq, -dq),
+    is integrated in units of sigma: with the atoms scaled by sigma it keeps
+    every bit of its sigma = 1 value, one window (h = 10) or two (h = 55)."""
+    P, _, log_dq = fi.check_t2_parameters(h, 2.0, 1.0, 0.1)
+    sign, log_delta = np.array([1.0, -1.0]), np.full(2, log_dq)
+    want = dv._log_kl_by_differences(P, 1.0, sign, log_delta)
+    assert math.isfinite(want)
+    for s in (1e-170, 1e-20, 1e20, 1e150):
+        P_s = cons.two_point(h * s, float(P.log_weights[1]))
+        assert dv._log_kl_by_differences(P_s, s, sign, log_delta) == want, s
+
+
+@pytest.mark.parametrize("locs, w, delta", [
+    ([-1.3, 0.2, 1.1, 3.0], [0.1, 0.4, 0.3, 0.2], [0.05, -0.2, 0.1, 0.05]),
+    # two windows, and an atom that Q does not move
+    ([-1.3, 0.2, 40.0], [0.3, 0.5, 0.2], [-0.1, 0.0, 0.1]),
+], ids=["one_window", "two_windows"])
+def test_kl_by_differences_matches_kl_divergence(locs, w, delta):
+    """On a pair with mixed-sign weight differences, the KL from the
+    differences is the two-mixture KL."""
+    p = AtomicDistribution.from_weights(np.array(locs), np.array(w))
+    q = AtomicDistribution.from_weights(np.array(locs),
+                                        np.array(w) + np.array(delta))
+    with np.errstate(divide="ignore"):
+        log_delta = np.log(np.abs(delta))
+    got = math.exp(dv._log_kl_by_differences(p, 0.8, np.sign(delta),
+                                             log_delta))
+    want = dv.kl_divergence(SmoothedMixture(p, 0.8), SmoothedMixture(q, 0.8),
+                            tol=1e-14)
+    assert abs(got - want) <= 1e-9 * want
 
 
 def test_lambda_guards(rng):

@@ -56,7 +56,7 @@ CASES = {
     "lsi_probe.json": ("lsi-probe",
         "4c5df4ac725c1500420a2071462372a4827fd381b8a610a75f0d909d9a299cdc", None),
     "t2_probe.json": ("t2-probe",
-        "b0f7c88e6fff8d95a78bedb69476849b46535c1834f9248c6549ea3a85f1c1a4", None),
+        "3f440657eb3bde8604c52d171266aece141bf6c2166614c0dee5ec69b4daeb05", None),
     "phase_scan.json": ("phase-scan",
         "c0ee0a59bdade8040dd812eb690929ce43d89d787097f783cdd32775368a9405", None),
 }
