@@ -177,6 +177,8 @@ def _build_distribution(obj, path: str):
             return constructions.chi2_hard_example(K, c, k_max), None
         k_max = _get(obj, "k_max", int, path=path)
         return constructions.w2_hard_example(K, _sigma(obj, path), k_max)
+    except constructions.ParameterError as exc:
+        raise ConfigError(f"{path}.{exc.name}", str(exc))
     except ValueError as exc:
         raise ConfigError(path, str(exc))
 

@@ -24,7 +24,13 @@ class ParameterError(ValueError):
 
 
 def two_point_log_weight(h: float, K: float) -> float:
-    """log p_h = -h^2/(2K^2), the log-weight of P_h's atom at h."""
+    """log p_h = -h^2/(2K^2), the log-weight of P_h's atom at h. h and K are
+    first scaled by the power of two that brings K into [1/2, 1), which is
+    exact: the result has the bits of the formula on h and K wherever their
+    squares are normal floats, and depends on h/K alone, so h and K near
+    1e-170 or 1e170 give the log-weight they give near 1."""
+    e = math.frexp(K)[1]
+    h, K = math.ldexp(h, -e), math.ldexp(K, -e)
     return -h * h / (2.0 * K * K)
 
 

@@ -18,6 +18,8 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri_exp
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# log(m) of _logsumexp at a tie of two terms, m = 2
+_LOG_2 = float(np.log(2.0))
 _EPS = float(np.finfo(float).eps)
 
 # log-mass clipped from each tail of a smoothed mixture by the W2 and
@@ -103,13 +105,20 @@ def logsumexp(a, axis=None):
 
 def _logsumexp(a, axes, e, ties):
     """logsumexp over `axes` with keepdims, using the scratch arrays e
-    (float) and ties (bool) of a's shape."""
-    n_terms = math.prod(a.shape[ax] for ax in axes) \
-        if isinstance(axes, tuple) else a.shape[axes]
+    (float) and ties (bool) of a's shape. One and two terms per sum take
+    branches of fewer numpy calls with the same bits."""
+    if not isinstance(axes, tuple):
+        axes = (axes,)
+    n_terms = math.prod(a.shape[ax] for ax in axes)
     if n_terms == 1:
         # the bits of the ops below for one term (s = 0, m = 1): log1p(0) +
         # log(1) + a, so -0.0 becomes +0.0 and +-inf and NaN stay
         return 0.0 + a
+    if n_terms == 2:
+        # the one axis of length 2, the others of length 1
+        ax = next(ax for ax in axes if a.shape[ax] == 2) % a.ndim
+        lead = (slice(None),) * ax
+        return _logsumexp_pair(a[lead + (slice(0, 1),)], a[lead + (slice(1, 2),)])
     # np.add/np.maximum.reduce are what np.sum/np.max call, minus a wrapper
     a_max = np.maximum.reduce(a, axis=axes, keepdims=True)
     np.equal(a, a_max, out=ties)
@@ -136,7 +145,12 @@ def _logsumexp_atoms(a, e, ties):
     axis, so that numpy's inner loops run along the points and not once per
     short row of atoms: the max and the tie count are exact in any order, and
     the two sums run in _pairwise_sum's order, that of numpy summing one
-    contiguous row."""
+    contiguous row. One and two atoms take _logsumexp's one- and two-term
+    branches."""
+    if a.shape[0] == 1:
+        return 0.0 + a[0]
+    if a.shape[0] == 2:
+        return _logsumexp_pair(a[0], a[1])
     a_max = np.maximum.reduce(a, axis=0)
     np.equal(a, a_max, out=ties)
     m = np.add.reduce(ties, axis=0, dtype=float)
@@ -150,6 +164,26 @@ def _logsumexp_atoms(a, e, ties):
         bad = ~finite
         with np.errstate(divide="ignore", over="ignore"):
             out[bad] = np.log(_pairwise_sum(np.exp(a[:, bad])))
+    return out
+
+
+def _logsumexp_pair(a0, a1):
+    """logsumexp of the two terms a0 and a1 (arrays of one shape), in fewer
+    numpy calls than _logsumexp's general path and with its bits. With hi =
+    max(a0, a1) that path zeroes hi's own term, so s = exp(min(a0, a1) - hi)
+    exactly, m = 1 and log(m) = 0; a tie gives s = 0 and m = 2, so log 2 +
+    hi. Where that is not finite (hi = +-inf or NaN) its log(sum(exp(a)))
+    gives what this gives: +-inf for hi = +-inf, NaN for a NaN term (whose
+    sign bit may differ: the general path's own sign bit of a NaN sum
+    differs between layouts of the same terms)."""
+    hi = np.maximum(a0, a1)
+    with np.errstate(invalid="ignore"):
+        # -inf - -inf and inf - inf give NaN here, overwritten as ties
+        out = np.subtract(np.minimum(a0, a1), hi)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    np.copyto(out, _LOG_2, where=np.equal(a0, a1))
+    out += hi
     return out
 
 
@@ -531,12 +565,13 @@ class SmoothedMixture:
     (points x atoms) pairs, by one of two kernels chosen by the atom count
     alone. Up to _ATOM_MAJOR_MAX (7) atoms, _few_atom_logsum lays the pairs
     out as (atoms x points) on fresh arrays and reduces them over the atoms
-    with _logsumexp_atoms (one atom: _logsumexp's one-term path), so that
-    numpy runs along the points rather than once per short row. More atoms
-    take _row_major_logsum, on the thread's scratch, reduced with
-    _logsumexp. A call of one block (_one_block) calls its kernel directly;
-    a larger one calls it once per row block (_row_blocks). Each point's
-    operations, and so its bits, are the same whatever the kernel or block.
+    with _logsumexp_atoms (one or two atoms: its one- and two-term
+    branches), so that numpy runs along the points rather than once per
+    short row. More atoms take _row_major_logsum, on the thread's scratch,
+    reduced with _logsumexp. A call of one block (_one_block) calls its
+    kernel directly; a larger one calls it once per row block (_row_blocks).
+    Each point's operations, and so its bits, are the same whatever the
+    kernel or block.
     """
 
     base: AtomicDistribution
@@ -968,9 +1003,6 @@ def _few_atom_logsum(flat, locs, scale, density, lw):
     else:
         term = log_ndtr(z)
     np.add(lw[:, None] if lw.ndim == 1 else lw.T, term, out=term)
-    if locs.size == 1:
-        # _logsumexp's one-term path
-        return 0.0 + term[0]
     return _logsumexp_atoms(term, z, np.empty(term.shape, dtype=bool))
 
 

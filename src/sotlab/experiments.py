@@ -11,9 +11,10 @@ run in trial order, so a (config, seed) pair always produces the same floats.
 An empirical measure of a finite-support P only reweights P's atoms, so
 trials repeat. Each trial therefore draws only its atom counts (the draws of
 AtomicDistribution.empirical) and is keyed by them; each MC call builds and
-evaluates every distinct empirical measure once, and the new ones of each
-chunk of trials together, in one batch per support (bit for bit one
-evaluation each).
+evaluates every distinct empirical measure once, and the new ones of two
+chunks of trials at a time together, in one batch per support (bit for bit
+one evaluation each), so that a call whose trials fit in two chunks makes
+one batch.
 """
 from __future__ import annotations
 
@@ -70,6 +71,11 @@ REL_STOP = 0.02
 CHUNK = 25
 
 
+def _chunk_end(start: int, trials: int) -> int:
+    """The end of the chunk of trials that starts at trial `start`."""
+    return min(trials, max(MIN_TRIALS, start + CHUNK))
+
+
 def _run_trials(p: AtomicDistribution, n: int, values_of, trials: int,
                 seed) -> np.ndarray:
     """Values of up to `trials` seeded trials, in trial order: trial i draws
@@ -78,35 +84,51 @@ def _run_trials(p: AtomicDistribution, n: int, values_of, trials: int,
     call. Trials run a chunk at a time and stop at a chunk boundary once the
     relative standard error drops below REL_STOP. Each distinct count vector
     is one P_n, built from its counts and evaluated once per call:
-    values_of(measures) evaluates a chunk's new measures on one support in
-    one batch. The earliest failed trial raises
-    RuntimeError("trial i failed: ...")."""
+    values_of(measures) evaluates new measures on one support in one batch.
+
+    Whenever a chunk needs trials not yet drawn, that chunk and the next one
+    are drawn and their new measures evaluated together, so quick mode's
+    50 + 10 trials are one batch, and a stop leaves at most one chunk drawn
+    and evaluated but unused. A measure's value does not depend on its
+    batch, so the values and the stop do not depend on that grouping. The
+    earliest failed trial of the chunks used raises RuntimeError("trial i
+    failed: ..."), a chunk's failed draws before its failed evaluations; a
+    trial past the stop never raises."""
     if trials < 2:
         raise ValueError("trials must be >= 2")
     children = seed_sequence(seed).spawn(trials)
     cdf = p._draw_cdf()
+    # count bytes -> value, or the exception its evaluation raised
     seen: dict = {}
+    # per drawn trial, its count bytes, or the exception its draw raised
+    keys: list = []
     values: list[float] = []
     while len(values) < trials:
         start = len(values)
-        stop = min(trials, max(MIN_TRIALS, start + CHUNK))
-        keys, new = [], {}
-        for i in range(start, stop):
-            try:
-                counts = p._draw_counts(n, np.random.default_rng(children[i]),
-                                        cdf)
-                key = counts.tobytes()
-                if key not in seen and key not in new:
-                    new[key] = p._from_counts(counts, n)
-            except Exception as exc:
-                raise RuntimeError(f"trial {i} failed: {exc}") from exc
-            keys.append(key)
-        groups: dict = {}
-        for key, m in new.items():
-            groups.setdefault(m.locations.tobytes(), {})[key] = m
-        for group in groups.values():
-            seen.update(zip(group, _batch_or_each(values_of, list(group.values()))))
-        for i, key in enumerate(keys, start):
+        stop = _chunk_end(start, trials)
+        if stop > len(keys):
+            new = {}
+            for i in range(len(keys), _chunk_end(stop, trials)):
+                try:
+                    counts = p._draw_counts(
+                        n, np.random.default_rng(children[i]), cdf)
+                    key = counts.tobytes()
+                    if key not in seen and key not in new:
+                        new[key] = p._from_counts(counts, n)
+                except Exception as exc:
+                    key = exc
+                keys.append(key)
+            groups: dict = {}
+            for key, m in new.items():
+                groups.setdefault(m.locations.tobytes(), {})[key] = m
+            for group in groups.values():
+                seen.update(zip(group, _batch_or_each(values_of,
+                                                      list(group.values()))))
+        chunk = keys[start:stop]
+        for i, key in enumerate(chunk, start):
+            if isinstance(key, Exception):
+                raise RuntimeError(f"trial {i} failed: {key}") from key
+        for i, key in enumerate(chunk, start):
             value = seen[key]
             if isinstance(value, Exception):
                 raise RuntimeError(f"trial {i} failed: {value}") from value

@@ -102,22 +102,24 @@ def check_t2_parameters(h: float, K: float, sigma: float, delta: float):
     weight p_h to the origin: log q_h = log p_h + log1mexp(log dq - log p_h).
     Raises ParameterError naming delta or h unless, with kappa =
     sigma^2/K^2, (1 - delta)(1 + kappa)^2 > 4 kappa (so that dq < p_h at
-    every h), the perturbation condition (1 - delta)(1 + kappa)^2 h^2 >
-    4 kappa sigma^2 holds, and P_h and Q_h are two-point measures
-    (constructions.two_point)."""
+    every h), the perturbation condition (1 - delta)(1 + kappa)^2 r^2 >
+    4 kappa holds on r = h/sigma, and P_h and Q_h are two-point measures
+    (constructions.two_point). Both conditions and log dq are taken in
+    units of sigma, so they hold at any sigma where they hold at 1."""
     kappa = (sigma / K) ** 2
+    r = h / sigma
     if not (1.0 - delta) * (1.0 + kappa) ** 2 > 4.0 * kappa:
         raise constructions.ParameterError(
             "delta", f"must be below 1 - 4 kappa / (1 + kappa)^2 = "
                      f"{1.0 - 4.0 * kappa / (1.0 + kappa) ** 2!r} (kappa = "
                      f"sigma^2/K^2), or Q_h moves more mass than the h-atom holds")
-    if not (1.0 - delta) * (1.0 + kappa) ** 2 * h * h > 4.0 * kappa * sigma * sigma:
+    if not (1.0 - delta) * (1.0 + kappa) ** 2 * r * r > 4.0 * kappa:
         raise constructions.ParameterError(
             "h", f"h = {h!r} too small for delta = {delta!r} "
                  "(perturbation condition)")
     P = constructions.bernoulli_two_point(h, K)
     log_p = float(P.log_weights[1])
-    log_dq = -(1.0 - delta) * (1.0 + kappa) ** 2 * h * h / (8.0 * sigma * sigma)
+    log_dq = -(1.0 - delta) * (1.0 + kappa) ** 2 * r * r / 8.0
     Q = constructions.two_point(h, log_p + float(log1mexp(log_dq - log_p)))
     return P, Q, log_dq
 

@@ -555,6 +555,14 @@ def test_mi_probe_takes_extreme_sigma(runner, tmp_path, cfg, want):
                        "replications": 5}, "k_max",
      "k_max = 40 too large: an atom's log-weight or envelope overflows "
      "float64"),
+    # a construction's refusal names the field of the dist object it read
+    ("construct", {"family": "w2_schedule", "K": 0.5, "k_max": 3},
+     "<root>.K", "K = 0.5 must be > sigma = 1.0"),
+    ("construct", {"family": "w2_schedule", "K": 2.0, "k_max": 40},
+     "<root>.k_max", "k_max = 40 too large: an atom's log-weight or envelope "
+     "overflows float64"),
+    ("w2", {"A": {"family": "two_point", "h": 100, "K": 2.0}, "B": ATOMS},
+     "A.h", "h = 100.0 gives the h-atom weight exp(-1250.0) = 0.0"),
 ], ids=["rate_scan_trials", "tail_probe_r_points", "weighted_n",
         "replications", "weighted_delta", "gap_k", "tail_probe_epsilon",
         "phase_scan_K_list", "phase_scan_trials", "mi_probe_sigma",
@@ -580,7 +588,9 @@ def test_mi_probe_takes_extreme_sigma(runner, tmp_path, cfg, want):
         "w2_sigma_next_to_sigma_a", "rate_scan_bernoulli_large_sigma",
         "rate_scan_h_atom_underflow", "rate_scan_kl_h_atom_underflow",
         "phase_scan_h_atom_underflow", "berry_esseen_p_h_above_half",
-        "gap_K_not_above_sigma", "gap_k_max_overflow"])
+        "gap_K_not_above_sigma", "gap_k_max_overflow",
+        "construct_schedule_K_not_above_sigma",
+        "construct_schedule_k_max_overflow", "w2_two_point_h_atom_underflow"])
 def test_out_of_range_value_exits_2(runner, tmp_path, monkeypatch, command,
                                     cfg, field, message):
     """Each is a config error naming the field, refused before any trial."""

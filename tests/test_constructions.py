@@ -24,6 +24,17 @@ def test_two_point_guards():
         cons.bernoulli_two_point(1e-9, 1.0)         # weight rounds to 1
 
 
+def test_two_point_log_weight_is_scale_free():
+    """Scaled by a power of two, the log-weight keeps the bits of -h^2/(2K^2)
+    where the squares are normal floats, and its value where they are not."""
+    rng = np.random.default_rng(5)
+    for h, K in zip(rng.uniform(1e-3, 80.0, 200), rng.uniform(0.05, 30.0, 200)):
+        assert cons.two_point_log_weight(h, K) == -h * h / (2.0 * K * K)
+    for s in (1e-170, 1e-20, 1e20, 1e150):
+        assert math.isclose(cons.two_point_log_weight(10.0 * s, 2.0 * s), -12.5,
+                            rel_tol=1e-14)
+
+
 @pytest.mark.parametrize("K, c", [(2.0, 2.0), (2.0, math.nan), (1.0, 3.0),
                                   (math.nan, 3.0)])
 def test_chi2_hard_example_guards(K, c):

@@ -78,6 +78,70 @@ def test_one_term_logsumexp_matches_scipy_bitwise():
                 _bits(special.logsumexp(a, axis=axis)), (v, a.shape, axis)
 
 
+# the terms of sums of one or two: ties, signed zeros, infinities, NaN, and the
+# largest floats
+FEW_TERMS = st.one_of(
+    st.floats(-800.0, 800.0),
+    st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan, -math.nan,
+                     2.5, -745.0, 1.7976931348623157e308,
+                     -1.7976931348623157e308]))
+
+
+@st.composite
+def few_term_sums(draw):
+    """(terms x sums) arrays of one or two terms per sum; two terms may tie,
+    or lie a gap near exp's underflow apart (exp(-745.2) is 0, exp(-745.1)
+    the least subnormal)."""
+    n_terms = draw(st.integers(1, 2))
+    a = draw(hnp.arrays(float, (n_terms, draw(st.integers(1, 12))),
+                        elements=FEW_TERMS))
+    if n_terms == 2:
+        gaps = draw(hnp.arrays(float, a.shape[1], elements=st.one_of(
+            st.floats(700.0, 760.0), st.sampled_from([0.0, 745.1, 745.2]))))
+        moved = draw(hnp.arrays(bool, a.shape[1]))
+        a[1, moved] = a[0, moved] - gaps[moved]
+    return a
+
+
+def _bits_any_nan(a):
+    """_bits with every NaN as one NaN: the general reduction's own sign bit
+    of a NaN sum differs between layouts of the same terms."""
+    return _bits(np.where(np.isnan(a), math.nan, a))
+
+
+def _padded(a, axis):
+    """a with -inf terms appended along axis up to three terms, which the
+    general reduction takes: no -inf term is a tie at a max that is not
+    -inf, its exp term is 0 or zeroed as a tie, and a max of -inf gives
+    -inf for any count of ties."""
+    pad = list(a.shape)
+    pad[axis] = 3 - a.shape[axis]
+    return np.concatenate([a, np.full(pad, -math.inf)], axis=axis)
+
+
+@settings(max_examples=300, deadline=None)
+@given(few_term_sums())
+def test_one_and_two_term_branches_match_the_general_reduction(a):
+    """The one- and two-term branches of _logsumexp_atoms (over the atoms of
+    an atoms x points array) and of _logsumexp (1-D, and 2-D along either
+    axis) give the bits of the general reduction of three or more terms,
+    and the 1-D case scipy's; a NaN is compared as NaN."""
+    with np.errstate(over="ignore"):
+        e, ties = np.empty(a.shape), np.empty(a.shape, dtype=bool)
+        full = _padded(a, 0)
+        want = dist_core._logsumexp_atoms(full, np.empty(full.shape),
+                                          np.empty(full.shape, dtype=bool))
+        assert _bits_any_nan(dist_core._logsumexp_atoms(a.copy(), e, ties)) == \
+            _bits_any_nan(want)
+        for b, axis in ((a, 0), (a.T, 1)):
+            assert _bits_any_nan(logsumexp(b, axis=axis)) == \
+                _bits_any_nan(logsumexp(_padded(b, axis), axis=axis))
+        for col in a.T:
+            want = _bits_any_nan(logsumexp(_padded(col, 0)))
+            assert _bits_any_nan(logsumexp(col)) == want
+            assert _bits_any_nan(special.logsumexp(col)) == want
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.integers(0, 30))
 def test_one_atom_kernel_matches_scipy_bitwise(seed, n_points):

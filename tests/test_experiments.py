@@ -151,22 +151,28 @@ def test_kl_cache_matches_uncached_trials(monkeypatch):
 
 def _trials_keyed_on_measure_bytes(p, n, values_of, trials, seed):
     """The trial loop keyed on each P_n's (locations, log-weights) bytes,
-    drawn with p.empirical: the reference for the loop keyed on counts."""
+    drawn with p.empirical, that draws a chunk and the next one, and
+    evaluates their new measures together, whenever a chunk needs trials not
+    yet drawn: the reference for the loop keyed on counts."""
+    def chunk_end(start):
+        return min(trials, max(exp.MIN_TRIALS, start + exp.CHUNK))
+
     children = np.random.SeedSequence(seed).spawn(trials)
-    seen, values = {}, []
+    seen, keys, values = {}, [], []
     while len(values) < trials:
         start = len(values)
-        stop = min(trials, max(exp.MIN_TRIALS, start + exp.CHUNK))
-        keys, groups = [], {}
-        for i in range(start, stop):
-            m = p.empirical(n, np.random.default_rng(children[i]))
-            key = (m.locations.tobytes(), m.log_weights.tobytes())
-            keys.append(key)
-            if key not in seen:
-                groups.setdefault(key[0], {})[key] = m
-        for group in groups.values():
-            seen.update(zip(group, values_of(list(group.values()))))
-        values.extend(seen[key] for key in keys)
+        stop = chunk_end(start)
+        if stop > len(keys):
+            groups = {}
+            for i in range(len(keys), chunk_end(stop)):
+                m = p.empirical(n, np.random.default_rng(children[i]))
+                key = (m.locations.tobytes(), m.log_weights.tobytes())
+                keys.append(key)
+                if key not in seen:
+                    groups.setdefault(key[0], {})[key] = m
+            for group in groups.values():
+                seen.update(zip(group, values_of(list(group.values()))))
+        values.extend(seen[key] for key in keys[start:stop])
         if stop >= exp.MIN_TRIALS and stop % exp.CHUNK == 0:
             arr = np.asarray(values)
             se = float(arr.std(ddof=1)) / math.sqrt(arr.size)
@@ -218,6 +224,41 @@ def test_failure_in_a_batch_names_the_earliest_failing_trial(monkeypatch):
     monkeypatch.setattr(transport, "_w2_members", failing)
     with pytest.raises(RuntimeError, match=rf"^trial {first_bad} failed: injected$"):
         exp.mc_w2sq_values(p, 1.0, 8, 40, 11)
+
+
+@pytest.mark.parametrize("stops_early", [True, False])
+def test_a_failure_first_drawn_past_the_stop_never_raises(stops_early):
+    """Trials 50-74 are drawn and evaluated with trials 0-49; a measure that
+    first appears among them and fails raises only where a chunk the loop
+    keeps uses it, naming the first trial that drew it."""
+    p = cons.bernoulli_two_point(2.0, 2.0)
+    emps = [p.empirical(8, np.random.default_rng(c))
+            for c in np.random.SeedSequence(10).spawn(75)]
+    first = {}
+    for i, e in enumerate(emps):
+        first.setdefault(e.log_weights.tobytes(), i)
+    late = {key: i for key, i in first.items() if i >= exp.MIN_TRIALS}
+    assert sorted(late.values()) == [51, 68]
+    failed = set()
+
+    def values_of(measures):
+        keys = [m.log_weights.tobytes() for m in measures]
+        failed.update(k for k in keys if k in late)
+        if failed.intersection(keys):
+            raise ArithmeticError("injected")
+        # equal values stop the loop at 50 (stderr 0); these spread too far
+        # for a 2% stderr at 50 trials
+        return [1.0 if stops_early else float(m.weights() @ m.locations ** 2) + 1.0
+                for m in measures]
+
+    if stops_early:
+        got = exp._run_trials(p, 8, values_of, 75, 10)
+        assert got.size == exp.MIN_TRIALS
+    else:
+        with pytest.raises(RuntimeError, match=r"^trial 51 failed: injected$"):
+            exp._run_trials(p, 8, values_of, 75, 10)
+    # the look-ahead evaluated both measures either way
+    assert failed == set(late)
 
 
 def test_expected_w2sq_decreases_with_n():

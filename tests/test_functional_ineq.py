@@ -132,6 +132,18 @@ def test_t2_deterministic():
         (b.log_w2sq, b.log_kl, b.log_ratio)
 
 
+@pytest.mark.parametrize("sigma", [1e-170, 1e-20, 1e20, 1e150])
+def test_t2_parameters_are_scale_free(sigma):
+    """The perturbation condition and log dq are taken on h/sigma, so the
+    pair at h = 10 sigma, K = 2 sigma passes at any sigma, with its sigma = 1
+    log dq and weights."""
+    P1, Q1, want = fi.check_t2_parameters(10.0, 2.0, 1.0, 0.1)
+    P, Q, log_dq = fi.check_t2_parameters(10.0 * sigma, 2.0 * sigma, sigma, 0.1)
+    assert math.isclose(log_dq, want, rel_tol=1e-14)
+    np.testing.assert_allclose(P.log_weights, P1.log_weights, rtol=1e-14)
+    np.testing.assert_allclose(Q.log_weights, Q1.log_weights, rtol=1e-14)
+
+
 def test_t2_guards():
     with pytest.raises(ValueError):
         fi.t2_lower_bound(10.0, 0.5, 1.0, 0.1)     # requires K > sigma
