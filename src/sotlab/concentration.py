@@ -224,7 +224,8 @@ def berry_esseen_event_frequency(h: float, K: float, sigma: float, n: int,
                                diagnostic=f"n*p_h = {n * p_h:.1f} < 128")
     t = constructions.two_point_probe(h, K, sigma)
     factor = float(ndtr((t - h) / sigma) - ndtr(t / sigma))   # < 0
-    thr = math.exp(-h * h / (4.0 * K * K)) / math.sqrt(18.0 * n)
+    thr = math.exp(0.5 * constructions.two_point_log_weight(h, K)) \
+        / math.sqrt(18.0 * n)
     # gap >= thr  <=>  p^ - p <= thr / factor (factor negative)
     cut = thr / factor
     children = seed_sequence(seed).spawn(replications)

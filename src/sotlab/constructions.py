@@ -35,8 +35,12 @@ def two_point_log_weight(h: float, K: float) -> float:
 
 
 def two_point_probe(h: float, K: float, sigma: float) -> float:
-    """t = h/2 + sigma^2 h / (2K^2), where P_h's smoothed CDF gap is probed."""
-    return 0.5 * h + sigma * sigma * h / (2.0 * K * K)
+    """t = h/2 + sigma^2 h / (2K^2), where P_h's smoothed CDF gap is probed.
+    h, K and sigma are scaled as in two_point_log_weight and t scaled back,
+    so t/sigma depends on h/sigma and K/sigma alone."""
+    e = math.frexp(K)[1]
+    h, K, sigma = math.ldexp(h, -e), math.ldexp(K, -e), math.ldexp(sigma, -e)
+    return math.ldexp(0.5 * h + sigma * sigma * h / (2.0 * K * K), e)
 
 
 def two_point(h: float, log_w: float) -> AtomicDistribution:

@@ -1036,35 +1036,50 @@ def _interpolate(grid, table, y):
     return grid[i] + f * (grid[i + 1] - grid[i])
 
 
-def _member_rows(mixtures):
-    """Log-weight rows for evaluating several mixtures on one set of atoms and
-    one sigma through the first of them: a function from per-point member
-    indices to rows (see SmoothedMixture), or to None when every member is
-    that first mixture, a lone member included."""
-    first = mixtures[0]
-    if all(m is first for m in mixtures):
-        return lambda member: None
-    if any(m.sigma != first.sigma
-           or not np.array_equal(m.base.locations, first.base.locations)
-           for m in mixtures):
-        raise ValueError("members must share their atoms and sigma")
-    table = np.stack([m.base.log_weights for m in mixtures])
-    return lambda member: table[member]
+class _Side:
+    """One side of a batch of pairs (W2, KL, chi^2): member i's mixture on
+    it, evaluated through the first, m. They must share their atoms and
+    sigma; table holds their log-weights, a row per member, or is None
+    where every member is m itself, a lone member included.
 
+    lo and hi are each member's lower and upper LOG_MASS_EPS quantiles,
+    from one solve, and tail_moments() its one-sided second moments past
+    them. A side that is one object for every member, such as the smoothed
+    truth of an MC batch, takes 2 targets and 2 cuts per batch. Each target
+    and cut is computed on its own, so each member gets a lone pair's bits."""
 
-def _deep_quantiles(m: SmoothedMixture, rows, members: int):
-    """The lower and upper LOG_MASS_EPS quantiles of m, one of each per
-    member, from one solve; rows are one per member, or None where every
-    member is m itself (the shared truth of an MC batch), whose two
-    quantiles are then solved once. Each target's solve is its own
-    elementwise sequence, so the bits are those of a solve per member."""
-    k = members if rows is not None else 1
-    eps = np.full(2 * k, LOG_MASS_EPS)
-    upper = np.arange(2 * k) >= k
-    rows = None if rows is None else np.concatenate([rows, rows])
-    both = m.quantile_from_log_mass(eps, upper=upper, log_weights=rows)
-    return (np.broadcast_to(both[:k], members),
-            np.broadcast_to(both[k:], members))
+    def __init__(self, mixtures):
+        m = self.m = mixtures[0]
+        self.members = len(mixtures)
+        if all(x is m for x in mixtures):
+            self.table = None
+        elif any(x.sigma != m.sigma
+                 or not np.array_equal(x.base.locations, m.base.locations)
+                 for x in mixtures):
+            raise ValueError("members must share their atoms and sigma")
+        else:
+            self.table = np.stack([x.base.log_weights for x in mixtures])
+        k = 1 if self.table is None else self.members
+        self._upper = np.arange(2 * k) >= k
+        self._rows = None if self.table is None else \
+            np.concatenate([self.table, self.table])
+        self._cuts = m.quantile_from_log_mass(
+            np.full(2 * k, LOG_MASS_EPS), upper=self._upper,
+            log_weights=self._rows)
+        self.lo = np.broadcast_to(self._cuts[:k], self.members)
+        self.hi = np.broadcast_to(self._cuts[k:], self.members)
+
+    def rows(self, member):
+        """The log-weight rows of per-point member indices (see
+        SmoothedMixture), or None where every member is m."""
+        return None if self.table is None else self.table[member]
+
+    def tail_moments(self) -> np.ndarray:
+        """(2, members) array: m.log_tail_second_moment below each member's
+        lo (row 0) and above its hi (row 1), with the member's row."""
+        out = self.m.log_tail_second_moment(self._cuts, self._upper,
+                                            self._rows)
+        return np.broadcast_to(out.reshape(2, -1), (2, self.members))
 
 
 def _seed_breakpoints(A: SmoothedMixture, B: SmoothedMixture, lo,

@@ -17,9 +17,8 @@ import numpy as np
 from ._quad import (QuadratureError, _integrate_members, _simpson_members,
                     adaptive_simpson)
 from .dist_core import (LOG_SQRT_2PI, AtomicDistribution, SmoothedMixture,
-                        _deep_quantiles, _logsumexp_atoms, _member_rows,
-                        _row_slices, _seed_breakpoints, logdiffexp,
-                        logsumexp)
+                        _logsumexp_atoms, _row_slices, _seed_breakpoints,
+                        _Side, logdiffexp, logsumexp)
 
 
 def _divergence_members(As, Bs, integrand, tol: float):
@@ -27,25 +26,18 @@ def _divergence_members(As, Bs, integrand, tol: float):
     window, seeded by _seed_breakpoints; member i is the pair As[i], Bs[i].
     The As must share atoms and sigma, and so must the Bs: the kernel calls
     are shared, and each member keeps its own window, breakpoints and
-    quadrature, so it gets the bits of its lone call. A side that is one
-    mixture object for every member (the smoothed truth of an MC batch) has
-    its deep quantiles solved once. Returns each member's QuadResult, the
-    windows' lower and upper ends, and each side's log-weight rows, one per
-    member (None where that side is one mixture object)."""
-    A, rows_a = As[0], _member_rows(As)
-    B, rows_b = Bs[0], _member_rows(Bs)
-    every = np.arange(len(As))
-    all_a, all_b = rows_a(every), rows_b(every)
-    a_lo, a_hi = _deep_quantiles(A, all_a, every.size)
-    b_lo, b_hi = _deep_quantiles(B, all_b, every.size)
-    lo = [min(float(a), float(b)) for a, b in zip(a_lo, b_lo)]
-    hi = [max(float(a), float(b)) for a, b in zip(a_hi, b_hi)]
+    quadrature, so it gets the bits of its lone call. Each side's deep
+    quantiles are solved as _Side says (once for a shared truth). Returns
+    each member's QuadResult, the windows' lower and upper ends, and the two
+    _Sides."""
+    a, b = _Side(As), _Side(Bs)
+    lo, hi = np.minimum(a.lo, b.lo), np.maximum(a.hi, b.hi)
     results = _integrate_members(
         adaptive_simpson,
-        lambda t, member: integrand(A.log_pdf(t, rows_a(member)),
-                                    B.log_pdf(t, rows_b(member))),
-        _seed_breakpoints(A, B, lo, hi), tol)
-    return results, lo, hi, all_a, all_b
+        lambda t, member: integrand(a.m.log_pdf(t, a.rows(member)),
+                                    b.m.log_pdf(t, b.rows(member))),
+        _seed_breakpoints(a.m, b.m, lo, hi), tol)
+    return results, lo, hi, a, b
 
 
 def _kl_integrand(la, lb):
@@ -91,10 +83,9 @@ def kl_divergence(A: SmoothedMixture, B: SmoothedMixture,
 def _kl_members(As, Bs, tol: float = 1e-10) -> list:
     """kl_divergence(As[i], Bs[i], tol) for each member i, bit for bit, with
     the kernel calls shared as in _divergence_members."""
-    results, lo, hi, rows_a, rows_b = _divergence_members(As, Bs,
-                                                          _kl_integrand, tol)
-    a_tail, b_tail = (np.exp(m.log_cdf(lo, rows)) + np.exp(m.log_sf(hi, rows))
-                      for m, rows in ((As[0], rows_a), (Bs[0], rows_b)))
+    results, lo, hi, a, b = _divergence_members(As, Bs, _kl_integrand, tol)
+    a_tail, b_tail = (np.exp(s.m.log_cdf(lo, s.table))
+                      + np.exp(s.m.log_sf(hi, s.table)) for s in (a, b))
     values = []
     # int_w (rho_B - rho_A) = tail-mass(A) - tail-mass(B)
     for res, corr in zip(results, a_tail - b_tail):

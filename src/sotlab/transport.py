@@ -17,8 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._quad import _integrate_members, adaptive_simpson
-from .dist_core import (_RESIDUAL_TOL, SmoothedMixture, _deep_quantiles,
-                        _member_rows, _seed_breakpoints)
+from .dist_core import _RESIDUAL_TOL, SmoothedMixture, _seed_breakpoints, _Side
 
 
 @dataclass(frozen=True)
@@ -76,21 +75,17 @@ def _w2_members(As, Bs, tol: float = 1e-9,
     """w2_squared(As[i], Bs[i], tol, with_noise_bound) for each member i, bit
     for bit, with the kernel calls shared: the As must share atoms and sigma,
     and so must the Bs. Each member keeps its own window, breakpoints and
-    quadrature; one quantile solve and one integrand call serve all members.
-    A side that is one mixture object for every member (the smoothed truth
-    of an MC batch, on B, or on A after the swap) has its deep quantiles
-    and tail moments taken once.
+    quadrature; one integrand call serves all members, and each side's deep
+    quantiles and tail moments are taken as _Side says (once for a shared
+    truth, on B, or on A after the swap).
     """
     if Bs[0].base.n_atoms > As[0].base.n_atoms:
         As, Bs = Bs, As
-    A, rows_a = As[0], _member_rows(As)
-    B, rows_b = Bs[0], _member_rows(Bs)
-    every = np.arange(len(As))
-    lo, hi = _deep_quantiles(A, rows_a(every), every.size)
-    b_lo, b_hi = _deep_quantiles(B, rows_b(every), every.size)
+    a, b = _Side(As), _Side(Bs)
+    A, B, lo, hi = a.m, b.m, a.lo, a.hi
 
     def integrand(t, member):
-        ra, rb = rows_a(member), rows_b(member)
+        ra, rb = a.rows(member), b.rows(member)
         T, log_mass = _transport_map(A, B, t, ra, rb)
         dens = np.exp(A.log_pdf(t, ra))
         out = dens * (T - t) ** 2
@@ -112,10 +107,9 @@ def _w2_members(As, Bs, tol: float = 1e-9,
     # tails: int_{tail} rho_A (T-t)^2 <= (sqrt(M2_A) + sqrt(M2_B))^2 where
     # the M2 are one-sided second moments past the equal-mass cut points
     # (T pushes rho_A's clipped tail exactly onto rho_B's)
-    m2a = _tail_moments(A, lo, hi, rows_a(every))
-    m2b = _tail_moments(B, b_lo, b_hi, rows_b(every))
+    m2a, m2b = a.tail_moments(), b.tail_moments()
     out = []
-    for i, res in zip(every, results):
+    for i, res in enumerate(results):
         tail = 0.0
         for side in (0, 1):
             tail += (math.exp(0.5 * m2a[side, i])
@@ -131,20 +125,6 @@ def _w2_members(As, Bs, tol: float = 1e-9,
             ev = replace(ev, noise_bound=_noise_bound(As[i], Bs[i], *window))
         out.append(ev)
     return out
-
-
-def _tail_moments(m: SmoothedMixture, lo, hi, rows) -> np.ndarray:
-    """(2, members) array: m.log_tail_second_moment below each member's lo
-    (row 0) and above its hi (row 1), with the member's log-weight row, or,
-    where rows is None and every member is m itself, at the shared two cuts
-    once."""
-    if rows is None:
-        pair = m.log_tail_second_moment(np.array([lo[0], hi[0]]),
-                                        np.array([False, True]))
-        return np.broadcast_to(pair[:, None], (2, lo.size))
-    upper = np.arange(2 * lo.size) >= lo.size
-    return m.log_tail_second_moment(np.concatenate([lo, hi]), upper,
-                                    np.concatenate([rows, rows])).reshape(2, -1)
 
 
 def _in_gap(B: SmoothedMixture, T: np.ndarray) -> np.ndarray:

@@ -166,16 +166,32 @@ def _deep_solves(monkeypatch, truth):
     return sizes
 
 
+def _tail_moment_cuts(monkeypatch, truth):
+    """Numbers of cuts at which the truth object's tail moments are taken."""
+    sizes = []
+    moment = SmoothedMixture.log_tail_second_moment
+
+    def spy(self, x0, *args, **kwargs):
+        if self is truth:
+            sizes.append(np.size(x0))
+        return moment(self, x0, *args, **kwargs)
+    monkeypatch.setattr(SmoothedMixture, "log_tail_second_moment", spy)
+    return sizes
+
+
 @pytest.mark.parametrize("shared_on", ["A", "B"])
 def test_batch_with_a_shared_truth_matches_one_call_each(monkeypatch, shared_on):
     """Members against one shared truth object, as in an MC batch, get the
     bits of a lone call each, every field; the truth's two deep quantiles
-    are solved as 2 targets per batch, not 2 per member."""
+    are solved as 2 targets per batch, not 2 per member, and a W2 batch
+    takes the truth's tail moments at 2 cuts, not 2 per member."""
     for truth, ms in _truth_and_members(shared_on):
         sizes = _deep_solves(monkeypatch, truth)
+        cuts = _tail_moment_cuts(monkeypatch, truth)
         got = transport._w2_members(ms, [truth] * len(ms), tol=1e-8)
         kl = divergences._kl_members(ms, [truth] * len(ms), tol=1e-10)
         assert sizes == [2, 2]
+        assert cuts == [2]
         monkeypatch.undo()
         for ev, m, value in zip(got, ms, kl):
             want = transport.w2_squared(m, truth, tol=1e-8)

@@ -371,6 +371,23 @@ def test_mi_probe_takes_extreme_sigma(runner, tmp_path, cfg, want):
     assert abs(float(meta["value"]) - want) <= err
 
 
+def test_berry_esseen_takes_extreme_scale(runner, tmp_path):
+    """The berry_esseen event depends on h/K and h/sigma alone: at h, K and
+    sigma 3e-170, 2e-170 and 1e-170, where K^2 underflows, it prints the
+    data rows of h = 3, K = 2, sigma = 1."""
+    rows = []
+    for s in (1.0, 1e-170):
+        cfg = write_cfg(tmp_path, "c.json", {
+            "mode": "berry_esseen", "h": 3.0 * s, "K": 2.0 * s, "sigma": s,
+            "n": 800, "replications": 5})
+        res = runner.invoke(main, ["concentration", "--config", cfg,
+                                   "--seed", "1"])
+        assert res.exit_code == 0, res.output
+        rows.append([l for l in res.output.splitlines()
+                     if not l.startswith("#")])
+    assert rows[1] == rows[0]
+
+
 @pytest.mark.parametrize("command,cfg,field,message", [
     ("rate-scan", {"family": "two_point", "K": 2.0, "h": 2.0,
                    "n_list": [64, 128, 256], "trials": 1}, "trials",

@@ -35,6 +35,14 @@ def test_two_point_log_weight_is_scale_free():
                             rel_tol=1e-14)
 
 
+def test_two_point_probe_is_scale_free():
+    """h, K and sigma scaled together scale the probe with them: at h = 10,
+    K = 2, t = 5 + 5/4 in units of sigma, also where sigma^2 underflows or
+    sigma^2 h overflows."""
+    for s in (1.0, 1e-170, 1e-20, 1e20, 1e150):
+        assert cons.two_point_probe(10.0 * s, 2.0 * s, s) / s == 6.25
+
+
 @pytest.mark.parametrize("K, c", [(2.0, 2.0), (2.0, math.nan), (1.0, 3.0),
                                   (math.nan, 3.0)])
 def test_chi2_hard_example_guards(K, c):

@@ -367,7 +367,7 @@ def test_one_atom_open_targets_match_one_solve_each(r, sigma, seed):
     of that target alone, building the bracket for the open targets only.
     The members, one atom each, carry log-weights 0 and +-5e-13 (within
     AtomicDistribution's 1e-12 normalisation), given as per-target rows
-    from _member_rows: at -5e-13 the closed-form start is off the root by
+    from _Side.rows: at -5e-13 the closed-form start is off the root by
     the row's weight, so those targets stay open and take Newton steps from
     the bracket; at -700 the log-mass may not resolve the root, and then
     the bracket collapses. Where the first pass finishes every target, no
@@ -381,7 +381,7 @@ def test_one_atom_open_targets_match_one_solve_each(r, sigma, seed):
     up = rng.random(lm.size) < 0.5
     member = rng.integers(0, len(ms), lm.size)
     member[1] = 1
-    rows = dist_core._member_rows(ms)(member)
+    rows = dist_core._Side(ms).rows(member)
     m = ms[0]
     sign = np.where(up, -1.0, 1.0)
     x0 = m._quantile_bracket(lm, up, rows)[2]

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sotlab import _quad, constructions, functional_ineq, transport
 from sotlab.dist_core import (AtomicDistribution, SmoothedMixture,
-                              _deep_quantiles, _seed_breakpoints)
+                              _seed_breakpoints, _Side)
 
 from conftest import random_mixture, sample_and_truth
 
@@ -293,10 +293,10 @@ def test_tail_moment_rows_match_per_member_calls(seed, n_atoms, n_members):
                                            n_members)
     Bs = _on_atoms(rng, np.array([-0.5, 2.0]), 0.8, n_members)
     for a, b, ev in zip(As, Bs, transport._w2_members(As, Bs)):
-        b_cuts = _deep_quantiles(b, None, 1)
+        b_side = _Side([b])
         tail = 0.0
-        for upper, a_cut, b_cut in ((False, ev.window[0], b_cuts[0][0]),
-                                    (True, ev.window[1], b_cuts[1][0])):
+        for upper, a_cut, b_cut in ((False, ev.window[0], b_side.lo[0]),
+                                    (True, ev.window[1], b_side.hi[0])):
             m2a = a.log_tail_second_moment(a_cut, upper)
             m2b = b.log_tail_second_moment(float(b_cut), upper)
             tail += (math.exp(0.5 * m2a) + math.exp(0.5 * m2b)) ** 2
