@@ -114,9 +114,10 @@ class MIEstimate:
     """quadrature_error sums the windows' Gauss-Kronrod error estimates,
     |K15 - G7| per accepted panel; gap_bound is the certified remainder of
     the rest of the line, between and beyond the windows, which is not
-    integrated; n_eval counts integrand evaluations over the atoms
-    integrated and all their windows (the Renyi MI skips an atom whose part
-    provably rounds to +0.0).
+    integrated; n_eval counts integrand evaluations over the (atom, window)
+    pairs integrated. A pair whose integrand provably reads +0.0 at every
+    node is not integrated, nor, in the Renyi MI, an atom whose part
+    provably rounds to +0.0.
 
     Both errors bound the part sum S = sum(partial_by_atom). For the chi^2
     MI that is `value`; for the Renyi MI `value` is log(S) / (lam - 1), so
@@ -129,8 +130,9 @@ class MIEstimate:
 
 
 # seeds around each atom, in sigma; the last is the windows' reach. Each
-# seed costs a 15-point panel: the hard example's chi^2 MI takes 13,500
-# evaluations with these and 16,320 with +-1, 4, 8 for +-2, 6
+# seed costs a 15-point panel: over all its (atom, window) pairs the hard
+# example's chi^2 MI takes 13,500 evaluations with these and 16,320 with
+# +-1, 4, 8 for +-2, 6
 _MI_OFFSETS = np.array([-16.0, -6.0, -2.0, 0.0, 2.0, 6.0, 16.0])
 # each kernel's two-sided tail mass beyond the windows' reach
 _GAP_MASS = math.erfc(_MI_OFFSETS[-1] / math.sqrt(2.0))
@@ -169,51 +171,78 @@ def _mi_windows(p: AtomicDistribution, sigma: float):
     return d, seeds
 
 
-def _mi_atom_quad(f, seeds, tol: float):
-    """f integrated over the windows to within tol in total: one
-    _simpson_members call whose members are the windows, each seeded with
-    its breakpoints (see _mi_windows) and given a share of tol proportional
-    to its width. f(v, w) is the integrand at points v of the windows w,
-    one per point, so a round's points of all windows go to f in one call.
-    Returns (total, summed error estimate, n_eval)."""
+def _mi_log_kernel_bound(d: np.ndarray, seeds) -> np.ndarray:
+    """lphi[j, w] = -delta^2 / 2 - log sqrt(2 pi), delta the distance in
+    sigma from atom j, at v = -d[j, w], to window w's seed span: no node of
+    the window lies nearer, so log phi_j is at most lphi[j, w] there, also
+    as computed, its rounding being monotone."""
+    lo = np.array([s[0] for s in seeds])
+    hi = np.array([s[-1] for s in seeds])
+    delta = np.maximum(np.maximum(lo + d, -d - hi), 0.0)
+    return -0.5 * delta * delta - LOG_SQRT_2PI
+
+
+def _mi_atom_quad(f, seeds, tol: float, live):
+    """f integrated over each live (atom, window) pair in one
+    _simpson_members call. live is an (atoms x windows) mask; pair (k, w)
+    is a member seeded with window w's breakpoints (see _mi_windows) and
+    given a share of tol, each atom's own, in proportion to the window's
+    width. f(v, k, w) is the integrand at points v of atoms k and windows
+    w, one each per point, so a round's points of all pairs go to f in one
+    call.
+
+    Returns each atom's total, summed error estimate and n_eval, summed
+    over all its windows in window order with +0.0 where a pair is not
+    live. The callers drop only pairs whose integrand reads +0.0 at every
+    node, whose seed panels the quadrature would accept with value and
+    error +0.0, so only n_eval differs from integrating every pair."""
     widths = np.array([s[-1] - s[0] for s in seeds])
-    res = _simpson_members(f, seeds, tol * widths / widths.sum())
-    return (float(np.sum([r.total for r in res])),
-            float(np.sum([r.error_estimate for r in res])),
-            sum(r.n_eval for r in res))
+    share = tol * widths / widths.sum()
+    atom, window = np.nonzero(live)
+    res = _simpson_members(lambda v, m: f(v, atom[m], window[m]),
+                           [seeds[w] for w in window], share[window])
+    total, err = np.zeros(live.shape), np.zeros(live.shape)
+    total[atom, window] = [r.total for r in res]
+    err[atom, window] = [r.error_estimate for r in res]
+    n_eval = np.bincount(atom, [r.n_eval for r in res], live.shape[0])
+    return ([float(np.sum(row)) for row in total],
+            [float(np.sum(row)) for row in err], n_eval.astype(int).tolist())
 
 
 def _log_mix(log_w: np.ndarray, v: np.ndarray, d: np.ndarray,
              w: np.ndarray, k=None) -> np.ndarray:
     """log sum_j w_j exp(-(v + d_j)^2 / 2) at each point v, w_j = e^log_w[j]
     and d_j = d[j, w] its offset from atom j in its window w (_mi_windows).
-    With k, the log-ratio s = log(w_k phi_k / rho) <= 0 instead, built from
-    the exponents relative to atom k's, log(w_j / w_k) + (v + d_k)^2 / 2
-    - (v + d_j)^2 / 2, so no large-magnitude cancellation enters: such an
-    exponent is huge in magnitude wherever the two kernels differ a lot, but
-    rounding there is harmless because the term is negligible; near
-    crossovers the difference is small and exact.
+    With k, one atom index per point, the log-ratio s = log(w_k phi_k / rho)
+    <= 0 of each point's atom k instead, built from the exponents relative
+    to atom k's, log(w_j / w_k) + (v + d_k)^2 / 2 - (v + d_j)^2 / 2, so no
+    large-magnitude cancellation enters: such an exponent is huge in
+    magnitude wherever the two kernels differ a lot, but rounding there is
+    harmless because the term is negligible; near crossovers the difference
+    is small and exact.
 
     The (atoms x points) exponents are built on fresh arrays in cache-sized
     slices of the points, each gathering its points' columns of d, and
     reduced over the atom axis; the bits are those of logsumexp over the
     (points x atoms) array.
     """
-    lw = (log_w if k is None else log_w - log_w[k])[:, None]
     out = np.empty(v.shape)
-    for r in _row_slices(v.size, lw.size):
+    for r in _row_slices(v.size, log_w.size):
         x = np.take(d, w[r], axis=1)
+        e = np.empty_like(x)
         np.add(x, v[r], out=x)
         np.square(x, out=x)
         if k is None:
             np.multiply(x, -0.5, out=x)
+            np.add(log_w[:, None], x, out=x)
         else:
-            # numpy reads the row x[k] before writing over it
-            np.subtract(x[k], x, out=x)
+            kr = k[r]
+            # each point's row k, gathered before x is written over
+            np.subtract(x[kr, np.arange(kr.size)], x, out=x)
             np.multiply(x, 0.5, out=x)
-        np.add(lw, x, out=x)
-        out[r] = _logsumexp_atoms(x, np.empty_like(x),
-                                  np.empty(x.shape, dtype=bool))
+            # log(w_j / w_k), in the scratch the log-sum then writes over
+            np.add(np.subtract.outer(log_w, log_w[kr], out=e), x, out=x)
+        out[r] = _logsumexp_atoms(x, e, np.empty(x.shape, dtype=bool))
     return out if k is None else np.negative(out, out=out)
 
 
@@ -237,7 +266,7 @@ def _log_kl_by_differences(p: AtomicDistribution, sigma: float, sign,
     pos = sign > 0
     log_scale = float(logsumexp(2.0 * log_delta - p.log_weights))
 
-    def integrand(v, w):
+    def integrand(v, k, w):
         log_rho = _log_mix(p.log_weights, v, d, w)
         lp = _log_mix(log_delta[pos], v, d[pos], w)
         ln = _log_mix(log_delta[~pos], v, d[~pos], w)
@@ -250,7 +279,9 @@ def _log_kl_by_differences(p: AtomicDistribution, sigma: float, sign,
                          np.log(safe - np.log1p(safe)))
         return np.exp(log_rho - LOG_SQRT_2PI - log_scale + log_g)
 
-    return log_scale + math.log(_mi_atom_quad(integrand, seeds, 1e-9)[0])
+    live = np.ones((1, len(seeds)), dtype=bool)
+    return log_scale + math.log(
+        _mi_atom_quad(integrand, seeds, 1e-9, live)[0][0])
 
 
 def chi2_mutual_information(p: AtomicDistribution, sigma: float,
@@ -258,56 +289,61 @@ def chi2_mutual_information(p: AtomicDistribution, sigma: float,
     """Chi-square mutual information of S ~ p across Y = S + N(0, sigma^2).
 
     Decomposes as sum_k w_k chi2(phi_k || rho) with phi_k the noise kernel at
-    atom k; per-atom increments are integrated separately over the kernels'
-    windows (_mi_windows), in units of sigma, and reported, and gap_bound
-    covers the rest of the line. The integrand is assembled as
+    atom k; per-atom increments are integrated over the kernels' windows
+    (_mi_windows), in units of sigma, and reported, and gap_bound covers the
+    rest of the line. The integrand is assembled as
     phi_k e^s (1 - e^(logw_k - s))^2 with s = log(w_k phi_k / rho), which
     stays float-stable even when the atom weights live at log-scale -1e8.
+    The (atom, window) pairs are integrated in one quadrature call, but for
+    those where phi_k and w_k rho are both provably below e^-800, whose
+    integrand reads +0.0 at every node (_mi_atom_quad).
     """
     d, seeds = _mi_windows(p, sigma)
     # each window's largest |d|
     reach = np.abs(d).max(axis=0)
-    parts = []
-    qerr = gap_bound = 0.0
-    n_eval = 0
-    per_tol = tol / p.n_atoms
-    two_lw_max = 2.0 * np.abs(p.log_weights).max()
-    for k in range(p.n_atoms):
-        lwk = p.log_weights[k]
+    lw = p.log_weights
+    two_lw_max = 2.0 * np.abs(lw).max()
+    # A pair (k, w) whose phi_k and w_k rho are both below e^-800 on window
+    # w reads +0.0 at every node: phi_k e^s <= phi_k, and the term taken
+    # from log rho is w_k rho. lphi_max bounds log phi_j there, and
+    # logsumexp_j(log w_j + lphi_max[j, w]) bounds log rho
+    lphi_max = _mi_log_kernel_bound(d, seeds)
+    log_rho_max = logsumexp(lw[:, None] + lphi_max, axis=0)
+    live = (lphi_max >= -800.0) | (lw[:, None] + log_rho_max >= -800.0)
 
-        def integrand(v, w, k=k, lwk=lwk):
-            lphi = -0.5 * (v + d[k, w]) ** 2 - LOG_SQRT_2PI
-            s = _log_mix(p.log_weights, v, d, w, k)
-            # w_k (phi_k - rho)^2 / rho = phi_k e^s (1 - rho/phi_k)^2 with
-            # rho/phi_k = exp(logw_k - s); where that ratio is above e^300
-            # this reads 0, and the square is its cross-free term w_k rho
-            big = (lwk - s) > 300.0
-            ratio = np.exp(np.where(big, 0.0, lwk - s))
-            out = np.exp(lphi + s) * (1.0 - ratio) ** 2
-            if not big.any():
-                return out
-            # w_k rho rounds to 0 below e^-746. Its log lphi + 2 logw_k - s
-            # errs by what lphi - s cancels, two (v + d_k)^2 / 2 terms each
-            # rounded at its own scale: at most
-            # 2^-48 ((|v| + max_j |d_j|)^2 + 2 max|lw|) + 1. Where it can be
-            # representable, w_k rho is taken from log rho itself
-            q = np.abs(v) + reach[w]
-            redo = big & (lphi + 2.0 * lwk - s
-                          > -746.0 - (2.0 ** -48 * (q * q + two_lw_max) + 1.0))
-            if redo.any():
-                out[redo] = np.exp(lwk - LOG_SQRT_2PI + _log_mix(
-                    p.log_weights, v[redo], d, w[redo]))
+    def integrand(v, k, w):
+        lwk = lw[k]
+        lphi = -0.5 * (v + d[k, w]) ** 2 - LOG_SQRT_2PI
+        s = _log_mix(lw, v, d, w, k)
+        # w_k (phi_k - rho)^2 / rho = phi_k e^s (1 - rho/phi_k)^2 with
+        # rho/phi_k = exp(logw_k - s); where that ratio is above e^300
+        # this reads 0, and the square is its cross-free term w_k rho
+        big = (lwk - s) > 300.0
+        ratio = np.exp(np.where(big, 0.0, lwk - s))
+        out = np.exp(lphi + s) * (1.0 - ratio) ** 2
+        if not big.any():
             return out
+        # w_k rho rounds to 0 below e^-746. Its log lphi + 2 logw_k - s
+        # errs by what lphi - s cancels, two (v + d_k)^2 / 2 terms each
+        # rounded at its own scale: at most
+        # 2^-48 ((|v| + max_j |d_j|)^2 + 2 max|lw|) + 1. Where it can be
+        # representable, w_k rho is taken from log rho itself
+        q = np.abs(v) + reach[w]
+        redo = big & (lphi + 2.0 * lwk - s
+                      > -746.0 - (2.0 ** -48 * (q * q + two_lw_max) + 1.0))
+        if redo.any():
+            out[redo] = np.exp(lwk[redo] - LOG_SQRT_2PI + _log_mix(
+                lw, v[redo], d, w[redo]))
+        return out
 
-        total, err, evals = _mi_atom_quad(integrand, seeds, per_tol)
-        parts.append(max(total, 0.0))
-        qerr += err
-        n_eval += evals
-        # w_k (phi_k - rho)^2 / rho <= phi_k + w_k rho, as rho >= w_k phi_k
-        gap_bound += (1.0 + math.exp(lwk)) * _GAP_MASS
+    totals, errs, n_evals = _mi_atom_quad(integrand, seeds, tol / p.n_atoms,
+                                          live)
+    parts = [max(total, 0.0) for total in totals]
+    # w_k (phi_k - rho)^2 / rho <= phi_k + w_k rho, as rho >= w_k phi_k
+    gap_bound = sum((1.0 + math.exp(lwk)) * _GAP_MASS for lwk in lw)
     return MIEstimate(value=float(np.sum(parts)),
-                      partial_by_atom=tuple(parts), quadrature_error=qerr,
-                      gap_bound=gap_bound, n_eval=n_eval)
+                      partial_by_atom=tuple(parts), quadrature_error=sum(errs),
+                      gap_bound=gap_bound, n_eval=sum(n_evals))
 
 
 def renyi_mutual_information(p: AtomicDistribution, sigma: float, lam: float,
@@ -327,7 +363,9 @@ def renyi_mutual_information(p: AtomicDistribution, sigma: float, lam: float,
 
     An atom whose part w_k J_k provably rounds to +0.0 is not integrated:
     the integrand is <= phi_k <= 1/sqrt(2 pi), as s <= 0, so the part is at
-    most w_k^(2-lam) / sqrt(2 pi) times the windows' total width.
+    most w_k^(2-lam) / sqrt(2 pi) times the windows' total width. Nor is a
+    window where atom k's scaled integrand, at most phi_k e^(-shift), is
+    provably below e^-800 (_mi_atom_quad).
     """
     if not (1.0 < lam < 2.0):
         raise ValueError("lambda must lie in (1, 2)")
@@ -337,34 +375,38 @@ def renyi_mutual_information(p: AtomicDistribution, sigma: float, lam: float,
     seed_w = np.repeat(np.arange(len(seed)), [s.size for s in seed])
     seed = np.concatenate(seed)
     log_width = math.log(sum(s[-1] - s[0] for s in seeds))
-    log_weighted = np.empty(p.n_atoms)
-    qerr = gap_bound = 0.0
-    n_eval = 0
-    for k in range(p.n_atoms):
-        # outside the windows, w_k^(2-lam) e^g <= phi_k as s <= 0
-        gap_bound += _GAP_MASS
-        if (2.0 - lam) * p.log_weights[k] - LOG_SQRT_2PI + log_width < -746.0:
-            log_weighted[k] = -np.inf
-            continue
+    lw = p.log_weights
+    # outside the windows, w_k^(2-lam) e^g <= phi_k as s <= 0; one
+    # _GAP_MASS per atom, added in turn, whose bits n * _GAP_MASS need not have
+    gap_bound = sum([_GAP_MASS] * p.n_atoms)
 
-        # phi_k^lam rho^(1-lam) = w_k^(1-lam) exp(g) with
-        # g = log phi_k + (lam-1) s, s = log(w_k phi_k / rho) <= 0
-        def log_expo(v, w, k=k):
-            return (-0.5 * (v + d[k, w]) ** 2 - LOG_SQRT_2PI
-                    + (lam - 1.0) * _log_mix(p.log_weights, v, d, w, k))
+    # phi_k^lam rho^(1-lam) = w_k^(1-lam) exp(g) with
+    # g = log phi_k + (lam-1) s, s = log(w_k phi_k / rho) <= 0
+    def log_expo(v, k, w):
+        return (-0.5 * (v + d[k, w]) ** 2 - LOG_SQRT_2PI
+                + (lam - 1.0) * _log_mix(lw, v, d, w, k))
 
-        shift = float(np.max(log_expo(seed, seed_w)))
+    # shift[k], atom k's largest log-value on the windows' seeds
+    shift = np.full(p.n_atoms, np.inf)
+    for k in np.flatnonzero((2.0 - lam) * lw - LOG_SQRT_2PI + log_width
+                            >= -746.0):
+        shift[k] = np.max(log_expo(seed, np.full(seed.size, k), seed_w))
+    # e^(g - shift) <= e^(lphi - shift) on window w, which rounds to +0.0
+    # at every node below e^-800; an atom left at shift = inf is skipped
+    live = _mi_log_kernel_bound(d, seeds) - shift[:, None] >= -800.0
 
-        def integrand(v, w, shift=shift, k=k):
-            return np.exp(log_expo(v, w, k) - shift)
+    def integrand(v, k, w):
+        return np.exp(log_expo(v, k, w) - shift[k])
 
-        total, err, evals = _mi_atom_quad(integrand, seeds, tol)
+    totals, errs, n_evals = _mi_atom_quad(integrand, seeds, tol, live)
+    log_weighted = np.full(p.n_atoms, -np.inf)
+    qerr = 0.0
+    for k in np.flatnonzero(np.isfinite(shift)):
         # w_k J_k = w_k^(2-lam) exp(shift) * total, whose error is at most
         # e^shift err, as w_k <= 1
-        log_weighted[k] = ((2.0 - lam) * p.log_weights[k] + shift
-                           + math.log(max(total, 1e-300)))
-        qerr += err * math.exp(shift)
-        n_eval += evals
+        log_weighted[k] = ((2.0 - lam) * lw[k] + shift[k]
+                           + math.log(max(totals[k], 1e-300)))
+        qerr += errs[k] * math.exp(shift[k])
     if qerr > tol:
         raise QuadratureError(f"Renyi MI error above tol = {tol!r}", qerr)
     log_sum = float(logsumexp(log_weighted))
@@ -373,7 +415,7 @@ def renyi_mutual_information(p: AtomicDistribution, sigma: float, lam: float,
     return MIEstimate(value=max(value, 0.0) if value > -1e-6 else value,
                       partial_by_atom=tuple(float(v) for v in parts),
                       quadrature_error=qerr, gap_bound=gap_bound,
-                      n_eval=n_eval)
+                      n_eval=sum(n_evals))
 
 
 def soft_covering_kl_bound(I_lambda: float, lam: float, n: int) -> float:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constructions, divergences, transport
-from .dist_core import SmoothedMixture, log1mexp, logsumexp
+from .dist_core import SmoothedMixture, _Side, log1mexp, logsumexp
 
 
 @dataclass(frozen=True)
@@ -132,10 +132,11 @@ def t2_lower_bound(h: float, K: float, sigma: float, delta: float) -> T2Probe:
     the h-atom to the origin. W2^2 comes from the exact quantile coupling when
     it is certified with its noise bound (TransportEvaluation.certified), and
     otherwise from the CDF-crossing lower bound (the signal sits far below the
-    noise floor of linear-density quadrature for large h). w2_squared
-    computes the noise bound only where the coupling certifies without it: a
-    bound >= 0 can only add to the errors, so elsewhere the crossing bound is
-    taken as it would be with it. All three numbers are logs.
+    noise floor of linear-density quadrature for large h). The coupling's
+    quadrature runs only where h^2 dq, a bound on W2^2, exceeds ten times
+    its tail bound, and its noise bound only where the coupling certifies
+    without it: elsewhere no correct value can certify, and the crossing
+    bound is taken as it would be with them. All three numbers are logs.
     """
     if not K > sigma:
         raise ValueError("the probe requires K > sigma")
@@ -143,8 +144,19 @@ def t2_lower_bound(h: float, K: float, sigma: float, delta: float) -> T2Probe:
     log_kl = divergences._log_kl_by_differences(      # Q_h = P_h + (dq, -dq)
         P, sigma, np.array([1.0, -1.0]), np.full(2, log_dq))
     mP, mQ = SmoothedMixture(P, sigma), SmoothedMixture(Q, sigma)
-    ev = transport.w2_squared(mP, mQ, with_noise_bound=True)
-    if ev.certified():
+    # both have two atoms, so w2_squared would integrate over mP
+    a, b = _Side([mP]), _Side([mQ])
+    tail = transport._tail_bounds(a, b)[0]
+    # W2^2 <= h^2 dq, the cost of the unsmoothed coupling, and certified()
+    # needs the total above 10 tail_bound: where h^2 dq is not, no correct
+    # value can certify, and no quadrature is run. The tail bound is 0.0
+    # where the tails' moments underflow, at sigma = 1e-170
+    ev = None
+    if not (tail > 0.0
+            and 2.0 * math.log(h) + log_dq <= math.log(10.0 * tail)):
+        ev = transport._w2_on_sides([mP], [mQ], a, b, [tail],
+                                    with_noise_bound=True)[0]
+    if ev is not None and ev.certified():
         log_w2sq = math.log(ev.total)
         method = "quadrature"
     else:

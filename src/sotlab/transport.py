@@ -82,6 +82,24 @@ def _w2_members(As, Bs, tol: float = 1e-9,
     if Bs[0].base.n_atoms > As[0].base.n_atoms:
         As, Bs = Bs, As
     a, b = _Side(As), _Side(Bs)
+    return _w2_on_sides(As, Bs, a, b, _tail_bounds(a, b), tol,
+                        with_noise_bound)
+
+
+def _tail_bounds(a: _Side, b: _Side) -> list:
+    """Each member's certified remainder of the clipped tails:
+    int_{tail} rho_A (T-t)^2 <= (sqrt(M2_A) + sqrt(M2_B))^2 where the M2 are
+    one-sided second moments past the equal-mass cut points (T pushes
+    rho_A's clipped tail exactly onto rho_B's), summed over both tails."""
+    m2a, m2b = a.tail_moments(), b.tail_moments()
+    return [sum((math.exp(0.5 * m2a[side, i]) + math.exp(0.5 * m2b[side, i]))
+                ** 2 for side in (0, 1)) for i in range(a.members)]
+
+
+def _w2_on_sides(As, Bs, a: _Side, b: _Side, tails, tol: float = 1e-9,
+                 with_noise_bound: bool = False) -> list:
+    """_w2_members on its sides a and b of As and Bs, integrated over A,
+    with the members' tail bounds (_tail_bounds)."""
     A, B, lo, hi = a.m, b.m, a.lo, a.hi
 
     def integrand(t, member):
@@ -103,17 +121,8 @@ def _w2_members(As, Bs, tol: float = 1e-9,
 
     results = _integrate_members(adaptive_simpson, integrand,
                                  _seed_breakpoints(A, B, lo, hi), tol)
-
-    # tails: int_{tail} rho_A (T-t)^2 <= (sqrt(M2_A) + sqrt(M2_B))^2 where
-    # the M2 are one-sided second moments past the equal-mass cut points
-    # (T pushes rho_A's clipped tail exactly onto rho_B's)
-    m2a, m2b = a.tail_moments(), b.tail_moments()
     out = []
-    for i, res in enumerate(results):
-        tail = 0.0
-        for side in (0, 1):
-            tail += (math.exp(0.5 * m2a[side, i])
-                     + math.exp(0.5 * m2b[side, i])) ** 2
+    for i, (res, tail) in enumerate(zip(results, tails)):
         window = (float(lo[i]), float(hi[i]))
         ev = TransportEvaluation(
             total=max(res.total, 0.0), tail_bound=tail, noise_bound=0.0,

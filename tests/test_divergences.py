@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from sotlab import constructions as cons
 from sotlab import divergences as dv
 from sotlab import functional_ineq as fi
+from sotlab._quad import _NODES
 from sotlab.dist_core import AtomicDistribution, SmoothedMixture, logsumexp
 
 from conftest import random_mixture, sample_and_truth
@@ -408,12 +409,14 @@ def test_renyi_mi_skips_atoms_whose_part_rounds_to_zero():
 
 def _log_mix_rel_by_points(log_w, v, d, w, k=None):
     # the (points x atoms) formula that the atom-major _log_mix reproduces:
-    # point i's offsets d[:, w[i]]; with k, the log-ratio relative to atom k
+    # point i's offsets d[:, w[i]]; with k, the log-ratio relative to atom
+    # k[i]
     sq = (v[:, None] + d[:, w].T) ** 2
     if k is None:
         return logsumexp(log_w[None, :] + sq * -0.5, axis=1)
+    k = np.asarray(k)[:, None]
     delta = ((log_w[None, :] - log_w[k])
-             + (sq[:, k:k + 1] - sq) * 0.5)
+             + (np.take_along_axis(sq, k, axis=1) - sq) * 0.5)
     return -logsumexp(delta, axis=1)
 
 
@@ -438,46 +441,126 @@ def test_mi_keeps_the_points_by_atoms_bits(monkeypatch):
     assert got == bits()
 
 
-def _mi_atom_quad_by_window(f, seeds, tol):
-    # the reference _mi_atom_quad: the integrand called once per window per
-    # round, on that window's points alone
+def _mi_atom_quad_by_member(f, seeds, tol, live):
+    # the reference _mi_atom_quad: each live (atom, window) pair in its own
+    # _simpson_members call, the integrand called on that pair's points alone
     widths = np.array([s[-1] - s[0] for s in seeds])
+    share = tol * widths / widths.sum()
+    total, err = np.zeros(live.shape), np.zeros(live.shape)
+    n_eval = [0] * live.shape[0]
+    for k, w in zip(*np.nonzero(live)):
+        r = dv._simpson_members(
+            lambda v, m, k=k, w=w: f(v, np.full(v.size, k), np.full(v.size, w)),
+            [seeds[w]], [share[w]])[0]
+        total[k, w], err[k, w] = r.total, r.error_estimate
+        n_eval[k] += r.n_eval
+    return ([float(np.sum(row)) for row in total],
+            [float(np.sum(row)) for row in err], n_eval)
 
-    def by_window(v, member):
-        out = np.empty(v.shape)
-        for w in np.unique(member).tolist():
-            sel = member == w
-            out[sel] = f(v[sel], member[sel])
-        return out
 
-    res = dv._simpson_members(by_window, seeds, tol * widths / widths.sum())
-    return (float(np.sum([r.total for r in res])),
-            float(np.sum([r.error_estimate for r in res])),
-            sum(r.n_eval for r in res))
+_MI_ATOM_QUAD = dv._mi_atom_quad
+
+
+def _mi_atom_quad_all_windows(f, seeds, tol, live):
+    # each atom integrated over all its windows, live or not, unless the
+    # Renyi MI skips the atom itself
+    return _MI_ATOM_QUAD(f, seeds, tol,
+                         np.broadcast_to(live.any(axis=1)[:, None], live.shape))
+
+
+def _hard(sigma):
+    return cons.chi2_hard_example(2.0, cons.chi2_admissible_c(2.0), 10), sigma
+
+
+def _far_three():
+    return AtomicDistribution.from_weights(np.array([0.0, 1e6, 1e8]),
+                                           np.array([0.5, 0.3, 0.2])), 1.0
+
+
+def _spread():
+    return random_mixture(np.random.default_rng(11), 6, 0.8, 200.0).base, 1.0
+
+
+def _margin_pair():
+    # the pair of test_chi2_mi_margin_covers_the_window_reach
+    lw = np.array([-700.0, math.log1p(-math.exp(-700.0))])
+    return AtomicDistribution(np.array([0.0, 1e9]), lw), 1.0
 
 
 @pytest.mark.parametrize("case", ["chi2_hard", "far_pair", "spread"])
 def test_mi_keeps_the_by_window_bits(case, monkeypatch):
-    """One integrand call per round for all of an atom's windows, each point
-    with its own window, gives every bit of one call per window: value,
-    parts, quadrature error and n_eval of both MIs."""
-    if case == "chi2_hard":
-        p = cons.chi2_hard_example(2.0, cons.chi2_admissible_c(2.0), 10)
-    elif case == "far_pair":
-        p = AtomicDistribution.from_weights(np.array([0.0, 1e6, 1e8]),
-                                            np.array([0.5, 0.3, 0.2]))
-    else:
-        p = random_mixture(np.random.default_rng(11), 6, 0.8, 200.0).base
+    """One integrand call per round for all live (atom, window) pairs, each
+    point with its own atom and window, gives every bit of one quadrature
+    call per pair (n_eval included) and of integrating every atom over all
+    its windows: value, parts, quadrature error and gap bound of both MIs.
+    """
+    p, sigma = {"chi2_hard": lambda: _hard(1.0), "far_pair": _far_three,
+                "spread": _spread}[case]()
 
     def ests():
-        return [(e.value, e.quadrature_error, e.n_eval, *e.partial_by_atom)
-                for e in (dv.chi2_mutual_information(p, 1.0),
-                          dv.renyi_mutual_information(p, 1.0, 1.5))]
+        return [(e.value, e.quadrature_error, e.gap_bound, *e.partial_by_atom,
+                 e.n_eval)
+                for e in (dv.chi2_mutual_information(p, sigma),
+                          dv.renyi_mutual_information(p, sigma, 1.5))]
 
     got = ests()
-    monkeypatch.setattr(dv, "_mi_atom_quad", _mi_atom_quad_by_window)
+    monkeypatch.setattr(dv, "_mi_atom_quad", _mi_atom_quad_by_member)
     assert np.array_equal(np.array(got).view(np.int64),
                           np.array(ests()).view(np.int64))
+    monkeypatch.setattr(dv, "_mi_atom_quad", _mi_atom_quad_all_windows)
+    full = ests()
+    for g, f in zip(got, full):
+        assert np.array_equal(np.array(g[:-1]).view(np.int64),
+                              np.array(f[:-1]).view(np.int64))
+        assert g[-1] <= f[-1]
+
+
+@pytest.mark.parametrize("mi", ["chi2", "renyi"])
+@pytest.mark.parametrize("case", ["hard_1", "hard_3", "hard_1e-170",
+                                  "hard_1e150", "far_pair", "spread",
+                                  "margin_pair"])
+def test_mi_drops_only_pairs_that_read_zero(mi, case, monkeypatch):
+    """Every (atom, window) pair the MIs leave out of the quadrature has an
+    integrand that reads exactly +0.0 at every node of its window's seed
+    panels, so the quadrature would accept those panels with value and
+    error +0.0. The hard example at sigma = 1, 3 and 1e-170 has such pairs
+    in both MIs."""
+    if case.startswith("hard"):
+        p, sigma = _hard(float(case.split("_")[1]))
+    else:
+        p, sigma = {"far_pair": _far_three, "spread": _spread,
+                    "margin_pair": _margin_pair}[case]()
+    calls = []
+
+    def capture(f, seeds, tol, live):
+        calls.append((f, seeds, live))
+        return _MI_ATOM_QUAD(f, seeds, tol, live)
+
+    monkeypatch.setattr(dv, "_mi_atom_quad", capture)
+    if mi == "chi2":
+        dv.chi2_mutual_information(p, sigma)
+    else:
+        dv.renyi_mutual_information(p, sigma, 1.5)
+    (f, seeds, live), = calls
+    # the Renyi MI skips an atom whose part rounds to +0.0 as a whole
+    dropped = ~live & live.any(axis=1)[:, None]
+    if case in ("hard_1", "hard_3", "hard_1e-170"):
+        assert dropped.any()
+    for k, w in zip(*np.nonzero(dropped)):
+        s = seeds[w]
+        mid, half = 0.5 * (s[:-1] + s[1:]), 0.5 * (s[1:] - s[:-1])
+        v = (mid[:, None] + half[:, None] * _NODES).ravel()
+        out = f(v, np.full(v.size, k), np.full(v.size, w))
+        assert np.array_equal(out.view(np.int64),
+                              np.zeros(v.size).view(np.int64)), (k, w)
+
+
+def test_hard_chi2_mi_evaluations():
+    """The hard example's chi^2 MI integrates 4,470 points: 9,030 of the
+    13,500 that all (atom, window) pairs take fall on pairs that read +0.0
+    throughout."""
+    p, sigma = _hard(1.0)
+    assert dv.chi2_mutual_information(p, sigma).n_eval == 4470
 
 
 def test_chi2_mi_margin_covers_the_window_reach(monkeypatch):
@@ -486,18 +569,19 @@ def test_chi2_mi_margin_covers_the_window_reach(monkeypatch):
     cancels two squares of (v + 1e9), each rounded at its scale, so the
     test for recomputing from log rho needs a margin that grows with the
     window's reach, not with |v| alone."""
-    lw = np.array([-700.0, math.log1p(-math.exp(-700.0))])
-    p = AtomicDistribution(np.array([0.0, 1e9]), lw)
+    p, _ = _margin_pair()
+    lw = p.log_weights
     fs = []
 
-    def capture(f, seeds, tol):
+    def capture(f, seeds, tol, live):
         fs.append(f)
-        return 0.0, 0.0, 0
+        n = live.shape[0]
+        return [0.0] * n, [0.0] * n, [0] * n
 
     monkeypatch.setattr(dv, "_mi_atom_quad", capture)
     dv.chi2_mutual_information(p, 1.0)
     v = np.linspace(-16.0, 16.0, 200_001)
-    got = fs[0](v, np.ones(v.size, dtype=int))
+    got = fs[0](v, np.zeros(v.size, dtype=int), np.ones(v.size, dtype=int))
     want = np.exp(lw[0] + lw[1] - 0.5 * v * v - dv.LOG_SQRT_2PI)
     live = want > 0.0
     assert live.sum() > 100_000
@@ -534,9 +618,15 @@ def test_log_mix_rel_matches_points_by_atoms(case):
     d = ((c - p.locations) / sigma)[:, None]
     w = np.zeros(v.size, dtype=int)
     for k in [*range(p.n_atoms), None]:
-        got = dv._log_mix(p.log_weights, v, d, w, k)
-        want = _log_mix_rel_by_points(p.log_weights, v, d, w, k)
+        ks = None if k is None else np.full(v.size, k)
+        got = dv._log_mix(p.log_weights, v, d, w, ks)
+        want = _log_mix_rel_by_points(p.log_weights, v, d, w, ks)
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), k
+    # one atom per point, mixed: each point keeps its own atom's bits
+    ks = np.random.default_rng(5).integers(p.n_atoms, size=v.size)
+    got = dv._log_mix(p.log_weights, v, d, w, ks)
+    want = _log_mix_rel_by_points(p.log_weights, v, d, w, ks)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("h", [10.0, 55.0])

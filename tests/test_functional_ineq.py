@@ -6,7 +6,8 @@ import pytest
 from scipy import integrate
 
 from sotlab import functional_ineq as fi, transport
-from sotlab.dist_core import SmoothedMixture, log1mexp, logsumexp
+from sotlab.dist_core import (LOG_MASS_EPS, SmoothedMixture, log1mexp,
+                              logsumexp)
 
 
 def test_lsi_partition_sums_to_one():
@@ -180,3 +181,73 @@ def test_t2_noise_bound_only_where_it_can_certify(monkeypatch):
                 mQ, mP, np.linspace(0.25 * h, h, 41))
             want = (best.log_value, "crossing")
         assert (probe.log_w2sq, probe.method) == want, h
+
+
+def _t2_always_quadrature(h, K, sigma, delta):
+    # the probe with the coupling's quadrature run at every h
+    P, Q, log_dq = fi.check_t2_parameters(h, K, sigma, delta)
+    log_kl = fi.divergences._log_kl_by_differences(
+        P, sigma, np.array([1.0, -1.0]), np.full(2, log_dq))
+    mP, mQ = SmoothedMixture(P, sigma), SmoothedMixture(Q, sigma)
+    ev = transport.w2_squared(mP, mQ, with_noise_bound=True)
+    if ev.certified():
+        log_w2sq, method = math.log(ev.total), "quadrature"
+    else:
+        best = transport.best_crossing_lower_bound(
+            mQ, mP, np.linspace(0.25 * h, h, 41))
+        if not best.applicable:
+            raise RuntimeError("no certified W2 value and no applicable "
+                               "crossing bound")
+        log_w2sq, method = best.log_value, "crossing"
+    return fi.T2Probe(h=h, delta=delta, log_q_h=float(Q.log_weights[1]),
+                      log_w2sq=log_w2sq, log_kl=log_kl,
+                      log_ratio=log_w2sq - log_kl, method=method)
+
+
+def test_t2_skips_only_quadratures_that_cannot_certify():
+    """Where h^2 dq, a bound on W2^2, is at most ten times the tail bound,
+    the probe takes the crossing bound without the coupling's quadrature.
+    On h = 5 ... 57.5 in steps of 0.5, 55.9, 57.2 and 77 (K = 2, sigma = 1,
+    delta = 0.1) every field, or the exception, is that of the probe that
+    always runs it; so it is at h = 10, 20 and 30 sigma for sigma = 1e-170,
+    where the tail bound underflows to 0.0."""
+    def outcome(probe, h, sigma=1.0):
+        try:
+            return repr(probe(h * sigma, 2.0 * sigma, sigma, 0.1))
+        except Exception as exc:
+            return type(exc).__name__, str(exc)
+
+    hs = [5.0 + 0.5 * i for i in range(106)] + [55.9, 57.2, 77.0]
+    for h in hs:
+        assert outcome(fi.t2_lower_bound, h) == \
+            outcome(_t2_always_quadrature, h), h
+    for h in (10.0, 20.0, 30.0):
+        assert outcome(fi.t2_lower_bound, h, 1e-170) == \
+            outcome(_t2_always_quadrature, h, 1e-170), h
+
+
+def test_t2_runs_one_quadrature_on_one_pair_of_sides(monkeypatch):
+    """Criterion 12's probes run the W2 quadrature at h = 10 alone, and each
+    solves the deep quantiles of its two sides once, for the skip test and
+    the quadrature both."""
+    quads, deep = [], []
+    integrate = transport._integrate_members
+    quantile = SmoothedMixture.quantile_from_log_mass
+
+    def spy_quad(*args):
+        quads.append(args)
+        return integrate(*args)
+
+    def spy_quantile(self, log_mass, *args, **kwargs):
+        if np.all(np.asarray(log_mass) == LOG_MASS_EPS):
+            deep.append(log_mass)
+        return quantile(self, log_mass, *args, **kwargs)
+
+    monkeypatch.setattr(transport, "_integrate_members", spy_quad)
+    monkeypatch.setattr(SmoothedMixture, "quantile_from_log_mass", spy_quantile)
+    for h in (10.0, 20.0, 30.0):
+        quads.clear()
+        deep.clear()
+        fi.t2_lower_bound(h, 2.0, 1.0, 0.1)
+        assert len(quads) == (1 if h == 10.0 else 0), h
+        assert len(deep) == 2, h

@@ -27,13 +27,13 @@ CASES = {
     "w2_many_atoms.json": ("w2",
         "96d831352cff9ef1a491f693cb90cd2c4ca00d9b775b17b84dbce172144237ab", None),
     "mi_probe_chi2.json": ("mi-probe",
-        "bcee2711eb15b73f1abac21017d5542f5e96019152a0709b0739734cf1c88381", None),
+        "c69efe66c8f6175d719a09ac63f1f2c829f820c02a0661869c7cb9959ed67149", None),
     "mi_probe_renyi.json": ("mi-probe",
         "92fd132efc254bc75cb83bad3fecd5a2837150f6d2730971f1bacca16517fd28", None),
     "mi_probe_chi2_hard10.json": ("mi-probe",
-        "34fa6cd30a3938ce2d57ea1374fc4f4c5ffb49ed73d39677e3bde6b6aa27db37", None),
+        "b6b1fcd7328ce98c1575c370b7350c43daea6795402e8f3de0e35dab130d7de1", None),
     "mi_probe_renyi_hard10.json": ("mi-probe",
-        "812218ee6d9bb95fe38544da8b642a7b978b19ae1215931b8ac50df7ede1af1b", None),
+        "2a382048764ab4aaee0b4be12b6838282b880096bbb20022afd84ff48d07bfe5", None),
     "rate_scan_two_point.json": ("rate-scan",
         "5fc3705355f5c3b0bcb53412d71b982a6a86ab8af669238e3aecf15e0a79a960",
         "5dc9cad1d422bda2a7681ca3eb48206b8fa9de717706ca7ca2529374d94c0cd5"),
